@@ -5,11 +5,16 @@ A point z is certified as an approximate solution when
     alpha = beta * gamma_bound < ALPHA_STAR,
 
 where beta is the Newton step length at z and gamma_bound the curvature
-bound from the polynomial or link-aware path. ALPHA_STAR is a rational
-number chosen strictly below the true threshold (13 - 3*sqrt(17))/4, so a
-conservative comparison can only under-certify. The stronger condition
-alpha < 3/100 buys a robustness radius of 1/(20*gamma) used by the
-same-root, distinctness and realness predicates.
+bound of expsystems.gamma_bound_sq. Both come from one linearization of the
+system at z: one residual, one Jacobian J and one elimination that solves
+J X = [F(z) | I], whose first column is the Newton step and whose other
+columns are J^{-1} for the bound. newton_step and refine's newton_refine
+use the same linearization without the identity columns.
+
+ALPHA_STAR is a rational number chosen strictly below the true threshold
+(13 - 3*sqrt(17))/4, so a conservative comparison can only under-certify.
+The stronger condition alpha < 3/100 buys a robustness radius of
+1/(20*gamma) used by the same-root, distinctness and realness predicates.
 
 All decisions compare squared quantities, and in floating mode the final
 comparison converts the computed value exactly to a rational, so the
@@ -34,22 +39,22 @@ from .errors import (
     NotRealMap,
     PreconditionFailed,
     SingularMatrix,
+    ValidationError,
 )
 from .expsystems import (
     ExpSystem,
     as_exp_system,
     evaluate_exp,
-    gamma_bound_exp,
+    gamma_bound_sq,
     jacobian_exp,
 )
-from .linalg import CVector, norm_sq, solve_vector, vec_sub
-from .polynomials import gamma_bound_poly_sq
+from .linalg import CVector, identity, norm_sq, solve_columns, vec_sub
 from .scalars import (
     ExactComplex,
     MODE_RATIONAL,
     PrecisionConfig,
     fraction_to_mpf,
-    lift,
+    lift_point,
     mpf_to_fraction,
     working_precision,
 )
@@ -64,17 +69,6 @@ ROBUST_ALPHA_SQ = ROBUST_ALPHA * ROBUST_ALPHA
 ROBUST_RADIUS_FACTOR = Fraction(1, 20)
 ROBUST_RADIUS_SQ = ROBUST_RADIUS_FACTOR * ROBUST_RADIUS_FACTOR  # 1/400
 SEPARATION_FACTOR = 2
-
-
-@dataclass(frozen=True)
-class AlphaConstants:
-    alpha_star_sq: Fraction = ALPHA_STAR_SQ
-    robust_alpha: Fraction = ROBUST_ALPHA
-    robust_radius_factor: Fraction = ROBUST_RADIUS_FACTOR
-    separation_factor: int = SEPARATION_FACTOR
-
-
-CONSTANTS = AlphaConstants()
 
 
 class RealStatus(Enum):
@@ -120,14 +114,39 @@ def decide_certified(beta_sq, gamma_bound_sq) -> bool:
     return _lt_exact(beta_sq * gamma_bound_sq, ALPHA_STAR_SQ)
 
 
-def _materialize(z: CVector, prec: PrecisionConfig) -> CVector:
-    return tuple(lift(v, prec) if isinstance(v, ExactComplex) else v for v in z)
-
-
 def _as_working_mpf(v, bits: int):
     if isinstance(v, Fraction):
         return fraction_to_mpf(v, bits)
     return v
+
+
+def _zero(prec: PrecisionConfig):
+    return Fraction(0) if prec.is_exact else mp.mpf(0)
+
+
+def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
+    """Evaluate F and its Jacobian J at z once, and eliminate J once.
+
+    Solves J X = [F(z) | I] (the identity columns only when inverse is set)
+    and returns (z lifted, F(z), Newton step, J^{-1} or None). Step and
+    inverse are both None when J is singular. Pivots depend on J alone, so
+    the step and the inverse equal solve_vector's and invert's bit for bit.
+    Runs at the caller's working precision.
+    """
+    if len(z) != F.N:
+        raise DimensionMismatch(f"point has {len(z)} coordinates, expected {F.N}")
+    z = lift_point(z, prec)
+    residual = evaluate_exp(F, z, prec)
+    J = jacobian_exp(F, z, prec)
+    rhs = tuple((v,) for v in residual)
+    if inverse:
+        rhs = tuple(r + e for r, e in zip(rhs, identity(F.N, prec.is_exact)))
+    try:
+        X = solve_columns(J, rhs, prec.bits)
+    except SingularMatrix:
+        return z, residual, None, None
+    step = tuple(row[0] for row in X)
+    return z, residual, step, tuple(row[1:] for row in X) if inverse else None
 
 
 def newton_step(F, z: CVector, prec: PrecisionConfig):
@@ -136,71 +155,33 @@ def newton_step(F, z: CVector, prec: PrecisionConfig):
     On a singular Jacobian the point is returned unchanged with flag False.
     """
     F = as_exp_system(F)
-    if len(z) != F.N:
-        raise DimensionMismatch(f"point has {len(z)} coordinates, expected {F.N}")
     with working_precision(prec.bits):
-        z = _materialize(z, prec)
-        residual = evaluate_exp(F, z, prec)
-        J = jacobian_exp(F, z, prec)
-        try:
-            step = solve_vector(J, residual, prec.bits)
-        except SingularMatrix:
+        z, _, step, _ = _linearize(F, z, prec, inverse=False)
+        if step is None:
             return z, False
         return tuple(a - b for a, b in zip(z, step)), True
-
-
-def beta_sq(F, z: CVector, prec: PrecisionConfig):
-    """Squared Newton step length; zero by convention at a singular Jacobian."""
-    F = as_exp_system(F)
-    with working_precision(prec.bits):
-        z = _materialize(z, prec)
-        residual = evaluate_exp(F, z, prec)
-        J = jacobian_exp(F, z, prec)
-        try:
-            step = solve_vector(J, residual, prec.bits)
-        except SingularMatrix:
-            return Fraction(0) if prec.is_exact else mp.mpf(0)
-        return norm_sq(step)
-
-
-def _gamma_bound_sq(F: ExpSystem, z: CVector, prec: PrecisionConfig):
-    """Squared curvature bound, math.inf on a singular Jacobian."""
-    try:
-        if F.is_polynomial():
-            return gamma_bound_poly_sq(F.P, z, prec.bits)
-        g = gamma_bound_exp(F, z, prec)
-        return g * g
-    except SingularMatrix:
-        return math.inf
 
 
 def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
     """Full certification of one point against a square system."""
     F = as_exp_system(F)
-    if len(z) != F.N:
-        raise DimensionMismatch(f"point has {len(z)} coordinates, expected {F.N}")
     with working_precision(prec.bits):
-        z = _materialize(z, prec)
-        residual = evaluate_exp(F, z, prec)
+        z, residual, step, Jinv = _linearize(F, z, prec, inverse=True)
+        gamma_sq = math.inf if Jinv is None else gamma_bound_sq(F, z, Jinv, prec)
         if prec.is_exact and all(v.is_zero() for v in residual):
-            gamma_sq = _gamma_bound_sq(F, z, prec)
             return Certificate(
                 beta_sq=Fraction(0),
                 gamma_bound_sq=gamma_sq,
                 alpha_bound_sq=Fraction(0),
-                jacobian_invertible=not _is_infinite(gamma_sq),
+                jacobian_invertible=Jinv is not None,
                 exact_zero=True,
                 certified_approximate=True,
                 mode=prec.mode,
                 bits=prec.bits,
             )
-        J = jacobian_exp(F, z, prec)
-        try:
-            step = solve_vector(J, residual, prec.bits)
-        except SingularMatrix:
-            zero = Fraction(0) if prec.is_exact else mp.mpf(0)
+        if step is None:
             return Certificate(
-                beta_sq=zero,
+                beta_sq=_zero(prec),
                 gamma_bound_sq=math.inf,
                 alpha_bound_sq=math.inf,
                 jacobian_invertible=False,
@@ -210,12 +191,10 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
                 bits=prec.bits,
             )
         bsq = norm_sq(step)
-        gamma_sq = _gamma_bound_sq(F, z, prec)
-        alpha_sq = math.inf if _is_infinite(gamma_sq) else bsq * gamma_sq
         return Certificate(
             beta_sq=bsq,
             gamma_bound_sq=gamma_sq,
-            alpha_bound_sq=alpha_sq,
+            alpha_bound_sq=bsq * gamma_sq,
             jacobian_invertible=True,
             exact_zero=False,
             certified_approximate=decide_certified(bsq, gamma_sq),
@@ -240,8 +219,8 @@ def certify_distinct(F, cert1: Certificate, z1: CVector, cert2: Certificate, z2:
     bits = max(cert1.bits, cert2.bits)
     with working_precision(bits):
         prec = PrecisionConfig(mode="float", bits=bits)
-        a = _materialize(z1, prec)
-        b = _materialize(z2, prec)
+        a = lift_point(z1, prec)
+        b = lift_point(z2, prec)
         dist = mp.sqrt(norm_sq(vec_sub(a, b)))
         b1 = mp.sqrt(_as_working_mpf(cert1.beta_sq, bits))
         b2 = mp.sqrt(_as_working_mpf(cert2.beta_sq, bits))
@@ -262,8 +241,8 @@ def same_root(F, cert_x: Certificate, z_x: CVector, z_y: CVector, prec: Precisio
     if _is_infinite(cert_x.gamma_bound_sq):
         return False
     with working_precision(prec.bits):
-        a = _materialize(z_x, prec)
-        b = _materialize(z_y, prec)
+        a = lift_point(z_x, prec)
+        b = lift_point(z_y, prec)
         dsq = norm_sq(vec_sub(a, b))
         return _lt_exact(dsq * cert_x.gamma_bound_sq, ROBUST_RADIUS_SQ)
 
@@ -316,7 +295,7 @@ def certify_real(F, cert: Certificate, z: CVector, prec: PrecisionConfig,
     if not cert.certified_approximate:
         raise NotCertified("certify_real needs a certified approximate solution")
     with working_precision(prec.bits):
-        zm = _materialize(z, prec)
+        zm = lift_point(z, prec)
         imag_sq = _imag_part_sq(zm, prec.is_exact)
         if imag_sq == 0:
             return RealStatus.REAL
@@ -380,7 +359,10 @@ def _thread_count(options: BatchOptions, njobs: int) -> int:
         limit = options.threads
     else:
         env = os.environ.get("EXPCERT_THREADS")
-        limit = int(env) if env else (os.cpu_count() or 1)
+        try:
+            limit = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ValidationError(f"EXPCERT_THREADS must be an integer, got {env!r}") from None
     return max(1, min(limit, njobs))
 
 

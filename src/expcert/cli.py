@@ -58,6 +58,16 @@ def _degree_list(raw: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not an integer list: {raw!r}")
 
 
+def _nonnegative_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def run_certify(args) -> int:
     F = parse_system(_read_text(args.system))
     data = parse_points(_read_text(args.points))
@@ -146,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--precision", type=int, default=96, metavar="BITS")
     cert.add_argument(
         "--refine",
-        type=int,
+        type=_nonnegative_int,
         default=0,
         metavar="K",
         help="Newton-refine each point K times before certifying",

@@ -6,8 +6,22 @@ variable as an elementary function of one leading variable:
 
     F(z) = [ P(z); z_dst - g(c * z_src) ]   with g in {exp, sin, cos, sinh, cosh}.
 
-Two curvature bounds are provided. The specialized bound uses per-kind
-envelope functions of the link argument (link_bound_term); the generic bound
+The curvature bound lives here, for link-free and linked systems alike.
+Both forms start from the conditioning factor
+
+    mu^2 = max{1, ||Df(z)^{-1} Delta||_F^2},
+
+where Delta is diagonal with entries ||P|| * sqrt(d_i) * ||z||_1^(d_i - 1)
+for the polynomial rows and 1 for the link rows, ||P|| is the weighted
+coefficient norm and D the maximal degree. Without links (m = 0) the bound
+is the polynomial one,
+
+    gamma(f, z)^2  <=  mu^2 * D^3 / (4 * ||z||_1^2),
+
+exact rational in exact mode. With links it is
+mu * (D^(3/2) / (2 ||z||_1) + sum of per-kind link envelope terms)
+(link_bound_term). Both take Df(z)^{-1} from the caller, which has already
+factored Df(z) for the Newton step. The generic bound
 (gamma_bound_generic) only needs the order and coefficient sizes of a linear
 ODE satisfied by each link function, plus a caller-supplied value bound, so
 it also covers functions outside the built-in five.
@@ -30,7 +44,7 @@ from .errors import (
     PreconditionFailed,
     ValidationError,
 )
-from .linalg import CMatrix, CVector, invert, norm1_sq
+from .linalg import CMatrix, CVector, norm1_sq
 from .polynomials import (
     PolynomialSystem,
     bw_norm_sq,
@@ -44,7 +58,7 @@ from .scalars import (
     abs_sq,
     exact_to_mpc,
     fraction_to_mpf,
-    lift,
+    lift_point,
     working_precision,
 )
 
@@ -219,19 +233,13 @@ def _require_float(F: ExpSystem, prec: PrecisionConfig, what: str):
         )
 
 
-def _materialize(z: CVector, prec: PrecisionConfig) -> CVector:
-    if prec.is_exact:
-        return tuple(v if isinstance(v, ExactComplex) else v for v in z)
-    return tuple(lift(v, prec) if isinstance(v, ExactComplex) else v for v in z)
-
-
 def evaluate_exp(F: ExpSystem, z: CVector, prec: PrecisionConfig) -> CVector:
     """Residual vector [P(z); z_dst - g(c * z_src)]."""
     _require_float(F, prec, "evaluate_exp")
     if len(z) != F.N:
         raise DimensionMismatch(f"point has {len(z)} coordinates, expected {F.N}")
     with working_precision(prec.bits):
-        z = _materialize(z, prec)
+        z = lift_point(z, prec)
         top = list(evaluate(F.P, z))
         for link in F.links:
             w = exact_to_mpc(link.c, prec.bits) * z[link.src - 1]
@@ -245,7 +253,7 @@ def jacobian_exp(F: ExpSystem, z: CVector, prec: PrecisionConfig) -> CMatrix:
     if len(z) != F.N:
         raise DimensionMismatch(f"point has {len(z)} coordinates, expected {F.N}")
     with working_precision(prec.bits):
-        z = _materialize(z, prec)
+        z = lift_point(z, prec)
         rows = list(jacobian(F.P, z))
         zero = mp.mpc(0)
         one = mp.mpc(1)
@@ -277,19 +285,17 @@ def link_bound_term(link: ExpLink, xval):
     return max(cmod, csq * abs(mp.sinh(w)) / 2, csq * abs(mp.cosh(w)) / 2)
 
 
-def mu_exp_sq(F: ExpSystem, z: CVector, prec: PrecisionConfig):
-    """Squared conditioning factor for the full system.
+def mu_exp_sq(F: ExpSystem, z: CVector, Jinv: CMatrix, prec: PrecisionConfig):
+    """Squared conditioning factor for the full system, given Df(z)^{-1}.
 
     The inverse Jacobian's first n columns are scaled by the per-row entries
     sqrt(d_i) ||z||_1^(d_i - 1) ||P|| and the last m columns left alone; the
     squared Frobenius norm of the result, floored at 1, is returned. With
-    m = 0 this is exactly the polynomial mu^2.
+    m = 0 this is exactly the polynomial mu^2, rational in exact mode.
     """
     _require_float(F, prec, "mu_exp_sq")
     with working_precision(prec.bits):
-        z = _materialize(z, prec)
-        J = jacobian_exp(F, z, prec)
-        Jinv = invert(J, prec.bits)
+        z = lift_point(z, prec)
         n1sq = norm1_sq(z)
         dsq = delta_sq_entries(F.P.degrees, n1sq)
         psq = bw_norm_sq(F.P)
@@ -305,23 +311,26 @@ def mu_exp_sq(F: ExpSystem, z: CVector, prec: PrecisionConfig):
         return total if total > 1 else 1 + 0 * total
 
 
-def gamma_bound_exp(F: ExpSystem, z: CVector, prec: PrecisionConfig):
-    """Curvature bound mu * (D^(3/2) / (2 ||z||_1) + sum of link envelope terms).
+def gamma_bound_sq(F: ExpSystem, z: CVector, Jinv: CMatrix, prec: PrecisionConfig):
+    """Squared curvature bound at z, given Df(z)^{-1}.
 
-    Returned unsquared (floating only; square roots are fine here). With
-    m = 0 this equals the square root of the polynomial bound.
+    m = 0: mu^2 * D^3 / (4 ||z||_1^2), exact rational in exact mode.
+    m > 0: (mu * (D^(3/2) / (2 ||z||_1) + sum of link envelope terms))^2,
+    floating only.
     """
-    if prec.is_exact:
-        raise ExactModeUnsupported("gamma_bound_exp is a floating-point computation")
+    _require_float(F, prec, "gamma_bound_sq")
     with working_precision(prec.bits):
-        z = _materialize(z, prec)
-        mu = mp.sqrt(mu_exp_sq(F, z, prec))
-        n1 = mp.sqrt(norm1_sq(z))
+        z = lift_point(z, prec)
+        musq = mu_exp_sq(F, z, Jinv, prec)
+        n1sq = norm1_sq(z)
         D = F.P.max_degree
-        total = mp.sqrt(mp.mpf(D)) ** 3 / (2 * n1)
+        if F.is_polynomial():
+            return musq * D**3 / (4 * n1sq)
+        total = mp.sqrt(mp.mpf(D)) ** 3 / (2 * mp.sqrt(n1sq))
         for link in F.links:
             total = total + link_bound_term(link, z[link.src - 1])
-        return mu * total
+        g = mp.sqrt(musq) * total
+        return g * g
 
 
 def _as_float(v):

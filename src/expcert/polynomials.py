@@ -1,19 +1,11 @@
-"""Polynomials with exact rational-complex coefficients, and their bounds.
+"""Polynomials with exact rational-complex coefficients, and their norms.
 
 A polynomial is a normalized term list (graded-lex order, no duplicate
 monomials, no zero coefficients) over a fixed ambient variable count. The
 degree is always taken from the actual terms, never declared, because the
-weighted coefficient norm and the curvature bound below are degree-sensitive.
-
-The curvature bound: for a square system f and a point x where Df(x) is
-invertible,
-
-    gamma(f, x)^2  <=  mu^2 * D^3 / (4 * ||x||_1^2),
-    mu^2 = max{1, ||f||^2 * ||Df(x)^{-1} Delta||_F^2},
-
-where ||f|| is the weighted coefficient norm, D the maximal degree, and
-Delta the diagonal matrix with entries sqrt(d_i) * ||x||_1^(d_i - 1). The
-squared form keeps the whole computation rational in exact mode.
+weighted coefficient norm (bw_norm_sq) and the scaling entries
+(delta_sq_entries) that feed the curvature bound in expsystems are
+degree-sensitive. Both are exact rationals for exact points.
 """
 
 from __future__ import annotations
@@ -26,8 +18,8 @@ from math import factorial
 import mpmath as mp
 
 from .errors import DimensionMismatch, ValidationError
-from .linalg import CMatrix, CVector, invert, norm1_sq
-from .scalars import EC_ONE, ExactComplex, abs_sq, exact_to_mpc, fraction_to_mpf
+from .linalg import CMatrix, CVector
+from .scalars import EC_ONE, ExactComplex, exact_to_mpc
 
 
 @dataclass(frozen=True)
@@ -239,31 +231,3 @@ def delta_sq_entries(degrees, n1sq) -> list:
         else:
             out.append(d * n1sq ** (d - 1))
     return out
-
-
-def gamma_bound_poly_sq(S: PolynomialSystem, x: CVector, bits: int | None = None):
-    """Squared curvature bound mu^2 * D^3 / (4 ||x||_1^2) for a square system.
-
-    Exact rational in exact mode. Raises SingularMatrix when the Jacobian is
-    not invertible; callers treat that as an infinite bound.
-    """
-    if S.n != S.nv:
-        raise DimensionMismatch(f"system is not square: {S.n} polynomials, {S.nv} variables")
-    n1sq = norm1_sq(x)
-    J = jacobian(S, x)
-    Jinv = invert(J, bits)
-    dsq = delta_sq_entries(S.degrees, n1sq)
-    # ||Jinv * Delta||_F^2 = sum_j Delta_jj^2 * (squared column norm j of Jinv)
-    scaled = 0
-    for j in range(S.n):
-        col = 0
-        for i in range(S.n):
-            col = col + abs_sq(Jinv[i][j])
-        scaled = scaled + dsq[j] * col
-    fsq = bw_norm_sq(S)
-    if not _point_is_exact(x):
-        fsq = fraction_to_mpf(fsq, mp.mp.prec)
-    musq_raw = fsq * scaled
-    musq = musq_raw if musq_raw > 1 else 1 + 0 * musq_raw
-    D = S.max_degree
-    return musq * D**3 / (4 * n1sq)

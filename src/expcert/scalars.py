@@ -221,6 +221,11 @@ def lift(z: ExactComplex, prec: PrecisionConfig):
     return exact_to_mpc(z, prec.bits)
 
 
+def lift_point(z, prec: PrecisionConfig) -> tuple:
+    """Lift every exact coordinate of a point; other coordinates pass through."""
+    return tuple(lift(v, prec) if isinstance(v, ExactComplex) else v for v in z)
+
+
 @singledispatch
 def abs_sq(z):
     """Squared modulus |z|^2 in the scalar's own arithmetic."""
@@ -276,11 +281,32 @@ conj.register(type(mp.mpf(1)), lambda z: z)
 conj.register(type(mp.mpc(1, 1)), lambda z: z.conjugate())
 
 
+# Integers up to this many bits (about 3900 digits) stay below Python's
+# default 4300-digit limit on str(int).
+_STR_INT_BITS = 13000
+
+
+def _int_to_decimal(n: int) -> str:
+    """Exact base-10 digits of an integer of any size.
+
+    Large integers are split at a power of ten near half their digit count
+    and the halves converted separately, so no single str() call meets the
+    interpreter's int-to-str digit limit.
+    """
+    if n < 0:
+        return "-" + _int_to_decimal(-n)
+    if n.bit_length() <= _STR_INT_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digit count (log10(2) > 3/10)
+    hi, lo = divmod(n, 10**k)
+    return _int_to_decimal(hi) + _int_to_decimal(lo).zfill(k)
+
+
 def format_rational(fr: Fraction) -> str:
-    """Canonical "p/q" (or "p" for integers)."""
+    """Canonical "p/q" (or "p" for integers), exact at any size."""
     if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+        return _int_to_decimal(fr.numerator)
+    return f"{_int_to_decimal(fr.numerator)}/{_int_to_decimal(fr.denominator)}"
 
 
 def parse_real(token: str) -> Fraction:
@@ -321,7 +347,7 @@ def format_decimal(value, sig: int = 6) -> str:
     a = -fr if neg else fr
     # Locate e with 10^e <= a < 10^(e+1); the digit-length guess is off by
     # at most one in each direction.
-    e = len(str(a.numerator)) - len(str(a.denominator))
+    e = len(_int_to_decimal(a.numerator)) - len(_int_to_decimal(a.denominator))
     while Fraction(10) ** e > a:
         e -= 1
     while Fraction(10) ** (e + 1) <= a:

@@ -5,15 +5,19 @@ everything downstream silently depends on that constant being on the safe
 side of the exact algebraic number it approximates.
 """
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
+import expcert
+from expcert import linalg
 from expcert.certify import (
     ALPHA_STAR,
     ALPHA_STAR_SQ,
@@ -21,7 +25,6 @@ from expcert.certify import (
     BatchOptions,
     Certificate,
     RealStatus,
-    beta_sq,
     certify_batch,
     certify_distinct,
     certify_real,
@@ -133,7 +136,67 @@ def test_newton_step_hand_case():
 
 def test_beta_sq_matches_step():
     S = poly1((ec(1), (2,)), (ec(-2), (0,)))
-    assert beta_sq(S, (ec(Fraction(3, 2)),), RAT) == Fraction(1, 144)
+    _, table = newton_refine(S, (ec(Fraction(3, 2)),), 0, RAT)
+    assert table.rows[0][1] == Fraction(1, 144)
+
+
+def _count_eliminations(monkeypatch) -> list:
+    """Count linalg.solve_columns calls, wherever the package has bound it.
+
+    solve_vector and invert both delegate to solve_columns, so the count is
+    the number of Gaussian eliminations.
+    """
+    original = linalg.solve_columns
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(expcert.__path__):
+        module = importlib.import_module(f"expcert.{info.name}")
+        for name, obj in list(vars(module).items()):
+            if obj is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _elimination_cases():
+    g, (X1, _) = two_link_arm_poly()
+    G, (Z1, _) = two_link_arm_exp()
+    return {
+        "rational": (g, X1, RAT),
+        "float": (G, Z1, F96),
+        "exact-zero": (poly1((ec(1), (2,)), (ec(-1), (0,))), (ec(1),), RAT),
+        "exact-zero-singular": (poly1((ec(1), (2,))), (ec(0),), RAT),
+        "singular": (poly1((ec(1), (2,)), (ec(-1), (0,))), (ec(0),), RAT),
+    }
+
+
+@pytest.mark.parametrize("case", list(_elimination_cases()))
+def test_certify_solution_eliminates_once(monkeypatch, case):
+    """One factorization per point yields beta and the J^-1 that gamma needs."""
+    F, z, prec = _elimination_cases()[case]
+    calls = _count_eliminations(monkeypatch)
+    cert = certify_solution(F, z, prec)
+    assert len(calls) == 1
+    assert cert.jacobian_invertible == (case not in ("singular", "exact-zero-singular"))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_newton_refine_eliminates_once_per_iterate(monkeypatch, k):
+    S = poly1((ec(1), (2,)), (ec(-2), (0,)))
+    calls = _count_eliminations(monkeypatch)
+    _, table = newton_refine(S, (ec(Fraction(3, 2)),), k, RAT)
+    assert len(table.rows) == k + 1
+    assert len(calls) == k + 1
+
+
+def test_newton_step_eliminates_once(monkeypatch):
+    S = poly1((ec(1), (2,)), (ec(-2), (0,)))
+    calls = _count_eliminations(monkeypatch)
+    newton_step(S, (ec(Fraction(3, 2)),), RAT)
+    assert len(calls) == 1
 
 
 def test_float_certification_of_transcendental_system():

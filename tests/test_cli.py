@@ -210,3 +210,23 @@ def test_no_subcommand_exits_two(capsys):
         main([])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_non_integer_thread_count_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("EXPCERT_THREADS", "two")
+    code, _, err = run(
+        capsys,
+        "certify", "--system", sysf("rr_dyad_poly"), "--points", ptsf("rr_dyad_poly"),
+        "--mode", "rational",
+    )
+    assert code == 2 and "EXPCERT_THREADS" in err
+
+
+def test_negative_refine_count_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main([
+            "certify", "--system", sysf("rr_dyad_poly"), "--points", ptsf("rr_dyad_poly"),
+            "--refine", "-1",
+        ])
+    assert info.value.code == 2
+    assert "--refine" in capsys.readouterr().err

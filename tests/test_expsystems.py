@@ -6,12 +6,14 @@ the ODE-data machinery: the bound may be loose but must never be below the
 truth.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expcert.certify import certify_solution
 from expcert.errors import (
     ExactModeUnsupported,
     PreconditionFailed,
@@ -26,15 +28,16 @@ from expcert.expsystems import (
     builtin_bound_value,
     builtin_ode_data,
     evaluate_exp,
-    gamma_bound_exp,
     gamma_bound_generic,
+    gamma_bound_sq,
     jacobian_exp,
     link_bound_term,
     mu_exp_sq,
     ode_derivative_bound,
 )
+from expcert.linalg import invert
 from expcert.mechanisms import compliant_linkage
-from expcert.polynomials import Polynomial, PolynomialSystem, gamma_bound_poly_sq
+from expcert.polynomials import Polynomial, PolynomialSystem
 from expcert.scalars import ExactComplex, PrecisionConfig, exact_to_mpc
 
 F96 = PrecisionConfig("float", 96)
@@ -109,7 +112,9 @@ def test_exact_mode_rejected_with_links():
     with pytest.raises(ExactModeUnsupported):
         evaluate_exp(F, (ec(0), ec(0)), RAT)
     with pytest.raises(ExactModeUnsupported):
-        gamma_bound_exp(F, (ec(0), ec(0)), RAT)
+        gamma_bound_sq(F, (ec(0), ec(0)), None, RAT)
+    with pytest.raises(ExactModeUnsupported):
+        certify_solution(F, (ec(0), ec(0)), RAT)
 
 
 def test_jacobian_matches_central_differences():
@@ -262,15 +267,13 @@ def square_rational_systems(draw):
 @settings(max_examples=40, deadline=None)
 @given(square_rational_systems())
 def test_reduction_identity_for_linkfree_systems(case):
-    """gamma_bound_exp on m = 0 equals sqrt of the exact polynomial bound."""
+    """The float bound on m = 0 equals the exact polynomial bound."""
     S, z = case
-    try:
-        exact_sq = gamma_bound_poly_sq(S, z)
-    except Exception:
+    exact_sq = certify_solution(S, z, RAT).gamma_bound_sq
+    if math.isinf(exact_sq):
         return
-    F = as_exp_system(S)
     with mp.workprec(192):
-        got = gamma_bound_exp(F, z, F192)
+        got = mp.sqrt(certify_solution(S, z, F192).gamma_bound_sq)
         want = mp.sqrt(mp.mpf(exact_sq.numerator) / exact_sq.denominator)
         assert abs(got - want) <= want * mp.mpf(10) ** -40
 
@@ -279,6 +282,7 @@ def test_mu_matches_polynomial_route_exactly():
     S = PolynomialSystem((poly(1, (1, (2,)), (-2, (0,))),))
     F = as_exp_system(S)
     with mp.workprec(96):
-        musq = mu_exp_sq(F, (ec(Fraction(3, 2)),), F96)
+        Jinv = invert(jacobian_exp(F, (ec(Fraction(3, 2)),), F96), 96)
+        musq = mu_exp_sq(F, (ec(Fraction(3, 2)),), Jinv, F96)
         # polynomial route: mu^2 = max(1, 5 * 13/18) = 65/18
         assert abs(musq - mp.mpf(65) / 18) < mp.mpf(10) ** -25

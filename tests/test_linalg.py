@@ -154,3 +154,40 @@ def test_identity_shapes():
     with mp.workprec(64):
         feye = identity(2, exact=False, bits=64)
         assert feye[1][1] == 1
+
+
+def _random_entry(rng: random.Random, exact: bool):
+    re = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+    im = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+    if rng.random() < 0.2:
+        re = im = Fraction(0)  # zeros force row exchanges
+    if exact:
+        return ExactComplex(re, im)
+    return mp.mpc(mp.mpf(re.numerator) / re.denominator, mp.mpf(im.numerator) / im.denominator)
+
+
+@pytest.mark.parametrize("bits", [96, 1024, None], ids=["float96", "float1024", "rational"])
+def test_solve_columns_with_identity_matches_solve_and_invert(bits):
+    """solve_columns(A, [b | I]) equals solve_vector(A, b) and invert(A) bit for bit.
+
+    Pivots depend on A alone, so appending the identity columns to one
+    right-hand side changes neither the solution nor the inverse.
+    """
+    rng = random.Random(1109)
+    exact = bits is None
+    with mp.workprec(bits or 64):
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            A = tuple(tuple(_random_entry(rng, exact) for _ in range(n)) for _ in range(n))
+            b = tuple(_random_entry(rng, exact) for _ in range(n))
+            B = tuple((bi,) + row for bi, row in zip(b, identity(n, exact)))
+            try:
+                X = solve_columns(A, B, bits)
+            except SingularMatrix:
+                with pytest.raises(SingularMatrix):
+                    solve_vector(A, b, bits)
+                with pytest.raises(SingularMatrix):
+                    invert(A, bits)
+                continue
+            assert tuple(row[0] for row in X) == solve_vector(A, b, bits)
+            assert tuple(row[1:] for row in X) == invert(A, bits)

@@ -1,12 +1,15 @@
-"""Polynomials, systems, and the curvature bound.
+"""Polynomials, systems, and the polynomial curvature bound.
 
-The dominance test at the bottom is the load-bearing one: it checks, in
+The bound is read from certify_solution's exact certificate, the one entry
+point that factors the Jacobian and feeds its inverse to the bound. The
+dominance test at the bottom is the load-bearing one: it checks, in
 exact rational arithmetic, that the computed squared curvature bound
 dominates every directional sample of the true higher-derivative quantity
 it is meant to majorize. Degree <= 5 keeps the sampled supremum finite and
 the comparison free of any rounding.
 """
 
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -14,7 +17,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expcert.errors import DimensionMismatch, SingularMatrix
+from expcert.certify import certify_solution
+from expcert.errors import DimensionMismatch, ValidationError
 from expcert.linalg import norm_sq, solve_vector
 from expcert.polynomials import (
     Monomial,
@@ -24,13 +28,13 @@ from expcert.polynomials import (
     constant,
     delta_sq_entries,
     evaluate,
-    gamma_bound_poly_sq,
     jacobian,
     variable,
 )
-from expcert.scalars import ExactComplex
+from expcert.scalars import ExactComplex, PrecisionConfig
 
 rat = st.fractions(min_value=-20, max_value=20, max_denominator=32)
+RAT = PrecisionConfig("rational", 64)
 
 
 def ec(re, im=0):
@@ -155,20 +159,21 @@ def test_gamma_bound_hand_value():
     # x^2 - 2 at x = 3/2: ||f||^2 = 5, Jinv = 1/3, Delta^2 = 2 * (1 + 9/4),
     # mu^2 = 5 * (13/2) / 9 = 65/18, bound = mu^2 * 8 / (4 * 13/4).
     S = PolynomialSystem((poly(1, (1, (2,)), (-2, (0,))),))
-    got = gamma_bound_poly_sq(S, (ec(Fraction(3, 2)),))
+    got = certify_solution(S, (ec(Fraction(3, 2)),), RAT).gamma_bound_sq
     assert got == Fraction(65, 18) * 8 / 13
 
 
 def test_gamma_bound_singular_jacobian():
+    # x^2 at 0: an exact zero whose Jacobian is singular; the bound is infinite.
     S = PolynomialSystem((poly(1, (1, (2,))),))
-    with pytest.raises(SingularMatrix):
-        gamma_bound_poly_sq(S, (ec(0),))
+    cert = certify_solution(S, (ec(0),), RAT)
+    assert math.isinf(cert.gamma_bound_sq) and not cert.jacobian_invertible
 
 
 def test_gamma_bound_nonsquare_rejected():
     S = PolynomialSystem((variable(2, 0),))
-    with pytest.raises(DimensionMismatch):
-        gamma_bound_poly_sq(S, (ec(1), ec(1)))
+    with pytest.raises(ValidationError):
+        certify_solution(S, (ec(1), ec(1)), RAT)
 
 
 def _directional(p: Polynomial, u) -> Polynomial:
@@ -215,9 +220,8 @@ def test_gamma_bound_dominates_directional_samples():
         if any(p.is_zero() for p in S.polys):
             continue
         x = tuple(ec(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(nv))
-        try:
-            bound_sq = gamma_bound_poly_sq(S, x)
-        except SingularMatrix:
+        bound_sq = certify_solution(S, x, RAT).gamma_bound_sq
+        if math.isinf(bound_sq):
             continue
         J = jacobian(S, x)
         for _ in range(3):

@@ -14,7 +14,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from expcert.certify import BatchOptions, certify_batch
+from expcert.certify import BatchOptions, BatchReport, Certificate, PointRecord, certify_batch
 from expcert.errors import ParseError, ValidationError
 from expcert.expsystems import as_exp_system
 from expcert.mechanisms import (
@@ -197,3 +197,38 @@ def test_float_report_has_no_exact_fields():
     p = d["points"][0]
     assert "alpha_bound_sq" not in p
     assert DECIMAL6.match(p["alpha_bound"])
+
+
+def _parse_digits(digits: str) -> int:
+    """int() of a digit string in chunks, below the interpreter's digit limit."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_exact_report_renders_numbers_past_the_str_digit_limit():
+    """An exact quantity of more than 10^4 digits renders and parses back exactly."""
+    beta_sq = Fraction(3**21000 + 1, 7**12000)
+    gamma_sq = Fraction(5**15000, 3)
+    cert = Certificate(
+        beta_sq=beta_sq,
+        gamma_bound_sq=gamma_sq,
+        alpha_bound_sq=beta_sq * gamma_sq,
+        jacobian_invertible=True,
+        exact_zero=False,
+        certified_approximate=False,
+        mode="rational",
+        bits=64,
+    )
+    rep = BatchReport(records=[PointRecord(0, (), certificate=cert)], mode="rational", bits=64)
+    d = report_to_dict(rep)
+    p = d["points"][0]
+    for key, want in (("beta_sq", beta_sq), ("gamma_bound_sq", gamma_sq),
+                      ("alpha_bound_sq", beta_sq * gamma_sq)):
+        num, den = p[key].split("/")
+        assert len(num) > 10**4
+        assert Fraction(_parse_digits(num), _parse_digits(den)) == want
+    assert json.loads(report_to_json(d)) == d
+    assert "point 0" in render_report_text(d)
