@@ -14,6 +14,7 @@ prints a per-stage summary. EXPCERT_THREADS caps batch parallelism.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .certify import BatchOptions, certify_batch, certify_solution
@@ -41,6 +42,17 @@ def _read_text(path: str) -> str:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """Reject an output path that cannot be written, before any long work."""
+    if os.path.isdir(path):
+        raise ValidationError(f"output path is a directory: {path}")
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ValidationError(f"output directory does not exist: {folder}")
+    if not os.access(folder, os.W_OK):
+        raise ValidationError(f"output directory is not writable: {folder}")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -130,6 +142,7 @@ def run_solve(args) -> int:
     F = parse_system(_read_text(args.system))
     degrees = args.truncate_degrees if args.truncate_degrees is not None else ()
     cfg = HomotopyConfig(seed=args.seed, bits=args.precision)
+    _check_writable(args.output)
     result = solve_by_deformation(F, degrees, cfg)
 
     _write_text(args.output, serialize_points(result.candidates, MODE_FLOAT))

@@ -10,10 +10,14 @@ deformations
 
 with gamma a random unit-modulus constant derived from the recorded seed.
 Path tracking runs in hardware doubles (Euler predictor, Newton corrector,
-adaptive step length); endpoints are then polished with the multiprecision
-Newton iteration and returned as candidates for certification, never as
-certified output. Every random draw is derived from the seed and written to
-a run ledger, so a run can be replayed exactly.
+adaptive step length). Each tracked system is compiled once into a fused
+program that returns its value and Jacobian together from one table of
+powers, with constant Jacobian entries folded, so every predictor or
+corrector step evaluates each of its two systems once and eliminates one
+augmented matrix [H_z | rhs]. Endpoints are then polished with the
+multiprecision Newton iteration and returned as candidates for
+certification, never as certified output. Every random draw is derived
+from the seed and written to a run ledger, so a run can be replayed exactly.
 """
 
 from __future__ import annotations
@@ -263,56 +267,117 @@ _NDERIV = {
 }
 
 
-def _sparse_terms(p: Polynomial):
-    return tuple(
-        (complex(c), tuple((i, e) for i, e in enumerate(m.exponents) if e))
-        for c, m in p.terms
-    )
-
-
-def _eval_terms(terms, z) -> complex:
-    total = 0j
-    for c, pairs in terms:
-        v = c
-        for i, e in pairs:
-            v *= z[i] ** e
-        total += v
-    return total
+def _eval_programs(programs, pw) -> list:
+    """Sum each term list over the power table: v = c * pw[k] * ..., total += v."""
+    out = []
+    for terms in programs:
+        total = 0j
+        for v, idx in terms:
+            for k in idx:
+                v *= pw[k]
+            total += v
+        out.append(total)
+    return out
 
 
 class _Compiled:
-    """Double-precision evaluator for values and Jacobians of one system."""
+    """Fused double-precision program for the value and Jacobian of one system.
+
+    Every distinct power z[i] ** e used by a value row or by a structurally
+    nonzero Jacobian entry is computed once per evaluation into a table;
+    rows and entries are (coefficient, power-index tuple) term lists summed
+    from 0j in the exact term order of the symbolic polynomial and its
+    derivative, so results match a per-entry evaluation bit for bit.
+    Entries with only constant terms are folded at compile time. `pattern`
+    lists the (row, column) of every structurally nonzero entry, in the
+    order `evaluate` returns them; all other entries are 0j.
+    """
 
     def __init__(self, system):
         F = as_exp_system(system)
         self.size = F.N
-        self.rows = [_sparse_terms(p) for p in F.P.polys]
-        self.drows = [
-            [_sparse_terms(p.derivative(j)) for j in range(F.N)] for p in F.P.polys
-        ]
+        powers = {}
+
+        def compile_terms(p: Polynomial):
+            return tuple(
+                (
+                    complex(c),
+                    tuple(
+                        powers.setdefault((i, e), len(powers))
+                        for i, e in enumerate(m.exponents)
+                        if e
+                    ),
+                )
+                for c, m in p.terms
+            )
+
+        self.rows = [compile_terms(p) for p in F.P.polys]
+        self.entries = []
+        entry_pos, folded_pos, self.folded = [], [], []
+        for r, p in enumerate(F.P.polys):
+            for j in range(F.N):
+                terms = compile_terms(p.derivative(j))
+                if not terms:
+                    continue
+                if all(not idx for _, idx in terms):
+                    total = 0j
+                    for c, _ in terms:
+                        total += c
+                    folded_pos.append((r, j))
+                    self.folded.append(total)
+                else:
+                    entry_pos.append((r, j))
+                    self.entries.append(terms)
+        self.powers = tuple(powers)
         self.links = [
             (_NFUNC[l.kind], *_NDERIV[l.kind], complex(l.c), l.src - 1, l.dst - 1)
             for l in F.links
         ]
+        n = F.P.n
+        link_pos = []
+        for k, (*_, s, d) in enumerate(self.links):
+            link_pos += [(n + k, s), (n + k, d)]
+        self.pattern = tuple(entry_pos + link_pos + folded_pos)
 
-    def value(self, z):
-        out = [_eval_terms(t, z) for t in self.rows]
+    def _power_table(self, z) -> list:
+        # Complex ** raises OverflowError when a power overflows, where a
+        # product would give inf silently; the tracker relies on that to
+        # call a path diverged.
+        return [z[i] ** e for i, e in self.powers]
+
+    def value(self, z) -> list:
+        out = _eval_programs(self.rows, self._power_table(z))
         for fn, _dfn, _sign, c, s, d in self.links:
             out.append(z[d] - fn(c * z[s]))
         return out
 
-    def jac(self, z):
-        mat = [[_eval_terms(t, z) for t in drow] for drow in self.drows]
-        for _fn, dfn, sign, c, s, d in self.links:
-            row = [0j] * self.size
-            row[s] = -c * sign * dfn(c * z[s])
-            row[d] = 1.0 + 0j
-            mat.append(row)
-        return mat
+    def evaluate(self, z):
+        """(values, Jacobian entries in `pattern` order) at z, in one pass."""
+        pw = self._power_table(z)
+        values = _eval_programs(self.rows, pw)
+        jac = _eval_programs(self.entries, pw)
+        for fn, dfn, sign, c, s, d in self.links:
+            cz = c * z[s]
+            values.append(z[d] - fn(cz))
+            jac.append(-c * sign * dfn(cz))
+            jac.append(1.0 + 0j)
+        jac += self.folded
+        return values, jac
+
+    def augmented(self, z) -> list:
+        """Dense rows of [J(z) | F(z)], ready for `_solve_native`."""
+        values, jac = self.evaluate(z)
+        n = self.size
+        M = [[0j] * n + [v] for v in values]
+        for (r, j), v in zip(self.pattern, jac):
+            M[r][j] = v
+        return M
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _compiled(system) -> _Compiled:
+    # A stage tracks between at most two systems, and each slice compiles its
+    # restricted system once, so a few entries serve every path of a stage.
     return _Compiled(system)
 
 
@@ -320,10 +385,9 @@ class _NativeSingular(Exception):
     pass
 
 
-def _solve_native(A, b):
-    """Dense complex solve with partial pivoting, in doubles."""
-    n = len(A)
-    M = [list(A[i]) + [b[i]] for i in range(n)]
+def _solve_native(M):
+    """Solve the augmented system [A | b] in place, partial pivoting, in doubles."""
+    n = len(M)
     for col in range(n):
         piv, best = col, abs(M[col][col])
         for r in range(col + 1, n):
@@ -334,18 +398,21 @@ def _solve_native(A, b):
             raise _NativeSingular
         if piv != col:
             M[col], M[piv] = M[piv], M[col]
-        inv = 1.0 / M[col][col]
+        Mc = M[col]
+        inv = 1.0 / Mc[col]
         for r in range(col + 1, n):
-            f = M[r][col] * inv
+            Mr = M[r]
+            f = Mr[col] * inv
             if f:
                 for k in range(col + 1, n + 1):
-                    M[r][k] -= f * M[col][k]
+                    Mr[k] -= f * Mc[k]
     x = [0j] * n
     for i in range(n - 1, -1, -1):
-        s = M[i][n]
+        Mi = M[i]
+        s = Mi[n]
         for k in range(i + 1, n):
-            s -= M[i][k] * x[k]
-        x[i] = s / M[i][i]
+            s -= Mi[k] * x[k]
+        x[i] = s / Mi[i]
     return x
 
 
@@ -412,31 +479,52 @@ def _norm(z) -> float:
 
 
 class _Pencil:
+    """H(z, t) = (1 - t) * Ftarget(z) + gamma * t * Fstart(z) and its partials.
+
+    Each Jacobian entry is (1 - t) * b + gamma * t * a from the target and
+    start entries b and a. Entries outside both sparsity patterns stay 0j,
+    which is what that expression gives for a = b = 0j since 1 - t >= 0; an
+    entry in one pattern only takes 0j for the missing side.
+    """
+
     def __init__(self, cs: _Compiled, ct: _Compiled, gamma: complex):
         self.cs, self.ct, self.gamma = cs, ct, gamma
-
-    def value(self, z, t):
-        fs, ft = self.cs.value(z), self.ct.value(z)
-        g = self.gamma * t
-        return [(1.0 - t) * b + g * a for a, b in zip(fs, ft)]
-
-    def jac(self, z, t):
-        js, jt = self.cs.jac(z), self.ct.jac(z)
-        g = self.gamma * t
-        return [
-            [(1.0 - t) * b + g * a for a, b in zip(ra, rb)] for ra, rb in zip(js, jt)
+        ka = {rc: k for k, rc in enumerate(cs.pattern)}
+        kb = {rc: k for k, rc in enumerate(ct.pattern)}
+        # Index -1 picks the 0j that `augmented` appends to each entry list.
+        self.entries = [
+            (r, j, ka.get((r, j), -1), kb.get((r, j), -1))
+            for r, j in sorted(ka.keys() | kb.keys())
         ]
 
-    def tderiv(self, z):
-        fs, ft = self.cs.value(z), self.ct.value(z)
-        return [self.gamma * a - b for a, b in zip(fs, ft)]
+    def augmented(self, z, t, tangent: bool) -> list:
+        """Dense rows of [H_z(z, t) | rhs] from one evaluation of each system.
+
+        rhs is H_t(z) = gamma * Fstart(z) - Ftarget(z) for the predictor
+        (tangent=True) and H(z, t) for the corrector.
+        """
+        fs, js = self.cs.evaluate(z)
+        ft, jt = self.ct.evaluate(z)
+        js.append(0j)
+        jt.append(0j)
+        s = 1.0 - t
+        g = self.gamma * t
+        if tangent:
+            rhs = [self.gamma * a - b for a, b in zip(fs, ft)]
+        else:
+            rhs = [s * b + g * a for a, b in zip(fs, ft)]
+        n = self.cs.size
+        M = [[0j] * n + [v] for v in rhs]
+        for r, j, ka, kb in self.entries:
+            M[r][j] = s * jt[kb] + g * js[ka]
+        return M
 
 
 def _correct(pencil: _Pencil, z, t, cfg: HomotopyConfig):
     """Newton iterations at fixed t; None when convergence is not accepted."""
     prev = None
     for _ in range(cfg.max_corrections):
-        step = _solve_native(pencil.jac(z, t), pencil.value(z, t))
+        step = _solve_native(pencil.augmented(z, t, False))
         z = [a - b for a, b in zip(z, step)]
         ns = _norm(step)
         if ns <= _CORRECT_TOL * max(1.0, _norm(z)):
@@ -457,7 +545,7 @@ def _rescue_stall(ct: _Compiled, z, cfg: HomotopyConfig):
     z = list(z)
     for _ in range(_STALL_ITERS):
         try:
-            step = _solve_native(ct.jac(z), ct.value(z))
+            step = _solve_native(ct.augmented(z))
             z = [a - b for a, b in zip(z, step)]
             nz = _norm(z)
             if not math.isfinite(nz) or nz > cfg.blowup:
@@ -500,7 +588,7 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
         tn = t - h
         steps += 1
         try:
-            v = _solve_native(pencil.jac(z, t), pencil.tderiv(z))
+            v = _solve_native(pencil.augmented(z, t, True))
             zc = _correct(pencil, [a + h * b for a, b in zip(z, v)], tn, cfg)
         except _NativeSingular:
             zc = None
@@ -532,7 +620,7 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
     # Sharpen against the target alone; a singular endpoint is kept as is.
     for _ in range(5):
         try:
-            step = _solve_native(ct.jac(z), ct.value(z))
+            step = _solve_native(ct.augmented(z))
         except (_NativeSingular, OverflowError):
             break
         z = [a - b for a, b in zip(z, step)]

@@ -34,31 +34,10 @@ def norm1_sq(x: CVector):
     return 1 + norm_sq(x)
 
 
-def frobenius_norm_sq(A: CMatrix):
-    """Sum of squared entry moduli; upper bounds the squared operator 2-norm."""
-    total = 0
-    for row in A:
-        for v in row:
-            total = total + abs_sq(v)
-    return total
-
-
 def vec_sub(x: CVector, y: CVector) -> CVector:
     if len(x) != len(y):
         raise DimensionMismatch(f"vector lengths differ: {len(x)} vs {len(y)}")
     return tuple(a - b for a, b in zip(x, y))
-
-
-def mat_vec(A: CMatrix, x: CVector) -> CVector:
-    out = []
-    for row in A:
-        if len(row) != len(x):
-            raise DimensionMismatch(f"matrix width {len(row)} vs vector length {len(x)}")
-        acc = 0
-        for a, v in zip(row, x):
-            acc = acc + a * v
-        out.append(acc)
-    return tuple(out)
 
 
 def _is_exact(A: CMatrix) -> bool:

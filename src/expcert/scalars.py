@@ -9,8 +9,8 @@ Two scalar kinds exist, mirroring the two arithmetic modes:
   computation in working_precision(bits).
 
 The module also owns the number text formats used by every file format:
-rationals as "p/q" or "p", floats as scientific "d.ddddde+xx" strings, both
-parsed exactly into Fraction (Fraction accepts scientific notation natively).
+rationals as "p/q" or "p", floats as scientific "d.ddddde+xx" strings. Readers
+parse both exactly with Fraction, which accepts scientific notation natively.
 Decimal output is correctly rounded by exact integer arithmetic, never by
 repr() of a binary float.
 """
@@ -309,14 +309,6 @@ def format_rational(fr: Fraction) -> str:
     return f"{_int_to_decimal(fr.numerator)}/{_int_to_decimal(fr.denominator)}"
 
 
-def parse_real(token: str) -> Fraction:
-    """Parse one real field: "p/q", "p", "d.dd", or scientific "d.de-x".
-
-    Everything is captured exactly; raises ValueError on malformed input.
-    """
-    return Fraction(token)
-
-
 def _round_half_even(fr: Fraction) -> int:
     """Nearest integer to a nonnegative Fraction, ties to even."""
     q, r = divmod(fr.numerator, fr.denominator)
@@ -360,8 +352,3 @@ def format_decimal(value, sig: int = 6) -> str:
     digits = str(d)
     mantissa = digits[0] if sig == 1 else digits[0] + "." + digits[1:]
     return f"{'-' if neg else ''}{mantissa}e{e:+03d}"
-
-
-def format_complex_decimal(re, im, sig: int = 6) -> str:
-    """Two-field "re im" complex text."""
-    return f"{format_decimal(re, sig)} {format_decimal(im, sig)}"

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from expcert import cli
 from expcert.cli import main
 from expcert.sysio import parse_points
 
@@ -184,6 +185,21 @@ def test_solve_writes_candidates_and_ledger(capsys, tmp_path):
     assert code2 == 0
     d = json.loads(out2)
     assert d["counts"]["certified"] == 6 and d["counts"]["distinct"] == 6
+
+
+@pytest.mark.parametrize("target", ["missing/cand.pts", "."])
+def test_solve_bad_output_exits_two_before_tracking(capsys, monkeypatch, tmp_path, target):
+    def tracked(*_args, **_kwargs):
+        raise AssertionError("solve_by_deformation ran despite an unwritable output")
+
+    monkeypatch.setattr(cli, "solve_by_deformation", tracked)
+    code, _, err = run(
+        capsys,
+        "solve", "--system", sysf("rr_dyad"), "--truncate-degrees", "3,3,2,2",
+        "--output", str(tmp_path / target),
+    )
+    assert code == 2 and err.startswith("error: output")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_rejects_bad_degree_list(capsys):

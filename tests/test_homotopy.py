@@ -4,8 +4,13 @@ Everything random here flows from an explicit seed, so structural facts
 (slice counts, factor selections, ledgers) are asserted exactly.
 """
 
+import hashlib
+import itertools
 import math
+import random
+import struct
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +18,15 @@ from hypothesis import given, settings, strategies as st
 from expcert.errors import DimensionMismatch, ValidationError
 from expcert.expsystems import ExpKind, ExpLink, ExpSystem, as_exp_system
 from expcert.homotopy import (
+    _NDERIV,
+    _NFUNC,
     HomotopyConfig,
     PathStatus,
+    _Compiled,
+    _Pencil,
     _allowed_nus,
     _draw_factors,
+    _total_degree_system,
     linear_product_start,
     solve_by_deformation,
     taylor_truncate,
@@ -25,6 +35,9 @@ from expcert.homotopy import (
 from expcert.mechanisms import two_link_arm_exp
 from expcert.polynomials import Polynomial, PolynomialSystem
 from expcert.scalars import ExactComplex
+from expcert.sysio import parse_system
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 EC = ExactComplex.of
 
@@ -248,6 +261,10 @@ def test_solve_two_link_arm_finds_all_six():
     assert text.startswith("solve run ledger\nformat: 1\nseed: 12\n")
     assert "truncation degrees: 3 3 2 2" in text
     assert text.rstrip().endswith("candidates: 6")
+    # Any change to the tracker's arithmetic shows up here first.
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d03b6edc5d2eeeff0fbd6a143b2a7cd502ccfafd496f0680422abdba90a15e37"
+    )
     names = [s.name for s in out.ledger.stages]
     assert names == ["slice-continuation", "product-to-truncated", "truncated-to-target"]
     # every candidate closes the target system at native accuracy
@@ -258,3 +275,177 @@ def test_solve_two_link_arm_finds_all_six():
     for z in out.candidates:
         vals = evaluate_exp(G, z, prec)
         assert max(abs(complex(v)) for v in vals) < 1e-20
+
+
+# ---------------------------------------------------------------------------
+# The fused double-precision program against a per-entry reference
+
+
+def _ref_terms(p: Polynomial):
+    return tuple(
+        (complex(c), tuple((i, e) for i, e in enumerate(m.exponents) if e))
+        for c, m in p.terms
+    )
+
+
+def _ref_eval(terms, z) -> complex:
+    total = 0j
+    for c, pairs in terms:
+        v = c
+        for i, e in pairs:
+            v *= z[i] ** e
+        total += v
+    return total
+
+
+class _Reference:
+    """One term-list evaluation per value row and per Jacobian entry."""
+
+    def __init__(self, system):
+        F = as_exp_system(system)
+        self.size = F.N
+        self.rows = [_ref_terms(p) for p in F.P.polys]
+        self.drows = [[_ref_terms(p.derivative(j)) for j in range(F.N)] for p in F.P.polys]
+        self.links = [
+            (_NFUNC[l.kind], *_NDERIV[l.kind], complex(l.c), l.src - 1, l.dst - 1)
+            for l in F.links
+        ]
+
+    def value(self, z):
+        out = [_ref_eval(t, z) for t in self.rows]
+        for fn, _dfn, _sign, c, s, d in self.links:
+            out.append(z[d] - fn(c * z[s]))
+        return out
+
+    def jac(self, z):
+        mat = [[_ref_eval(t, z) for t in drow] for drow in self.drows]
+        for _fn, dfn, sign, c, s, d in self.links:
+            row = [0j] * self.size
+            row[s] = -c * sign * dfn(c * z[s])
+            row[d] = 1.0 + 0j
+            mat.append(row)
+        return mat
+
+
+def _ref_pencil(rs, rt, gamma, z, t, tangent):
+    fs, ft = rs.value(z), rt.value(z)
+    g = gamma * t
+    jac = [
+        [(1.0 - t) * b + g * a for a, b in zip(ra, rb)]
+        for ra, rb in zip(rs.jac(z), rt.jac(z))
+    ]
+    if tangent:
+        rhs = [gamma * a - b for a, b in zip(fs, ft)]
+    else:
+        rhs = [(1.0 - t) * b + g * a for a, b in zip(fs, ft)]
+    return [row + [v] for row, v in zip(jac, rhs)]
+
+
+def _bits(values):
+    return [struct.pack("<dd", v.real, v.imag) for v in values]
+
+
+def _dense(cp: _Compiled, jac):
+    M = [[0j] * cp.size for _ in range(cp.size)]
+    for (r, j), v in zip(cp.pattern, jac):
+        M[r][j] = v
+    return M
+
+
+def _parity_systems():
+    """(name, start, target) pairs covering every kind of tracked system."""
+    arm, _ = two_link_arm_exp()
+    comp = as_exp_system(parse_system((DATA / "compliant.sys").read_text()))
+    out = []
+    for name, F, degrees in (("arm", arm, (3, 3, 2, 2)), ("compliant", comp, (2, 3, 2, 3, 2, 3))):
+        Fp = taylor_truncate(F, degrees)
+        _, product = linear_product_start(Fp, F.links, degrees, seed=5)
+        total = _total_degree_system(Fp.degrees, Fp.nv)
+        out += [
+            (f"{name}/truncated-to-target", Fp, F),
+            (f"{name}/product-to-truncated", product, Fp),
+            (f"{name}/total-degree-to-truncated", total, Fp),
+        ]
+    return out
+
+
+def _random_point(rng, size, scale=2.0):
+    def part():
+        u = rng.random()
+        if u < 0.1:
+            return 0.0
+        if u < 0.2:
+            return -0.0
+        return rng.uniform(-scale, scale)
+
+    return [complex(part(), part()) for _ in range(size)]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_fused_program_matches_reference_bit_for_bit(case):
+    name, start, target = _parity_systems()[case]
+    rng = random.Random(f"fused:{name}")
+    gamma = complex(-0.6, 0.8)
+    cs, ct = _Compiled(start), _Compiled(target)
+    rs, rt = _Reference(start), _Reference(target)
+    pencil = _Pencil(cs, ct, gamma)
+    for k in range(25):
+        z = _random_point(rng, cs.size)
+        t = 1.0 if k == 0 else rng.random()
+        for cp, ref in ((cs, rs), (ct, rt)):
+            values, jac = cp.evaluate(z)
+            assert _bits(values) == _bits(ref.value(z))
+            assert _bits(cp.value(z)) == _bits(ref.value(z))
+            assert [_bits(r) for r in _dense(cp, jac)] == [_bits(r) for r in ref.jac(z)]
+            aug = [row + [v] for row, v in zip(ref.jac(z), ref.value(z))]
+            assert [_bits(r) for r in cp.augmented(z)] == [_bits(r) for r in aug]
+        for tangent in (True, False):
+            got = pencil.augmented(z, t, tangent)
+            want = _ref_pencil(rs, rt, gamma, z, t, tangent)
+            assert [_bits(r) for r in got] == [_bits(r) for r in want], (name, k, tangent)
+
+
+def _raises_overflow(fn):
+    try:
+        fn()
+    except OverflowError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_fused_program_overflows_where_reference_does(case):
+    """Complex ** overflow is what turns a runaway path into DIVERGED."""
+    name, start, target = _parity_systems()[case]
+    rng = random.Random(f"overflow:{name}")
+    cs, ct = _Compiled(start), _Compiled(target)
+    rs, rt = _Reference(start), _Reference(target)
+    pencil = _Pencil(cs, ct, complex(0.6, -0.8))
+    raised = 0
+    # z ** 2 overflows to inf (and raises) at 1e200 + 1j, but to nan (and
+    # does not raise) at 1e200 - 3e199j: both must behave as in the reference.
+    for i, big in itertools.product(range(cs.size), (complex(1e200, 1.0), complex(1e200, -3e199))):
+        z = _random_point(rng, cs.size)
+        z[i] = big
+        for cp, ref in ((cs, rs), (ct, rt)):
+            want = _raises_overflow(lambda: (ref.value(z), ref.jac(z)))
+            assert _raises_overflow(lambda: cp.evaluate(z)) == want, (name, i)
+            assert _raises_overflow(lambda: cp.augmented(z)) == want, (name, i)
+            raised += want
+        want = _raises_overflow(lambda: _ref_pencil(rs, rt, pencil.gamma, z, 0.5, True))
+        assert _raises_overflow(lambda: pencil.augmented(z, 0.5, True)) == want
+    assert raised > 0
+    # An infinite coordinate makes z ** 1 raise (z ** 2 gives nan), which a
+    # plain product with z would not. Link rows hand infinities to cmath,
+    # which raises ValueError instead, so only link-free systems take part.
+    raised = 0
+    for cp, ref in ((cs, rs), (ct, rt)):
+        if cp.links:
+            continue
+        for i in range(cp.size):
+            z = _random_point(rng, cp.size)
+            z[i] = complex(math.inf, 0.0)
+            want = _raises_overflow(lambda: (ref.value(z), ref.jac(z)))
+            assert _raises_overflow(lambda: cp.evaluate(z)) == want, (name, i)
+            raised += want
+    assert raised > 0

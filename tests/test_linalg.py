@@ -16,19 +16,38 @@ from hypothesis import given, settings, strategies as st
 
 from expcert.errors import DimensionMismatch, SingularMatrix
 from expcert.linalg import (
-    frobenius_norm_sq,
     identity,
     invert,
-    mat_vec,
     norm1_sq,
     norm_sq,
     solve_columns,
     solve_vector,
     vec_sub,
 )
-from expcert.scalars import ExactComplex
+from expcert.scalars import ExactComplex, abs_sq
 
 rat = st.fractions(min_value=-50, max_value=50, max_denominator=64)
+
+
+def frobenius_norm_sq(A):
+    """Sum of squared entry moduli; upper bounds the squared operator 2-norm."""
+    total = 0
+    for row in A:
+        for v in row:
+            total = total + abs_sq(v)
+    return total
+
+
+def mat_vec(A, x):
+    out = []
+    for row in A:
+        if len(row) != len(x):
+            raise DimensionMismatch(f"matrix width {len(row)} vs vector length {len(x)}")
+        acc = 0
+        for a, v in zip(row, x):
+            acc = acc + a * v
+        out.append(acc)
+    return tuple(out)
 
 
 def ec(re, im=0):

