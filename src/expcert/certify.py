@@ -6,7 +6,8 @@ A point z is certified as an approximate solution when
 
 where beta is the Newton step length at z and gamma_bound the curvature
 bound of expsystems.gamma_bound_sq. Both come from one linearization of the
-system at z: one residual, one Jacobian J and one elimination that solves
+system at z: one call of its compiled program (expsystems.value_and_jacobian)
+for the residual and the Jacobian J, and one elimination that solves
 J X = [F(z) | I], whose first column is the Newton step and whose other
 columns are J^{-1} for the bound. newton_step and refine's newton_refine
 use the same linearization without the identity columns.
@@ -33,7 +34,6 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import (
-    DimensionMismatch,
     ExpcertError,
     NotCertified,
     NotRealMap,
@@ -41,13 +41,7 @@ from .errors import (
     SingularMatrix,
     ValidationError,
 )
-from .expsystems import (
-    ExpSystem,
-    as_exp_system,
-    evaluate_exp,
-    gamma_bound_sq,
-    jacobian_exp,
-)
+from .expsystems import ExpSystem, as_exp_system, gamma_bound_sq, value_and_jacobian
 from .linalg import CVector, identity, norm_sq, solve_columns, vec_sub
 from .scalars import (
     ExactComplex,
@@ -125,7 +119,7 @@ def _zero(prec: PrecisionConfig):
 
 
 def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
-    """Evaluate F and its Jacobian J at z once, and eliminate J once.
+    """Evaluate F and its Jacobian J at z with one program call, and eliminate J once.
 
     Solves J X = [F(z) | I] (the identity columns only when inverse is set)
     and returns (z lifted, F(z), Newton step, J^{-1} or None). Step and
@@ -133,11 +127,8 @@ def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
     the step and the inverse equal solve_vector's and invert's bit for bit.
     Runs at the caller's working precision.
     """
-    if len(z) != F.N:
-        raise DimensionMismatch(f"point has {len(z)} coordinates, expected {F.N}")
     z = lift_point(z, prec)
-    residual = evaluate_exp(F, z, prec)
-    J = jacobian_exp(F, z, prec)
+    residual, J = value_and_jacobian(F, z, prec)
     rhs = tuple((v,) for v in residual)
     if inverse:
         rhs = tuple(r + e for r, e in zip(rhs, identity(F.N, prec.is_exact)))

@@ -6,6 +6,17 @@ variable as an elementary function of one leading variable:
 
     F(z) = [ P(z); z_dst - g(c * z_src) ]   with g in {exp, sin, cos, sinh, cosh}.
 
+F and its Jacobian are evaluated by one compiled program per system and
+scalar kind (CompiledSystem, cached by compile_system): one table of the
+powers z_i^e, each row and each nonzero Jacobian entry a list of
+(coefficient, power indices) terms, constant entries folded. The same
+program serves every kind: hardware doubles for the path tracker, mpc at a
+given precision and exact ExactComplex for certification and refinement
+(value_and_jacobian). The kind sets how coefficients are lifted, the zero
+each sum starts from, whether links call cmath or mpmath, and one rounding
+order: doubles take c * x^a * y^b, the other kinds c * (x^a * y^b), which
+keeps both the tracker and the certificates bit for bit as they were.
+
 The curvature bound lives here, for link-free and linked systems alike.
 Both forms start from the conditioning factor
 
@@ -32,9 +43,11 @@ is irrational, so exact mode is rejected whenever m > 0.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -45,14 +58,10 @@ from .errors import (
     ValidationError,
 )
 from .linalg import CMatrix, CVector, norm1_sq
-from .polynomials import (
-    PolynomialSystem,
-    bw_norm_sq,
-    delta_sq_entries,
-    evaluate,
-    jacobian,
-)
+from .polynomials import Polynomial, PolynomialSystem, bw_norm_sq, delta_sq_entries
 from .scalars import (
+    EC_ONE,
+    EC_ZERO,
     ExactComplex,
     PrecisionConfig,
     abs_sq,
@@ -69,25 +78,6 @@ class ExpKind(enum.Enum):
     COS = "cos"
     SINH = "sinh"
     COSH = "cosh"
-
-
-_FUNC = {
-    ExpKind.EXP: mp.exp,
-    ExpKind.SIN: mp.sin,
-    ExpKind.COS: mp.cos,
-    ExpKind.SINH: mp.sinh,
-    ExpKind.COSH: mp.cosh,
-}
-
-# Derivative of each kind as (function, sign): d/dw exp = exp, d/dw sin = cos,
-# d/dw cos = -sin, d/dw sinh = cosh, d/dw cosh = sinh.
-_DERIV = {
-    ExpKind.EXP: (mp.exp, 1),
-    ExpKind.SIN: (mp.cos, 1),
-    ExpKind.COS: (mp.sin, -1),
-    ExpKind.SINH: (mp.cosh, 1),
-    ExpKind.COSH: (mp.sinh, 1),
-}
 
 
 @dataclass(frozen=True)
@@ -233,39 +223,203 @@ def _require_float(F: ExpSystem, prec: PrecisionConfig, what: str):
         )
 
 
-def evaluate_exp(F: ExpSystem, z: CVector, prec: PrecisionConfig) -> CVector:
-    """Residual vector [P(z); z_dst - g(c * z_src)]."""
-    _require_float(F, prec, "evaluate_exp")
-    if len(z) != F.N:
-        raise DimensionMismatch(f"point has {len(z)} coordinates, expected {F.N}")
-    with working_precision(prec.bits):
-        z = lift_point(z, prec)
-        top = list(evaluate(F.P, z))
-        for link in F.links:
-            w = exact_to_mpc(link.c, prec.bits) * z[link.src - 1]
-            top.append(z[link.dst - 1] - _FUNC[link.kind](w))
-        return tuple(top)
+# ---------------------------------------------------------------------------
+# The compiled program: F(z) and Df(z) for every scalar kind
+
+# Each link kind as (g, the function that gives g', its sign): exp' = exp,
+# sin' = cos, cos' = -sin, sinh' = cosh, cosh' = sinh. The names resolve in
+# cmath for hardware doubles and in mpmath for mpc.
+_LINK_FUNCTIONS = {
+    ExpKind.EXP: ("exp", "exp", 1.0),
+    ExpKind.SIN: ("sin", "cos", 1.0),
+    ExpKind.COS: ("cos", "sin", -1.0),
+    ExpKind.SINH: ("sinh", "cosh", 1.0),
+    ExpKind.COSH: ("cosh", "sinh", 1.0),
+}
 
 
-def jacobian_exp(F: ExpSystem, z: CVector, prec: PrecisionConfig) -> CMatrix:
-    """Jacobian of the full system: P rows, then one row per link."""
-    _require_float(F, prec, "jacobian_exp")
-    if len(z) != F.N:
-        raise DimensionMismatch(f"point has {len(z)} coordinates, expected {F.N}")
+def _scalar_kind(prec: PrecisionConfig | None):
+    """(coefficient lift, zero, one, link function library) of a scalar kind.
+
+    None is hardware doubles (complex), a float PrecisionConfig is mpc at its
+    bits, and a rational one is ExactComplex, which has no link functions.
+    """
+    if prec is None:
+        return complex, 0j, 1.0 + 0j, cmath
+    if prec.is_exact:
+        return (lambda c: c), EC_ZERO, EC_ONE, None
+    return (lambda c: exact_to_mpc(c, prec.bits)), mp.mpc(0), mp.mpc(1), mp
+
+
+def _eval_programs(programs, pw, zero) -> list:
+    """Sum each term list over the power table: v = c * pw[k] * ..., total += v."""
+    out = []
+    for terms in programs:
+        total = zero
+        for v, idx in terms:
+            for k in idx:
+                v *= pw[k]
+            total += v
+        out.append(total)
+    return out
+
+
+class CompiledSystem:
+    """Straight-line program for the value and the Jacobian of one system.
+
+    Every distinct power z[i] ** e used by a value row or by a structurally
+    nonzero Jacobian entry is computed once per evaluation into a table;
+    rows and entries are (coefficient, power-index tuple) term lists summed
+    from the kind's zero in the term order of the symbolic polynomial and
+    its derivative. Entries with only constant terms are folded at compile
+    time. `pattern` lists the (row, column) of every structurally nonzero
+    entry, in the order `evaluate` returns them; all other entries are
+    `zero`. The scalar kind (see _scalar_kind) sets how coefficients are
+    lifted, the zero each sum starts from and the link functions. It also
+    sets one rounding order: in hardware doubles a term is c * x^a * y^b,
+    left to right, as the tracker has always computed it; mpc and exact
+    programs multiply each monomial out once in the table, x^a * y^b, and
+    take c * (x^a * y^b), as certification has always computed it, so
+    both keep their results bit for bit. Floating kinds evaluate at the
+    caller's working precision.
+    """
+
+    def __init__(self, system, prec: PrecisionConfig | None = None):
+        F = as_exp_system(system)
+        if prec is not None:
+            _require_float(F, prec, "evaluation")
+        lift, self.zero, self.one, lib = _scalar_kind(prec)
+        self.size = F.N
+        powers = {}
+
+        def compile_terms(p: Polynomial):
+            return tuple(
+                (
+                    lift(c),
+                    tuple(
+                        powers.setdefault((i, e), len(powers))
+                        for i, e in enumerate(m.exponents)
+                        if e
+                    ),
+                )
+                for c, m in p.terms
+            )
+
+        self.rows = [compile_terms(p) for p in F.P.polys]
+        self.entries = []
+        entry_pos, folded_pos, self.folded = [], [], []
+        for r, p in enumerate(F.P.polys):
+            for j in range(F.N):
+                terms = compile_terms(p.derivative(j))
+                if not terms:
+                    continue
+                if all(not idx for _, idx in terms):
+                    total = self.zero
+                    for c, _ in terms:
+                        total += c
+                    folded_pos.append((r, j))
+                    self.folded.append(total)
+                else:
+                    entry_pos.append((r, j))
+                    self.entries.append(terms)
+        self.powers = tuple(powers)
+        self.products = ()
+        if prec is not None:
+            products = {}
+
+            def regroup(terms):
+                return tuple(
+                    (c, (len(powers) + products.setdefault(idx, len(products)),))
+                    if len(idx) > 1 else (c, idx)
+                    for c, idx in terms
+                )
+
+            self.rows = [regroup(t) for t in self.rows]
+            self.entries = [regroup(t) for t in self.entries]
+            self.products = tuple(products)
+        self.links = []
+        link_pos = []
+        for k, l in enumerate(F.links):
+            g, dg, sign = _LINK_FUNCTIONS[l.kind]
+            s, d = l.src - 1, l.dst - 1
+            self.links.append((getattr(lib, g), getattr(lib, dg), sign, lift(l.c), s, d))
+            link_pos += [(F.n + k, s), (F.n + k, d)]
+        self.pattern = tuple(entry_pos + link_pos + folded_pos)
+
+    def _power_table(self, z) -> list:
+        # In doubles, complex ** raises OverflowError when a part of a power
+        # comes out infinite, and the tracker then calls the path diverged.
+        # With both parts huge, inf - inf makes the power nan without a raise
+        # (complex(1e200, -3e199) ** 2); the tracker then rejects the nan
+        # step and halves dt, so such a path does not end DIVERGED.
+        pw = [z[i] ** e for i, e in self.powers]
+        for idx in self.products:  # monomials multiplied out, left to right
+            v = pw[idx[0]]
+            for k in idx[1:]:
+                v *= pw[k]
+            pw.append(v)
+        return pw
+
+    def value(self, z) -> list:
+        out = _eval_programs(self.rows, self._power_table(z), self.zero)
+        for fn, _dfn, _sign, c, s, d in self.links:
+            out.append(z[d] - fn(c * z[s]))
+        return out
+
+    def evaluate(self, z):
+        """(values, Jacobian entries in `pattern` order) at z, in one pass."""
+        pw = self._power_table(z)
+        values = _eval_programs(self.rows, pw, self.zero)
+        jac = _eval_programs(self.entries, pw, self.zero)
+        one = self.one
+        for fn, dfn, sign, c, s, d in self.links:
+            cz = c * z[s]
+            values.append(z[d] - fn(cz))
+            jac.append(-c * sign * dfn(cz))
+            jac.append(one)
+        jac += self.folded
+        return values, jac
+
+    def augmented(self, z) -> list:
+        """Dense rows of [J(z) | F(z)]."""
+        values, jac = self.evaluate(z)
+        n = self.size
+        M = [[self.zero] * n + [v] for v in values]
+        for (r, j), v in zip(self.pattern, jac):
+            M[r][j] = v
+        return M
+
+
+@lru_cache(maxsize=16)
+def compile_system(system, prec: PrecisionConfig | None = None) -> CompiledSystem:
+    """The compiled program of a system for one scalar kind, cached.
+
+    prec None compiles for hardware doubles, as the tracker needs. A solve
+    stage tracks between at most two systems, each slice compiles its
+    restricted system once, and certification uses one or two precisions
+    per system, so a few entries serve every path and every point.
+    """
+    if prec is None or prec.is_exact:
+        return CompiledSystem(system, prec)
+    with working_precision(prec.bits):  # constant entries are folded in mpc
+        return CompiledSystem(system, prec)
+
+
+def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
+    """(F(z), dense Df(z)) from one call of F's compiled program.
+
+    Rows are the n polynomials, then one row z_dst - g(c * z_src) per link.
+    Exact coordinates are lifted to prec's scalar kind; floating work runs
+    at prec.bits.
+    """
+    nv = F.N if isinstance(F, ExpSystem) else F.nv
+    if len(z) != nv:
+        raise DimensionMismatch(f"point has {len(z)} coordinates, expected {nv}")
+    program = compile_system(F, prec)
     with working_precision(prec.bits):
-        z = lift_point(z, prec)
-        rows = list(jacobian(F.P, z))
-        zero = mp.mpc(0)
-        one = mp.mpc(1)
-        for link in F.links:
-            c = exact_to_mpc(link.c, prec.bits)
-            w = c * z[link.src - 1]
-            fn, sign = _DERIV[link.kind]
-            row = [zero] * F.N
-            row[link.src - 1] = -c * sign * fn(w)
-            row[link.dst - 1] = one
-            rows.append(tuple(row))
-        return tuple(rows)
+        M = program.augmented(lift_point(z, prec))
+    values = tuple(row.pop() for row in M)
+    return values, tuple(tuple(row) for row in M)
 
 
 def link_bound_term(link: ExpLink, xval):

@@ -10,13 +10,13 @@ deformations
 
 with gamma a random unit-modulus constant derived from the recorded seed.
 Path tracking runs in hardware doubles (Euler predictor, Newton corrector,
-adaptive step length). Each tracked system is compiled once into a fused
-program that returns its value and Jacobian together from one table of
-powers, with constant Jacobian entries folded, so every predictor or
-corrector step evaluates each of its two systems once and eliminates one
-augmented matrix [H_z | rhs]. Endpoints are then polished with the
-multiprecision Newton iteration and returned as candidates for
-certification, never as certified output. Every random draw is derived
+adaptive step length). Each tracked system is compiled once, for hardware
+doubles, into expsystems' program, which returns its value and Jacobian
+together from one table of powers, with constant Jacobian entries folded,
+so every predictor or corrector step evaluates each of its two systems
+once and eliminates one augmented matrix [H_z | rhs]. Endpoints are then
+polished with the multiprecision Newton iteration and returned as
+candidates for certification, never as certified output. Every random draw is derived
 from the seed and written to a run ledger, so a run can be replayed exactly.
 """
 
@@ -29,14 +29,13 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
 
 from .certify import certify_solution, same_root
 from .errors import DimensionMismatch, ValidationError
-from .expsystems import ExpKind, ExpSystem, as_exp_system
+from .expsystems import CompiledSystem, ExpKind, ExpSystem, as_exp_system, compile_system
 from .polynomials import Polynomial, PolynomialSystem, constant, variable
 from .refine import newton_refine
 from .scalars import EC_ONE, ExactComplex, PrecisionConfig, working_precision
@@ -216,14 +215,14 @@ def _factor_row(nv: int, link, fac: LinearFactor) -> Polynomial:
 
 
 def linear_product_start(Fp: PolynomialSystem, links, degrees, seed: int):
-    """Start data for the truncated system: slice systems and the product system.
+    """Start data for the truncated system: selections and the product system.
 
     For link i with truncated row of source degree r_i, the product row is
     L_{i,1} * ... * L_{i,r_i} with L_{i,1} = a_i*y + b_{i,1}*x + 1 and
     L_{i,j} = b_{i,j}*x + 1 for j >= 2; its support covers the truncated
-    row's. Returns (slices, product_system) where slices is a tuple of
-    (selection, system) pairs, each system keeping the polynomial rows and
-    replacing link row i by its selected factor, pruned as in _allowed_nus.
+    row's. Returns (selections, product_system): a selection nu picks factor
+    nu[i] of each link, and its slice keeps the polynomial rows and replaces
+    link row i by that factor; selections are pruned as in _allowed_nus.
     All coefficients are drawn from the seed alone.
     """
     counts = _link_x_degrees(Fp, links)
@@ -231,154 +230,17 @@ def linear_product_start(Fp: PolynomialSystem, links, degrees, seed: int):
         raise DimensionMismatch(f"got {len(degrees)} degrees for {len(links)} links")
     factors = _draw_factors(links, counts, seed)
     nv = Fp.nv
-    n = Fp.n - len(links)
-    head = Fp.polys[:n]
-    slices = []
-    for nu in _allowed_nus(links, counts):
-        rows = list(head)
-        for i, link in enumerate(links):
-            rows.append(_factor_row(nv, link, factors[i][nu[i] - 1]))
-        slices.append((nu, PolynomialSystem(tuple(rows))))
-    prod_rows = list(head)
+    prod_rows = list(Fp.polys[: Fp.n - len(links)])
     for i, link in enumerate(links):
         acc = _factor_row(nv, link, factors[i][0])
         for fac in factors[i][1:]:
             acc = _pmul(acc, _factor_row(nv, link, fac))
         prod_rows.append(acc)
-    return tuple(slices), PolynomialSystem(tuple(prod_rows))
+    return _allowed_nus(links, counts), PolynomialSystem(tuple(prod_rows))
 
 
 # ---------------------------------------------------------------------------
-# Native-precision compilation and tracking
-
-_NFUNC = {
-    ExpKind.EXP: cmath.exp,
-    ExpKind.SIN: cmath.sin,
-    ExpKind.COS: cmath.cos,
-    ExpKind.SINH: cmath.sinh,
-    ExpKind.COSH: cmath.cosh,
-}
-_NDERIV = {
-    ExpKind.EXP: (cmath.exp, 1.0),
-    ExpKind.SIN: (cmath.cos, 1.0),
-    ExpKind.COS: (cmath.sin, -1.0),
-    ExpKind.SINH: (cmath.cosh, 1.0),
-    ExpKind.COSH: (cmath.sinh, 1.0),
-}
-
-
-def _eval_programs(programs, pw) -> list:
-    """Sum each term list over the power table: v = c * pw[k] * ..., total += v."""
-    out = []
-    for terms in programs:
-        total = 0j
-        for v, idx in terms:
-            for k in idx:
-                v *= pw[k]
-            total += v
-        out.append(total)
-    return out
-
-
-class _Compiled:
-    """Fused double-precision program for the value and Jacobian of one system.
-
-    Every distinct power z[i] ** e used by a value row or by a structurally
-    nonzero Jacobian entry is computed once per evaluation into a table;
-    rows and entries are (coefficient, power-index tuple) term lists summed
-    from 0j in the exact term order of the symbolic polynomial and its
-    derivative, so results match a per-entry evaluation bit for bit.
-    Entries with only constant terms are folded at compile time. `pattern`
-    lists the (row, column) of every structurally nonzero entry, in the
-    order `evaluate` returns them; all other entries are 0j.
-    """
-
-    def __init__(self, system):
-        F = as_exp_system(system)
-        self.size = F.N
-        powers = {}
-
-        def compile_terms(p: Polynomial):
-            return tuple(
-                (
-                    complex(c),
-                    tuple(
-                        powers.setdefault((i, e), len(powers))
-                        for i, e in enumerate(m.exponents)
-                        if e
-                    ),
-                )
-                for c, m in p.terms
-            )
-
-        self.rows = [compile_terms(p) for p in F.P.polys]
-        self.entries = []
-        entry_pos, folded_pos, self.folded = [], [], []
-        for r, p in enumerate(F.P.polys):
-            for j in range(F.N):
-                terms = compile_terms(p.derivative(j))
-                if not terms:
-                    continue
-                if all(not idx for _, idx in terms):
-                    total = 0j
-                    for c, _ in terms:
-                        total += c
-                    folded_pos.append((r, j))
-                    self.folded.append(total)
-                else:
-                    entry_pos.append((r, j))
-                    self.entries.append(terms)
-        self.powers = tuple(powers)
-        self.links = [
-            (_NFUNC[l.kind], *_NDERIV[l.kind], complex(l.c), l.src - 1, l.dst - 1)
-            for l in F.links
-        ]
-        n = F.P.n
-        link_pos = []
-        for k, (*_, s, d) in enumerate(self.links):
-            link_pos += [(n + k, s), (n + k, d)]
-        self.pattern = tuple(entry_pos + link_pos + folded_pos)
-
-    def _power_table(self, z) -> list:
-        # Complex ** raises OverflowError when a power overflows, where a
-        # product would give inf silently; the tracker relies on that to
-        # call a path diverged.
-        return [z[i] ** e for i, e in self.powers]
-
-    def value(self, z) -> list:
-        out = _eval_programs(self.rows, self._power_table(z))
-        for fn, _dfn, _sign, c, s, d in self.links:
-            out.append(z[d] - fn(c * z[s]))
-        return out
-
-    def evaluate(self, z):
-        """(values, Jacobian entries in `pattern` order) at z, in one pass."""
-        pw = self._power_table(z)
-        values = _eval_programs(self.rows, pw)
-        jac = _eval_programs(self.entries, pw)
-        for fn, dfn, sign, c, s, d in self.links:
-            cz = c * z[s]
-            values.append(z[d] - fn(cz))
-            jac.append(-c * sign * dfn(cz))
-            jac.append(1.0 + 0j)
-        jac += self.folded
-        return values, jac
-
-    def augmented(self, z) -> list:
-        """Dense rows of [J(z) | F(z)], ready for `_solve_native`."""
-        values, jac = self.evaluate(z)
-        n = self.size
-        M = [[0j] * n + [v] for v in values]
-        for (r, j), v in zip(self.pattern, jac):
-            M[r][j] = v
-        return M
-
-
-@lru_cache(maxsize=8)
-def _compiled(system) -> _Compiled:
-    # A stage tracks between at most two systems, and each slice compiles its
-    # restricted system once, so a few entries serve every path of a stage.
-    return _Compiled(system)
+# Native-precision tracking
 
 
 class _NativeSingular(Exception):
@@ -487,7 +349,7 @@ class _Pencil:
     entry in one pattern only takes 0j for the missing side.
     """
 
-    def __init__(self, cs: _Compiled, ct: _Compiled, gamma: complex):
+    def __init__(self, cs: CompiledSystem, ct: CompiledSystem, gamma: complex):
         self.cs, self.ct, self.gamma = cs, ct, gamma
         ka = {rc: k for k, rc in enumerate(cs.pattern)}
         kb = {rc: k for k, rc in enumerate(ct.pattern)}
@@ -535,7 +397,7 @@ def _correct(pencil: _Pencil, z, t, cfg: HomotopyConfig):
     return None
 
 
-def _rescue_stall(ct: _Compiled, z, cfg: HomotopyConfig):
+def _rescue_stall(ct: CompiledSystem, z, cfg: HomotopyConfig):
     """Try to finish a stalled path by Newton against the target alone.
 
     Accepts only a clean quadratic finish: the step norm must drop below a
@@ -566,7 +428,7 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
     returned point is a double-precision approximation only; callers are
     expected to polish and certify it separately.
     """
-    cs, ct = _compiled(Fstart), _compiled(Ftarget)
+    cs, ct = compile_system(Fstart), compile_system(Ftarget)
     if cs.size != ct.size:
         raise DimensionMismatch(
             f"start tracks {cs.size} variables, target {ct.size}"
@@ -827,14 +689,14 @@ def _track_stage(record: StageRecord, Fstart, Ftarget, starts, labels, cfg):
     return kept
 
 
-def _solve_slices(head, slices, factors, links, N, cfg, ledger) -> list:
+def _solve_slices(head, selections, factors, links, N, cfg, ledger) -> list:
     """Solve every slice by total-degree continuation and lift the solutions."""
     seed = _stage_seed(cfg.seed, 1)
     record = StageRecord("slice-continuation", seed, _gamma_for_seed(seed))
     ledger.stages.append(record)
     scfg = replace(cfg, seed=seed)
     sols = []
-    for nu, _system in slices:
+    for nu in selections:
         restricted = _restrict(head, nu, factors, links, N)
         nulabel = "nu=(" + ",".join(str(k) for k in nu) + ")"
         if restricted is None:
@@ -948,13 +810,13 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
         ledger.factor_lines.append(
             f"link {i + 1} ({link.kind.value}, src {link.src}): " + ", ".join(parts)
         )
-    slices, product_system = linear_product_start(Fp, F.links, degrees, cfg.seed)
+    selections, product_system = linear_product_start(Fp, F.links, degrees, cfg.seed)
     ledger.notes.append(
-        f"slices: {len(slices)} factor selections after pruning "
+        f"slices: {len(selections)} factor selections after pruning "
         f"(source degrees {', '.join(str(c) for c in counts)})"
     )
     head = Fp.polys[: F.n]
-    start_sols = _solve_slices(head, slices, factors, F.links, F.N, cfg, ledger)
+    start_sols = _solve_slices(head, selections, factors, F.links, F.N, cfg, ledger)
 
     seed2 = _stage_seed(cfg.seed, 2)
     rec2 = StageRecord("product-to-truncated", seed2, _gamma_for_seed(seed2))

@@ -6,20 +6,23 @@ degree is always taken from the actual terms, never declared, because the
 weighted coefficient norm (bw_norm_sq) and the scaling entries
 (delta_sq_entries) that feed the curvature bound in expsystems are
 degree-sensitive. Both are exact rationals for exact points.
+
+Nothing here evaluates a system: its values and Jacobian come from the one
+compiled program in expsystems (value_and_jacobian), which compiles each
+polynomial and its symbolic derivatives. Polynomial.evaluate sums one
+polynomial term by term in the arithmetic of the point, exactly for exact
+points, and serves as the exact reference for that program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
-import mpmath as mp
-
 from .errors import DimensionMismatch, ValidationError
-from .linalg import CMatrix, CVector
-from .scalars import EC_ONE, ExactComplex, exact_to_mpc
+from .linalg import CVector
+from .scalars import EC_ONE, ExactComplex
 
 
 @dataclass(frozen=True)
@@ -150,51 +153,6 @@ class PolynomialSystem:
     @property
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
-
-
-@lru_cache(maxsize=256)
-def _lifted_terms(poly: Polynomial, bits: int):
-    """Terms with coefficients materialized as mpc at the given precision."""
-    return tuple((exact_to_mpc(c, bits), mono) for c, mono in poly.terms)
-
-
-def _eval_poly(poly: Polynomial, x: CVector, exact: bool):
-    if exact:
-        return poly.evaluate(x)
-    total = mp.mpc(0)
-    for coeff, mono in _lifted_terms(poly, mp.mp.prec):
-        mv = mono.value_at(x)
-        total = total + (coeff if mv is None else coeff * mv)
-    return total
-
-
-def _point_is_exact(x: CVector) -> bool:
-    for v in x:
-        return isinstance(v, ExactComplex)
-    return True
-
-
-def evaluate(S: PolynomialSystem, x: CVector) -> CVector:
-    """Evaluate every polynomial of S at x (direct term summation)."""
-    if len(x) != S.nv and S.polys:
-        raise DimensionMismatch(f"point has {len(x)} coordinates, expected {S.nv}")
-    exact = _point_is_exact(x)
-    return tuple(_eval_poly(p, x, exact) for p in S.polys)
-
-
-@lru_cache(maxsize=1024)
-def _derivative_row(poly: Polynomial):
-    return tuple(poly.derivative(j) for j in range(poly.nv))
-
-
-def jacobian(S: PolynomialSystem, x: CVector) -> CMatrix:
-    """Entry (i, j) is the symbolic partial of poly i by variable j, at x."""
-    if len(x) != S.nv and S.polys:
-        raise DimensionMismatch(f"point has {len(x)} coordinates, expected {S.nv}")
-    exact = _point_is_exact(x)
-    return tuple(
-        tuple(_eval_poly(d, x, exact) for d in _derivative_row(p)) for p in S.polys
-    )
 
 
 def bw_norm_sq(g) -> Fraction:

@@ -14,6 +14,11 @@ exactly because binary floats are dyadic rationals.
     <e_1 ... e_N> <re> <im>           <re> <im>     (count * N lines)
     ...
     link <kind> <src> <dst> <re> <im>
+
+Two caps keep hostile input from running for minutes: a term exponent above
+MAX_EXPONENT, and a rational token whose decimal exponent ("1e<k>") exceeds
+MAX_DECIMAL_EXPONENT in size, are parse errors. Without them one line can
+ask for 10^999999999, or for ||z||_1^(2(d-1)) and d! at a degree d of 10^9.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from .scalars import (
 
 FORMAT_VERSION = 1
 TOOL_NAME = "expcert"
+MAX_EXPONENT = 100
+MAX_DECIMAL_EXPONENT = 1000
 
 
 class _Lines:
@@ -76,6 +83,17 @@ def _expect_format(lines: _Lines):
 
 
 def _rational(token: str, no: int) -> Fraction:
+    _, marker, exponent = token.lower().partition("e")
+    if marker:
+        try:
+            too_large = abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+        except ValueError:
+            raise ParseError(f"bad rational token {token!r}", line=no) from None
+        if too_large:
+            raise ParseError(
+                f"rational token {token!r} has a decimal exponent above {MAX_DECIMAL_EXPONENT}",
+                line=no,
+            )
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
@@ -120,6 +138,8 @@ def parse_system(text: str) -> ExpSystem:
             exps = tuple(_int(t, no) for t in toks[:nv])
             if any(e < 0 for e in exps):
                 raise ParseError("negative exponent in term", line=no)
+            if any(e > MAX_EXPONENT for e in exps):
+                raise ParseError(f"term exponent above {MAX_EXPONENT}", line=no)
             coeff = ExactComplex(_rational(toks[nv], no), _rational(toks[nv + 1], no))
             items.append((coeff, exps))
         polys.append(Polynomial.from_terms(nv, items))

@@ -35,6 +35,7 @@ from expcert.certify import (
     same_root,
 )
 from expcert.errors import NotCertified, NotRealMap, PreconditionFailed
+from expcert.expsystems import CompiledSystem
 from expcert.mechanisms import (
     two_link_arm_euler,
     two_link_arm_exp,
@@ -140,25 +141,33 @@ def test_beta_sq_matches_step():
     assert table.rows[0][1] == Fraction(1, 144)
 
 
-def _count_eliminations(monkeypatch) -> list:
-    """Count linalg.solve_columns calls, wherever the package has bound it.
+def _count_linearizations(monkeypatch) -> dict:
+    """Count eliminations and program evaluations during one call.
 
-    solve_vector and invert both delegate to solve_columns, so the count is
-    the number of Gaussian eliminations.
+    Eliminations are linalg.solve_columns calls, wherever the package has
+    bound it; solve_vector and invert both delegate to solve_columns.
+    Evaluations are calls of CompiledSystem.evaluate, the one evaluator of
+    F and Df.
     """
     original = linalg.solve_columns
-    calls = []
+    original_evaluate = CompiledSystem.evaluate
+    counts = {"eliminations": 0, "evaluations": 0}
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        counts["eliminations"] += 1
         return original(*args, **kwargs)
+
+    def counting_evaluate(self, z):
+        counts["evaluations"] += 1
+        return original_evaluate(self, z)
 
     for info in pkgutil.iter_modules(expcert.__path__):
         module = importlib.import_module(f"expcert.{info.name}")
         for name, obj in list(vars(module).items()):
             if obj is original:
                 monkeypatch.setattr(module, name, counting)
-    return calls
+    monkeypatch.setattr(CompiledSystem, "evaluate", counting_evaluate)
+    return counts
 
 
 def _elimination_cases():
@@ -175,28 +184,28 @@ def _elimination_cases():
 
 @pytest.mark.parametrize("case", list(_elimination_cases()))
 def test_certify_solution_eliminates_once(monkeypatch, case):
-    """One factorization per point yields beta and the J^-1 that gamma needs."""
+    """One evaluation and one factorization per point give beta and gamma's J^-1."""
     F, z, prec = _elimination_cases()[case]
-    calls = _count_eliminations(monkeypatch)
+    counts = _count_linearizations(monkeypatch)
     cert = certify_solution(F, z, prec)
-    assert len(calls) == 1
+    assert counts == {"eliminations": 1, "evaluations": 1}
     assert cert.jacobian_invertible == (case not in ("singular", "exact-zero-singular"))
 
 
 @pytest.mark.parametrize("k", range(4))
 def test_newton_refine_eliminates_once_per_iterate(monkeypatch, k):
     S = poly1((ec(1), (2,)), (ec(-2), (0,)))
-    calls = _count_eliminations(monkeypatch)
+    counts = _count_linearizations(monkeypatch)
     _, table = newton_refine(S, (ec(Fraction(3, 2)),), k, RAT)
     assert len(table.rows) == k + 1
-    assert len(calls) == k + 1
+    assert counts == {"eliminations": k + 1, "evaluations": k + 1}
 
 
 def test_newton_step_eliminates_once(monkeypatch):
     S = poly1((ec(1), (2,)), (ec(-2), (0,)))
-    calls = _count_eliminations(monkeypatch)
+    counts = _count_linearizations(monkeypatch)
     newton_step(S, (ec(Fraction(3, 2)),), RAT)
-    assert len(calls) == 1
+    assert counts == {"eliminations": 1, "evaluations": 1}
 
 
 def test_float_certification_of_transcendental_system():

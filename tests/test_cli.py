@@ -5,6 +5,9 @@ not, 2 on any input problem (unreadable file, parse error, wrong width).
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,6 +152,47 @@ def test_width_mismatch_exits_two(capsys):
         "certify", "--system", sysf("rr_dyad"), "--points", ptsf("rr_dyad_poly"),
     )
     assert code == 2 and "coordinates" in err
+
+
+# Runs main in a child interpreter and prints how long main took.
+_TIMED_MAIN = """
+import sys, time
+from expcert.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "system,points",
+    [
+        ("format: 1\nsystem 1 0\npoly 1\n1000000000 1 0\n", "format: 1\nmode: rational\n1\n1 0\n"),
+        (None, "format: 1\nmode: rational\n1\n-1e999999999 0\n"),
+    ],
+    ids=["term-exponent", "decimal-exponent"],
+)
+def test_hostile_file_exits_two_fast(tmp_path, system, points):
+    """Each file ran until it was killed before the parser capped exponents.
+
+    A child process, so that a regression fails on the timeout instead of
+    hanging the suite.
+    """
+    sys_path = tmp_path / "hostile.sys"
+    sys_path.write_text(system or (DATA / "rr_dyad_poly.sys").read_text())
+    pts_path = tmp_path / "hostile.pts"
+    pts_path.write_text(points)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, "certify", "--system", str(sys_path),
+         "--points", str(pts_path), "--mode", "rational"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2 and proc.stderr.startswith("error:")
+    assert "exponent" in proc.stderr
+    assert float(proc.stdout.split()[-1]) < 1.0
 
 
 def test_rational_mode_rejects_links(capsys):

@@ -7,7 +7,9 @@ truth.
 """
 
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -27,18 +29,21 @@ from expcert.expsystems import (
     as_exp_system,
     builtin_bound_value,
     builtin_ode_data,
-    evaluate_exp,
     gamma_bound_generic,
     gamma_bound_sq,
-    jacobian_exp,
     link_bound_term,
     mu_exp_sq,
     ode_derivative_bound,
+    value_and_jacobian,
 )
+from expcert.homotopy import taylor_truncate
 from expcert.linalg import invert
 from expcert.mechanisms import compliant_linkage
 from expcert.polynomials import Polynomial, PolynomialSystem
-from expcert.scalars import ExactComplex, PrecisionConfig, exact_to_mpc
+from expcert.scalars import ExactComplex, PrecisionConfig, exact_to_mpc, lift_point, mpf_to_fraction
+from expcert.sysio import parse_points, parse_system
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 F96 = PrecisionConfig("float", 96)
 F192 = PrecisionConfig("float", 192)
@@ -98,10 +103,9 @@ def test_evaluate_and_jacobian_hand_case():
     F = simple_system()
     with mp.workprec(96):
         z = (mp.mpc(0), mp.mpc(1))
-        vals = evaluate_exp(F, z, F96)
+        vals, J = value_and_jacobian(F, z, F96)
         assert abs(vals[0] - 1) < 1e-25
         assert abs(vals[1] - 1) < 1e-25  # y - sin(0)
-        J = jacobian_exp(F, z, F96)
         assert abs(J[0][0] - 1) < 1e-25 and abs(J[0][1] - 1) < 1e-25
         assert abs(J[1][0] + 1) < 1e-25  # -cos(0)
         assert abs(J[1][1] - 1) < 1e-25
@@ -110,7 +114,7 @@ def test_evaluate_and_jacobian_hand_case():
 def test_exact_mode_rejected_with_links():
     F = simple_system()
     with pytest.raises(ExactModeUnsupported):
-        evaluate_exp(F, (ec(0), ec(0)), RAT)
+        value_and_jacobian(F, (ec(0), ec(0)), RAT)
     with pytest.raises(ExactModeUnsupported):
         gamma_bound_sq(F, (ec(0), ec(0)), None, RAT)
     with pytest.raises(ExactModeUnsupported):
@@ -123,7 +127,7 @@ def test_jacobian_matches_central_differences():
     prec = PrecisionConfig("float", 192)
     with mp.workprec(192):
         z = [mp.mpc(complex(float(c.re), float(c.im))) for c in B1]
-        J = jacobian_exp(G, tuple(z), prec)
+        _, J = value_and_jacobian(G, tuple(z), prec)
         h = mp.mpf(1) / 10**12
         worst = mp.mpf(0)
         for j in range(G.N):
@@ -131,12 +135,134 @@ def test_jacobian_matches_central_differences():
             zm = list(z)
             zp[j] = zp[j] + h
             zm[j] = zm[j] - h
-            fp = evaluate_exp(G, tuple(zp), prec)
-            fm = evaluate_exp(G, tuple(zm), prec)
+            fp, _ = value_and_jacobian(G, tuple(zp), prec)
+            fm, _ = value_and_jacobian(G, tuple(zm), prec)
             for i in range(G.N):
                 fd = (fp[i] - fm[i]) / (2 * h)
                 worst = max(worst, abs(fd - J[i][j]) / max(1, abs(J[i][j])))
         assert worst < mp.mpf(10) ** -20
+
+
+# ---------------------------------------------------------------------------
+# The compiled program against exact references
+
+
+def _program_cases():
+    """(name, system, points): every data/* pair, then the arm and compliant
+    Taylor truncations at their data points; each also gets two seeded
+    rational points away from the roots."""
+    cases = []
+    for path in sorted(DATA.glob("*.sys")):
+        F = parse_system(path.read_text())
+        cases.append((path.stem, F, parse_points(path.with_suffix(".pts").read_text()).points))
+    for stem, degrees in (("rr_dyad", (3, 3, 2, 2)), ("compliant", (2, 3, 2, 3, 2, 3))):
+        _, F, points = next(c for c in cases if c[0] == stem)
+        cases.append((f"{stem}-truncated", as_exp_system(taylor_truncate(F, degrees)), points))
+    rng = random.Random(2011)
+    out = []
+    for name, F, points in cases:
+        extra = tuple(
+            tuple(ec(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(F.N))
+            for _ in range(2)
+        )
+        out.append((name, F, tuple(points) + extra))
+    return out
+
+
+_PROGRAM_CASES = {name: (F, points) for name, F, points in _program_cases()}
+_LINK_FREE = [name for name, (F, _) in _PROGRAM_CASES.items() if F.m == 0]
+
+
+@pytest.mark.parametrize("name", _LINK_FREE)
+def test_program_is_exact_in_rational_mode(name):
+    F, points = _PROGRAM_CASES[name]
+    for z in points:
+        values, J = value_and_jacobian(F, z, RAT)
+        assert values == tuple(p.evaluate(z) for p in F.P.polys)
+        assert J == tuple(tuple(p.derivative(j).evaluate(z) for j in range(F.N)) for p in F.P.polys)
+
+
+@pytest.mark.parametrize("name", list(_PROGRAM_CASES))
+def test_float_program_multiplies_each_monomial_out_first(name):
+    """Polynomial entries are c * (x^a * y^b), summed from 0 in term order.
+
+    That is the order certification has always used, so certificates stay
+    bit for bit what they were; the double-precision program keeps the
+    tracker's c * x^a * y^b instead (test_homotopy pins that one).
+    """
+    F, points = _PROGRAM_CASES[name]
+    with mp.workprec(96):
+        for z in points:
+            zl = lift_point(z, F96)
+            values, J = value_and_jacobian(F, zl, F96)
+
+            def monomial_first(p):
+                total = mp.mpc(0)
+                for c, mono in p.terms:
+                    mv = mono.value_at(zl)
+                    c = exact_to_mpc(c, 96)
+                    total = total + (c if mv is None else c * mv)
+                return total._mpc_
+
+            for i, p in enumerate(F.P.polys):
+                assert values[i]._mpc_ == monomial_first(p), (name, i)
+                assert [v._mpc_ for v in J[i]] == [
+                    monomial_first(p.derivative(j)) for j in range(F.N)
+                ], (name, i)
+
+
+def _term_scale(p: Polynomial, z):
+    """Sum of |c| |z|^rho over the terms: the scale of a summation's rounding."""
+    total = mp.mpf(0)
+    for c, mono in p.terms:
+        t = abs(exact_to_mpc(c, mp.mp.prec))
+        for v, e in zip(z, mono.exponents):
+            t *= abs(v) ** e
+        total += t
+    return total
+
+
+@pytest.mark.parametrize("bits", [96, 256, 1024])
+@pytest.mark.parametrize("name", list(_PROGRAM_CASES))
+def test_program_matches_exact_values_in_float_mode(name, bits):
+    """Every value and Jacobian entry within 2^(8 - bits) of the exact one.
+
+    The error is relative to the term sum of each entry (for a link row,
+    to the size of g, g' and g'' at the argument), because at the data
+    points the residuals cancel to far below their terms. Polynomial rows
+    are compared with Polynomial.evaluate and Polynomial.derivative(j) at
+    the exact dyadic value of the lifted point, link rows with mpmath at
+    4x the precision.
+    """
+    F, points = _PROGRAM_CASES[name]
+    prec = PrecisionConfig("float", bits)
+    tol = mp.mpf(2) ** (8 - bits)
+    for z in points:
+        zl = lift_point(z, prec)
+        values, J = value_and_jacobian(F, zl, prec)
+        zx = tuple(ExactComplex(mpf_to_fraction(v.real), mpf_to_fraction(v.imag)) for v in zl)
+        with mp.workprec(4 * bits):
+            zh = [exact_to_mpc(v, mp.mp.prec) for v in zx]
+
+            def close(got, want, scale):
+                assert abs(got - want) <= tol * scale, (name, bits, got, want)
+
+            for i, p in enumerate(F.P.polys):
+                close(values[i], exact_to_mpc(p.evaluate(zx), mp.mp.prec), _term_scale(p, zh))
+                for j in range(F.N):
+                    d = p.derivative(j)
+                    close(J[i][j], exact_to_mpc(d.evaluate(zx), mp.mp.prec), _term_scale(d, zh))
+            for k, link in enumerate(F.links):
+                i, s, d = F.n + k, link.src - 1, link.dst - 1
+                c = exact_to_mpc(link.c, mp.mp.prec)
+                w = c * zh[s]
+                g = [_DERIV_CYCLE[link.kind](w, r) for r in range(3)]
+                size = (1 + abs(w)) * (abs(g[0]) + abs(g[1]) + abs(g[2]))
+                close(values[i], zh[d] - g[0], abs(zh[d]) + size)
+                for j in range(F.N):
+                    want = -c * g[1] if j == s else (1 if j == d else 0)
+                    close(J[i][j], want, abs(c) * size if j == s else 0)
 
 
 def test_builtin_ode_data_orders():
@@ -282,7 +408,7 @@ def test_mu_matches_polynomial_route_exactly():
     S = PolynomialSystem((poly(1, (1, (2,)), (-2, (0,))),))
     F = as_exp_system(S)
     with mp.workprec(96):
-        Jinv = invert(jacobian_exp(F, (ec(Fraction(3, 2)),), F96), 96)
+        Jinv = invert(value_and_jacobian(F, (ec(Fraction(3, 2)),), F96)[1], 96)
         musq = mu_exp_sq(F, (ec(Fraction(3, 2)),), Jinv, F96)
         # polynomial route: mu^2 = max(1, 5 * 13/18) = 65/18
         assert abs(musq - mp.mpf(65) / 18) < mp.mpf(10) ** -25

@@ -4,6 +4,7 @@ Everything random here flows from an explicit seed, so structural facts
 (slice counts, factor selections, ledgers) are asserted exactly.
 """
 
+import cmath
 import hashlib
 import itertools
 import math
@@ -16,13 +17,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expcert.errors import DimensionMismatch, ValidationError
-from expcert.expsystems import ExpKind, ExpLink, ExpSystem, as_exp_system
+from expcert.expsystems import (
+    CompiledSystem,
+    ExpKind,
+    ExpLink,
+    ExpSystem,
+    as_exp_system,
+    value_and_jacobian,
+)
 from expcert.homotopy import (
-    _NDERIV,
-    _NFUNC,
     HomotopyConfig,
     PathStatus,
-    _Compiled,
     _Pencil,
     _allowed_nus,
     _draw_factors,
@@ -121,13 +126,13 @@ def test_truncated_row_vanishes_at_origin_value(kind, degree, c):
 def test_product_start_single_link_slice_count():
     Fp = taylor_truncate(one_link(ExpKind.SIN), (3,))
     link = one_link(ExpKind.SIN).links
-    slices, product = linear_product_start(Fp, link, (3,), seed=7)
-    assert len(slices) == 3
-    assert [nu for nu, _ in slices] == [(1,), (2,), (3,)]
+    selections, product = linear_product_start(Fp, link, (3,), seed=7)
+    assert len(selections) == 3
+    assert list(selections) == [(1,), (2,), (3,)]
     # first slice keeps the y-bearing factor, later ones pin x only
-    s1 = slices[0][1].polys[1]
-    s2 = slices[1][1].polys[1]
-    assert (0, 1) in coeff_map(s1) and (0, 1) not in coeff_map(s2)
+    (factors,) = _draw_factors(link, (3,), seed=7)
+    assert not factors[0].a.is_zero()
+    assert all(f.a.is_zero() for f in factors[1:])
     # the product row has the same x-degree as the truncated row, degree 1 in y
     pm = coeff_map(product.polys[1])
     assert max(e[0] for e in pm) == 3
@@ -268,12 +273,11 @@ def test_solve_two_link_arm_finds_all_six():
     names = [s.name for s in out.ledger.stages]
     assert names == ["slice-continuation", "product-to-truncated", "truncated-to-target"]
     # every candidate closes the target system at native accuracy
-    from expcert.expsystems import evaluate_exp
     from expcert.scalars import PrecisionConfig
 
     prec = PrecisionConfig("float", 192)
     for z in out.candidates:
-        vals = evaluate_exp(G, z, prec)
+        vals, _ = value_and_jacobian(G, z, prec)
         assert max(abs(complex(v)) for v in vals) < 1e-20
 
 
@@ -296,6 +300,23 @@ def _ref_eval(terms, z) -> complex:
             v *= z[i] ** e
         total += v
     return total
+
+
+# The reference's own link tables, independent of the program's.
+_NFUNC = {
+    ExpKind.EXP: cmath.exp,
+    ExpKind.SIN: cmath.sin,
+    ExpKind.COS: cmath.cos,
+    ExpKind.SINH: cmath.sinh,
+    ExpKind.COSH: cmath.cosh,
+}
+_NDERIV = {
+    ExpKind.EXP: (cmath.exp, 1.0),
+    ExpKind.SIN: (cmath.cos, 1.0),
+    ExpKind.COS: (cmath.sin, -1.0),
+    ExpKind.SINH: (cmath.cosh, 1.0),
+    ExpKind.COSH: (cmath.sinh, 1.0),
+}
 
 
 class _Reference:
@@ -345,7 +366,7 @@ def _bits(values):
     return [struct.pack("<dd", v.real, v.imag) for v in values]
 
 
-def _dense(cp: _Compiled, jac):
+def _dense(cp: CompiledSystem, jac):
     M = [[0j] * cp.size for _ in range(cp.size)]
     for (r, j), v in zip(cp.pattern, jac):
         M[r][j] = v
@@ -386,7 +407,7 @@ def test_fused_program_matches_reference_bit_for_bit(case):
     name, start, target = _parity_systems()[case]
     rng = random.Random(f"fused:{name}")
     gamma = complex(-0.6, 0.8)
-    cs, ct = _Compiled(start), _Compiled(target)
+    cs, ct = CompiledSystem(start), CompiledSystem(target)
     rs, rt = _Reference(start), _Reference(target)
     pencil = _Pencil(cs, ct, gamma)
     for k in range(25):
@@ -418,7 +439,7 @@ def test_fused_program_overflows_where_reference_does(case):
     """Complex ** overflow is what turns a runaway path into DIVERGED."""
     name, start, target = _parity_systems()[case]
     rng = random.Random(f"overflow:{name}")
-    cs, ct = _Compiled(start), _Compiled(target)
+    cs, ct = CompiledSystem(start), CompiledSystem(target)
     rs, rt = _Reference(start), _Reference(target)
     pencil = _Pencil(cs, ct, complex(0.6, -0.8))
     raised = 0

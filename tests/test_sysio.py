@@ -26,6 +26,8 @@ from expcert.mechanisms import (
 )
 from expcert.scalars import ExactComplex, PrecisionConfig
 from expcert.sysio import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_EXPONENT,
     parse_points,
     parse_system,
     render_report_text,
@@ -135,6 +137,25 @@ def test_points_parse_errors(text, fragment):
     with pytest.raises(ParseError) as info:
         parse_points(text)
     assert fragment in str(info.value)
+
+
+def test_exponent_caps_sit_at_their_constants():
+    def term(e):
+        return f"format: 1\nsystem 1 0\npoly 1\n{e} 1 0\n"
+
+    def coordinate(token):
+        return f"format: 1\nmode: rational\n1\n{token} 0\n"
+
+    assert parse_system(term(MAX_EXPONENT)).P.max_degree == MAX_EXPONENT
+    with pytest.raises(ParseError, match="exponent") as info:
+        parse_system(term(MAX_EXPONENT + 1))
+    assert info.value.line == 4
+    top = MAX_DECIMAL_EXPONENT
+    assert parse_points(coordinate(f"-1e{top}")).points[0][0].re == -(10**top)
+    assert parse_points(coordinate(f"2.5E-{top}")).points[0][0].re == Fraction(5, 2 * 10**top)
+    for token in (f"1e{top + 1}", f"-1e-{top + 1}", "1e999999999", "1e", "1ex"):
+        with pytest.raises(ParseError, match="rational token"):
+            parse_points(coordinate(token))
 
 
 def test_comments_and_blank_lines_are_skipped():
