@@ -324,7 +324,7 @@ class CompiledSystem:
                     self.entries.append(terms)
         self.powers = tuple(powers)
         self.products = ()
-        if prec is not None:
+        if prec is not None:  # c * (x^a * y^b): monomials go into the table
             products = {}
 
             def regroup(terms):
