@@ -124,8 +124,8 @@ def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
     Solves J X = [F(z) | I] (the identity columns only when inverse is set)
     and returns (z lifted, F(z), Newton step, J^{-1} or None). Step and
     inverse are both None when J is singular. Pivots depend on J alone, so
-    the step and the inverse equal solve_vector's and invert's bit for bit.
-    Runs at the caller's working precision.
+    the step and the inverse are bit for bit those of solving J x = F(z)
+    and J X = I apart. Runs at the caller's working precision.
     """
     z = lift_point(z, prec)
     residual, J = value_and_jacobian(F, z, prec)

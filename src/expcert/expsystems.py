@@ -281,7 +281,9 @@ class CompiledSystem:
     programs multiply each monomial out once in the table, x^a * y^b, and
     take c * (x^a * y^b), as certification has always computed it, so
     both keep their results bit for bit. Floating kinds evaluate at the
-    caller's working precision.
+    caller's working precision. Programs for mpc and exact kinds also hold
+    the system constant ||P||^2 of the curvature bound (p_norm_sq), rounded
+    once to the kind's precision, so the bound does not rebuild it per point.
     """
 
     def __init__(self, system, prec: PrecisionConfig | None = None):
@@ -345,6 +347,10 @@ class CompiledSystem:
             self.links.append((getattr(lib, g), getattr(lib, dg), sign, lift(l.c), s, d))
             link_pos += [(F.n + k, s), (F.n + k, d)]
         self.pattern = tuple(entry_pos + link_pos + folded_pos)
+        self.p_norm_sq = None
+        if prec is not None:
+            psq = bw_norm_sq(F.P)
+            self.p_norm_sq = psq if prec.is_exact else fraction_to_mpf(psq, prec.bits)
 
     def _power_table(self, z) -> list:
         # In doubles, complex ** raises OverflowError when a part of a power
@@ -439,22 +445,21 @@ def link_bound_term(link: ExpLink, xval):
     return max(cmod, csq * abs(mp.sinh(w)) / 2, csq * abs(mp.cosh(w)) / 2)
 
 
-def mu_exp_sq(F: ExpSystem, z: CVector, Jinv: CMatrix, prec: PrecisionConfig):
+def mu_exp_sq(F: ExpSystem, n1sq, Jinv: CMatrix, prec: PrecisionConfig):
     """Squared conditioning factor for the full system, given Df(z)^{-1}.
 
-    The inverse Jacobian's first n columns are scaled by the per-row entries
+    n1sq is ||z||_1^2 = 1 + ||z||^2 at the point. The inverse Jacobian's
+    first n columns are scaled by the per-row entries
     sqrt(d_i) ||z||_1^(d_i - 1) ||P|| and the last m columns left alone; the
     squared Frobenius norm of the result, floored at 1, is returned. With
     m = 0 this is exactly the polynomial mu^2, rational in exact mode.
+    ||P||^2 comes from the system's compiled program, which holds it in
+    prec's scalar kind.
     """
     _require_float(F, prec, "mu_exp_sq")
     with working_precision(prec.bits):
-        z = lift_point(z, prec)
-        n1sq = norm1_sq(z)
         dsq = delta_sq_entries(F.P.degrees, n1sq)
-        psq = bw_norm_sq(F.P)
-        if not prec.is_exact:
-            psq = fraction_to_mpf(psq, prec.bits)
+        psq = compile_system(F, prec).p_norm_sq
         total = 0
         for j in range(F.N):
             col = 0
@@ -475,8 +480,8 @@ def gamma_bound_sq(F: ExpSystem, z: CVector, Jinv: CMatrix, prec: PrecisionConfi
     _require_float(F, prec, "gamma_bound_sq")
     with working_precision(prec.bits):
         z = lift_point(z, prec)
-        musq = mu_exp_sq(F, z, Jinv, prec)
         n1sq = norm1_sq(z)
+        musq = mu_exp_sq(F, n1sq, Jinv, prec)
         D = F.P.max_degree
         if F.is_polynomial():
             return musq * D**3 / (4 * n1sq)

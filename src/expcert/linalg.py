@@ -1,4 +1,4 @@
-"""Dense vectors and matrices over either scalar kind, plus the shared solves.
+"""Dense vectors and matrices over either scalar kind, plus the shared solve.
 
 Vectors are tuples of scalars; matrices are tuples of row tuples. Both are
 immutable, so values can be shared freely across threads. All operations are
@@ -8,6 +8,21 @@ through operator overloading and abs_sq.
 Norm conventions: everything is squared. Operator norms are never computed;
 the Frobenius norm serves as their upper bound, which keeps the downstream
 bounds valid and, in rational mode, keeps every quantity exactly rational.
+
+solve_columns stores the matrix densely but skips exact zeros: the
+elimination touches only rows with a nonzero entry in the pivot column and
+only the nonzero columns of the pivot row, the pivot search and the row
+scale pass over zero entries, and back substitution drops every term
+a_ik * x_kj with a zero factor and the division of a zero sum. The result is
+bit for bit that of the dense loops, in both kinds. Every skipped operation
+is x - 0 * y or 0 / piv. In rational mode both are exact. In floating mode
+every entry is a finite mpc already rounded to the working precision (the
+compiled program and the elimination both compute at it), mpmath has no
+signed zero, and 0 * y for finite y is zero, so x - 0 * y rounds x to
+itself and 0 / piv is zero: the pivots, the order of the remaining
+operations and every result stay the same. The one entry the dense loops
+also wrote, the cancelled entry under each pivot, is never read again and
+is left as it is.
 """
 
 from __future__ import annotations
@@ -62,7 +77,8 @@ def solve_columns(A: CMatrix, B: CMatrix, bits: int | None = None) -> CMatrix:
     column (deterministic, bit-identical across runs). Floating mode: partial
     pivoting on the largest squared pivot, with a scaled singularity test: a
     pivot whose squared modulus falls below 2^(16-bits) times the largest
-    squared entry of its row is treated as zero.
+    squared entry of its row is treated as zero. Exact zeros are skipped
+    throughout (see the module docstring).
 
     Raises SingularMatrix when no acceptable pivot exists.
     """
@@ -85,70 +101,79 @@ def solve_columns(A: CMatrix, B: CMatrix, bits: int | None = None) -> CMatrix:
             bits = mp.mp.prec
         _eliminate_float(aug, n, bits)
 
-    # Back substitution on the upper-triangular augmented system.
-    total = n + width
+    # Back substitution on the upper-triangular augmented system:
+    # x_ij = (b_ij - sum over k > i of a_ik * x_kj) / a_ii, each sum taken in
+    # order of k over the terms whose two factors are nonzero.
+    X = [None] * n
+    solved = [()] * n  # the nonzero (column, x_kj) of each solved row k
     for i in range(n - 1, -1, -1):
-        piv = aug[i][i]
-        for j in range(n, total):
-            acc = aug[i][j]
-            for k in range(i + 1, n):
-                acc = acc - aug[i][k] * aug[k][j]
-            aug[i][j] = acc / piv
-    return tuple(tuple(aug[i][n:]) for i in range(n))
+        row = aug[i]
+        acc = row[n:]
+        for k in range(i + 1, n):
+            a = row[k]
+            if a:
+                for j, x in solved[k]:
+                    acc[j] = acc[j] - a * x
+        piv = row[i]
+        X[i] = tuple(v / piv if v else v for v in acc)
+        solved[i] = [(j, v) for j, v in enumerate(X[i]) if v]
+    return tuple(X)
+
+
+def _eliminate_below(aug, n, col):
+    """Subtract multiples of pivot row col from the rows below it.
+
+    Only rows with a nonzero entry in column col and only the nonzero
+    columns of the pivot row right of col are touched; column col itself
+    is never read again, so it is left as it is.
+    """
+    top = aug[col]
+    piv = top[col]
+    cols = [(j, top[j]) for j in range(col + 1, len(top)) if top[j]]
+    for r in range(col + 1, n):
+        row = aug[r]
+        v = row[col]
+        if not v:
+            continue
+        factor = v / piv
+        for j, t in cols:
+            row[j] = row[j] - factor * t
 
 
 def _eliminate_exact(aug, n):
     for col in range(n):
         pivot_row = None
         for r in range(col, n):
-            if not aug[r][col].is_zero():
+            if aug[r][col]:
                 pivot_row = r
                 break
         if pivot_row is None:
             raise SingularMatrix(f"exact elimination: column {col} has no nonzero pivot")
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        piv = aug[col][col]
-        for r in range(col + 1, n):
-            factor = aug[r][col] / piv
-            if factor.is_zero():
-                continue
-            row = aug[r]
-            top = aug[col]
-            for j in range(col, len(row)):
-                row[j] = row[j] - factor * top[j]
+        _eliminate_below(aug, n, col)
 
 
 def _eliminate_float(aug, n, bits):
     threshold = mp.mpf(2) ** (16 - bits)
     for col in range(n):
-        pivot_row = col
-        best = abs_sq(aug[col][col])
-        for r in range(col + 1, n):
-            cand = abs_sq(aug[r][col])
-            if cand > best:
-                best = cand
-                pivot_row = r
-        row_scale = max(abs_sq(aug[pivot_row][j]) for j in range(col, n))
+        pivot_row, best = col, 0
+        for r in range(col, n):
+            v = aug[r][col]
+            if v:
+                cand = abs_sq(v)
+                if cand > best:
+                    best = cand
+                    pivot_row = r
+        # best is the pivot's own squared modulus: the row scale starts there.
+        row_scale = max([best] + [abs_sq(v) for v in aug[pivot_row][col + 1:n] if v])
         if row_scale == 0 or best < threshold * row_scale:
             raise SingularMatrix(
                 f"floating elimination: pivot in column {col} below singularity threshold"
             )
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        piv = aug[col][col]
-        for r in range(col + 1, n):
-            factor = aug[r][col] / piv
-            row = aug[r]
-            top = aug[col]
-            for j in range(col, len(row)):
-                row[j] = row[j] - factor * top[j]
-
-
-def solve_vector(A: CMatrix, b: CVector, bits: int | None = None) -> CVector:
-    """Solve A x = b for a single right-hand-side vector."""
-    X = solve_columns(A, tuple((v,) for v in b), bits)
-    return tuple(row[0] for row in X)
+        _eliminate_below(aug, n, col)
 
 
 def identity(n: int, exact: bool, bits: int | None = None) -> CMatrix:
@@ -158,8 +183,3 @@ def identity(n: int, exact: bool, bits: int | None = None) -> CMatrix:
         one, zero = mp.mpc(1), mp.mpc(0)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
-
-def invert(A: CMatrix, bits: int | None = None) -> CMatrix:
-    """Matrix inverse via solve_columns against the identity."""
-    n = _check_square(A)
-    return solve_columns(A, identity(n, _is_exact(A), bits), bits)

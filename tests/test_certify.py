@@ -145,7 +145,7 @@ def _count_linearizations(monkeypatch) -> dict:
     """Count eliminations and program evaluations during one call.
 
     Eliminations are linalg.solve_columns calls, wherever the package has
-    bound it; solve_vector and invert both delegate to solve_columns.
+    bound it; it is the package's only linear solve.
     Evaluations are calls of CompiledSystem.evaluate, the one evaluator of
     F and Df.
     """

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from expcert.certify import certify_solution
 from expcert.errors import DimensionMismatch, ValidationError
 from expcert.expsystems import value_and_jacobian
-from expcert.linalg import norm_sq, solve_vector
+from expcert.linalg import norm_sq
 from expcert.polynomials import (
     Monomial,
     Polynomial,
@@ -31,6 +31,8 @@ from expcert.polynomials import (
     variable,
 )
 from expcert.scalars import ExactComplex, PrecisionConfig
+
+from test_linalg import solve_vector
 
 rat = st.fractions(min_value=-20, max_value=20, max_denominator=32)
 RAT = PrecisionConfig("rational", 64)
