@@ -7,15 +7,26 @@ variable as an elementary function of one leading variable:
     F(z) = [ P(z); z_dst - g(c * z_src) ]   with g in {exp, sin, cos, sinh, cosh}.
 
 F and its Jacobian are evaluated by one compiled program per system and
-scalar kind (CompiledSystem, cached by compile_system): one table of the
-powers z_i^e, each row and each nonzero Jacobian entry a list of
-(coefficient, power indices) terms, constant entries folded. The same
-program serves every kind: hardware doubles for the path tracker, mpc at a
-given precision and exact ExactComplex for certification and refinement
-(value_and_jacobian). The kind sets how coefficients are lifted, the zero
-each sum starts from, whether links call cmath or mpmath, and one rounding
-order: doubles take c * x^a * y^b, the other kinds c * (x^a * y^b), which
-keeps both the tracker and the certificates bit for bit as they were.
+scalar kind (CompiledSystem, cached by compile_system): the powers z_i^e,
+each row and each nonzero Jacobian entry a list of (coefficient, power
+indices) terms, constant entries folded. The same program serves every
+kind: hardware doubles for the path tracker, mpc at a given precision and
+exact ExactComplex for certification and refinement (value_and_jacobian).
+The kind sets how coefficients are lifted, the zero each sum starts from,
+whether links call cmath or mpmath, and one rounding order: doubles take
+c * x^a * y^b, the other kinds c * (x^a * y^b), which keeps both the
+tracker and the certificates bit for bit as they were.
+
+The program runs as generated Python: straight-line source, one local per
+power and per monomial product, one statement per term, compiled once per
+program with compile/exec (define_function). Each statement is one
+operation of the term lists, in their order and from the same zero, so the
+results are bit for bit those of a loop over the lists, and so are the
+exceptions, which only the powers and the link functions raise, in that
+order. The source holds names and integer indices only: coefficients,
+zeros, link functions and folded entries are bound objects, so no text of
+an input file ever reaches compile. The homotopy tracker generates its
+pencil from the same bodies (CompiledSystem.body).
 
 The curvature bound lives here, for link-free and linked systems alike.
 Both forms start from the conditioning factor
@@ -47,7 +58,7 @@ import cmath
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath as mp
 
@@ -58,7 +69,13 @@ from .errors import (
     ValidationError,
 )
 from .linalg import CMatrix, CVector, norm1_sq
-from .polynomials import Polynomial, PolynomialSystem, bw_norm_sq, delta_sq_entries
+from .polynomials import (
+    Polynomial,
+    PolynomialSystem,
+    bw_norm_sq,
+    delta_sq_entries,
+    memo_hash,
+)
 from .scalars import (
     EC_ONE,
     EC_ZERO,
@@ -119,6 +136,9 @@ class ExpSystem:
             if link.dst in seen:
                 raise ValidationError(f"link target index {link.dst} used twice")
             seen.add(link.dst)
+
+    def __hash__(self):
+        return memo_hash(self, (self.P, self.links))
 
     @property
     def n(self) -> int:
@@ -251,24 +271,25 @@ def _scalar_kind(prec: PrecisionConfig | None):
     return (lambda c: exact_to_mpc(c, prec.bits)), mp.mpc(0), mp.mpc(1), mp
 
 
-def _eval_programs(programs, pw, zero) -> list:
-    """Sum each term list over the power table: v = c * pw[k] * ..., total += v."""
-    out = []
-    for terms in programs:
-        total = zero
-        for v, idx in terms:
-            for k in idx:
-                v *= pw[k]
-            total += v
-        out.append(total)
-    return out
+def define_function(name: str, params: str, lines, namespace: dict):
+    """Compile one generated function whose globals are `namespace`.
+
+    `lines` is the body, indented relative to the function. The generators
+    format only names and integer indices into it; every other object
+    (coefficient, zero, link function, gamma) is bound in `namespace`.
+    Each function gets its own file name, so profilers, which key
+    functions by file, line and name, keep generated functions apart.
+    """
+    src = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(src, f"<expcert {name} {id(namespace):#x}>", "exec"), namespace)
+    return namespace.pop(name)
 
 
 class CompiledSystem:
     """Straight-line program for the value and the Jacobian of one system.
 
     Every distinct power z[i] ** e used by a value row or by a structurally
-    nonzero Jacobian entry is computed once per evaluation into a table;
+    nonzero Jacobian entry is computed once per evaluation into a local;
     rows and entries are (coefficient, power-index tuple) term lists summed
     from the kind's zero in the term order of the symbolic polynomial and
     its derivative. Entries with only constant terms are folded at compile
@@ -284,6 +305,8 @@ class CompiledSystem:
     caller's working precision. Programs for mpc and exact kinds also hold
     the system constant ||P||^2 of the curvature bound (p_norm_sq), rounded
     once to the kind's precision, so the bound does not rebuild it per point.
+    `value` and `evaluate` run functions generated from the term lists
+    (body), each on its first call.
     """
 
     def __init__(self, system, prec: PrecisionConfig | None = None):
@@ -352,39 +375,90 @@ class CompiledSystem:
             psq = bw_norm_sq(F.P)
             self.p_norm_sq = psq if prec.is_exact else fraction_to_mpf(psq, prec.bits)
 
-    def _power_table(self, z) -> list:
-        # In doubles, complex ** raises OverflowError when a part of a power
-        # comes out infinite, and the tracker then calls the path diverged.
-        # With both parts huge, inf - inf makes the power nan without a raise
-        # (complex(1e200, -3e199) ** 2); the tracker then rejects the nan
-        # step and halves dt, so such a path does not end DIVERGED.
-        pw = [z[i] ** e for i, e in self.powers]
-        for idx in self.products:  # monomials multiplied out, left to right
-            v = pw[idx[0]]
-            for k in idx[1:]:
-                v *= pw[k]
-            pw.append(v)
-        return pw
+    def body(self, pre: str, namespace: dict, jacobian: bool = True):
+        """Straight-line source that evaluates the program at z into locals.
+
+        Returns (lines, value names, entry names in `pattern` order; no
+        entries when jacobian is False). Every local and bound name starts
+        with `pre`, so two programs can share one function. Coefficients,
+        the zero, the one, link functions and folded entries are bound in
+        `namespace`; only integer indices are formatted into the text.
+
+        The lines run the operations of the term lists in their order: each
+        power z[i] ** e once, each monomial product left to right, then each
+        row and entry as t = Z + c * p * q followed by one t += ... per term
+        (one statement per term, so a long row never becomes one deeply
+        nested expression), then the link rows. In doubles, complex **
+        raises OverflowError when a part of a power comes out infinite, and
+        the tracker then calls the path diverged. With both parts huge,
+        inf - inf makes the power nan without a raise
+        (complex(1e200, -3e199) ** 2); the tracker then rejects the nan step
+        and halves dt, so such a path does not end DIVERGED.
+        """
+        namespace[f"{pre}Z"], namespace[f"{pre}I"] = self.zero, self.one
+        lines = [f"{pre}p{k} = z[{i}] ** {e}" for k, (i, e) in enumerate(self.powers)]
+        base = len(self.powers)
+        lines += [
+            f"{pre}p{base + k} = " + " * ".join(f"{pre}p{i}" for i in idx)
+            for k, idx in enumerate(self.products)
+        ]
+
+        def total(name, terms):
+            if not terms:
+                lines.append(f"{name} = {pre}Z")
+            for k, (c, idx) in enumerate(terms):
+                cname = f"{name}_{k}"  # the coefficient of term k of the sum `name`
+                namespace[cname] = c
+                term = " * ".join([cname] + [f"{pre}p{i}" for i in idx])
+                lines.append(f"{name} = {pre}Z + {term}" if k == 0 else f"{name} += {term}")
+            return name
+
+        values = [total(f"{pre}v{r}", terms) for r, terms in enumerate(self.rows)]
+        entries = []
+        if jacobian:
+            entries = [total(f"{pre}e{k}", terms) for k, terms in enumerate(self.entries)]
+        for k, (fn, dfn, sign, c, s, d) in enumerate(self.links):
+            namespace.update(
+                {f"{pre}g{k}": fn, f"{pre}dg{k}": dfn, f"{pre}sg{k}": sign, f"{pre}lc{k}": c}
+            )
+            lines.append(f"{pre}w{k} = {pre}lc{k} * z[{s}]")
+            lines.append(f"{pre}y{k} = z[{d}] - {pre}g{k}({pre}w{k})")
+            values.append(f"{pre}y{k}")
+            if jacobian:
+                lines.append(f"{pre}j{k} = -{pre}lc{k} * {pre}sg{k} * {pre}dg{k}({pre}w{k})")
+                entries += [f"{pre}j{k}", f"{pre}I"]
+        if jacobian:
+            for k, v in enumerate(self.folded):
+                namespace[f"{pre}k{k}"] = v
+                entries.append(f"{pre}k{k}")
+        return lines, values, entries
+
+    def _generate(self, jacobian: bool):
+        namespace = {}
+        lines, values, entries = self.body("", namespace, jacobian)
+        out = f"[{', '.join(values)}]"
+        if jacobian:
+            out += f", [{', '.join(entries)}]"
+        name = "evaluate" if jacobian else "value"
+        return define_function(name, "z", lines + [f"return {out}"], namespace)
+
+    # Each function is generated on its first call: a tracked slice system,
+    # for one, is only ever evaluated through the tracker's pencil.
+    @cached_property
+    def _value(self):
+        return self._generate(False)
+
+    @cached_property
+    def _evaluate(self):
+        return self._generate(True)
 
     def value(self, z) -> list:
-        out = _eval_programs(self.rows, self._power_table(z), self.zero)
-        for fn, _dfn, _sign, c, s, d in self.links:
-            out.append(z[d] - fn(c * z[s]))
-        return out
+        """F(z): the polynomial rows, then the link rows."""
+        return self._value(z)
 
     def evaluate(self, z):
         """(values, Jacobian entries in `pattern` order) at z, in one pass."""
-        pw = self._power_table(z)
-        values = _eval_programs(self.rows, pw, self.zero)
-        jac = _eval_programs(self.entries, pw, self.zero)
-        one = self.one
-        for fn, dfn, sign, c, s, d in self.links:
-            cz = c * z[s]
-            values.append(z[d] - fn(cz))
-            jac.append(-c * sign * dfn(cz))
-            jac.append(one)
-        jac += self.folded
-        return values, jac
+        return self._evaluate(z)
 
     def augmented(self, z) -> list:
         """Dense rows of [J(z) | F(z)]."""

@@ -11,13 +11,25 @@ deformations
 with gamma a random unit-modulus constant derived from the recorded seed.
 Path tracking runs in hardware doubles (Euler predictor, Newton corrector,
 adaptive step length). Each tracked system is compiled once, for hardware
-doubles, into expsystems' program, which returns its value and Jacobian
-together from one table of powers, with constant Jacobian entries folded,
-so every predictor or corrector step evaluates each of its two systems
-once and eliminates one augmented matrix [H_z | rhs]. Endpoints are then
-polished with the multiprecision Newton iteration and returned as
-candidates for certification, never as certified output. Every random draw is derived
+doubles, into expsystems' program, which gives its value and Jacobian
+together, with constant Jacobian entries folded, so every predictor or
+corrector step evaluates each of its two systems once and eliminates one
+augmented matrix [H_z | rhs]. Endpoints are then polished with the
+multiprecision Newton iteration and returned as candidates for
+certification, never as certified output. Every random draw is derived
 from the seed and written to a run ledger, so a run can be replayed exactly.
+
+The step's two hot parts run as generated straight-line Python, compiled
+once with compile/exec: the pencil, one function per pair of tracked
+systems that runs the start program's body, then the target's, and
+returns [H_z | rhs] as list literals (_pencil_program); and the partial
+pivoting elimination, one function per size n with its column loops
+unrolled and its row loops kept, so its source is O(n^2) (_elimination).
+Both perform the operations of the loops they replace in the same order,
+so paths, ledgers and candidates are bit for bit what the loops gave, and
+the first exception raised is the same. The source holds names and
+integer indices only; coefficients, gamma and link functions enter as
+bound objects or arguments.
 """
 
 from __future__ import annotations
@@ -29,14 +41,31 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
 
 from .certify import certify_solution, same_root
 from .errors import DimensionMismatch, ValidationError
-from .expsystems import CompiledSystem, ExpKind, ExpSystem, as_exp_system, compile_system
-from .polynomials import Polynomial, PolynomialSystem, constant, variable
+from .expsystems import (
+    CompiledSystem,
+    ExpKind,
+    ExpSystem,
+    as_exp_system,
+    compile_system,
+    define_function,
+)
+from .polynomials import (
+    Polynomial,
+    PolynomialSystem,
+    compose,
+    constant,
+    padd,
+    pmul,
+    pscale,
+    variable,
+)
 from .refine import newton_refine
 from .scalars import EC_ONE, ExactComplex, PrecisionConfig, working_precision
 
@@ -92,37 +121,6 @@ def taylor_truncate(F: ExpSystem, degrees) -> PolynomialSystem:
             items.append((-a, tuple(exps)))
         rows.append(Polynomial.from_terms(nv, items))
     return PolynomialSystem(tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Polynomial arithmetic (local helpers; exact throughout)
-
-
-def _padd(p: Polynomial, q: Polynomial) -> Polynomial:
-    return Polynomial.from_terms(p.nv, [(c, m) for c, m in p.terms] + [(c, m) for c, m in q.terms])
-
-
-def _pscale(p: Polynomial, c) -> Polynomial:
-    c = ExactComplex.of(c) if not isinstance(c, ExactComplex) else c
-    return Polynomial.from_terms(p.nv, [(c * coeff, m) for coeff, m in p.terms])
-
-
-def _pmul(p: Polynomial, q: Polynomial) -> Polynomial:
-    acc = {}
-    for c1, m1 in p.terms:
-        for c2, m2 in q.terms:
-            exps = tuple(a + b for a, b in zip(m1.exponents, m2.exponents))
-            prev = acc.get(exps)
-            prod = c1 * c2
-            acc[exps] = prod if prev is None else prev + prod
-    return Polynomial.from_terms(p.nv, [(c, e) for e, c in acc.items()])
-
-
-def _ppow(p: Polynomial, k: int) -> Polynomial:
-    out = constant(p.nv, 1)
-    for _ in range(k):
-        out = _pmul(out, p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +232,7 @@ def linear_product_start(Fp: PolynomialSystem, links, degrees, seed: int):
     for i, link in enumerate(links):
         acc = _factor_row(nv, link, factors[i][0])
         for fac in factors[i][1:]:
-            acc = _pmul(acc, _factor_row(nv, link, fac))
+            acc = pmul(acc, _factor_row(nv, link, fac))
         prod_rows.append(acc)
     return _allowed_nus(links, counts), PolynomialSystem(tuple(prod_rows))
 
@@ -247,35 +245,55 @@ class _NativeSingular(Exception):
     pass
 
 
+@lru_cache(maxsize=32)
+def _elimination(n: int):
+    """Generated solve of an n-row augmented system [A | b] in doubles.
+
+    The same partial-pivoting elimination as a loop over columns, rows and
+    entries, with the column loops unrolled and the row loops kept, so the
+    source grows as O(n^2): the pivot search, the singularity test and the
+    row swap run as they would in the loop; the pivot row's tail goes into
+    locals before the rows below are updated entry by entry, and back
+    substitution runs on those locals. Each operation is the loop's, in
+    the loop's order, so results and raises are the loop's bit for bit.
+    The last column's reciprocal, which the loop computed and never used,
+    is left out; it cannot raise, as its pivot passed the singularity test.
+    """
+    lines = []
+    for c in range(n):
+        lines.append(f"piv, best = {c}, abs(M[{c}][{c}])")
+        if c + 1 < n:
+            lines += [
+                f"for r in range({c + 1}, {n}):",
+                f"    a = abs(M[r][{c}])",
+                "    if a > best:",
+                "        piv, best = r, a",
+            ]
+        lines += ["if best < 1e-250:", "    raise _NativeSingular"]
+        if c + 1 < n:
+            lines += [f"if piv != {c}:", f"    M[{c}], M[piv] = M[piv], M[{c}]"]
+        lines.append(f"Mc = M[{c}]")
+        lines += [f"u{c}_{k} = Mc[{k}]" for k in range(c, n + 1)]
+        if c + 1 < n:
+            lines += [
+                f"inv = 1.0 / u{c}_{c}",
+                f"for r in range({c + 1}, {n}):",
+                "    Mr = M[r]",
+                f"    f = Mr[{c}] * inv",
+                "    if f:",
+            ]
+            lines += [f"        Mr[{k}] -= f * u{c}_{k}" for k in range(c + 1, n + 1)]
+    for i in range(n - 1, -1, -1):
+        lines.append(f"s = u{i}_{n}")
+        lines += [f"s -= u{i}_{k} * x{k}" for k in range(i + 1, n)]
+        lines.append(f"x{i} = s / u{i}_{i}")
+    lines.append("return [" + ", ".join(f"x{i}" for i in range(n)) + "]")
+    return define_function("eliminate", "M", lines, {"_NativeSingular": _NativeSingular})
+
+
 def _solve_native(M):
     """Solve the augmented system [A | b] in place, partial pivoting, in doubles."""
-    n = len(M)
-    for col in range(n):
-        piv, best = col, abs(M[col][col])
-        for r in range(col + 1, n):
-            a = abs(M[r][col])
-            if a > best:
-                piv, best = r, a
-        if best < 1e-250:
-            raise _NativeSingular
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-        Mc = M[col]
-        inv = 1.0 / Mc[col]
-        for r in range(col + 1, n):
-            Mr = M[r]
-            f = Mr[col] * inv
-            if f:
-                for k in range(col + 1, n + 1):
-                    Mr[k] -= f * Mc[k]
-    x = [0j] * n
-    for i in range(n - 1, -1, -1):
-        Mi = M[i]
-        s = Mi[n]
-        for k in range(i + 1, n):
-            s -= Mi[k] * x[k]
-        x[i] = s / Mi[i]
-    return x
+    return _elimination(len(M))(M)
 
 
 class PathStatus(enum.Enum):
@@ -340,24 +358,45 @@ def _norm(z) -> float:
     return math.sqrt(sum(abs(v) ** 2 for v in z))
 
 
-class _Pencil:
-    """H(z, t) = (1 - t) * Ftarget(z) + gamma * t * Fstart(z) and its partials.
+@lru_cache(maxsize=16)
+def _pencil_program(cs: CompiledSystem, ct: CompiledSystem):
+    """Generated [H_z | rhs] of the pencil of two double programs.
 
-    Each Jacobian entry is (1 - t) * b + gamma * t * a from the target and
-    start entries b and a. Entries outside both sparsity patterns stay 0j,
-    which is what that expression gives for a = b = 0j since 1 - t >= 0; an
-    entry in one pattern only takes 0j for the missing side.
+    The function runs the start program's body, then the target's, in that
+    order, so it raises first where evaluating the start system and then
+    the target would. Each Jacobian entry is s * b + g * a from the target
+    and start entries b and a, with 0j for a side outside its system's
+    pattern; entries outside both patterns are 0j, which is what that
+    expression gives for a = b = 0j since s = 1 - t >= 0. gamma is an
+    argument, so one function serves every stage seed of a system pair.
     """
+    namespace = {}
+    lines, fa, ja = cs.body("a", namespace)
+    lines_b, fb, jb = ct.body("b", namespace)
+    lines += lines_b
+    ka, kb = dict(zip(cs.pattern, ja)), dict(zip(ct.pattern, jb))
+    lines += ["s = 1.0 - t", "g = G * t", "if tangent:"]
+    lines += [f"    r{i} = G * {a} - {b}" for i, (a, b) in enumerate(zip(fa, fb))]
+    lines.append("else:")
+    lines += [f"    r{i} = s * {b} + g * {a}" for i, (a, b) in enumerate(zip(fa, fb))]
+    n = cs.size
+    rows = []
+    for r in range(n):
+        cells = []
+        for j in range(n):
+            a, b = ka.get((r, j)), kb.get((r, j))
+            cells.append("0j" if a is None and b is None else f"s * {b or '0j'} + g * {a or '0j'}")
+        rows.append("[" + ", ".join(cells + [f"r{r}"]) + "]")
+    lines.append("return [" + ", ".join(rows) + "]")
+    return define_function("pencil", "z, t, tangent, G", lines, namespace)
+
+
+class _Pencil:
+    """H(z, t) = (1 - t) * Ftarget(z) + gamma * t * Fstart(z) and its partials."""
 
     def __init__(self, cs: CompiledSystem, ct: CompiledSystem, gamma: complex):
-        self.cs, self.ct, self.gamma = cs, ct, gamma
-        ka = {rc: k for k, rc in enumerate(cs.pattern)}
-        kb = {rc: k for k, rc in enumerate(ct.pattern)}
-        # Index -1 picks the 0j that `augmented` appends to each entry list.
-        self.entries = [
-            (r, j, ka.get((r, j), -1), kb.get((r, j), -1))
-            for r, j in sorted(ka.keys() | kb.keys())
-        ]
+        self.gamma = gamma
+        self._program = _pencil_program(cs, ct)
 
     def augmented(self, z, t, tangent: bool) -> list:
         """Dense rows of [H_z(z, t) | rhs] from one evaluation of each system.
@@ -365,21 +404,7 @@ class _Pencil:
         rhs is H_t(z) = gamma * Fstart(z) - Ftarget(z) for the predictor
         (tangent=True) and H(z, t) for the corrector.
         """
-        fs, js = self.cs.evaluate(z)
-        ft, jt = self.ct.evaluate(z)
-        js.append(0j)
-        jt.append(0j)
-        s = 1.0 - t
-        g = self.gamma * t
-        if tangent:
-            rhs = [self.gamma * a - b for a, b in zip(fs, ft)]
-        else:
-            rhs = [s * b + g * a for a, b in zip(fs, ft)]
-        n = self.cs.size
-        M = [[0j] * n + [v] for v in rhs]
-        for r, j, ka, kb in self.entries:
-            M[r][j] = s * jt[kb] + g * js[ka]
-        return M
+        return self._program(z, t, tangent, self.gamma)
 
 
 def _correct(pencil: _Pencil, z, t, cfg: HomotopyConfig):
@@ -513,17 +538,6 @@ def _slice_maps(nu, factors, links):
     return pinned, affine
 
 
-def _compose(poly: Polynomial, subs, nfree: int) -> Polynomial:
-    acc = Polynomial.from_terms(nfree, [])
-    for coeff, mono in poly.terms:
-        term = constant(nfree, coeff)
-        for v, e in enumerate(mono.exponents):
-            if e:
-                term = _pmul(term, _ppow(subs[v], e))
-        acc = _padd(acc, term)
-    return acc
-
-
 def _restrict(head, nu, factors, links, N):
     """Polynomial rows of one slice, rewritten over its free variables.
 
@@ -541,10 +555,10 @@ def _restrict(head, nu, factors, links, N):
         subs[v] = constant(nfree, c)
     for v, (c0, c1, s) in affine.items():
         base = constant(nfree, pinned[s]) if s in pinned else variable(nfree, pos[s])
-        subs[v] = _padd(constant(nfree, c0), _pscale(base, c1))
+        subs[v] = padd(constant(nfree, c0), pscale(base, c1))
     rows = []
     for p in head:
-        q = _compose(p, subs, nfree)
+        q = compose(p, subs, nfree)
         if q.degree == 0:
             return None
         rows.append(q)

@@ -5,7 +5,9 @@ monomials, no zero coefficients) over a fixed ambient variable count. The
 degree is always taken from the actual terms, never declared, because the
 weighted coefficient norm (bw_norm_sq) and the scaling entries
 (delta_sq_entries) that feed the curvature bound in expsystems are
-degree-sensitive. Both are exact rationals for exact points.
+degree-sensitive. Both are exact rationals for exact points. padd,
+pscale, pmul, ppow and compose are exact polynomial arithmetic; the solver
+builds its product start rows and restricts systems to slices with them.
 
 Nothing here evaluates a system: its values and Jacobian come from the one
 compiled program in expsystems (value_and_jacobian), which compiles each
@@ -123,6 +125,65 @@ def constant(nv: int, c) -> Polynomial:
     return Polynomial.from_terms(nv, [(ExactComplex.of(c), (0,) * nv)])
 
 
+# ---------------------------------------------------------------------------
+# Polynomial arithmetic (exact throughout)
+
+
+def padd(p: Polynomial, q: Polynomial) -> Polynomial:
+    return Polynomial.from_terms(p.nv, [(c, m) for c, m in p.terms] + [(c, m) for c, m in q.terms])
+
+
+def pscale(p: Polynomial, c) -> Polynomial:
+    c = ExactComplex.of(c) if not isinstance(c, ExactComplex) else c
+    return Polynomial.from_terms(p.nv, [(c * coeff, m) for coeff, m in p.terms])
+
+
+def pmul(p: Polynomial, q: Polynomial) -> Polynomial:
+    acc = {}
+    for c1, m1 in p.terms:
+        for c2, m2 in q.terms:
+            exps = tuple(a + b for a, b in zip(m1.exponents, m2.exponents))
+            prev = acc.get(exps)
+            prod = c1 * c2
+            acc[exps] = prod if prev is None else prev + prod
+    return Polynomial.from_terms(p.nv, [(c, e) for e, c in acc.items()])
+
+
+def ppow(p: Polynomial, k: int) -> Polynomial:
+    out = constant(p.nv, 1)
+    for _ in range(k):
+        out = pmul(out, p)
+    return out
+
+
+def compose(poly: Polynomial, subs, nfree: int) -> Polynomial:
+    """poly with variable v replaced by subs[v], over nfree variables."""
+    acc = Polynomial.from_terms(nfree, [])
+    for coeff, mono in poly.terms:
+        term = constant(nfree, coeff)
+        for v, e in enumerate(mono.exponents):
+            if e:
+                term = pmul(term, ppow(subs[v], e))
+        acc = padd(acc, term)
+    return acc
+
+
+def memo_hash(obj, fields: tuple) -> int:
+    """The dataclass hash of a frozen system, computed once per instance.
+
+    Hashing a system walks every term; the compiled-program caches hash
+    their system key on every lookup. Equality stays the field-wise one.
+    The memo holds for one interpreter only: link kinds hash by their
+    names, and string hashes are salted per process, so a system sent to
+    another process by pickling must not take its memo along.
+    """
+    h = obj.__dict__.get("_hash")
+    if h is None:
+        h = hash(fields)
+        object.__setattr__(obj, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class PolynomialSystem:
     """A list of polynomials sharing one ambient variable count."""
@@ -137,6 +198,9 @@ class PolynomialSystem:
                 if p.nv != nv:
                     raise DimensionMismatch("polynomials disagree on variable count")
         object.__setattr__(self, "polys", polys)
+
+    def __hash__(self):
+        return memo_hash(self, (self.polys,))
 
     @property
     def n(self) -> int:

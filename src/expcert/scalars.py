@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import singledispatch
 
 import mpmath as mp
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, mpf_add, mpf_mul, round_nearest
 
 from .errors import ValidationError
 
@@ -252,7 +252,17 @@ def _(z):
 # mpmath classes are registered by instance type: the concrete class depends
 # on the backend (pure Python vs gmpy).
 abs_sq.register(type(mp.mpf(1)), lambda z: z * z)
-abs_sq.register(type(mp.mpc(1, 1)), lambda z: z.real * z.real + z.imag * z.imag)
+
+
+@abs_sq.register(type(mp.mpc(1, 1)))
+def _(z):
+    # z.real * z.real + z.imag * z.imag on the raw parts: the same two
+    # products and one sum, each rounded at the context's precision and
+    # rounding, without building four intermediate mpf objects.
+    a, b = z._mpc_
+    ctx = z.context
+    prec, rnd = ctx._prec_rounding
+    return ctx.make_mpf(mpf_add(mpf_mul(a, a, prec, rnd), mpf_mul(b, b, prec, rnd), prec, rnd))
 
 
 @singledispatch

@@ -29,6 +29,7 @@ from expcert.expsystems import (
     as_exp_system,
     builtin_bound_value,
     builtin_ode_data,
+    compile_system,
     gamma_bound_generic,
     gamma_bound_sq,
     link_bound_term,
@@ -414,3 +415,17 @@ def test_mu_matches_polynomial_route_exactly():
         musq = mu_exp_sq(F, norm1_sq((ec(Fraction(3, 2)),)), Jinv, F96)
         # polynomial route: mu^2 = max(1, 5 * 13/18) = 65/18
         assert abs(musq - mp.mpf(65) / 18) < mp.mpf(10) ** -25
+
+
+def test_equal_systems_share_one_compiled_program():
+    """The memoized hash keeps the cache keyed by equality, not identity."""
+    text = (DATA / "compliant.sys").read_text()
+    F, G = (as_exp_system(parse_system(text)) for _ in range(2))
+    assert F is not G and F == G and hash(F) == hash(G)
+    assert hash(F) == hash((F.P, F.links)) and hash(F.P) == hash((F.P.polys,))
+    compile_system.cache_clear()
+    assert compile_system(F, F96) is compile_system(G, F96)
+    info = compile_system.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    H = taylor_truncate(F, (2,) * F.m)
+    assert H != F.P and compile_system(H) is compile_system(taylor_truncate(G, (2,) * G.m))

@@ -28,8 +28,11 @@ from expcert.expsystems import (
 from expcert.homotopy import (
     HomotopyConfig,
     PathStatus,
+    _elimination,
+    _NativeSingular,
     _Pencil,
     _allowed_nus,
+    _solve_native,
     _draw_factors,
     _total_degree_system,
     linear_product_start,
@@ -470,3 +473,162 @@ def test_fused_program_overflows_where_reference_does(case):
             assert _raises_overflow(lambda: cp.evaluate(z)) == want, (name, i)
             raised += want
     assert raised > 0
+
+
+def test_program_with_a_5000_term_row_compiles_and_matches_reference():
+    """One statement per term: a long row never becomes one nested expression."""
+    rng = random.Random(5000)
+    monos = [e for e in itertools.product(range(31), repeat=3) if sum(e) <= 30][:5000]
+    long_row = Polynomial.from_terms(
+        3, [(EC(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))), e) for e in monos]
+    )
+    rest = [
+        Polynomial.from_terms(3, [(EC(1), e), (EC(-1), (0, 0, 0))]) for e in ((0, 2, 0), (1, 0, 1))
+    ]
+    S = PolynomialSystem((long_row, *rest))
+    assert len(long_row.terms) == 5000
+    cp, ref = CompiledSystem(S), _Reference(S)
+    for _ in range(3):
+        z = _random_point(rng, 3, scale=1.1)
+        values, jac = cp.evaluate(z)
+        assert _bits(values) == _bits(ref.value(z))
+        assert _bits(cp.value(z)) == _bits(ref.value(z))
+        assert [_bits(r) for r in _dense(cp, jac)] == [_bits(r) for r in ref.jac(z)]
+
+
+def test_generated_code_holds_no_input_values():
+    """Coefficients, gamma and link functions are bound objects, never source text."""
+    arm, _ = two_link_arm_exp()
+    Fp = taylor_truncate(arm, (3, 3, 2, 2))
+    cs, ct = CompiledSystem(Fp), CompiledSystem(arm)
+    pencil = _Pencil(cs, ct, complex(-0.6, 0.8))
+    codes = [cs._evaluate.__code__, ct._value.__code__, pencil._program.__code__]
+    codes += [_elimination(n).__code__ for n in (1, 6, 12)]
+    allowed = (1.0, 0j, 1e-250)
+    for code in codes:
+        for const in code.co_consts:
+            assert const is None or type(const) is int or const in allowed, (code.co_name, const)
+
+
+def _source_lines(fn) -> int:
+    return max(line for *_, line in fn.__code__.co_lines() if line is not None)
+
+
+def test_generated_elimination_grows_quadratically():
+    lines = {n: _source_lines(_elimination(n)) for n in (10, 20, 40)}
+    assert lines[20] < 4.5 * lines[10] and lines[40] < 4.5 * lines[20], lines
+
+
+# ---------------------------------------------------------------------------
+# The generated elimination against the loop it replaces
+
+
+def _loop_solve_native(M):
+    """Solve the augmented system [A | b] in place, partial pivoting, in doubles."""
+    n = len(M)
+    for col in range(n):
+        piv, best = col, abs(M[col][col])
+        for r in range(col + 1, n):
+            a = abs(M[r][col])
+            if a > best:
+                piv, best = r, a
+        if best < 1e-250:
+            raise _NativeSingular
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+        Mc = M[col]
+        inv = 1.0 / Mc[col]
+        for r in range(col + 1, n):
+            Mr = M[r]
+            f = Mr[col] * inv
+            if f:
+                for k in range(col + 1, n + 1):
+                    Mr[k] -= f * Mc[k]
+    x = [0j] * n
+    for i in range(n - 1, -1, -1):
+        Mi = M[i]
+        s = Mi[n]
+        for k in range(i + 1, n):
+            s -= Mi[k] * x[k]
+        x[i] = s / Mi[i]
+    return x
+
+
+_PARTS = {
+    # equal magnitudes in a column tie the pivot search
+    "ties": st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]),
+    "general": st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False),
+    ),
+    # non-finite parts, parts below the singularity threshold and parts
+    # whose modulus overflows abs()
+    "wild": st.one_of(
+        st.sampled_from(
+            [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e-260, 1.5e308, -1.5e308]
+        ),
+        st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False),
+    ),
+}
+
+
+@st.composite
+def _augmented_systems(draw):
+    """n x (n + 1) rows [A | b], the one shape the tracker eliminates."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    part = _PARTS[draw(st.sampled_from(sorted(_PARTS)))]
+    flat = draw(st.lists(part, min_size=2 * n * (n + 1), max_size=2 * n * (n + 1)))
+    it = iter(flat)
+    M = [[complex(next(it), next(it)) for _ in range(n + 1)] for _ in range(n)]
+    singular = draw(st.sampled_from(["no", "zero column", "repeated row", "tiny column"]))
+    j = draw(st.integers(min_value=0, max_value=n - 1))
+    i = draw(st.integers(min_value=0, max_value=n - 1))
+    if singular == "zero column":
+        for row in M:
+            row[j] = draw(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0)]))
+    elif singular == "repeated row" and i != j:
+        M[i] = list(M[j])
+    elif singular == "tiny column":
+        for row in M:
+            row[j] *= 1e-255
+    return M
+
+
+def _outcome(solve, M):
+    try:
+        return "solved", [struct.pack("<dd", v.real, v.imag) for v in solve(M)]
+    except Exception as exc:  # noqa: BLE001 - the raised type is the outcome
+        return "raised", type(exc).__name__
+
+
+@settings(max_examples=400, deadline=None)
+@given(_augmented_systems())
+def test_generated_elimination_matches_loop_bit_for_bit(M):
+    want = _outcome(_loop_solve_native, [list(row) for row in M])
+    got = _outcome(_solve_native, [list(row) for row in M])
+    assert got == want
+
+
+def test_pencil_adds_zero_for_a_one_sided_entry():
+    """An entry in one pattern only is s * 0j + g * a (or s * b + g * 0j), not a
+    bare product: the added zero turns a -0.0 part into +0.0."""
+    start = _total_degree_system((2, 2), 2)  # x^2 - 1, y^2 - 1
+    target = PolynomialSystem(
+        (
+            Polynomial.from_terms(2, [(EC(1), (0, 1)), (EC(-2), (0, 0))]),  # y - 2
+            Polynomial.from_terms(2, [(EC(1), (1, 1)), (EC(-1), (0, 0))]),  # x*y - 1
+        )
+    )
+    cs, ct = CompiledSystem(start), CompiledSystem(target)
+    assert (0, 0) in cs.pattern and (0, 0) not in ct.pattern
+    rs, rt = _Reference(start), _Reference(target)
+    parts = (0.0, -0.0, 1.5, -1.5)
+    for gamma in (complex(0.6, 0.8), complex(-0.6, -0.8), complex(-1.0, 0.0)):
+        pencil = _Pencil(cs, ct, gamma)
+        for xr, xi, yr, yi in itertools.product(parts, repeat=4):
+            z = [complex(xr, xi), complex(yr, yi)]
+            for t in (1.0, 0.5, 0.0):
+                for tangent in (True, False):
+                    got = pencil.augmented(z, t, tangent)
+                    want = _ref_pencil(rs, rt, gamma, z, t, tangent)
+                    assert [_bits(r) for r in got] == [_bits(r) for r in want], (z, t, gamma)

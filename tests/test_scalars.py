@@ -164,3 +164,19 @@ def test_format_decimal_correct_rounding():
 def test_format_complex_decimal():
     s = format_complex_decimal(Fraction(1, 2), Fraction(-1, 4))
     assert "5.00000e-01" in s and "2.50000e-01" in s
+
+
+@pytest.mark.parametrize("bits", [53, 96, 256, 1024])
+@given(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.integers(min_value=-3000, max_value=3000),
+)
+def test_abs_sq_mpc_matches_parts_product_bit_for_bit(bits, re, im, shift):
+    """abs_sq on the raw mpc parts rounds like z.real * z.real + z.imag * z.imag."""
+    with mp.workprec(bits):
+        z = mp.mpc(re, im) * mp.mpf(2) ** shift / 3
+        want = z.real * z.real + z.imag * z.imag
+        got = abs_sq(z)
+        assert type(got) is type(want)
+        assert got._mpf_ == want._mpf_
