@@ -7,10 +7,15 @@ A point z is certified as an approximate solution when
 where beta is the Newton step length at z and gamma_bound the curvature
 bound of expsystems.gamma_bound_sq. Both come from one linearization of the
 system at z: one call of its compiled program (expsystems.value_and_jacobian)
-for the residual and the Jacobian J, and one elimination that solves
-J X = [F(z) | I], whose first column is the Newton step and whose other
-columns are J^{-1} for the bound. newton_step and refine's newton_refine
-use the same linearization without the identity columns.
+for the residual and the Jacobian J, and one elimination at the working
+precision. Beta needs that precision; the bound needs only upper bounds on
+the column norms of J^{-1}. With links they come from a double-precision
+inverse of J whose residual is bounded (linalg.inverse_column_bounds), and
+the elimination solves J x = F(z) for the Newton step alone. Link-free
+systems, and any J that bound declines, solve J X = [F(z) | I], whose
+first column is the Newton step and whose other columns are J^{-1}.
+newton_step and refine's newton_refine use the same linearization without
+the bound.
 
 ALPHA_STAR is a rational number chosen strictly below the true threshold
 (13 - 3*sqrt(17))/4, so a conservative comparison can only under-certify.
@@ -42,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .expsystems import ExpSystem, as_exp_system, gamma_bound_sq, value_and_jacobian
-from .linalg import CVector, identity, norm_sq, solve_columns, vec_sub
+from .linalg import CVector, identity, inverse_column_bounds, norm_sq, solve_columns, vec_sub
 from .scalars import (
     ExactComplex,
     MODE_RATIONAL,
@@ -121,23 +126,38 @@ def _zero(prec: PrecisionConfig):
 def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
     """Evaluate F and its Jacobian J at z with one program call, and eliminate J once.
 
-    Solves J X = [F(z) | I] (the identity columns only when inverse is set)
-    and returns (z lifted, F(z), Newton step, J^{-1} or None). Step and
-    inverse are both None when J is singular. Pivots depend on J alone, so
-    the step and the inverse are bit for bit those of solving J x = F(z)
-    and J X = I apart. Runs at the caller's working precision.
+    Returns (z lifted, F(z), Newton step, column bounds or None). When
+    inverse is set, the bounds are c_j >= sum_i |(J^{-1})_ij|^2, one per
+    column, for the curvature bound. Step and bounds are both None when J is
+    singular at the working precision.
+
+    With links (m > 0, float mode only) the bounds come from a
+    double-precision inverse of J (linalg.inverse_column_bounds), and the
+    elimination solves J x = F(z) alone. Otherwise, or when that bound is
+    declined, it solves J X = [F(z) | I] and the bounds are the squared
+    column norms of the computed J^{-1}. Pivots depend on J alone, so the
+    step is bit for bit the same on either route.
+
+    Link-free systems stay on the elimination: in rational mode their bound
+    is exact, and in float mode it matches the exact one to the working
+    precision, which the double-precision bound, with a slack of order u
+    times the condition of J, would not. Runs at the caller's working
+    precision.
     """
     z = lift_point(z, prec)
-    residual, J = value_and_jacobian(F, z, prec)
+    residual, J = value_and_jacobian(F, z, prec)  # raises in exact mode when m > 0
+    columns = inverse_column_bounds(J) if inverse and F.m else None
+    eliminate_inverse = inverse and columns is None
     rhs = tuple((v,) for v in residual)
-    if inverse:
+    if eliminate_inverse:
         rhs = tuple(r + e for r, e in zip(rhs, identity(F.N, prec.is_exact)))
     try:
         X = solve_columns(J, rhs, prec.bits)
     except SingularMatrix:
         return z, residual, None, None
-    step = tuple(row[0] for row in X)
-    return z, residual, step, tuple(row[1:] for row in X) if inverse else None
+    if eliminate_inverse:
+        columns = tuple(norm_sq(col) for col in tuple(zip(*X))[1:])
+    return z, residual, tuple(row[0] for row in X), columns
 
 
 def newton_step(F, z: CVector, prec: PrecisionConfig):
@@ -157,14 +177,14 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
     """Full certification of one point against a square system."""
     F = as_exp_system(F)
     with working_precision(prec.bits):
-        z, residual, step, Jinv = _linearize(F, z, prec, inverse=True)
-        gamma_sq = math.inf if Jinv is None else gamma_bound_sq(F, z, Jinv, prec)
+        z, residual, step, columns = _linearize(F, z, prec, inverse=True)
+        gamma_sq = math.inf if columns is None else gamma_bound_sq(F, z, columns, prec)
         if prec.is_exact and all(v.is_zero() for v in residual):
             return Certificate(
                 beta_sq=Fraction(0),
                 gamma_bound_sq=gamma_sq,
                 alpha_bound_sq=Fraction(0),
-                jacobian_invertible=Jinv is not None,
+                jacobian_invertible=columns is not None,
                 exact_zero=True,
                 certified_approximate=True,
                 mode=prec.mode,

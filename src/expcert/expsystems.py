@@ -42,8 +42,12 @@ is the polynomial one,
 
 exact rational in exact mode. With links it is
 mu * (D^(3/2) / (2 ||z||_1) + sum of per-kind link envelope terms)
-(link_bound_term). Both take Df(z)^{-1} from the caller, which has already
-factored Df(z) for the Newton step. The generic bound
+(link_bound_term). Both take from the caller one upper bound per column
+on sum_i |(Df(z)^{-1})_ij|^2, which is all that mu needs. certify gets them
+from a double-precision inverse of Df(z) with a bounded residual when
+m > 0, and as the squared column norms of Df(z)^{-1} at the working
+precision when m = 0 (exact in rational mode) or when that bound is
+declined. The generic bound
 (gamma_bound_generic) only needs the order and coefficient sizes of a linear
 ODE satisfied by each link function, plus a caller-supplied value bound, so
 it also covers functions outside the built-in five.
@@ -68,7 +72,7 @@ from .errors import (
     PreconditionFailed,
     ValidationError,
 )
-from .linalg import CMatrix, CVector, norm1_sq
+from .linalg import CVector, norm1_sq
 from .polynomials import (
     Polynomial,
     PolynomialSystem,
@@ -81,7 +85,6 @@ from .scalars import (
     EC_ZERO,
     ExactComplex,
     PrecisionConfig,
-    abs_sq,
     exact_to_mpc,
     fraction_to_mpf,
     lift_point,
@@ -519,43 +522,40 @@ def link_bound_term(link: ExpLink, xval):
     return max(cmod, csq * abs(mp.sinh(w)) / 2, csq * abs(mp.cosh(w)) / 2)
 
 
-def mu_exp_sq(F: ExpSystem, n1sq, Jinv: CMatrix, prec: PrecisionConfig):
-    """Squared conditioning factor for the full system, given Df(z)^{-1}.
+def mu_exp_sq(F: ExpSystem, n1sq, columns, prec: PrecisionConfig):
+    """Squared conditioning factor for the full system, given column bounds.
 
-    n1sq is ||z||_1^2 = 1 + ||z||^2 at the point. The inverse Jacobian's
-    first n columns are scaled by the per-row entries
-    sqrt(d_i) ||z||_1^(d_i - 1) ||P|| and the last m columns left alone; the
-    squared Frobenius norm of the result, floored at 1, is returned. With
-    m = 0 this is exactly the polynomial mu^2, rational in exact mode.
-    ||P||^2 comes from the system's compiled program, which holds it in
-    prec's scalar kind.
+    n1sq is ||z||_1^2 = 1 + ||z||^2 at the point. columns holds one
+    c_j >= sum_i |(Df(z)^{-1})_ij|^2 per column: the first n are scaled by
+    the squared per-row entries d_i ||z||_1^(2 d_i - 2) ||P||^2, the last m
+    are taken as they are, and the sum, floored at 1, is returned. With
+    m = 0 and exact column sums this is exactly the polynomial mu^2,
+    rational in exact mode. ||P||^2 comes from the system's compiled
+    program, which holds it in prec's scalar kind.
     """
     _require_float(F, prec, "mu_exp_sq")
     with working_precision(prec.bits):
         dsq = delta_sq_entries(F.P.degrees, n1sq)
         psq = compile_system(F, prec).p_norm_sq
         total = 0
-        for j in range(F.N):
-            col = 0
-            for i in range(F.N):
-                col = col + abs_sq(Jinv[i][j])
+        for j, col in enumerate(columns):
             scale_sq = dsq[j] * psq if j < F.n else 1
             total = total + scale_sq * col
         return total if total > 1 else 1 + 0 * total
 
 
-def gamma_bound_sq(F: ExpSystem, z: CVector, Jinv: CMatrix, prec: PrecisionConfig):
-    """Squared curvature bound at z, given Df(z)^{-1}.
+def gamma_bound_sq(F: ExpSystem, z: CVector, columns, prec: PrecisionConfig):
+    """Squared curvature bound at z, given bounds on Df(z)^{-1}'s column norms.
 
     m = 0: mu^2 * D^3 / (4 ||z||_1^2), exact rational in exact mode.
     m > 0: (mu * (D^(3/2) / (2 ||z||_1) + sum of link envelope terms))^2,
-    floating only.
+    floating only. mu_exp_sq describes columns.
     """
     _require_float(F, prec, "gamma_bound_sq")
     with working_precision(prec.bits):
         z = lift_point(z, prec)
         n1sq = norm1_sq(z)
-        musq = mu_exp_sq(F, n1sq, Jinv, prec)
+        musq = mu_exp_sq(F, n1sq, columns, prec)
         D = F.P.max_degree
         if F.is_polynomial():
             return musq * D**3 / (4 * n1sq)

@@ -11,13 +11,14 @@ import math
 import os
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
 import expcert
-from expcert import linalg
+from expcert import certify as certify_module, linalg
 from expcert.certify import (
     ALPHA_STAR,
     ALPHA_STAR_SQ,
@@ -35,7 +36,7 @@ from expcert.certify import (
     same_root,
 )
 from expcert.errors import NotCertified, NotRealMap, PreconditionFailed
-from expcert.expsystems import CompiledSystem
+from expcert.expsystems import CompiledSystem, as_exp_system
 from expcert.mechanisms import (
     two_link_arm_euler,
     two_link_arm_exp,
@@ -44,7 +45,7 @@ from expcert.mechanisms import (
 from expcert.polynomials import Polynomial, PolynomialSystem
 from expcert.refine import newton_refine
 from expcert.scalars import ExactComplex, PrecisionConfig
-from expcert.sysio import report_to_dict
+from expcert.sysio import parse_points, parse_system, report_to_dict
 
 RAT = PrecisionConfig("rational", 64)
 F96 = PrecisionConfig("float", 96)
@@ -216,6 +217,62 @@ def test_float_certification_of_transcendental_system():
     for c in (c1, c2):
         assert c.mode == "float" and c.bits == 96
         assert mp.sqrt(c.alpha_bound_sq) < float(ALPHA_STAR)
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _certify_both_routes(monkeypatch, F, points, prec):
+    """Certificates from the double-precision mu bound and from the [F | I] route.
+
+    The reference route is the one certify takes when
+    inverse_column_bounds declines. Also returns, per call of
+    inverse_column_bounds, whether it accepted.
+    """
+    original = certify_module.inverse_column_bounds
+    accepted = []
+
+    def spy(J):
+        out = original(J)
+        accepted.append(out is not None)
+        return out
+
+    monkeypatch.setattr(certify_module, "inverse_column_bounds", spy)
+    new = [certify_solution(F, z, prec) for z in points]
+    monkeypatch.setattr(certify_module, "inverse_column_bounds", lambda J: None)
+    ref = [certify_solution(F, z, prec) for z in points]
+    monkeypatch.undo()
+    return new, ref, accepted
+
+
+@pytest.mark.parametrize("bits", [96, 256, 1024])
+@pytest.mark.parametrize("stem", sorted(p.stem for p in DATA.glob("*.sys")))
+def test_double_precision_mu_matches_the_elimination_route(monkeypatch, stem, bits):
+    """Same verdict and beta, and alpha at most 1e-9 relative above the reference.
+
+    Linked systems take the double-precision bound at every shipped point;
+    link-free ones never call it, so their certificates are the reference's.
+    """
+    F = as_exp_system(parse_system((DATA / f"{stem}.sys").read_text()))
+    points = parse_points((DATA / f"{stem}.pts").read_text()).points
+    prec = PrecisionConfig("float", bits)
+    new, ref, accepted = _certify_both_routes(monkeypatch, F, points, prec)
+    assert accepted == ([True] * len(points) if F.m else [])
+    for a, b in zip(new, ref):
+        assert a.certified_approximate == b.certified_approximate
+        assert a.beta_sq._mpf_ == b.beta_sq._mpf_
+        if not F.m:
+            assert a == b
+            continue
+        with mp.workprec(bits):
+            assert b.alpha_bound_sq <= a.alpha_bound_sq
+            assert a.alpha_bound_sq <= b.alpha_bound_sq * (1 + mp.mpf(10) ** -9) ** 2
+
+
+def test_rational_certificates_never_take_the_double_precision_bound(monkeypatch):
+    g, points = two_link_arm_poly()
+    new, ref, accepted = _certify_both_routes(monkeypatch, g, points, RAT)
+    assert accepted == [] and new == ref
 
 
 def test_certify_distinct_reference_points():

@@ -195,6 +195,35 @@ def test_hostile_file_exits_two_fast(tmp_path, system, points):
     assert float(proc.stdout.split()[-1]) < 1.0
 
 
+# Runs certify and solve through main in one child interpreter, then reports
+# whether either of them imported numpy.
+_NO_NUMPY_MAIN = """
+import sys
+from expcert.cli import main
+system, points, out = sys.argv[1:]
+assert main(["certify", "--system", system, "--points", points]) == 0
+assert main(["solve", "--system", system.replace("compliant", "rr_dyad"),
+             "--truncate-degrees", "3,3,2,2", "--seed", "12", "--output", out]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+def test_certify_and_solve_never_import_numpy(tmp_path):
+    """Importing numpy adds 10-12 MB to the process's peak RSS.
+
+    A child interpreter, since the test suite itself imports numpy.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_MAIN, sysf("compliant"), ptsf("compliant"),
+         str(tmp_path / "cand.pts")],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
+
+
 def test_rational_mode_rejects_links(capsys):
     code, _, err = run(
         capsys,

@@ -38,7 +38,7 @@ from expcert.expsystems import (
     value_and_jacobian,
 )
 from expcert.homotopy import taylor_truncate
-from expcert.linalg import norm1_sq
+from expcert.linalg import norm1_sq, norm_sq
 from expcert.mechanisms import compliant_linkage
 from expcert.polynomials import Polynomial, PolynomialSystem
 from expcert.scalars import ExactComplex, PrecisionConfig, exact_to_mpc, lift_point, mpf_to_fraction
@@ -412,7 +412,8 @@ def test_mu_matches_polynomial_route_exactly():
     F = as_exp_system(S)
     with mp.workprec(96):
         Jinv = invert(value_and_jacobian(F, (ec(Fraction(3, 2)),), F96)[1], 96)
-        musq = mu_exp_sq(F, norm1_sq((ec(Fraction(3, 2)),)), Jinv, F96)
+        columns = tuple(norm_sq(col) for col in zip(*Jinv))
+        musq = mu_exp_sq(F, norm1_sq((ec(Fraction(3, 2)),)), columns, F96)
         # polynomial route: mu^2 = max(1, 5 * 13/18) = 65/18
         assert abs(musq - mp.mpf(65) / 18) < mp.mpf(10) ** -25
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from expcert.errors import DimensionMismatch, ValidationError
 from expcert.expsystems import (
@@ -601,9 +601,12 @@ def _outcome(solve, M):
         return "raised", type(exc).__name__
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(_augmented_systems())
 def test_generated_elimination_matches_loop_bit_for_bit(M):
+    """Shrinking is off: a failing draw is reported as drawn, since shrinking
+    n x (n + 1) draws took minutes per failure."""
     want = _outcome(_loop_solve_native, [list(row) for row in M])
     got = _outcome(_solve_native, [list(row) for row in M])
     assert got == want

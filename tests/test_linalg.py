@@ -19,6 +19,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from expcert.errors import DimensionMismatch, SingularMatrix
 from expcert.linalg import (
     identity,
+    inverse_column_bounds,
     norm1_sq,
     norm_sq,
     solve_columns,
@@ -444,3 +445,113 @@ def test_permuted_diagonal_solve_does_no_multiplications(monkeypatch):
             assert X[j][0] == b[i] / A[i][j]
             assert X[j][1 + i] == 1 / A[i][j]
             assert sum(1 for v in X[j][1:] if v) == 1
+
+
+def _full_entry(rng, bits, lo=0.0):
+    """A complex entry with both parts drawn at the full working precision.
+
+    Each part's modulus lies in [lo, 2), so that rounding to doubles is a
+    real rounding; draw under the working precision.
+    """
+    parts = []
+    for _ in range(2):
+        x = mp.mpf(rng.getrandbits(bits)) / mp.mpf(2) ** bits
+        parts.append((lo + (2 - lo) * x) * rng.choice((-1, 1)))
+    return mp.mpc(*parts)
+
+
+@st.composite
+def bound_cases(draw, bits):
+    """(kind, A): A square of size 1..12 at the working precision.
+
+    scaled (half the draws): density 0.3..1, half with a nonzero on a random permutation, and
+    one column scaled by 2^-e, e in 0..40, so that the double-precision bound
+    is accepted at small e and declined at large e. singular: row n - 1
+    repeats row 0 exactly. near-singular: row n - 1 is c times row 0 plus a
+    perturbation 2^-e, e in 34..80, relative to it, so that the condition is
+    at least about 1e10; entries are dense with moduli above 1/2.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["scaled", "scaled", "singular", "near-singular"]))
+    if kind == "scaled":
+        density = draw(st.floats(0.3, 1.0))
+        A = [[_full_entry(rng, bits) if rng.random() < density else mp.mpc(0)
+              for _ in range(n)] for _ in range(n)]
+        if draw(st.booleans()):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for i, j in enumerate(perm):
+                A[i][j] = _full_entry(rng, bits)
+        j, e = rng.randrange(n), draw(st.integers(0, 40))
+        for row in A:
+            row[j] = row[j] * mp.ldexp(1, -e)
+        return kind, tuple(map(tuple, A))
+    n = max(n, 2)
+    A = [[_full_entry(rng, bits, lo=0.5) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        A[-1] = list(A[0])
+    else:
+        c, e = _full_entry(rng, bits, lo=0.5), draw(st.integers(34, 80))
+        A[-1] = [c * a + mp.ldexp(1, -e) * _full_entry(rng, bits, lo=0.5) for a in A[0]]
+    return kind, tuple(map(tuple, A))
+
+
+@pytest.mark.parametrize("bits", [96, 256, 1024])
+@settings(max_examples=60, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(data=st.data())
+def test_inverse_column_bounds_enclose_the_column_norms(bits, data):
+    """Accepted bounds lie in [s_j, (1 + 1e-7) s_j], s_j = sum_i |(A^-1)_ij|^2.
+
+    s_j is taken from solve_columns(A, I) at the working precision, whose
+    relative error (below 1e-20 at the conditions the bound accepts) is far
+    inside the bound's own slack. Singular and near-singular matrices are
+    declined. Shrinking is off, as for the sparse elimination above.
+    """
+    with mp.workprec(bits):
+        kind, A = data.draw(bound_cases(bits))
+        got = inverse_column_bounds(A)
+        try:
+            X = solve_columns(A, identity(len(A), False), bits)
+        except SingularMatrix:
+            X = None
+        if kind != "scaled" or X is None:
+            assert got is None
+        if got is None:
+            return
+        for c, col in zip(got, zip(*X)):
+            s = norm_sq(col)
+            assert s <= c <= s * (1 + mp.mpf(10) ** -7)
+
+
+@pytest.mark.parametrize("entry,bits", [
+    ("1e400", 1024),   # overflows to inf
+    ("1e-400", 1024),  # underflows to 0.0
+    ("1e-330", 96),    # below the smallest subnormal: rounds to 0.0
+    ("1e-310", 96),    # subnormal: rounds with more than a relative u
+    ("nan", 96),
+])
+def test_inverse_column_bounds_decline_entries_doubles_cannot_hold(entry, bits):
+    with mp.workprec(bits):
+        A = [[mp.mpc(2, 1), mp.mpc(0)], [mp.mpc(1), mp.mpc(3)]]
+        assert inverse_column_bounds(tuple(map(tuple, A))) is not None
+        for i, j, part in ((0, 0, 0), (1, 0, 1), (1, 1, 0)):
+            B = [list(row) for row in A]
+            parts = [B[i][j].real, B[i][j].imag]
+            parts[part] = mp.mpf(entry)
+            B[i][j] = mp.mpc(*parts)
+            assert inverse_column_bounds(tuple(map(tuple, B))) is None
+
+
+def test_inverse_column_bounds_of_a_permuted_diagonal_are_tight():
+    """R has one nonzero per row, so each bound exceeds |1/a|^2 by little more
+    than the a-priori slack of order n u."""
+    perm = [2, 0, 3, 1]
+    with mp.workprec(96):
+        A = tuple(tuple(mp.mpc(i + 1, 1) if j == perm[i] else mp.mpc(0) for j in range(4))
+                  for i in range(4))
+        got = inverse_column_bounds(A)
+        for i in range(4):
+            want = 1 / abs_sq(mp.mpc(i + 1, 1))
+            assert want <= got[i] <= want * (1 + mp.mpf(10) ** -13)
