@@ -30,8 +30,6 @@ decision itself never rounds.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -44,7 +42,6 @@ from .errors import (
     NotRealMap,
     PreconditionFailed,
     SingularMatrix,
-    ValidationError,
 )
 from .expsystems import ExpSystem, as_exp_system, gamma_bound_sq, value_and_jacobian
 from .linalg import CVector, identity, inverse_column_bounds, norm_sq, solve_columns, vec_sub
@@ -323,7 +320,6 @@ def certify_real(F, cert: Certificate, z: CVector, prec: PrecisionConfig,
 class BatchOptions:
     distinct: bool = True
     real: bool = True
-    threads: int | None = None
     assume_real_map: bool = False
 
 
@@ -365,25 +361,13 @@ class BatchReport:
         }
 
 
-def _thread_count(options: BatchOptions, njobs: int) -> int:
-    if options.threads is not None:
-        limit = options.threads
-    else:
-        env = os.environ.get("EXPCERT_THREADS")
-        try:
-            limit = int(env) if env else (os.cpu_count() or 1)
-        except ValueError:
-            raise ValidationError(f"EXPCERT_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(limit, njobs))
-
-
 def certify_batch(F, points, prec: PrecisionConfig, options: BatchOptions = BatchOptions()) -> BatchReport:
     """Certify a list of points, then group and test the certified ones.
 
     Per-point failures are recorded, never fatal. Certified points are
     partitioned into distinct-solution sets: two points that cannot be
-    certified distinct share a set id (the smallest member index). Reports
-    are assembled in input order regardless of scheduling.
+    certified distinct share a set id (the smallest member index). Points
+    are certified one after another, in input order.
     """
     F = as_exp_system(F)
     report = BatchReport(mode=prec.mode, bits=prec.bits)
@@ -393,20 +377,11 @@ def certify_batch(F, points, prec: PrecisionConfig, options: BatchOptions = Batc
         report.real_map = real_map_check(F)
         return report
 
-    def work(rec: PointRecord):
+    for rec in records:
         try:
             rec.certificate = certify_solution(F, rec.point, prec)
         except ExpcertError as exc:
             rec.error = f"{type(exc).__name__}: {exc}"
-
-    nthreads = _thread_count(options, len(records))
-    if nthreads == 1:
-        for rec in records:
-            work(rec)
-    else:
-        with working_precision(prec.bits):
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                list(pool.map(work, records))
 
     certified = [r for r in records if r.certificate and r.certificate.certified_approximate]
 

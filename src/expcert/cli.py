@@ -8,7 +8,7 @@ Two subcommands share the same system-file grammar:
 certify exits 0 when every point is certified, 1 when at least one is not,
 and 2 on any input problem. solve writes a candidate points file that
 certify can consume directly, a replayable run ledger next to it, and
-prints a per-stage summary. EXPCERT_THREADS caps batch parallelism.
+prints a per-stage summary.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ def _nonnegative_int(raw: str) -> int:
 
 
 def run_certify(args) -> int:
+    if args.output is not None:
+        _check_writable(args.output)
     F = parse_system(_read_text(args.system))
     data = parse_points(_read_text(args.points))
     for i, p in enumerate(data.points):

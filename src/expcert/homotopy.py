@@ -291,11 +291,6 @@ def _elimination(n: int):
     return define_function("eliminate", "M", lines, {"_NativeSingular": _NativeSingular})
 
 
-def _solve_native(M):
-    """Solve the augmented system [A | b] in place, partial pivoting, in doubles."""
-    return _elimination(len(M))(M)
-
-
 class PathStatus(enum.Enum):
     ENDPOINT = "endpoint"
     DIVERGED = "diverged"
@@ -362,13 +357,15 @@ def _norm(z) -> float:
 def _pencil_program(cs: CompiledSystem, ct: CompiledSystem):
     """Generated [H_z | rhs] of the pencil of two double programs.
 
-    The function runs the start program's body, then the target's, in that
-    order, so it raises first where evaluating the start system and then
-    the target would. Each Jacobian entry is s * b + g * a from the target
-    and start entries b and a, with 0j for a side outside its system's
-    pattern; entries outside both patterns are 0j, which is what that
-    expression gives for a = b = 0j since s = 1 - t >= 0. gamma is an
-    argument, so one function serves every stage seed of a system pair.
+    rhs is H_t(z) = gamma * Fstart(z) - Ftarget(z) for the predictor
+    (tangent true) and H(z, t) for the corrector. The function runs the
+    start program's body, then the target's, in that order, so it raises
+    first where evaluating the start system and then the target would.
+    Each Jacobian entry is s * b + g * a from the target and start entries
+    b and a, with 0j for a side outside its system's pattern; entries
+    outside both patterns are 0j, which is what that expression gives for
+    a = b = 0j since s = 1 - t >= 0. gamma is an argument, so one function
+    serves every stage seed of a system pair.
     """
     namespace = {}
     lines, fa, ja = cs.body("a", namespace)
@@ -391,27 +388,12 @@ def _pencil_program(cs: CompiledSystem, ct: CompiledSystem):
     return define_function("pencil", "z, t, tangent, G", lines, namespace)
 
 
-class _Pencil:
-    """H(z, t) = (1 - t) * Ftarget(z) + gamma * t * Fstart(z) and its partials."""
-
-    def __init__(self, cs: CompiledSystem, ct: CompiledSystem, gamma: complex):
-        self.gamma = gamma
-        self._program = _pencil_program(cs, ct)
-
-    def augmented(self, z, t, tangent: bool) -> list:
-        """Dense rows of [H_z(z, t) | rhs] from one evaluation of each system.
-
-        rhs is H_t(z) = gamma * Fstart(z) - Ftarget(z) for the predictor
-        (tangent=True) and H(z, t) for the corrector.
-        """
-        return self._program(z, t, tangent, self.gamma)
-
-
-def _correct(pencil: _Pencil, z, t, cfg: HomotopyConfig):
+def _correct(pencil, gamma: complex, z, t, cfg: HomotopyConfig):
     """Newton iterations at fixed t; None when convergence is not accepted."""
+    eliminate = _elimination(len(z))
     prev = None
     for _ in range(cfg.max_corrections):
-        step = _solve_native(pencil.augmented(z, t, False))
+        step = eliminate(pencil(z, t, False, gamma))
         z = [a - b for a, b in zip(z, step)]
         ns = _norm(step)
         if ns <= _CORRECT_TOL * max(1.0, _norm(z)):
@@ -430,9 +412,10 @@ def _rescue_stall(ct: CompiledSystem, z, cfg: HomotopyConfig):
     singular or diverging endpoint bounce off and stay failed.
     """
     z = list(z)
+    eliminate = _elimination(ct.size)
     for _ in range(_STALL_ITERS):
         try:
-            step = _solve_native(ct.augmented(z))
+            step = eliminate(ct.augmented(z))
             z = [a - b for a, b in zip(z, step)]
             nz = _norm(z)
             if not math.isfinite(nz) or nz > cfg.blowup:
@@ -466,7 +449,8 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
             return PathResult(PathStatus.FAILED, None, 0, "start residual too large")
     except OverflowError:
         return PathResult(PathStatus.FAILED, None, 0, "start evaluation overflow")
-    pencil = _Pencil(cs, ct, _gamma_for_seed(cfg.seed))
+    pencil, gamma = _pencil_program(cs, ct), _gamma_for_seed(cfg.seed)
+    eliminate = _elimination(cs.size)
     t, dt, streak, steps = 1.0, cfg.dt_init, 0, 0
     while t > 0.0:
         if steps >= _MAX_STEPS:
@@ -475,8 +459,8 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
         tn = t - h
         steps += 1
         try:
-            v = _solve_native(pencil.augmented(z, t, True))
-            zc = _correct(pencil, [a + h * b for a, b in zip(z, v)], tn, cfg)
+            v = eliminate(pencil(z, t, True, gamma))
+            zc = _correct(pencil, gamma, [a + h * b for a, b in zip(z, v)], tn, cfg)
         except _NativeSingular:
             zc = None
         except OverflowError:
@@ -507,7 +491,7 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
     # Sharpen against the target alone; a singular endpoint is kept as is.
     for _ in range(5):
         try:
-            step = _solve_native(ct.augmented(z))
+            step = eliminate(ct.augmented(z))
         except (_NativeSingular, OverflowError):
             break
         z = [a - b for a, b in zip(z, step)]

@@ -2,7 +2,7 @@
 double-precision bound on the column norms of an inverse.
 
 Vectors are tuples of scalars; matrices are tuples of row tuples. Both are
-immutable, so values can be shared freely across threads. All operations are
+immutable, so values can be shared freely. All operations are
 generic over the two scalar kinds (ExactComplex, mpmath.mpc): arithmetic goes
 through operator overloading and abs_sq.
 

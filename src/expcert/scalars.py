@@ -44,7 +44,7 @@ def _as_fraction(v) -> Fraction:
 class ExactComplex:
     """A Gaussian rational re + im*i with exact arithmetic.
 
-    Hashable and immutable; safe as a dict key and across threads.
+    Hashable and immutable; safe as a dict key.
     """
 
     re: Fraction = Fraction(0)

@@ -430,8 +430,8 @@ def test_criterion_7_property_suites(verdict):
         test_linalg.test_frobenius_dominates_spectral_norm,
     )
     run(
-        "thread reproducibility",
-        test_certify.test_batch_thread_count_does_not_change_output,
+        "serial batch",
+        test_certify.test_batch_runs_on_the_calling_thread,
     )
     run(
         "threshold safety",
@@ -444,6 +444,6 @@ def test_criterion_7_property_suites(verdict):
         "7",
         ok,
         f"property suites (dominance, derivative bounds, reduction identity, "
-        f"norm comparison, thread reproducibility, threshold safety) in "
+        f"norm comparison, serial batch, threshold safety) in "
         f"{elapsed:.1f}s" + (f"; failures: {failures}" if failures else ""),
     )

@@ -6,10 +6,9 @@ side of the exact algebraic number it approximates.
 """
 
 import importlib
-import json
 import math
-import os
 import pkgutil
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,7 +44,7 @@ from expcert.mechanisms import (
 from expcert.polynomials import Polynomial, PolynomialSystem
 from expcert.refine import newton_refine
 from expcert.scalars import ExactComplex, PrecisionConfig
-from expcert.sysio import parse_points, parse_system, report_to_dict
+from expcert.sysio import parse_points, parse_system
 
 RAT = PrecisionConfig("rational", 64)
 F96 = PrecisionConfig("float", 96)
@@ -368,19 +367,23 @@ def test_batch_counts_and_order():
     assert sets[0] == sets[2] != sets[1]
 
 
-def test_batch_thread_count_does_not_change_output():
-    """Identical serialized reports with 1, 2, and 3 worker threads."""
+def test_batch_runs_on_the_calling_thread():
+    """No thread is started, and each record holds the certificate that
+    certify_solution gives for its point alone. Takes no fixture, as
+    acceptance 7 calls it directly."""
+
+    def refuse(_self):
+        raise AssertionError("certify_batch started a thread")
+
     g, (X1, X2) = two_link_arm_poly()
     pts = [X1, X2, X1, X2]
-    outs = []
-    for n in ("1", "2", "3"):
-        os.environ["EXPCERT_THREADS"] = n
-        try:
-            rep = certify_batch(g, pts, RAT, BatchOptions(distinct=True, real=True))
-            outs.append(json.dumps(report_to_dict(rep), sort_keys=True))
-        finally:
-            del os.environ["EXPCERT_THREADS"]
-    assert outs[0] == outs[1] == outs[2]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(threading.Thread, "start", refuse)
+        rep = certify_batch(g, pts, RAT, BatchOptions(distinct=True, real=True))
+    assert [r.index for r in rep.records] == [0, 1, 2, 3]
+    for rec, p in zip(rep.records, pts):
+        assert rec.error is None
+        assert rec.certificate == certify_solution(g, p, RAT)
 
 
 def test_certificate_is_frozen():

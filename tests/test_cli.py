@@ -195,8 +195,8 @@ def test_hostile_file_exits_two_fast(tmp_path, system, points):
     assert float(proc.stdout.split()[-1]) < 1.0
 
 
-# Runs certify and solve through main in one child interpreter, then reports
-# whether either of them imported numpy.
+# Runs certify and solve through main in one child interpreter, checks that
+# neither imported a thread pool, then reports whether either imported numpy.
 _NO_NUMPY_MAIN = """
 import sys
 from expcert.cli import main
@@ -204,6 +204,7 @@ system, points, out = sys.argv[1:]
 assert main(["certify", "--system", system, "--points", points]) == 0
 assert main(["solve", "--system", system.replace("compliant", "rr_dyad"),
              "--truncate-degrees", "3,3,2,2", "--seed", "12", "--output", out]) == 0
+assert "concurrent.futures" not in sys.modules
 print("numpy" in sys.modules)
 """
 
@@ -275,6 +276,22 @@ def test_solve_bad_output_exits_two_before_tracking(capsys, monkeypatch, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_certify_bad_output_exits_two_before_certifying(capsys, monkeypatch, tmp_path, target):
+    def ran(*_args, **_kwargs):
+        raise AssertionError("refine or certify ran despite an unwritable output")
+
+    monkeypatch.setattr(cli, "newton_refine", ran)
+    monkeypatch.setattr(cli, "certify_batch", ran)
+    code, _, err = run(
+        capsys,
+        "certify", "--system", sysf("rr_dyad"), "--points", ptsf("rr_dyad"),
+        "--refine", "2", "--output", str(tmp_path / target),
+    )
+    assert code == 2 and err.startswith("error: output")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_rejects_bad_degree_list(capsys):
     with pytest.raises(SystemExit) as info:
         main([
@@ -301,14 +318,15 @@ def test_no_subcommand_exits_two(capsys):
     capsys.readouterr()
 
 
-def test_non_integer_thread_count_exits_two(capsys, monkeypatch):
+def test_thread_count_variable_is_ignored(capsys, monkeypatch):
+    argv = ("certify", "--system", sysf("rr_dyad_poly"), "--points", ptsf("rr_dyad_poly"),
+            "--mode", "rational")
+    monkeypatch.delenv("EXPCERT_THREADS", raising=False)
+    code, plain, _ = run(capsys, *argv)
     monkeypatch.setenv("EXPCERT_THREADS", "two")
-    code, _, err = run(
-        capsys,
-        "certify", "--system", sysf("rr_dyad_poly"), "--points", ptsf("rr_dyad_poly"),
-        "--mode", "rational",
-    )
-    assert code == 2 and "EXPCERT_THREADS" in err
+    code2, out, _ = run(capsys, *argv)
+    assert code == code2 == 0
+    assert out == plain
 
 
 def test_negative_refine_count_exits_two(capsys):
