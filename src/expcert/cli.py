@@ -145,6 +145,7 @@ def run_solve(args) -> int:
     degrees = args.truncate_degrees if args.truncate_degrees is not None else ()
     cfg = HomotopyConfig(seed=args.seed, bits=args.precision)
     _check_writable(args.output)
+    _check_writable(args.output + ".ledger")
     result = solve_by_deformation(F, degrees, cfg)
 
     _write_text(args.output, serialize_points(result.candidates, MODE_FLOAT))

@@ -26,7 +26,8 @@ exceptions, which only the powers and the link functions raise, in that
 order. The source holds names and integer indices only: coefficients,
 zeros, link functions and folded entries are bound objects, so no text of
 an input file ever reaches compile. The homotopy tracker generates its
-pencil from the same bodies (CompiledSystem.body).
+step from the same bodies (CompiledSystem.body), with the powers the two
+bodies share computed once.
 
 The curvature bound lives here, for link-free and linked systems alike.
 Both forms start from the conditioning factor
@@ -378,20 +379,26 @@ class CompiledSystem:
             psq = bw_norm_sq(F.P)
             self.p_norm_sq = psq if prec.is_exact else fraction_to_mpf(psq, prec.bits)
 
-    def body(self, pre: str, namespace: dict, jacobian: bool = True):
+    def body(self, pre: str, namespace: dict, jacobian: bool = True, shared=None):
         """Straight-line source that evaluates the program at z into locals.
 
-        Returns (lines, value names, entry names in `pattern` order; no
-        entries when jacobian is False). Every local and bound name starts
-        with `pre`, so two programs can share one function. Coefficients,
-        the zero, the one, link functions and folded entries are bound in
-        `namespace`; only integer indices are formatted into the text.
+        The lines read the coordinates from locals z0, z1, ..., which the
+        caller binds. Returns (lines, value names, entry names in `pattern`
+        order; no entries when jacobian is False). Every other local and
+        bound name starts with `pre`, so two programs can share one
+        function. Coefficients, the zero, the one, link functions and
+        folded entries are bound in `namespace`; only integer indices are
+        formatted into the text. `shared`, when given, maps (i, e) to a
+        local that already holds z_i ** e: such powers are reused rather
+        than computed, and every power this body computes is added to it.
 
         The lines run the operations of the term lists in their order: each
-        power z[i] ** e once, each monomial product left to right, then each
+        power z_i ** e once, each monomial product left to right, then each
         row and entry as t = Z + c * p * q followed by one t += ... per term
         (one statement per term, so a long row never becomes one deeply
-        nested expression), then the link rows. In doubles, complex **
+        nested expression), then the link rows. A reused power is the value
+        that computing it again would give, and it did not raise, so the
+        first raise stays where it was. In doubles, complex **
         raises OverflowError when a part of a power comes out infinite, and
         the tracker then calls the path diverged. With both parts huge,
         inf - inf makes the power nan without a raise
@@ -399,12 +406,17 @@ class CompiledSystem:
         and halves dt, so such a path does not end DIVERGED.
         """
         namespace[f"{pre}Z"], namespace[f"{pre}I"] = self.zero, self.one
-        lines = [f"{pre}p{k} = z[{i}] ** {e}" for k, (i, e) in enumerate(self.powers)]
+        shared = {} if shared is None else shared
+        lines, names = [], []
+        for k, (i, e) in enumerate(self.powers):
+            if (i, e) not in shared:
+                shared[i, e] = f"{pre}p{k}"
+                lines.append(f"{pre}p{k} = z{i} ** {e}")
+            names.append(shared[i, e])
         base = len(self.powers)
-        lines += [
-            f"{pre}p{base + k} = " + " * ".join(f"{pre}p{i}" for i in idx)
-            for k, idx in enumerate(self.products)
-        ]
+        for k, idx in enumerate(self.products):
+            names.append(f"{pre}p{base + k}")
+            lines.append(f"{names[-1]} = " + " * ".join(names[i] for i in idx))
 
         def total(name, terms):
             if not terms:
@@ -412,7 +424,7 @@ class CompiledSystem:
             for k, (c, idx) in enumerate(terms):
                 cname = f"{name}_{k}"  # the coefficient of term k of the sum `name`
                 namespace[cname] = c
-                term = " * ".join([cname] + [f"{pre}p{i}" for i in idx])
+                term = " * ".join([cname] + [names[i] for i in idx])
                 lines.append(f"{name} = {pre}Z + {term}" if k == 0 else f"{name} += {term}")
             return name
 
@@ -424,8 +436,8 @@ class CompiledSystem:
             namespace.update(
                 {f"{pre}g{k}": fn, f"{pre}dg{k}": dfn, f"{pre}sg{k}": sign, f"{pre}lc{k}": c}
             )
-            lines.append(f"{pre}w{k} = {pre}lc{k} * z[{s}]")
-            lines.append(f"{pre}y{k} = z[{d}] - {pre}g{k}({pre}w{k})")
+            lines.append(f"{pre}w{k} = {pre}lc{k} * z{s}")
+            lines.append(f"{pre}y{k} = z{d} - {pre}g{k}({pre}w{k})")
             values.append(f"{pre}y{k}")
             if jacobian:
                 lines.append(f"{pre}j{k} = -{pre}lc{k} * {pre}sg{k} * {pre}dg{k}({pre}w{k})")
@@ -436,6 +448,11 @@ class CompiledSystem:
                 entries.append(f"{pre}k{k}")
         return lines, values, entries
 
+    def unpack(self) -> list:
+        """The line that binds z's coordinates to the locals z0, z1, ...
+        that body reads."""
+        return [f"{', '.join(f'z{i}' for i in range(self.size))}, = z"] if self.size else []
+
     def _generate(self, jacobian: bool):
         namespace = {}
         lines, values, entries = self.body("", namespace, jacobian)
@@ -443,10 +460,10 @@ class CompiledSystem:
         if jacobian:
             out += f", [{', '.join(entries)}]"
         name = "evaluate" if jacobian else "value"
-        return define_function(name, "z", lines + [f"return {out}"], namespace)
+        return define_function(name, "z", self.unpack() + lines + [f"return {out}"], namespace)
 
     # Each function is generated on its first call: a tracked slice system,
-    # for one, is only ever evaluated through the tracker's pencil.
+    # for one, is only ever evaluated through the tracker's step.
     @cached_property
     def _value(self):
         return self._generate(False)

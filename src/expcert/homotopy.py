@@ -10,26 +10,28 @@ deformations
 
 with gamma a random unit-modulus constant derived from the recorded seed.
 Path tracking runs in hardware doubles (Euler predictor, Newton corrector,
-adaptive step length). Each tracked system is compiled once, for hardware
-doubles, into expsystems' program, which gives its value and Jacobian
-together, with constant Jacobian entries folded, so every predictor or
-corrector step evaluates each of its two systems once and eliminates one
-augmented matrix [H_z | rhs]. Endpoints are then polished with the
-multiprecision Newton iteration and returned as candidates for
-certification, never as certified output. Every random draw is derived
-from the seed and written to a run ledger, so a run can be replayed exactly.
+adaptive step length). Endpoints are then polished with the multiprecision
+Newton iteration and returned as candidates for certification, never as
+certified output. Every random draw is derived from the seed and written to
+a run ledger, so a run can be replayed exactly.
 
-The step's two hot parts run as generated straight-line Python, compiled
-once with compile/exec: the pencil, one function per pair of tracked
-systems that runs the start program's body, then the target's, and
-returns [H_z | rhs] as list literals (_pencil_program); and the partial
-pivoting elimination, one function per size n with its column loops
-unrolled and its row loops kept, so its source is O(n^2) (_elimination).
-Both perform the operations of the loops they replace in the same order,
-so paths, ledgers and candidates are bit for bit what the loops gave, and
-the first exception raised is the same. The source holds names and
-integer indices only; coefficients, gamma and link functions enter as
-bound objects or arguments.
+Each predictor or corrector step is one call of one generated function per
+pair of tracked systems (_step_program), straight-line Python compiled once
+with compile/exec. It unpacks z into locals and runs the start system's
+expsystems program body, then the target's, computing a power z_i ** e
+that both use once; each body gives its system's value and Jacobian
+together, with constant entries folded. It then builds the augmented
+matrix [H_z | rhs], solves it by partial pivoting with the column loops
+and the pivot search unrolled and the row loops kept, so the source is
+O(n^2) (_elimination_lines, which also gives _elimination for the stall
+rescue and the final sharpening), and returns the tangent, or the
+corrected point with the norms of the Newton step and of the point. The
+tracker evaluates the tangent once per accepted point; a rejected step
+retries with it. Every operation is that of the loops the function
+replaces, in their order, so paths, ledgers and candidates are bit for bit
+what the loops gave, and the first exception raised is the same. The
+source holds names and integer indices only; coefficients, gamma and link
+functions enter as bound objects or arguments.
 """
 
 from __future__ import annotations
@@ -245,30 +247,26 @@ class _NativeSingular(Exception):
     pass
 
 
-@lru_cache(maxsize=32)
-def _elimination(n: int):
-    """Generated solve of an n-row augmented system [A | b] in doubles.
+def _elimination_lines(n: int) -> list:
+    """Partial-pivoting solve of the n-row augmented system [A | b] held in
+    the rows of M, as straight-line source that leaves x in x0..x{n-1}.
 
-    The same partial-pivoting elimination as a loop over columns, rows and
-    entries, with the column loops unrolled and the row loops kept, so the
-    source grows as O(n^2): the pivot search, the singularity test and the
-    row swap run as they would in the loop; the pivot row's tail goes into
-    locals before the rows below are updated entry by entry, and back
-    substitution runs on those locals. Each operation is the loop's, in
-    the loop's order, so results and raises are the loop's bit for bit.
-    The last column's reciprocal, which the loop computed and never used,
-    is left out; it cannot raise, as its pivot passed the singularity test.
+    The same elimination as a loop over columns, rows and entries, with the
+    column loops and the pivot search unrolled and the row updates kept as
+    loops, so the source grows as O(n^2): the pivot search, the singularity
+    test and the row swap run as they would in the loop; the pivot row's
+    tail goes into locals before the rows below are updated entry by entry,
+    and back substitution runs on those locals. Each operation is the
+    loop's, in the loop's order, so results and raises are the loop's bit
+    for bit. The last column's reciprocal, which the loop computed and
+    never used, is left out; it cannot raise, as its pivot passed the
+    singularity test. M's rows are updated in place.
     """
     lines = []
     for c in range(n):
         lines.append(f"piv, best = {c}, abs(M[{c}][{c}])")
-        if c + 1 < n:
-            lines += [
-                f"for r in range({c + 1}, {n}):",
-                f"    a = abs(M[r][{c}])",
-                "    if a > best:",
-                "        piv, best = r, a",
-            ]
+        for r in range(c + 1, n):
+            lines += [f"a = abs(M[{r}][{c}])", "if a > best:", f"    piv, best = {r}, a"]
         lines += ["if best < 1e-250:", "    raise _NativeSingular"]
         if c + 1 < n:
             lines += [f"if piv != {c}:", f"    M[{c}], M[piv] = M[piv], M[{c}]"]
@@ -284,10 +282,17 @@ def _elimination(n: int):
             ]
             lines += [f"        Mr[{k}] -= f * u{c}_{k}" for k in range(c + 1, n + 1)]
     for i in range(n - 1, -1, -1):
-        lines.append(f"s = u{i}_{n}")
-        lines += [f"s -= u{i}_{k} * x{k}" for k in range(i + 1, n)]
-        lines.append(f"x{i} = s / u{i}_{i}")
-    lines.append("return [" + ", ".join(f"x{i}" for i in range(n)) + "]")
+        lines.append(f"acc = u{i}_{n}")
+        lines += [f"acc -= u{i}_{k} * x{k}" for k in range(i + 1, n)]
+        lines.append(f"x{i} = acc / u{i}_{i}")
+    return lines
+
+
+@lru_cache(maxsize=32)
+def _elimination(n: int):
+    """Generated solve of an n-row augmented system [A | b] in doubles
+    (_elimination_lines); returns x as a list."""
+    lines = _elimination_lines(n) + ["return [" + ", ".join(f"x{i}" for i in range(n)) + "]"]
     return define_function("eliminate", "M", lines, {"_NativeSingular": _NativeSingular})
 
 
@@ -353,24 +358,37 @@ def _norm(z) -> float:
     return math.sqrt(sum(abs(v) ** 2 for v in z))
 
 
-@lru_cache(maxsize=16)
-def _pencil_program(cs: CompiledSystem, ct: CompiledSystem):
-    """Generated [H_z | rhs] of the pencil of two double programs.
+def _norm_expr(names) -> str:
+    """||v|| as one expression: sum() of abs(v_i) ** 2 written out, left to right."""
+    return "sqrt(" + " + ".join(f"abs({v}) ** 2" for v in names) + ")"
 
-    rhs is H_t(z) = gamma * Fstart(z) - Ftarget(z) for the predictor
-    (tangent true) and H(z, t) for the corrector. The function runs the
-    start program's body, then the target's, in that order, so it raises
-    first where evaluating the start system and then the target would.
-    Each Jacobian entry is s * b + g * a from the target and start entries
-    b and a, with 0j for a side outside its system's pattern; entries
-    outside both patterns are 0j, which is what that expression gives for
-    a = b = 0j since s = 1 - t >= 0. gamma is an argument, so one function
-    serves every stage seed of a system pair.
+
+@lru_cache(maxsize=16)
+def _step_program(cs: CompiledSystem, ct: CompiledSystem):
+    """Generated step(z, t, tangent, G) of the pencil of two double programs.
+
+    One function runs everything a predictor or corrector step needs. It
+    unpacks z, runs the start program's body, then the target's, with the
+    powers z_i ** e both use computed once (CompiledSystem.body), builds
+    [H_z | rhs] and solves it by the elimination of _elimination_lines.
+    rhs is H_t(z) = G * Fstart(z) - Ftarget(z) for the predictor (tangent
+    true), which returns the solution x as a list, and H(z, t) for the
+    corrector, which returns (z - x, ||x||, ||z - x||). Each Jacobian entry
+    is s * b + g * a from the target and start entries b and a, with 0j
+    for a side outside its system's pattern; entries outside both patterns
+    are 0j, which is what that expression gives for a = b = 0j since
+    s = 1 - t >= 0. Each norm is the sum of abs(v) ** 2 left to right, the
+    additions sum() makes on Python 3.11, and its ** raises OverflowError
+    as _norm's does. Every operation is that of evaluating, eliminating
+    and updating in turn, in that order, so results and the first raise are
+    theirs bit for bit. G is an argument, so one function serves every
+    stage seed of a system pair.
     """
-    namespace = {}
-    lines, fa, ja = cs.body("a", namespace)
-    lines_b, fb, jb = ct.body("b", namespace)
-    lines += lines_b
+    namespace = {"_NativeSingular": _NativeSingular, "sqrt": math.sqrt}
+    shared = {}
+    lines, fa, ja = cs.body("a", namespace, shared=shared)
+    lines_b, fb, jb = ct.body("b", namespace, shared=shared)
+    lines = cs.unpack() + lines + lines_b
     ka, kb = dict(zip(cs.pattern, ja)), dict(zip(ct.pattern, jb))
     lines += ["s = 1.0 - t", "g = G * t", "if tangent:"]
     lines += [f"    r{i} = G * {a} - {b}" for i, (a, b) in enumerate(zip(fa, fb))]
@@ -384,20 +402,24 @@ def _pencil_program(cs: CompiledSystem, ct: CompiledSystem):
             a, b = ka.get((r, j)), kb.get((r, j))
             cells.append("0j" if a is None and b is None else f"s * {b or '0j'} + g * {a or '0j'}")
         rows.append("[" + ", ".join(cells + [f"r{r}"]) + "]")
-    lines.append("return [" + ", ".join(rows) + "]")
-    return define_function("pencil", "z, t, tangent, G", lines, namespace)
+    lines.append("M = [" + ", ".join(rows) + "]")
+    lines += _elimination_lines(n)
+    x = [f"x{i}" for i in range(n)]
+    y = [f"y{i}" for i in range(n)]
+    lines += ["if tangent:", f"    return [{', '.join(x)}]"]
+    lines += [f"y{i} = z{i} - x{i}" for i in range(n)]
+    lines.append(f"return [{', '.join(y)}], {_norm_expr(x)}, {_norm_expr(y)}")
+    return define_function("step", "z, t, tangent, G", lines, namespace)
 
 
-def _correct(pencil, gamma: complex, z, t, cfg: HomotopyConfig):
-    """Newton iterations at fixed t; None when convergence is not accepted."""
-    eliminate = _elimination(len(z))
+def _correct(step, gamma: complex, z, t, cfg: HomotopyConfig):
+    """Newton iterations at fixed t: (z, ||z||), or None when convergence
+    is not accepted."""
     prev = None
     for _ in range(cfg.max_corrections):
-        step = eliminate(pencil(z, t, False, gamma))
-        z = [a - b for a, b in zip(z, step)]
-        ns = _norm(step)
-        if ns <= _CORRECT_TOL * max(1.0, _norm(z)):
-            return z
+        z, ns, nz = step(z, t, False, gamma)
+        if ns <= _CORRECT_TOL * max(1.0, nz):
+            return z, nz
         if prev is not None and ns > cfg.contraction_threshold * prev:
             return None
         prev = ns
@@ -449,9 +471,12 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
             return PathResult(PathStatus.FAILED, None, 0, "start residual too large")
     except OverflowError:
         return PathResult(PathStatus.FAILED, None, 0, "start evaluation overflow")
-    pencil, gamma = _pencil_program(cs, ct), _gamma_for_seed(cfg.seed)
+    step, gamma = _step_program(cs, ct), _gamma_for_seed(cfg.seed)
     eliminate = _elimination(cs.size)
     t, dt, streak, steps = 1.0, cfg.dt_init, 0, 0
+    # The tangent depends on (z, t) alone: it is evaluated once per accepted
+    # point, and a rejected step retries with it. None marks a singular one.
+    fresh, v = True, None
     while t > 0.0:
         if steps >= _MAX_STEPS:
             return PathResult(PathStatus.FAILED, None, steps, "step limit reached")
@@ -459,8 +484,12 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
         tn = t - h
         steps += 1
         try:
-            v = eliminate(pencil(z, t, True, gamma))
-            zc = _correct(pencil, gamma, [a + h * b for a, b in zip(z, v)], tn, cfg)
+            if fresh:
+                fresh, v = False, None
+                v = step(z, t, True, gamma)
+            zc = None
+            if v is not None:
+                zc = _correct(step, gamma, [a + h * b for a, b in zip(z, v)], tn, cfg)
         except _NativeSingular:
             zc = None
         except OverflowError:
@@ -480,8 +509,7 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
                         )
                 return PathResult(PathStatus.FAILED, None, steps, "step size underflow")
             continue
-        z, t = zc, tn
-        nz = _norm(z)
+        (z, nz), t, fresh = zc, tn, True
         if not math.isfinite(nz) or nz > cfg.blowup:
             return PathResult(PathStatus.DIVERGED, None, steps, "norm above blowup")
         streak += 1

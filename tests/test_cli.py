@@ -276,6 +276,21 @@ def test_solve_bad_output_exits_two_before_tracking(capsys, monkeypatch, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_solve_unwritable_ledger_exits_two_before_tracking(capsys, monkeypatch, tmp_path):
+    def tracked(*_args, **_kwargs):
+        raise AssertionError("solve_by_deformation ran despite an unwritable ledger")
+
+    (tmp_path / "cand.pts.ledger").mkdir()
+    monkeypatch.setattr(cli, "solve_by_deformation", tracked)
+    code, _, err = run(
+        capsys,
+        "solve", "--system", sysf("rr_dyad"), "--truncate-degrees", "3,3,2,2",
+        "--output", str(tmp_path / "cand.pts"),
+    )
+    assert code == 2 and err.startswith("error: output path is a directory")
+    assert [p.name for p in tmp_path.iterdir()] == ["cand.pts.ledger"]
+
+
 @pytest.mark.parametrize("target", ["missing/report.json", "."])
 def test_certify_bad_output_exits_two_before_certifying(capsys, monkeypatch, tmp_path, target):
     def ran(*_args, **_kwargs):

@@ -5,6 +5,7 @@ Everything random here flows from an explicit seed, so structural facts
 """
 
 import cmath
+import functools
 import hashlib
 import itertools
 import math
@@ -14,8 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
+from expcert import homotopy
 from expcert.errors import DimensionMismatch, ValidationError
 from expcert.expsystems import (
     CompiledSystem,
@@ -30,7 +32,7 @@ from expcert.homotopy import (
     PathStatus,
     _elimination,
     _NativeSingular,
-    _pencil_program,
+    _step_program,
     _allowed_nus,
     _draw_factors,
     _total_degree_system,
@@ -404,6 +406,35 @@ def _random_point(rng, size, scale=2.0):
     return [complex(part(), part()) for _ in range(size)]
 
 
+def _ref_norm(values) -> float:
+    """||v|| with abs(v) ** 2 accumulated left to right, as sum() does on 3.11."""
+    total = 0.0
+    for v in values:
+        total += abs(v) ** 2
+    return math.sqrt(total)
+
+
+def _ref_step(rs, rt, gamma, z, t, tangent):
+    """The loops step replaces: pencil, elimination, update, norms."""
+    x = _loop_solve_native(_ref_pencil(rs, rt, gamma, z, t, tangent))
+    if tangent:
+        return x
+    y = [a - b for a, b in zip(z, x)]
+    return y, _ref_norm(x), _ref_norm(y)
+
+
+def _step_outcome(fn):
+    """Bits of a step's results, or the type of what it raised."""
+    try:
+        out = fn()
+    except Exception as exc:  # noqa: BLE001 - the raised type is the outcome
+        return "raised", type(exc).__name__
+    if isinstance(out, list):
+        return "tangent", _bits(out)
+    y, nx, ny = out
+    return "corrected", _bits(y), struct.pack("<dd", nx, ny)
+
+
 @pytest.mark.parametrize("case", range(6))
 def test_fused_program_matches_reference_bit_for_bit(case):
     name, start, target = _parity_systems()[case]
@@ -411,7 +442,7 @@ def test_fused_program_matches_reference_bit_for_bit(case):
     gamma = complex(-0.6, 0.8)
     cs, ct = CompiledSystem(start), CompiledSystem(target)
     rs, rt = _Reference(start), _Reference(target)
-    pencil = _pencil_program(cs, ct)
+    step = _step_program(cs, ct)
     for k in range(25):
         z = _random_point(rng, cs.size)
         t = 1.0 if k == 0 else rng.random()
@@ -423,9 +454,9 @@ def test_fused_program_matches_reference_bit_for_bit(case):
             aug = [row + [v] for row, v in zip(ref.jac(z), ref.value(z))]
             assert [_bits(r) for r in cp.augmented(z)] == [_bits(r) for r in aug]
         for tangent in (True, False):
-            got = pencil(z, t, tangent, gamma)
-            want = _ref_pencil(rs, rt, gamma, z, t, tangent)
-            assert [_bits(r) for r in got] == [_bits(r) for r in want], (name, k, tangent)
+            got = _step_outcome(lambda: step(list(z), t, tangent, gamma))
+            want = _step_outcome(lambda: _ref_step(rs, rt, gamma, z, t, tangent))
+            assert got == want, (name, k, tangent)
 
 
 def _raises_overflow(fn):
@@ -444,7 +475,7 @@ def test_fused_program_overflows_where_reference_does(case):
     cs, ct = CompiledSystem(start), CompiledSystem(target)
     rs, rt = _Reference(start), _Reference(target)
     gamma = complex(0.6, -0.8)
-    pencil = _pencil_program(cs, ct)
+    step = _step_program(cs, ct)
     raised = 0
     # z ** 2 overflows to inf (and raises) at 1e200 + 1j, but to nan (and
     # does not raise) at 1e200 - 3e199j: both must behave as in the reference.
@@ -456,8 +487,9 @@ def test_fused_program_overflows_where_reference_does(case):
             assert _raises_overflow(lambda: cp.evaluate(z)) == want, (name, i)
             assert _raises_overflow(lambda: cp.augmented(z)) == want, (name, i)
             raised += want
-        want = _raises_overflow(lambda: _ref_pencil(rs, rt, gamma, z, 0.5, True))
-        assert _raises_overflow(lambda: pencil(z, 0.5, True, gamma)) == want
+        for tangent in (True, False):
+            want = _step_outcome(lambda: _ref_step(rs, rt, gamma, z, 0.5, tangent))
+            assert _step_outcome(lambda: step(z, 0.5, tangent, gamma)) == want, (name, i)
     assert raised > 0
     # An infinite coordinate makes z ** 1 raise (z ** 2 gives nan), which a
     # plain product with z would not. Link rows hand infinities to cmath,
@@ -501,8 +533,8 @@ def test_generated_code_holds_no_input_values():
     arm, _ = two_link_arm_exp()
     Fp = taylor_truncate(arm, (3, 3, 2, 2))
     cs, ct = CompiledSystem(Fp), CompiledSystem(arm)
-    pencil = _pencil_program(cs, ct)
-    codes = [cs._evaluate.__code__, ct._value.__code__, pencil.__code__]
+    step = _step_program(cs, ct)
+    codes = [cs._evaluate.__code__, ct._value.__code__, step.__code__]
     codes += [_elimination(n).__code__ for n in (1, 6, 12)]
     allowed = (1.0, 0j, 1e-250)
     for code in codes:
@@ -614,7 +646,8 @@ def test_generated_elimination_matches_loop_bit_for_bit(M):
 
 def test_pencil_adds_zero_for_a_one_sided_entry():
     """An entry in one pattern only is s * 0j + g * a (or s * b + g * 0j), not a
-    bare product: the added zero turns a -0.0 part into +0.0."""
+    bare product: the added zero turns a -0.0 part into +0.0, and the step's
+    results carry that difference."""
     start = _total_degree_system((2, 2), 2)  # x^2 - 1, y^2 - 1
     target = PolynomialSystem(
         (
@@ -626,12 +659,125 @@ def test_pencil_adds_zero_for_a_one_sided_entry():
     assert (0, 0) in cs.pattern and (0, 0) not in ct.pattern
     rs, rt = _Reference(start), _Reference(target)
     parts = (0.0, -0.0, 1.5, -1.5)
+    step = _step_program(cs, ct)
     for gamma in (complex(0.6, 0.8), complex(-0.6, -0.8), complex(-1.0, 0.0)):
-        pencil = _pencil_program(cs, ct)
         for xr, xi, yr, yi in itertools.product(parts, repeat=4):
             z = [complex(xr, xi), complex(yr, yi)]
             for t in (1.0, 0.5, 0.0):
                 for tangent in (True, False):
-                    got = pencil(z, t, tangent, gamma)
-                    want = _ref_pencil(rs, rt, gamma, z, t, tangent)
-                    assert [_bits(r) for r in got] == [_bits(r) for r in want], (z, t, gamma)
+                    got = _step_outcome(lambda: step(z, t, tangent, gamma))
+                    want = _step_outcome(lambda: _ref_step(rs, rt, gamma, z, t, tangent))
+                    assert got == want, (z, t, gamma, tangent)
+
+
+# ---------------------------------------------------------------------------
+# The generated step against the composition of the loops it replaces
+
+
+@functools.cache
+def _step_cases():
+    """(name, step, start reference, target reference) for every tracked pair,
+    plus two small pairs whose steps often go singular or overflow."""
+    quad = (
+        _univariate((1, 2), (-1, 0)),  # x^2 - 1
+        _univariate((1, 2), (-2, 0)),  # x^2 - 2
+    )
+    two = (
+        _total_degree_system((2, 2), 2),
+        PolynomialSystem(
+            (
+                Polynomial.from_terms(2, [(EC(1), (0, 1)), (EC(-2), (0, 0))]),
+                Polynomial.from_terms(2, [(EC(1), (1, 1)), (EC(-1), (0, 0))]),
+            )
+        ),
+    )
+    pairs = [("quadratic", *quad), ("two", *two)] + _parity_systems()
+    return [
+        (name, _step_program(CompiledSystem(s), CompiledSystem(t)), _Reference(s), _Reference(t))
+        for name, s, t in pairs
+    ]
+
+
+# Parts like _random_point's, with +-0.0, and wild ones that add parts whose
+# powers or whose steps overflow (1e-200 against a squared term makes x
+# about 1e200).
+_STEP_PARTS = {
+    "plain": st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(min_value=-2, max_value=2, allow_nan=False, allow_infinity=False),
+    ),
+    "wild": st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, 1e-130, 1e130, 1e160, -1e160]),
+        st.floats(min_value=-2, max_value=2, allow_nan=False, allow_infinity=False),
+    ),
+}
+
+
+@st.composite
+def _step_inputs(draw):
+    case = draw(st.integers(min_value=0, max_value=len(_step_cases()) - 1))
+    part = _STEP_PARTS[draw(st.sampled_from(sorted(_STEP_PARTS)))]
+    z = [complex(draw(part), draw(part)) for _ in range(_step_cases()[case][2].size)]
+    t = draw(st.one_of(st.sampled_from([1.0, 0.5, 0.0]), st.floats(min_value=0, max_value=1)))
+    gamma = cmath.exp(1j * draw(st.floats(min_value=-math.pi, max_value=math.pi)))
+    return case, z, t, gamma, draw(st.booleans())
+
+
+_SINGULAR = (0, [0j], 1.0, complex(0.6, 0.8))  # H_z = 0 at x = 0, t = 1
+_OVERFLOW = (0, [complex(1e-200, 0.0)], 1.0, complex(0.6, 0.8))  # x about 5e199
+
+
+def test_step_examples_are_singular_and_overflowing():
+    """The explicit examples below reach the raises they are there for."""
+    for (case, z, t, gamma), tangent, want in (
+        (_SINGULAR, True, "_NativeSingular"),
+        (_SINGULAR, False, "_NativeSingular"),
+        (_OVERFLOW, False, "OverflowError"),
+    ):
+        step = _step_cases()[case][1]
+        assert _step_outcome(lambda: step(z, t, tangent, gamma)) == ("raised", want)
+    case, z, t, gamma = _OVERFLOW
+    (x,) = _step_cases()[case][1](z, t, True, gamma)
+    assert abs(x) > 1e199
+
+
+@settings(max_examples=300, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example((*_SINGULAR, True))
+@example((*_SINGULAR, False))
+@example((*_OVERFLOW, True))
+@example((*_OVERFLOW, False))
+@given(_step_inputs())
+def test_step_matches_reference_composition(inputs):
+    """step(z, t, tangent, G) is the loops' pencil, elimination, z - x and norms,
+    bit for bit or by the type it raises. Shrinking is off, as for the
+    elimination."""
+    case, z, t, gamma, tangent = inputs
+    name, step, rs, rt = _step_cases()[case]
+    got = _step_outcome(lambda: step(list(z), t, tangent, gamma))
+    want = _step_outcome(lambda: _ref_step(rs, rt, gamma, z, t, tangent))
+    assert got == want, name
+
+
+def test_tangent_is_evaluated_once_per_accepted_point(monkeypatch):
+    """A rejected step retries with the tangent of the same (z, t)."""
+    calls = []
+    program = homotopy._step_program
+
+    def recording(cs, ct):
+        step = program(cs, ct)
+
+        def wrapped(z, t, tangent, G):
+            if tangent:
+                calls.append((tuple(z), t))
+            return step(z, t, tangent, G)
+
+        return wrapped
+
+    monkeypatch.setattr(homotopy, "_step_program", recording)
+    G, _ = two_link_arm_exp()
+    out = solve_by_deformation(G, (3, 3, 2, 2), HomotopyConfig(seed=12))
+    assert len(out.candidates) == 6
+    steps = sum(steps for st_ in out.ledger.stages for _, _, steps in st_.outcomes)
+    assert 0 < len(calls) < steps
+    assert all(a != b for a, b in zip(calls, calls[1:]))
