@@ -480,15 +480,6 @@ class CompiledSystem:
         """(values, Jacobian entries in `pattern` order) at z, in one pass."""
         return self._evaluate(z)
 
-    def augmented(self, z) -> list:
-        """Dense rows of [J(z) | F(z)]."""
-        values, jac = self.evaluate(z)
-        n = self.size
-        M = [[self.zero] * n + [v] for v in values]
-        for (r, j), v in zip(self.pattern, jac):
-            M[r][j] = v
-        return M
-
 
 @lru_cache(maxsize=16)
 def compile_system(system, prec: PrecisionConfig | None = None) -> CompiledSystem:
@@ -517,9 +508,11 @@ def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
         raise DimensionMismatch(f"point has {len(z)} coordinates, expected {nv}")
     program = compile_system(F, prec)
     with working_precision(prec.bits):
-        M = program.augmented(lift_point(z, prec))
-    values = tuple(row.pop() for row in M)
-    return values, tuple(tuple(row) for row in M)
+        values, entries = program.evaluate(lift_point(z, prec))
+    J = [[program.zero] * nv for _ in range(nv)]
+    for (r, j), v in zip(program.pattern, entries):
+        J[r][j] = v
+    return tuple(values), tuple(tuple(row) for row in J)
 
 
 def link_bound_term(link: ExpLink, xval):

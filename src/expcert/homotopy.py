@@ -10,10 +10,11 @@ deformations
 
 with gamma a random unit-modulus constant derived from the recorded seed.
 Path tracking runs in hardware doubles (Euler predictor, Newton corrector,
-adaptive step length). Endpoints are then polished with the multiprecision
-Newton iteration and returned as candidates for certification, never as
-certified output. Every random draw is derived from the seed and written to
-a run ledger, so a run can be replayed exactly.
+adaptive step length, with fixed step-control constants). Endpoints are
+then polished with the multiprecision Newton iteration and returned as
+candidates for certification, never as certified output. Every random draw
+is derived from the seed and written to a run ledger, so a run can be
+replayed exactly.
 
 Each predictor or corrector step is one call of one generated function per
 pair of tracked systems (_step_program), straight-line Python compiled once
@@ -23,15 +24,17 @@ that both use once; each body gives its system's value and Jacobian
 together, with constant entries folded. It then builds the augmented
 matrix [H_z | rhs], solves it by partial pivoting with the column loops
 and the pivot search unrolled and the row loops kept, so the source is
-O(n^2) (_elimination_lines, which also gives _elimination for the stall
-rescue and the final sharpening), and returns the tangent, or the
-corrected point with the norms of the Newton step and of the point. The
-tracker evaluates the tangent once per accepted point; a rejected step
-retries with it. Every operation is that of the loops the function
-replaces, in their order, so paths, ledgers and candidates are bit for bit
-what the loops gave, and the first exception raised is the same. The
-source holds names and integer indices only; coefficients, gamma and link
-functions enter as bound objects or arguments.
+O(n^2) (_elimination_lines), and returns the tangent, or the corrected
+point with the norms of the Newton step and of the point. The tracker
+evaluates the tangent once per accepted point; a rejected step retries
+with it. The same function is the tracker's only double-precision Newton
+kernel: at t = 0 its corrector is the target's Newton step, which the
+final sharpening and the stall rescue take. Every operation is that of the
+loops the function replaces, in their order, so paths, ledgers and
+candidates are bit for bit what the loops gave, and the first exception
+raised is the same. The source holds names and integer indices only;
+coefficients, gamma and link functions enter as bound objects or
+arguments.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from .polynomials import (
     variable,
 )
 from .refine import newton_refine
-from .scalars import EC_ONE, ExactComplex, PrecisionConfig, working_precision
+from .scalars import EC_ONE, MODE_FLOAT, ExactComplex, PrecisionConfig, working_precision
 
 # ---------------------------------------------------------------------------
 # Maclaurin truncation of link rows
@@ -260,7 +263,9 @@ def _elimination_lines(n: int) -> list:
     loop's, in the loop's order, so results and raises are the loop's bit
     for bit. The last column's reciprocal, which the loop computed and
     never used, is left out; it cannot raise, as its pivot passed the
-    singularity test. M's rows are updated in place.
+    singularity test. M's rows are updated in place. Its one user is
+    _step_program, whose step at t = 0 also sharpens every endpoint and
+    rescues stalled paths.
     """
     lines = []
     for c in range(n):
@@ -288,14 +293,6 @@ def _elimination_lines(n: int) -> list:
     return lines
 
 
-@lru_cache(maxsize=32)
-def _elimination(n: int):
-    """Generated solve of an n-row augmented system [A | b] in doubles
-    (_elimination_lines); returns x as a list."""
-    lines = _elimination_lines(n) + ["return [" + ", ".join(f"x{i}" for i in range(n)) + "]"]
-    return define_function("eliminate", "M", lines, {"_NativeSingular": _NativeSingular})
-
-
 class PathStatus(enum.Enum):
     ENDPOINT = "endpoint"
     DIVERGED = "diverged"
@@ -312,34 +309,25 @@ class PathResult:
 
 @dataclass(frozen=True)
 class HomotopyConfig:
-    """Step control and reproducibility knobs for one deformation run."""
+    """Reproducibility knobs for one deformation run: the seed every random
+    draw derives from, and the precision endpoints are polished at, which
+    must pass the same check as certify's (PrecisionConfig)."""
 
     seed: int = 0
-    dt_init: float = 0.1
-    dt_min: float = 1e-7
-    max_corrections: int = 3
-    contraction_threshold: float = 0.5
-    endpoint_tol: float = 1e-6
-    blowup: float = 1e10
     bits: int = 256
 
     def __post_init__(self):
-        if not 0 < self.dt_min <= self.dt_init <= 1:
-            raise ValidationError(
-                f"need 0 < dt_min <= dt_init <= 1, got {self.dt_min}, {self.dt_init}"
-            )
-        if self.max_corrections < 1:
-            raise ValidationError("max_corrections must be at least 1")
-        if not 0 < self.contraction_threshold <= 1:
-            raise ValidationError("contraction_threshold must lie in (0, 1]")
-        if self.endpoint_tol <= 0:
-            raise ValidationError("endpoint_tol must be positive")
-        if self.blowup <= 1:
-            raise ValidationError("blowup must exceed 1")
-        if self.bits < 64:
-            raise ValidationError(f"need at least 64 bits, got {self.bits}")
+        PrecisionConfig(MODE_FLOAT, self.bits)
 
 
+# Step control. The ledger's config line records the first six, so a ledger
+# names the values its run used.
+_DT_INIT = 0.1
+_DT_MIN = 1e-7
+_MAX_CORRECTIONS = 3
+_CONTRACTION = 0.5
+_ENDPOINT_TOL = 1e-6
+_BLOWUP = 1e10
 _CORRECT_TOL = 1e-10
 _SHARPEN_TOL = 1e-13
 _MAX_STEPS = 20000
@@ -382,7 +370,11 @@ def _step_program(cs: CompiledSystem, ct: CompiledSystem):
     as _norm's does. Every operation is that of evaluating, eliminating
     and updating in turn, in that order, so results and the first raise are
     theirs bit for bit. G is an argument, so one function serves every
-    stage seed of a system pair.
+    stage seed of a system pair. At t = 0, s = 1 and g = 0, so the
+    corrector is the target's own Newton update (z - x, ||x||, ||z - x||),
+    up to the sign of a zero part: the final sharpening and the stall
+    rescue call it there. The start body still runs, so a power of the
+    start system that overflows raises there too.
     """
     namespace = {"_NativeSingular": _NativeSingular, "sqrt": math.sqrt}
     shared = {}
@@ -412,38 +404,35 @@ def _step_program(cs: CompiledSystem, ct: CompiledSystem):
     return define_function("step", "z, t, tangent, G", lines, namespace)
 
 
-def _correct(step, gamma: complex, z, t, cfg: HomotopyConfig):
+def _correct(step, gamma: complex, z, t):
     """Newton iterations at fixed t: (z, ||z||), or None when convergence
     is not accepted."""
     prev = None
-    for _ in range(cfg.max_corrections):
+    for _ in range(_MAX_CORRECTIONS):
         z, ns, nz = step(z, t, False, gamma)
         if ns <= _CORRECT_TOL * max(1.0, nz):
             return z, nz
-        if prev is not None and ns > cfg.contraction_threshold * prev:
+        if prev is not None and ns > _CONTRACTION * prev:
             return None
         prev = ns
     return None
 
 
-def _rescue_stall(ct: CompiledSystem, z, cfg: HomotopyConfig):
-    """Try to finish a stalled path by Newton against the target alone.
+def _rescue_stall(step, gamma: complex, ct: CompiledSystem, z):
+    """Try to finish a stalled path by Newton against the target alone, the
+    step at t = 0.
 
     Accepts only a clean quadratic finish: the step norm must drop below a
     strict tolerance and the residual must verify. Paths stalled against a
     singular or diverging endpoint bounce off and stay failed.
     """
-    z = list(z)
-    eliminate = _elimination(ct.size)
     for _ in range(_STALL_ITERS):
         try:
-            step = eliminate(ct.augmented(z))
-            z = [a - b for a, b in zip(z, step)]
-            nz = _norm(z)
-            if not math.isfinite(nz) or nz > cfg.blowup:
+            z, ns, nz = step(z, 0.0, False, gamma)
+            if not math.isfinite(nz) or nz > _BLOWUP:
                 return None
-            if _norm(step) <= _STALL_TOL * max(1.0, nz):
-                if _norm(ct.value(z)) <= cfg.endpoint_tol * max(1.0, nz):
+            if ns <= _STALL_TOL * max(1.0, nz):
+                if _norm(ct.value(z)) <= _ENDPOINT_TOL * max(1.0, nz):
                     return z
                 return None
         except (_NativeSingular, OverflowError):
@@ -467,13 +456,12 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
     if len(z) != cs.size:
         raise DimensionMismatch(f"start point has {len(z)} coordinates, expected {cs.size}")
     try:
-        if _norm(cs.value(z)) > cfg.endpoint_tol * max(1.0, _norm(z)):
+        if _norm(cs.value(z)) > _ENDPOINT_TOL * max(1.0, _norm(z)):
             return PathResult(PathStatus.FAILED, None, 0, "start residual too large")
     except OverflowError:
         return PathResult(PathStatus.FAILED, None, 0, "start evaluation overflow")
     step, gamma = _step_program(cs, ct), _gamma_for_seed(cfg.seed)
-    eliminate = _elimination(cs.size)
-    t, dt, streak, steps = 1.0, cfg.dt_init, 0, 0
+    t, dt, streak, steps = 1.0, _DT_INIT, 0, 0
     # The tangent depends on (z, t) alone: it is evaluated once per accepted
     # point, and a rejected step retries with it. None marks a singular one.
     fresh, v = True, None
@@ -489,7 +477,7 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
                 v = step(z, t, True, gamma)
             zc = None
             if v is not None:
-                zc = _correct(step, gamma, [a + h * b for a, b in zip(z, v)], tn, cfg)
+                zc = _correct(step, gamma, [a + h * b for a, b in zip(z, v)], tn)
         except _NativeSingular:
             zc = None
         except OverflowError:
@@ -497,9 +485,9 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
         if zc is None:
             dt = h / 2
             streak = 0
-            if dt < cfg.dt_min:
+            if dt < _DT_MIN:
                 if t < _STALL_T:
-                    rescued = _rescue_stall(ct, z, cfg)
+                    rescued = _rescue_stall(step, gamma, ct, z)
                     if rescued is not None:
                         return PathResult(
                             PathStatus.ENDPOINT,
@@ -510,20 +498,20 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
                 return PathResult(PathStatus.FAILED, None, steps, "step size underflow")
             continue
         (z, nz), t, fresh = zc, tn, True
-        if not math.isfinite(nz) or nz > cfg.blowup:
+        if not math.isfinite(nz) or nz > _BLOWUP:
             return PathResult(PathStatus.DIVERGED, None, steps, "norm above blowup")
         streak += 1
         if streak >= _GROWTH_STREAK:
-            dt = min(dt * _GROWTH_FACTOR, cfg.dt_init)
+            dt = min(dt * _GROWTH_FACTOR, _DT_INIT)
             streak = 0
-    # Sharpen against the target alone; a singular endpoint is kept as is.
+    # Sharpen by the target's Newton step (the step at t = 0); a singular
+    # endpoint is kept as is.
     for _ in range(5):
         try:
-            step = eliminate(ct.augmented(z))
+            z, ns, nz = step(z, 0.0, False, gamma)
         except (_NativeSingular, OverflowError):
             break
-        z = [a - b for a, b in zip(z, step)]
-        if _norm(step) <= _SHARPEN_TOL * max(1.0, _norm(z)):
+        if ns <= _SHARPEN_TOL * max(1.0, nz):
             break
     return PathResult(PathStatus.ENDPOINT, tuple(z), steps)
 
@@ -663,13 +651,12 @@ class RunLedger:
         return out
 
     def render(self) -> str:
-        c = self.config
         lines = ["solve run ledger", "format: 1", f"seed: {self.seed}"]
         lines.append(
-            f"config: dt_init={c.dt_init!r} dt_min={c.dt_min!r}"
-            f" max_corrections={c.max_corrections}"
-            f" contraction_threshold={c.contraction_threshold!r}"
-            f" endpoint_tol={c.endpoint_tol!r} blowup={c.blowup!r} bits={c.bits}"
+            f"config: dt_init={_DT_INIT!r} dt_min={_DT_MIN!r}"
+            f" max_corrections={_MAX_CORRECTIONS}"
+            f" contraction_threshold={_CONTRACTION!r}"
+            f" endpoint_tol={_ENDPOINT_TOL!r} blowup={_BLOWUP!r} bits={self.config.bits}"
         )
         if self.degrees:
             lines.append("truncation degrees: " + " ".join(str(d) for d in self.degrees))
@@ -702,12 +689,22 @@ def _stage_seed(seed: int, k: int) -> int:
     return seed * 1000003 + k
 
 
-def _track_stage(record: StageRecord, Fstart, Ftarget, starts, labels, cfg):
-    """Track every start, log outcomes, and return deduplicated endpoints."""
+def _stage(ledger: RunLedger, name: str, cfg: HomotopyConfig, k: int):
+    """Open stage k of a run: log its record, with the stage seed and its
+    gamma, and return it with the config that tracks under that seed."""
+    seed = _stage_seed(cfg.seed, k)
+    record = StageRecord(name, seed, _gamma_for_seed(seed))
+    ledger.stages.append(record)
+    return record, replace(cfg, seed=seed)
+
+
+def _track_stage(record: StageRecord, cfg: HomotopyConfig, Fstart, Ftarget, starts):
+    """Track every start, log outcomes under the start's index, and return
+    deduplicated endpoints."""
     ends = []
-    for z0, label in zip(starts, labels):
+    for i, z0 in enumerate(starts):
         res = track_path(Fstart, Ftarget, z0, cfg)
-        record.outcomes.append((label, res.status, res.steps))
+        record.outcomes.append((str(i), res.status, res.steps))
         if res.status is PathStatus.ENDPOINT:
             ends.append(res.point)
     kept = _dedup_native(ends)
@@ -715,12 +712,8 @@ def _track_stage(record: StageRecord, Fstart, Ftarget, starts, labels, cfg):
     return kept
 
 
-def _solve_slices(head, selections, factors, links, N, cfg, ledger) -> list:
+def _solve_slices(record: StageRecord, cfg: HomotopyConfig, head, selections, factors, links, N):
     """Solve every slice by total-degree continuation and lift the solutions."""
-    seed = _stage_seed(cfg.seed, 1)
-    record = StageRecord("slice-continuation", seed, _gamma_for_seed(seed))
-    ledger.stages.append(record)
-    scfg = replace(cfg, seed=seed)
     sols = []
     for nu in selections:
         restricted = _restrict(head, nu, factors, links, N)
@@ -739,7 +732,7 @@ def _solve_slices(head, selections, factors, links, N, cfg, ledger) -> list:
         degs = S.degrees
         start = _total_degree_system(degs, len(free))
         for idx, z0 in enumerate(_roots_of_unity_starts(degs)):
-            res = track_path(start, S, z0, scfg)
+            res = track_path(start, S, z0, cfg)
             record.outcomes.append((f"{nulabel}#{idx}", res.status, res.steps))
             if res.status is PathStatus.ENDPOINT:
                 sols.append(_lift_slice_point(res.point, free, pinned, affine, N))
@@ -814,15 +807,10 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
             raise ValidationError("total-degree continuation needs a square system")
         if any(d < 1 for d in F.P.degrees):
             raise ValidationError("every polynomial must have positive degree")
-        seed = _stage_seed(cfg.seed, 3)
-        record = StageRecord("total-degree", seed, _gamma_for_seed(seed))
-        ledger.stages.append(record)
-        scfg = replace(cfg, seed=seed)
         degs = F.P.degrees
         start = _total_degree_system(degs, F.P.nv)
-        starts = _roots_of_unity_starts(degs)
         ends = _track_stage(
-            record, start, F.P, starts, [str(i) for i in range(len(starts))], scfg
+            *_stage(ledger, "total-degree", cfg, 3), start, F.P, _roots_of_unity_starts(degs)
         )
         candidates = _polish(F, ends, cfg, ledger)
         ledger.candidate_count = len(candidates)
@@ -842,31 +830,13 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
         f"(source degrees {', '.join(str(c) for c in counts)})"
     )
     head = Fp.polys[: F.n]
-    start_sols = _solve_slices(head, selections, factors, F.links, F.N, cfg, ledger)
-
-    seed2 = _stage_seed(cfg.seed, 2)
-    rec2 = StageRecord("product-to-truncated", seed2, _gamma_for_seed(seed2))
-    ledger.stages.append(rec2)
+    start_sols = _solve_slices(
+        *_stage(ledger, "slice-continuation", cfg, 1), head, selections, factors, F.links, F.N
+    )
     fp_sols = _track_stage(
-        rec2,
-        product_system,
-        Fp,
-        start_sols,
-        [str(i) for i in range(len(start_sols))],
-        replace(cfg, seed=seed2),
+        *_stage(ledger, "product-to-truncated", cfg, 2), product_system, Fp, start_sols
     )
-
-    seed3 = _stage_seed(cfg.seed, 3)
-    rec3 = StageRecord("truncated-to-target", seed3, _gamma_for_seed(seed3))
-    ledger.stages.append(rec3)
-    ends = _track_stage(
-        rec3,
-        Fp,
-        F,
-        fp_sols,
-        [str(i) for i in range(len(fp_sols))],
-        replace(cfg, seed=seed3),
-    )
+    ends = _track_stage(*_stage(ledger, "truncated-to-target", cfg, 3), Fp, F, fp_sols)
 
     candidates = _polish(F, ends, cfg, ledger)
     ledger.candidate_count = len(candidates)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from expcert import cli
+from expcert import cli, homotopy
 from expcert.cli import main
 from expcert.sysio import parse_points
 
@@ -289,6 +289,27 @@ def test_solve_unwritable_ledger_exits_two_before_tracking(capsys, monkeypatch, 
     )
     assert code == 2 and err.startswith("error: output path is a directory")
     assert [p.name for p in tmp_path.iterdir()] == ["cand.pts.ledger"]
+
+
+def test_solve_low_precision_exits_two_before_tracking(capsys, monkeypatch, tmp_path):
+    """solve and certify reject a precision by one rule, with one message."""
+    def tracked(*_args, **_kwargs):
+        raise AssertionError("a path was tracked despite a bad precision")
+
+    monkeypatch.setattr(homotopy, "track_path", tracked)
+    code, _, err = run(
+        capsys,
+        "solve", "--system", sysf("rr_dyad"), "--truncate-degrees", "3,3,2,2",
+        "--precision", "63", "--output", str(tmp_path / "cand.pts"),
+    )
+    code2, _, err2 = run(
+        capsys,
+        "certify", "--system", sysf("rr_dyad"), "--points", ptsf("rr_dyad"),
+        "--precision", "63",
+    )
+    assert code == code2 == 2 and err == err2
+    assert err.startswith("error: precision")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "."])

@@ -25,12 +25,13 @@ from expcert.expsystems import (
     ExpLink,
     ExpSystem,
     as_exp_system,
+    define_function,
     value_and_jacobian,
 )
 from expcert.homotopy import (
     HomotopyConfig,
     PathStatus,
-    _elimination,
+    _elimination_lines,
     _NativeSingular,
     _step_program,
     _allowed_nus,
@@ -204,11 +205,11 @@ def test_track_path_reaches_shifted_root():
     assert abs(res2.point[0] + math.sqrt(2)) < 1e-6
 
 
-def test_track_path_flags_divergence():
+def test_track_path_flags_divergence(monkeypatch):
     start = _univariate((1, 2), (-1, 0))
     target = _univariate((Fraction(1, 10**8), 2), (-1, 0))  # roots at +-1e4
-    cfg = HomotopyConfig(seed=3, blowup=1e2)
-    res = track_path(start, target, (1.0,), cfg)
+    monkeypatch.setattr(homotopy, "_BLOWUP", 1e2)
+    res = track_path(start, target, (1.0,), HomotopyConfig(seed=3))
     assert res.status is PathStatus.DIVERGED
     assert res.point is None
 
@@ -229,6 +230,13 @@ def test_solve_linkfree_total_degree():
     assert abs(float(roots[1]) - math.sqrt(2)) < 1e-12
     st0 = out.ledger.stages[0]
     assert st0.name == "total-degree" and st0.tracked == 2
+
+
+@pytest.mark.parametrize("bits", [63, 96.5])
+def test_config_bits_follow_the_precision_rule(bits):
+    """A bad precision fails when the config is made, not in polishing."""
+    with pytest.raises(ValidationError, match="precision must be an integer"):
+        HomotopyConfig(seed=0, bits=bits)
 
 
 def test_solve_rejects_degree_list_without_links():
@@ -451,8 +459,6 @@ def test_fused_program_matches_reference_bit_for_bit(case):
             assert _bits(values) == _bits(ref.value(z))
             assert _bits(cp.value(z)) == _bits(ref.value(z))
             assert [_bits(r) for r in _dense(cp, jac)] == [_bits(r) for r in ref.jac(z)]
-            aug = [row + [v] for row, v in zip(ref.jac(z), ref.value(z))]
-            assert [_bits(r) for r in cp.augmented(z)] == [_bits(r) for r in aug]
         for tangent in (True, False):
             got = _step_outcome(lambda: step(list(z), t, tangent, gamma))
             want = _step_outcome(lambda: _ref_step(rs, rt, gamma, z, t, tangent))
@@ -485,7 +491,6 @@ def test_fused_program_overflows_where_reference_does(case):
         for cp, ref in ((cs, rs), (ct, rt)):
             want = _raises_overflow(lambda: (ref.value(z), ref.jac(z)))
             assert _raises_overflow(lambda: cp.evaluate(z)) == want, (name, i)
-            assert _raises_overflow(lambda: cp.augmented(z)) == want, (name, i)
             raised += want
         for tangent in (True, False):
             want = _step_outcome(lambda: _ref_step(rs, rt, gamma, z, 0.5, tangent))
@@ -553,6 +558,13 @@ def test_generated_elimination_grows_quadratically():
 
 # ---------------------------------------------------------------------------
 # The generated elimination against the loop it replaces
+
+
+@functools.cache
+def _elimination(n: int):
+    """The elimination every step inlines, alone: solves [A | b] held in M."""
+    lines = _elimination_lines(n) + ["return [" + ", ".join(f"x{i}" for i in range(n)) + "]"]
+    return define_function("eliminate", "M", lines, {"_NativeSingular": _NativeSingular})
 
 
 def _loop_solve_native(M):
@@ -757,6 +769,57 @@ def test_step_matches_reference_composition(inputs):
     got = _step_outcome(lambda: step(list(z), t, tangent, gamma))
     want = _step_outcome(lambda: _ref_step(rs, rt, gamma, z, t, tangent))
     assert got == want, name
+
+
+def _t0_outcome(fn):
+    """(z - x, bits of both norms), or the type of what fn raised."""
+    try:
+        y, nx, ny = fn()
+    except Exception as exc:  # noqa: BLE001 - the raised type is the outcome
+        return type(exc).__name__, None
+    return y, struct.pack("<dd", nx, ny)
+
+
+def _target_newton(rt, z):
+    """z - x for J_t(z) x = F_t(z), by the loops, with both norms."""
+    x = _loop_solve_native([row + [v] for row, v in zip(rt.jac(z), rt.value(z))])
+    y = [a - b for a, b in zip(z, x)]
+    return y, _ref_norm(x), _ref_norm(y)
+
+
+def test_step_at_t0_is_the_targets_newton_step():
+    """The final sharpening and the stall rescue are step(z, 0.0, False, G).
+
+    At t = 0, s = 1 and g = 0, so the pencil is the target's [J | F] up to
+    the sign of a zero part: coordinates are equal by ==, norms bit for bit,
+    and a raise is of the same type. The start body still runs, so step may
+    also raise OverflowError where the start system's own evaluation does.
+    """
+    rng = random.Random("t0")
+    parts = (0.0, -0.0, 1.5, -1.5)
+    solved = excused = 0
+    for name, step, rs, rt in _step_cases()[1:]:  # `two`, then the parity pairs
+        points = [_random_point(rng, rs.size) for _ in range(20)]
+        if name == "two":
+            points += [[complex(a, b), complex(c, d)] for a, b, c, d in
+                       itertools.product(parts, repeat=4)]
+        # A start power z_i ** 3 overflows at 1e110 where the target's
+        # squares, and the norms, do not.
+        for i, big in itertools.product(range(rs.size), (1e110, 1e160)):
+            z = _random_point(rng, rs.size)
+            z[i] = complex(big, 1.0)
+            points.append(z)
+        for gamma in (complex(0.6, 0.8), complex(-0.6, -0.8), complex(-1.0, 0.0)):
+            for z in points:
+                got = _t0_outcome(lambda: step(list(z), 0.0, False, gamma))
+                want = _t0_outcome(lambda: _target_newton(rt, z))
+                if got != want and got == ("OverflowError", None) and want[1] is not None:
+                    assert _raises_overflow(lambda: (rs.value(z), rs.jac(z))), (name, z)
+                    excused += 1
+                    continue
+                assert got == want, (name, z, gamma)
+                solved += got[1] is not None
+    assert solved > 0 and excused > 0
 
 
 def test_tangent_is_evaluated_once_per_accepted_point(monkeypatch):
