@@ -9,7 +9,7 @@ deformations
     H(z, t) = (1 - t) * Ftarget(z) + gamma * t * Fstart(z),    t: 1 -> 0,
 
 with gamma a random unit-modulus constant derived from the recorded seed.
-Path tracking runs in hardware doubles (Euler predictor, Newton corrector,
+Path tracking runs in hardware doubles (Heun predictor, Newton corrector,
 adaptive step length, with fixed step-control constants). Endpoints are
 then polished with the multiprecision Newton iteration and returned as
 candidates for certification, never as certified output. Every random draw
@@ -25,16 +25,19 @@ together, with constant entries folded. It then builds the augmented
 matrix [H_z | rhs], solves it by partial pivoting with the column loops
 and the pivot search unrolled and the row loops kept, so the source is
 O(n^2) (_elimination_lines), and returns the tangent, or the corrected
-point with the norms of the Newton step and of the point. The tracker
-evaluates the tangent once per accepted point; a rejected step retries
-with it. The same function is the tracker's only double-precision Newton
-kernel: at t = 0 its corrector is the target's Newton step, which the
-final sharpening and the stall rescue take. Every operation is that of the
-loops the function replaces, in their order, so paths, ledgers and
-candidates are bit for bit what the loops gave, and the first exception
+point with the norms of the Newton step and of the point. Every
+operation is that of the loops the function replaces, in their order, so
+its results are bit for bit what the loops gave, and the first exception
 raised is the same. The source holds names and integer indices only;
 coefficients, gamma and link functions enter as bound objects or
-arguments.
+arguments. The same function is the tracker's only double-precision
+Newton kernel: at t = 0 its corrector is the target's Newton step, which
+the final sharpening and the stall rescue take.
+
+The predictor is Heun's explicit trapezoid (_predict). Its local error is
+O(h^3), one order above the Euler step z + h * v, so the step control
+keeps long steps more often; the price is a second tangent per attempted
+step.
 """
 
 from __future__ import annotations
@@ -440,8 +443,29 @@ def _rescue_stall(step, gamma: complex, ct: CompiledSystem, z):
     return None
 
 
+def _predict(step, gamma: complex, z, v, t, h):
+    """Heun's explicit trapezoid from (z, t) to t - h, given the tangent v
+    at (z, t): the Euler point z + h * v gives a second tangent k2, and the
+    prediction is z + (h / 2) * (v + k2), with local error O(h^3).
+
+    step's tangent is x with H_z x = H_t, so dz/dt = -x and moving t down by
+    h moves z by +h * x. _NativeSingular and OverflowError from k2 propagate
+    to the caller.
+    """
+    k2 = step([a + h * b for a, b in zip(z, v)], t - h, True, gamma)
+    half = h / 2
+    return [a + half * (b + c) for a, b, c in zip(z, v, k2)]
+
+
 def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
     """Track one root of Fstart to t = 0 along the straight-line deformation.
+
+    Each attempted step predicts by Heun's trapezoid (_predict) and corrects
+    by Newton at the new t. The tangent at the accepted point is evaluated
+    once and reused by a rejected retry; the second tangent, at the Euler
+    point, is new on every attempt. A singular second tangent rejects the
+    step, as a singular corrector does; an overflow in it ends the path
+    DIVERGED.
 
     The same seed always yields the same gamma, hence the same path. The
     returned point is a double-precision approximation only; callers are
@@ -477,7 +501,7 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
                 v = step(z, t, True, gamma)
             zc = None
             if v is not None:
-                zc = _correct(step, gamma, [a + h * b for a, b in zip(z, v)], tn)
+                zc = _correct(step, gamma, _predict(step, gamma, z, v, t, h), tn)
         except _NativeSingular:
             zc = None
         except OverflowError:

@@ -386,6 +386,8 @@ def test_criterion_6b_compliant_pipeline(verdict):
     # structural facts of the start configuration do not depend on draws
     assert "slices: 512 factor selections after pruning" in out.ledger.render()
     assert stages["slice-continuation"].tracked == 2092
+    # certify_batch ran with distinct=True: no two candidates share a root
+    assert rep.counts["distinct"] == len(out.candidates)
     assert ok
 
 

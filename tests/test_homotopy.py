@@ -205,6 +205,35 @@ def test_track_path_reaches_shifted_root():
     assert abs(res2.point[0] + math.sqrt(2)) < 1e-6
 
 
+def test_predictor_is_second_order():
+    """Heun's local error falls by about 8 when h halves; Euler's by 4.
+
+    On x^2 - 1 -> x^2 - 4 the path is known in closed form:
+    z(t)^2 = (4(1 - t) + gamma t) / ((1 - t) + gamma t). From the exact
+    point at t = 0.5 the prediction to t - h is compared with z(t - h).
+    """
+    start = _univariate((1, 2), (-1, 0))  # x^2 - 1
+    target = _univariate((1, 2), (-4, 0))  # x^2 - 4
+    step = _step_program(
+        homotopy.compile_system(start), homotopy.compile_system(target)
+    )
+    gamma = homotopy._gamma_for_seed(3)
+
+    def exact(t):
+        return cmath.sqrt((4 * (1 - t) + gamma * t) / ((1 - t) + gamma * t))
+
+    t = 0.5
+    z = [exact(t)]
+    v = step(z, t, True, gamma)
+    errors = []
+    for h in (2e-2, 1e-2):
+        (pred,) = homotopy._predict(step, gamma, z, v, t, h)
+        want = exact(t - h)
+        assert abs(pred - want) < abs(pred + want)  # the same branch
+        errors.append(abs(pred - want))
+    assert 6.0 <= errors[0] / errors[1] <= 10.0
+
+
 def test_track_path_flags_divergence(monkeypatch):
     start = _univariate((1, 2), (-1, 0))
     target = _univariate((Fraction(1, 10**8), 2), (-1, 0))  # roots at +-1e4
@@ -280,7 +309,7 @@ def test_solve_two_link_arm_finds_all_six():
     assert text.rstrip().endswith("candidates: 6")
     # Any change to the tracker's arithmetic shows up here first.
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "d03b6edc5d2eeeff0fbd6a143b2a7cd502ccfafd496f0680422abdba90a15e37"
+        "0af91f7069ebe7c59b09efe40418fe77219e62e7a74e4d8c6d973966efccc8b0"
     )
     names = [s.name for s in out.ledger.stages]
     assert names == ["slice-continuation", "product-to-truncated", "truncated-to-target"]
@@ -823,7 +852,13 @@ def test_step_at_t0_is_the_targets_newton_step():
 
 
 def test_tangent_is_evaluated_once_per_accepted_point(monkeypatch):
-    """A rejected step retries with the tangent of the same (z, t)."""
+    """A rejected step retries with the tangent of the same (z, t).
+
+    Each attempt evaluates one new tangent, Heun's second one at the Euler
+    point; the tangent at the accepted point is added once per point. So
+    there are more tangent calls than attempts and at most two per attempt,
+    and no (z, t) pair is evaluated twice in a row.
+    """
     calls = []
     program = homotopy._step_program
 
@@ -842,5 +877,5 @@ def test_tangent_is_evaluated_once_per_accepted_point(monkeypatch):
     out = solve_by_deformation(G, (3, 3, 2, 2), HomotopyConfig(seed=12))
     assert len(out.candidates) == 6
     steps = sum(steps for st_ in out.ledger.stages for _, _, steps in st_.outcomes)
-    assert 0 < len(calls) < steps
+    assert steps < len(calls) <= 2 * steps
     assert all(a != b for a, b in zip(calls, calls[1:]))

@@ -23,6 +23,11 @@ ROOT = Path(__file__).resolve().parent.parent
         (["arm_demo.py", "--seed", "12"], "certified 6/6"),
         (["residual_table.py", "--bits", "256", "--steps", "4"], "step lengths from Z1 at 256 bits"),
         (["compliant_demo.py", "--help"], "usage: compliant_demo.py"),
+        (
+            ["solve_sweep.py", "--system", str(ROOT / "data" / "rr_dyad.sys"),
+             "--degrees", "3,3,2,2", "--seeds", "0-1"],
+            '"seed": 1, "candidates": 4, "certified": 4, "distinct": 4, "real": 4',
+        ),
     ],
 )
 def test_script_runs(argv, expected):
