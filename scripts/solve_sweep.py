@@ -3,8 +3,8 @@
 Each line gives the candidate count, the certified, distinct and real counts
 of certifying those candidates at the solve precision, each stage's kept
 count and path outcomes from the run ledger, the total tracker steps, and
-the solve time. Two versions of the tracker compare seed by seed by running
-this script on each and diffing the lines.
+the solve time. Running it on two versions of the tracker compares them
+seed by seed.
 
     python3 scripts/solve_sweep.py --system data/rr_dyad.sys --degrees 3,3,2,2 --seeds 0-39
 """

@@ -25,6 +25,7 @@ from expcert.expsystems import (
     ExpLink,
     ExpSystem,
     as_exp_system,
+    compile_system,
     define_function,
     value_and_jacobian,
 )
@@ -214,9 +215,7 @@ def test_predictor_is_second_order():
     """
     start = _univariate((1, 2), (-1, 0))  # x^2 - 1
     target = _univariate((1, 2), (-4, 0))  # x^2 - 4
-    step = _step_program(
-        homotopy.compile_system(start), homotopy.compile_system(target)
-    )
+    step = _step_program(compile_system(start), compile_system(target))
     gamma = homotopy._gamma_for_seed(3)
 
     def exact(t):
