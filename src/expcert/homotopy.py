@@ -38,18 +38,29 @@ The predictor is Heun's explicit trapezoid (_predict). Its local error is
 O(h^3), one order above the Euler step z + h * v, so the step control
 keeps long steps more often; the price is a second tangent per attempted
 step.
+
+solve tracks on every CPU in its affinity mask. Paths are independent:
+a stage's gamma comes from the stage seed, so a path's result depends on
+its start point alone. One fork pool per solve (_tasks) runs one task per
+slice, which restricts, compiles and tracks that slice, and one task per
+path of the later stages; the parent takes the results in task order and
+deduplicates, polishes and logs them as before. Ledgers, candidates and
+reports are therefore bit for bit the same for any worker count.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import enum
 import itertools
 import math
+import os
 import random
+import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 import mpmath as mp
@@ -709,25 +720,127 @@ class SolveResult:
     ledger: RunLedger
 
 
-def _stage_seed(seed: int, k: int) -> int:
-    return seed * 1000003 + k
+def _stage_config(cfg: HomotopyConfig, k: int) -> HomotopyConfig:
+    """The config that tracks stage k of a run: cfg under the stage's seed."""
+    return replace(cfg, seed=cfg.seed * 1000003 + k)
 
 
-def _stage(ledger: RunLedger, name: str, cfg: HomotopyConfig, k: int):
-    """Open stage k of a run: log its record, with the stage seed and its
-    gamma, and return it with the config that tracks under that seed."""
-    seed = _stage_seed(cfg.seed, k)
-    record = StageRecord(name, seed, _gamma_for_seed(seed))
+def _stage(ledger: RunLedger, name: str, cfg: HomotopyConfig) -> StageRecord:
+    """Open a stage tracked under cfg: log its record, with its seed and gamma."""
+    record = StageRecord(name, cfg.seed, _gamma_for_seed(cfg.seed))
     ledger.stages.append(record)
-    return record, replace(cfg, seed=seed)
+    return record
 
 
-def _track_stage(record: StageRecord, cfg: HomotopyConfig, Fstart, Ftarget, starts):
-    """Track every start, log outcomes under the start's index, and return
-    deduplicated endpoints."""
+# ---------------------------------------------------------------------------
+# Tracking on every core
+#
+# A task is (stage name, argument). Its function takes the solve's shared
+# systems, keyed by stage name, and the task, and returns a picklable
+# result. Pool workers inherit the shared systems through the fork, so a
+# task sends only a selection or a start point.
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on, which bound the pool's size."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_shared = None  # in a pool worker: the systems of the solve that forked it
+
+
+def _adopt(shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _run_task(task):
+    fn, arg = task
+    return fn(_shared, arg)
+
+
+@contextlib.contextmanager
+def _tasks(shared: dict, count: int):
+    """Yield run(fn, tasks), the results fn(shared, task) in task order.
+
+    The tasks run in a fork pool opened here, with one worker per CPU in
+    the affinity mask, but no more than `count`, the task count of the
+    first stage; each worker takes the next task when it is free (imap,
+    chunksize 1). Every result depends on its task alone, so the results,
+    and what the caller builds from them in order, are bit for bit those
+    of the serial route for any worker count. The serial route, plain map
+    in this process, is taken with one worker, in a daemonic process
+    (which may not have children), where fork is missing, and while other
+    threads run (fork copies the calling thread alone, so a lock another
+    thread holds would stay held in the workers). Fork, not spawn, lets
+    the workers inherit the systems instead of receiving them pickled. The
+    pool is closed and joined on the way out, after terminate() when the
+    caller raised, so no worker outlives the block.
+    """
+    import multiprocessing  # here, as importing it adds about 10% to `import expcert.cli`
+
+    workers = min(_worker_count(), count)
+    if (
+        workers <= 1
+        or multiprocessing.current_process().daemon
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        yield lambda fn, tasks: map(partial(fn, shared), tasks)
+        return
+    pool = multiprocessing.get_context("fork").Pool(workers, _adopt, (shared,))
+    try:
+        yield lambda fn, tasks: pool.imap(_run_task, ((fn, t) for t in tasks), chunksize=1)
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
+
+
+def _path_task(shared: dict, task) -> PathResult:
+    """Track one start point of a stage."""
+    stage, z0 = task
+    Fstart, Ftarget, cfg = shared[stage]
+    return track_path(Fstart, Ftarget, z0, cfg)
+
+
+def _slice_task(shared: dict, task):
+    """Restrict to one factor selection, track the slice's total-degree
+    paths and lift their endpoints: (notes, outcomes, lifted endpoints)."""
+    stage, nu = task
+    head, factors, links, N, cfg = shared[stage]
+    nulabel = "nu=(" + ",".join(str(k) for k in nu) + ")"
+    restricted = _restrict(head, nu, factors, links, N)
+    if restricted is None:
+        return [f"{nulabel}: constant row after restriction, skipped"], [], []
+    S, free, pinned, affine = restricted
+    if S.n != len(free):
+        return [f"{nulabel}: not square after restriction, skipped"], [], []
+    if len(free) == 0:
+        point = _lift_slice_point((), free, pinned, affine, N)
+        return [], [(nulabel, PathStatus.ENDPOINT, 0)], [point]
+    degs = S.degrees
+    start = _total_degree_system(degs, len(free))
+    outcomes, points = [], []
+    for idx, z0 in enumerate(_roots_of_unity_starts(degs)):
+        res = track_path(start, S, z0, cfg)
+        outcomes.append((f"{nulabel}#{idx}", res.status, res.steps))
+        if res.status is PathStatus.ENDPOINT:
+            points.append(_lift_slice_point(res.point, free, pinned, affine, N))
+    return [], outcomes, points
+
+
+def _track_stage(record: StageRecord, run, starts):
+    """Track every start of the stage, one path task each, on every core
+    (_tasks); log outcomes under the start's index, in start order, and
+    return deduplicated endpoints, bit for bit as tracked one by one."""
     ends = []
-    for i, z0 in enumerate(starts):
-        res = track_path(Fstart, Ftarget, z0, cfg)
+    results = run(_path_task, [(record.name, z0) for z0 in starts])
+    for i, res in enumerate(results):
         record.outcomes.append((str(i), res.status, res.steps))
         if res.status is PathStatus.ENDPOINT:
             ends.append(res.point)
@@ -736,30 +849,16 @@ def _track_stage(record: StageRecord, cfg: HomotopyConfig, Fstart, Ftarget, star
     return kept
 
 
-def _solve_slices(record: StageRecord, cfg: HomotopyConfig, head, selections, factors, links, N):
-    """Solve every slice by total-degree continuation and lift the solutions."""
+def _solve_slices(record: StageRecord, run, selections):
+    """Solve every slice by total-degree continuation, one slice task each,
+    on every core (_tasks), and lift the solutions; notes, outcomes and
+    solutions are logged in selection order, bit for bit as solved one by
+    one."""
     sols = []
-    for nu in selections:
-        restricted = _restrict(head, nu, factors, links, N)
-        nulabel = "nu=(" + ",".join(str(k) for k in nu) + ")"
-        if restricted is None:
-            record.notes.append(f"{nulabel}: constant row after restriction, skipped")
-            continue
-        S, free, pinned, affine = restricted
-        if S.n != len(free):
-            record.notes.append(f"{nulabel}: not square after restriction, skipped")
-            continue
-        if len(free) == 0:
-            sols.append(_lift_slice_point((), free, pinned, affine, N))
-            record.outcomes.append((nulabel, PathStatus.ENDPOINT, 0))
-            continue
-        degs = S.degrees
-        start = _total_degree_system(degs, len(free))
-        for idx, z0 in enumerate(_roots_of_unity_starts(degs)):
-            res = track_path(start, S, z0, cfg)
-            record.outcomes.append((f"{nulabel}#{idx}", res.status, res.steps))
-            if res.status is PathStatus.ENDPOINT:
-                sols.append(_lift_slice_point(res.point, free, pinned, affine, N))
+    for notes, outcomes, points in run(_slice_task, [(record.name, nu) for nu in selections]):
+        record.notes += notes
+        record.outcomes += outcomes
+        sols += points
     kept = _dedup_native(sols)
     record.kept = len(kept)
     return kept
@@ -817,9 +916,11 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
 
     With links present: truncate, solve the linear-product slices, carry the
     solutions to the truncated system and on to F. Without links this is a
-    plain total-degree continuation of the polynomial part. Endpoints are
-    polished at cfg.bits and deduplicated; everything random is derived from
-    cfg.seed and recorded in the returned ledger.
+    plain total-degree continuation of the polynomial part. Paths are
+    tracked on every CPU in the affinity mask (_tasks), with the same
+    result for any worker count. Endpoints are polished at cfg.bits and
+    deduplicated; everything random is derived from cfg.seed and recorded
+    in the returned ledger.
     """
     F = as_exp_system(F)
     degrees = tuple(int(d) for d in degrees)
@@ -832,10 +933,11 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
         if any(d < 1 for d in F.P.degrees):
             raise ValidationError("every polynomial must have positive degree")
         degs = F.P.degrees
-        start = _total_degree_system(degs, F.P.nv)
-        ends = _track_stage(
-            *_stage(ledger, "total-degree", cfg, 3), start, F.P, _roots_of_unity_starts(degs)
-        )
+        starts = _roots_of_unity_starts(degs)
+        target = _stage_config(cfg, 3)
+        shared = {"total-degree": (_total_degree_system(degs, F.P.nv), F.P, target)}
+        with _tasks(shared, len(starts)) as run:
+            ends = _track_stage(_stage(ledger, "total-degree", target), run, starts)
         candidates = _polish(F, ends, cfg, ledger)
         ledger.candidate_count = len(candidates)
         return SolveResult(candidates, ledger)
@@ -853,14 +955,20 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
         f"slices: {len(selections)} factor selections after pruning "
         f"(source degrees {', '.join(str(c) for c in counts)})"
     )
-    head = Fp.polys[: F.n]
-    start_sols = _solve_slices(
-        *_stage(ledger, "slice-continuation", cfg, 1), head, selections, factors, F.links, F.N
-    )
-    fp_sols = _track_stage(
-        *_stage(ledger, "product-to-truncated", cfg, 2), product_system, Fp, start_sols
-    )
-    ends = _track_stage(*_stage(ledger, "truncated-to-target", cfg, 3), Fp, F, fp_sols)
+    slices, product, target = (_stage_config(cfg, k) for k in (1, 2, 3))
+    shared = {
+        "slice-continuation": (Fp.polys[: F.n], factors, F.links, F.N, slices),
+        "product-to-truncated": (product_system, Fp, product),
+        "truncated-to-target": (Fp, F, target),
+    }
+    # Compiled before the pool forks, the two steps are inherited by every
+    # worker instead of compiled in each.
+    for Fstart, Ftarget, _ in (shared["product-to-truncated"], shared["truncated-to-target"]):
+        _step_program(compile_system(Fstart), compile_system(Ftarget))
+    with _tasks(shared, len(selections)) as run:
+        start_sols = _solve_slices(_stage(ledger, "slice-continuation", slices), run, selections)
+        fp_sols = _track_stage(_stage(ledger, "product-to-truncated", product), run, start_sols)
+        ends = _track_stage(_stage(ledger, "truncated-to-target", target), run, fp_sols)
 
     candidates = _polish(F, ends, cfg, ledger)
     ledger.candidate_count = len(candidates)

@@ -430,3 +430,14 @@ def test_equal_systems_share_one_compiled_program():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     H = taylor_truncate(F, (2,) * F.m)
     assert H != F.P and compile_system(H) is compile_system(taylor_truncate(G, (2,) * G.m))
+
+
+def test_systems_of_one_structure_share_compiled_code():
+    """Generated source holds names only, so two systems that differ only
+    in their coefficients run one code object, each with its own values."""
+    a, b = (
+        compile_system(PolynomialSystem((Polynomial.from_terms(1, [(ec(c), (2,)), (ec(d), (0,))]),)))
+        for c, d in ((2, -1), (3, -5))
+    )
+    assert a is not b and a._value.__code__ is b._value.__code__
+    assert (a.value([1.0]), b.value([1.0])) == ([1 + 0j], [-2 + 0j])

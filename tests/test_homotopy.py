@@ -9,8 +9,10 @@ import functools
 import hashlib
 import itertools
 import math
+import multiprocessing
 import random
 import struct
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,7 +45,7 @@ from expcert.homotopy import (
     taylor_truncate,
     track_path,
 )
-from expcert.mechanisms import two_link_arm_exp
+from expcert.mechanisms import compliant_linkage, two_link_arm_exp
 from expcert.polynomials import Polynomial, PolynomialSystem
 from expcert.scalars import ExactComplex
 from expcert.sysio import parse_system
@@ -872,9 +874,125 @@ def test_tangent_is_evaluated_once_per_accepted_point(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(homotopy, "_step_program", recording)
+    # Pool workers would record in their own copy of `calls`.
+    monkeypatch.setattr(homotopy, "_worker_count", lambda: 1)
     G, _ = two_link_arm_exp()
     out = solve_by_deformation(G, (3, 3, 2, 2), HomotopyConfig(seed=12))
     assert len(out.candidates) == 6
     steps = sum(steps for st_ in out.ledger.stages for _, _, steps in st_.outcomes)
     assert steps < len(calls) <= 2 * steps
     assert all(a != b for a, b in zip(calls, calls[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Tracking on a process pool
+
+
+def _fingerprint(out):
+    """The ledger and the candidates' raw mpc bits of one solve."""
+    return out.ledger.render(), [tuple(v._mpc_ for v in z) for z in out.candidates]
+
+
+def _linkfree_pair():
+    """x^2 + y - 3 = 0, x*y + 2*y^2 - 1 = 0: four total-degree paths."""
+    return PolynomialSystem(
+        (
+            Polynomial.from_terms(2, [(EC(1), (2, 0)), (EC(1), (0, 1)), (EC(-3), (0, 0))]),
+            Polynomial.from_terms(2, [(EC(1), (1, 1)), (EC(2), (0, 2)), (EC(-1), (0, 0))]),
+        )
+    )
+
+
+_POOLED_SOLVES = {
+    "arm": lambda: (two_link_arm_exp()[0], (3, 3, 2, 2), 12),
+    "compliant": lambda: (compliant_linkage()[0], (2, 2, 2, 2, 2, 2), 0),
+    "link-free": lambda: (_linkfree_pair(), (), 5),
+}
+
+
+def _solve_case(name):
+    F, degrees, seed = _POOLED_SOLVES[name]()
+    return solve_by_deformation(F, degrees, HomotopyConfig(seed=seed))
+
+
+@pytest.mark.parametrize("name", sorted(_POOLED_SOLVES))
+def test_ledger_and_candidates_do_not_depend_on_the_worker_count(monkeypatch, name):
+    prints = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(homotopy, "_worker_count", lambda: workers)
+        prints.append(_fingerprint(_solve_case(name)))
+    assert prints[0][1]
+    assert prints[1] == prints[0] and prints[2] == prints[0]
+
+
+def _fingerprint_case(name):
+    assert multiprocessing.current_process().daemon
+    return _fingerprint(_solve_case(name))
+
+
+def test_solve_in_a_daemonic_process_tracks_serially(monkeypatch):
+    """A daemonic process may not start children, so asking for two
+    workers there must take the serial route and give the same result."""
+    monkeypatch.setattr(homotopy, "_worker_count", lambda: 1)
+    serial = _fingerprint(_solve_case("arm"))
+    monkeypatch.setattr(homotopy, "_worker_count", lambda: 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_fingerprint_case, ("arm",)).get(timeout=300) == serial
+
+
+def test_solve_beside_another_thread_tracks_serially(monkeypatch):
+    """Fork copies only the calling thread, so no pool is opened while
+    another thread runs."""
+    expected = _fingerprint(_solve_case("link-free"))
+
+    def no_pool(method=None):
+        raise AssertionError("a pool was opened beside a running thread")
+
+    monkeypatch.setattr(homotopy, "_worker_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _fingerprint(_solve_case("link-free")) == expected
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def test_no_worker_outlives_a_solve(monkeypatch):
+    monkeypatch.setattr(homotopy, "_worker_count", lambda: 2)
+    assert len(_solve_case("arm").candidates) == 6
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_raising_task_reaches_the_caller_and_leaves_no_worker(monkeypatch, k):
+    """One start of the arm's stage k raises in its worker: a slice task
+    (k = 1) or a path task (k = 3). The exception reaches the caller with
+    its type, and the pool is torn down before it does."""
+    track = homotopy.track_path
+    seed = homotopy._stage_config(HomotopyConfig(seed=12), k).seed
+    starts = []
+
+    def recording(Fstart, Ftarget, z0, cfg):
+        if cfg.seed == seed:
+            starts.append((Ftarget, tuple(z0)))
+        return track(Fstart, Ftarget, z0, cfg)
+
+    monkeypatch.setattr(homotopy, "track_path", recording)
+    monkeypatch.setattr(homotopy, "_worker_count", lambda: 1)
+    _solve_case("arm")
+    doomed = starts[len(starts) // 2]
+
+    def failing(Fstart, Ftarget, z0, cfg):
+        if cfg.seed == seed and (Ftarget, tuple(z0)) == doomed:
+            raise ZeroDivisionError("injected")
+        return track(Fstart, Ftarget, z0, cfg)
+
+    monkeypatch.setattr(homotopy, "track_path", failing)
+    monkeypatch.setattr(homotopy, "_worker_count", lambda: 2)
+    with pytest.raises(ZeroDivisionError, match="injected"):
+        _solve_case("arm")
+    assert multiprocessing.active_children() == []
