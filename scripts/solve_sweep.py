@@ -1,10 +1,11 @@
 """Solve one system at every seed of a range and print one JSON line per seed.
 
 Each line gives the candidate count, the certified, distinct and real counts
-of certifying those candidates at the solve precision, each stage's kept
-count and path outcomes from the run ledger, the total tracker steps, and
-the solve time. Running it on two versions of the tracker compares them
-seed by seed.
+of certifying those candidates at the solve precision, a digest of the
+candidate roots, each stage's kept count, path outcomes and path counts by
+outcome and reason, the total tracker steps, and the solve time. Running it
+on two versions of the tracker compares them seed by seed, root set by root
+set.
 
     python3 scripts/solve_sweep.py --system data/rr_dyad.sys --degrees 3,3,2,2 --seeds 0-39
 """
@@ -12,7 +13,9 @@ seed by seed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
@@ -41,6 +44,22 @@ def degree_list(raw: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not an integer list: {raw!r}")
 
 
+def root_digest(candidates) -> str:
+    """sha256 of the sorted candidates, each coordinate part rounded to 12
+    significant digits of the point's largest part.
+
+    Rounding against the largest part, not each part's own magnitude, reads
+    the last-bit noise of a real root's imaginary parts as 0, so runs that
+    find the same roots give the same digest in any order.
+    """
+    keys = []
+    for z in candidates:
+        parts = [float(p) for v in z for p in (v.real, v.imag)]
+        exp = math.floor(math.log10(max(map(abs, parts)) or 1.0)) - 11
+        keys.append(" ".join(f"{round(p / 10.0**exp)}e{exp}" for p in parts))
+    return hashlib.sha256("\n".join(sorted(keys)).encode()).hexdigest()
+
+
 def sweep_line(F, degrees, seed: int, bits: int) -> dict:
     t0 = time.perf_counter()
     out = solve_by_deformation(F, degrees, HomotopyConfig(seed=seed, bits=bits))
@@ -48,16 +67,21 @@ def sweep_line(F, degrees, seed: int, bits: int) -> dict:
     rep = certify_batch(
         F, out.candidates, PrecisionConfig("float", bits), BatchOptions(distinct=True, real=True)
     )
-    stages = {
-        st.name: {"kept": st.kept, **{s.value: st.count(s) for s in PathStatus}}
-        for st in out.ledger.stages
-    }
+    stages = {}
+    for st in out.ledger.stages:
+        reasons = {f"{s.value}: {r}" if r else s.value: n for (s, r), n in st.reasons.items()}
+        stages[st.name] = {
+            "kept": st.kept,
+            **{s.value: st.count(s) for s in PathStatus},
+            "reasons": dict(sorted(reasons.items())),
+        }
     return {
         "seed": seed,
         "candidates": len(out.candidates),
         "certified": rep.counts["certified"],
         "distinct": rep.counts["distinct"],
         "real": rep.counts["real"],
+        "roots": root_digest(out.candidates),
         "stages": stages,
         "steps": sum(steps for st in out.ledger.stages for _, _, steps in st.outcomes),
         "solve_s": round(seconds, 3),

@@ -415,8 +415,8 @@ class CompiledSystem:
         raises OverflowError when a part of a power comes out infinite, and
         the tracker then calls the path diverged. With both parts huge,
         inf - inf makes the power nan without a raise
-        (complex(1e200, -3e199) ** 2); the tracker then rejects the nan step
-        and halves dt, so such a path does not end DIVERGED.
+        (complex(1e200, -3e199) ** 2); the tracker's corrector then finds a
+        non-finite step norm and ends the path DIVERGED all the same.
         """
         namespace[f"{pre}Z"], namespace[f"{pre}I"] = self.zero, self.one
         shared = {} if shared is None else shared

@@ -39,6 +39,19 @@ O(h^3), one order above the Euler step z + h * v, so the step control
 keeps long steps more often; the price is a second tangent per attempted
 step.
 
+Two rules keep paths that yield no root from grinding down to the
+smallest step. Each total-degree target, every slice and the link-free
+system, is balanced (_balance): each row is multiplied by the power of two
+that brings its largest coefficient part into [1, 2), as Morgan's equation
+scaling does, so that the start rows x^d - 1 do not dwarf it near t = 1;
+the scaling is exact in doubles and keeps every root. In the endgame zone
+t <= _ENDGAME_T, a path whose norm keeps growing like a power of 1/t ends
+DIVERGED (track_path), in every stage, as Bertini's endgame does for paths
+to infinity. Such paths head for singular points at infinity, so a
+projective patch alone would not end them sooner. A non-finite corrector
+step, which complex ** gives on huge parts without raising, also ends a
+path DIVERGED.
+
 solve tracks on every CPU in its affinity mask. Paths are independent:
 a stage's gamma comes from the stage seed, so a path's result depends on
 its start point alone. One fork pool per solve (_tasks) runs one task per
@@ -58,6 +71,7 @@ import math
 import os
 import random
 import threading
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -350,6 +364,13 @@ _GROWTH_FACTOR = 1.5
 _STALL_T = 1e-2
 _STALL_TOL = 1e-9
 _STALL_ITERS = 8
+# Paths to infinity: once t <= _ENDGAME_T, a path whose norm grew at a rate
+# of at least _INFINITY_GROWTH (log10 ||z|| per decade of t) over each of
+# the last two decades, and _INFINITY_RATIO-fold since entering the zone,
+# ends DIVERGED (track_path). The ledger's config line records all three.
+_ENDGAME_T = 0.1
+_INFINITY_GROWTH = 0.3
+_INFINITY_RATIO = 1000.0
 
 
 def _gamma_for_seed(seed: int) -> complex:
@@ -420,10 +441,14 @@ def _step_program(cs: CompiledSystem, ct: CompiledSystem):
 
 def _correct(step, gamma: complex, z, t):
     """Newton iterations at fixed t: (z, ||z||), or None when convergence
-    is not accepted."""
+    is not accepted. A non-finite step or point norm raises OverflowError,
+    as an overflowing power does."""
     prev = None
     for _ in range(_MAX_CORRECTIONS):
         z, ns, nz = step(z, t, False, gamma)
+        if not (math.isfinite(ns) and math.isfinite(nz)):
+            # complex ** on huge parts gives nan without raising
+            raise OverflowError("non-finite Newton step")
         if ns <= _CORRECT_TOL * max(1.0, nz):
             return z, nz
         if prev is not None and ns > _CONTRACTION * prev:
@@ -475,8 +500,21 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
     by Newton at the new t. The tangent at the accepted point is evaluated
     once and reused by a rejected retry; the second tangent, at the Euler
     point, is new on every attempt. A singular second tangent rejects the
-    step, as a singular corrector does; an overflow in it ends the path
-    DIVERGED.
+    step, as a singular corrector does; an overflow in it, or a non-finite
+    corrector step, ends the path DIVERGED.
+
+    In the endgame zone t <= _ENDGAME_T, the accepted points where t first
+    reaches the zone and then each further tenth of the previous mark's t
+    are marks, with norms taken as max(||z||, 1). Between consecutive marks
+    the growth rate is log10 of the norm's ratio over log10 of t's. A path
+    whose last two rates are both at least _INFINITY_GROWTH, and whose norm
+    is at least _INFINITY_RATIO times the first mark's, ends DIVERGED
+    ("growing toward infinity") instead of grinding down to dt_min. Paths
+    to infinity grow like a negative power of t, so the rate test reads
+    them; the ratio keeps a finite root reached through a slow climb. The
+    farthest clean endpoint measured lay 63 times farther out than its
+    path's first mark, and a ratio of 10 would cut the path to a slice
+    root of `compliant` at seeds 3, 4, 8 and 9 (degrees 2,2,2,2,2,2).
 
     The same seed always yields the same gamma, hence the same path. The
     returned point is a double-precision approximation only; callers are
@@ -497,6 +535,9 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
         return PathResult(PathStatus.FAILED, None, 0, "start evaluation overflow")
     step, gamma = _step_program(cs, ct), _gamma_for_seed(cfg.seed)
     t, dt, streak, steps = 1.0, _DT_INIT, 0, 0
+    # Growth marks (t, max(||z||, 1)) in the endgame zone and the growth
+    # rates between consecutive marks.
+    marks, rates = [], []
     # The tangent depends on (z, t) alone: it is evaluated once per accepted
     # point, and a rejected step retries with it. None marks a singular one.
     fresh, v = True, None
@@ -525,16 +566,24 @@ def track_path(Fstart, Ftarget, z0, cfg: HomotopyConfig) -> PathResult:
                     rescued = _rescue_stall(step, gamma, ct, z)
                     if rescued is not None:
                         return PathResult(
-                            PathStatus.ENDPOINT,
-                            tuple(rescued),
-                            steps,
-                            f"sharpened from a stall at t={t:.1e}",
+                            PathStatus.ENDPOINT, tuple(rescued), steps, "sharpened from a stall"
                         )
                 return PathResult(PathStatus.FAILED, None, steps, "step size underflow")
             continue
         (z, nz), t, fresh = zc, tn, True
-        if not math.isfinite(nz) or nz > _BLOWUP:
+        if nz > _BLOWUP:
             return PathResult(PathStatus.DIVERGED, None, steps, "norm above blowup")
+        if 0.0 < t <= (marks[-1][0] / 10 if marks else _ENDGAME_T):
+            if marks:
+                tm, nm = marks[-1]
+                rates.append(math.log10(max(nz, 1.0) / nm) / math.log10(tm / t))
+            marks.append((t, max(nz, 1.0)))
+        if (
+            len(rates) >= 2
+            and min(rates[-2:]) >= _INFINITY_GROWTH
+            and nz >= _INFINITY_RATIO * marks[0][1]
+        ):
+            return PathResult(PathStatus.DIVERGED, None, steps, "growing toward infinity")
         streak += 1
         if streak >= _GROWTH_STREAK:
             dt = min(dt * _GROWTH_FACTOR, _DT_INIT)
@@ -616,6 +665,28 @@ def _total_degree_system(degs, nv) -> PolynomialSystem:
     return PolynomialSystem(tuple(rows))
 
 
+def _balance(P: PolynomialSystem) -> PolynomialSystem:
+    """P with each row multiplied by the power of two 2^-k that brings its
+    largest real or imaginary coefficient part into [1, 2).
+
+    A total-degree homotopy pairs each row with x^d - 1, whose coefficients
+    have modulus 1; a row whose coefficients are hundreds of times larger
+    keeps the start points in a thin band near t = 1 until (1 - t) has
+    shrunk by as much. The factor is a power of two, so every double
+    coefficient of the compiled program, each term and each sum is scaled
+    exactly (short of underflow): values and Jacobian entries are exactly
+    2^-k times P's, with the same roots.
+    """
+    rows = []
+    for p in P.polys:
+        top = max(max(abs(c.re), abs(c.im)) for c, _ in p.terms)
+        k = top.numerator.bit_length() - top.denominator.bit_length()
+        if top < Fraction(2) ** k:
+            k -= 1
+        rows.append(pscale(p, Fraction(2) ** -k))
+    return PolynomialSystem(tuple(rows))
+
+
 def _lift_slice_point(sol, free, pinned, affine, N):
     full = [0j] * N
     for v, val in zip(free, sol):
@@ -652,10 +723,16 @@ class StageRecord:
     outcomes: list = field(default_factory=list)  # (label, status, steps)
     kept: int = 0
     notes: list = field(default_factory=list)
+    # Paths by (status, PathResult.reason); kept in memory, not rendered.
+    reasons: Counter = field(default_factory=Counter)
 
     @property
     def tracked(self) -> int:
         return len(self.outcomes)
+
+    def log(self, label: str, res: PathResult) -> None:
+        self.outcomes.append((label, res.status, res.steps))
+        self.reasons[res.status, res.reason] += 1
 
     def count(self, status: PathStatus) -> int:
         return sum(1 for _, s, _ in self.outcomes if s is status)
@@ -691,7 +768,9 @@ class RunLedger:
             f"config: dt_init={_DT_INIT!r} dt_min={_DT_MIN!r}"
             f" max_corrections={_MAX_CORRECTIONS}"
             f" contraction_threshold={_CONTRACTION!r}"
-            f" endpoint_tol={_ENDPOINT_TOL!r} blowup={_BLOWUP!r} bits={self.config.bits}"
+            f" endpoint_tol={_ENDPOINT_TOL!r} blowup={_BLOWUP!r}"
+            f" endgame_t={_ENDGAME_T!r} infinity_growth={_INFINITY_GROWTH!r}"
+            f" infinity_ratio={_INFINITY_RATIO!r} bits={self.config.bits}"
         )
         if self.degrees:
             lines.append("truncation degrees: " + " ".join(str(d) for d in self.degrees))
@@ -810,7 +889,8 @@ def _path_task(shared: dict, task) -> PathResult:
 
 def _slice_task(shared: dict, task):
     """Restrict to one factor selection, track the slice's total-degree
-    paths and lift their endpoints: (notes, outcomes, lifted endpoints)."""
+    paths to its balanced rows (_balance) and lift their endpoints:
+    (notes, (label, PathResult) pairs, lifted endpoints)."""
     stage, nu = task
     head, factors, links, N, cfg = shared[stage]
     nulabel = "nu=(" + ",".join(str(k) for k in nu) + ")"
@@ -822,13 +902,13 @@ def _slice_task(shared: dict, task):
         return [f"{nulabel}: not square after restriction, skipped"], [], []
     if len(free) == 0:
         point = _lift_slice_point((), free, pinned, affine, N)
-        return [], [(nulabel, PathStatus.ENDPOINT, 0)], [point]
+        return [], [(nulabel, PathResult(PathStatus.ENDPOINT, (), 0, "no free variable"))], [point]
     degs = S.degrees
-    start = _total_degree_system(degs, len(free))
+    start, S = _total_degree_system(degs, len(free)), _balance(S)
     outcomes, points = [], []
     for idx, z0 in enumerate(_roots_of_unity_starts(degs)):
         res = track_path(start, S, z0, cfg)
-        outcomes.append((f"{nulabel}#{idx}", res.status, res.steps))
+        outcomes.append((f"{nulabel}#{idx}", res))
         if res.status is PathStatus.ENDPOINT:
             points.append(_lift_slice_point(res.point, free, pinned, affine, N))
     return [], outcomes, points
@@ -841,7 +921,7 @@ def _track_stage(record: StageRecord, run, starts):
     ends = []
     results = run(_path_task, [(record.name, z0) for z0 in starts])
     for i, res in enumerate(results):
-        record.outcomes.append((str(i), res.status, res.steps))
+        record.log(str(i), res)
         if res.status is PathStatus.ENDPOINT:
             ends.append(res.point)
     kept = _dedup_native(ends)
@@ -857,7 +937,8 @@ def _solve_slices(record: StageRecord, run, selections):
     sols = []
     for notes, outcomes, points in run(_slice_task, [(record.name, nu) for nu in selections]):
         record.notes += notes
-        record.outcomes += outcomes
+        for label, res in outcomes:
+            record.log(label, res)
         sols += points
     kept = _dedup_native(sols)
     record.kept = len(kept)
@@ -935,7 +1016,7 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
         degs = F.P.degrees
         starts = _roots_of_unity_starts(degs)
         target = _stage_config(cfg, 3)
-        shared = {"total-degree": (_total_degree_system(degs, F.P.nv), F.P, target)}
+        shared = {"total-degree": (_total_degree_system(degs, F.P.nv), _balance(F.P), target)}
         with _tasks(shared, len(starts)) as run:
             ends = _track_stage(_stage(ledger, "total-degree", target), run, starts)
         candidates = _polish(F, ends, cfg, ledger)

@@ -244,6 +244,103 @@ def test_track_path_flags_divergence(monkeypatch):
     assert res.point is None
 
 
+def test_track_path_ends_a_path_to_infinity_in_the_endgame_zone():
+    """x^2 - 1 -> x - 2 has one root; the path from -1 runs off like 1/t.
+
+    Without the growth test the path grinds down to dt_min, and the stall
+    rescue lands it on the other path's root, 2, after 132 steps.
+    """
+    start = _univariate((1, 2), (-1, 0))
+    target = _univariate((1, 1), (-2, 0))
+    res = track_path(start, target, (-1.0,), HomotopyConfig(seed=3))
+    assert (res.status, res.reason) == (PathStatus.DIVERGED, "growing toward infinity")
+    assert res.steps < 132
+    res = track_path(start, target, (1.0,), HomotopyConfig(seed=3))
+    assert res.status is PathStatus.ENDPOINT and abs(res.point[0] - 2) < 1e-12
+
+
+@pytest.mark.parametrize("z0", [1.0, -1.0])
+def test_track_path_keeps_a_far_root_reached_slowly(z0):
+    """The roots of x^2 / 10^6 - 1 lie 1000 times farther out than the
+    start's, but the path grows about 300-fold inside the zone, short of
+    the ratio the growth test asks for."""
+    start = _univariate((1, 2), (-1, 0))
+    target = _univariate((Fraction(1, 10**6), 2), (-1, 0))
+    res = track_path(start, target, (z0,), HomotopyConfig(seed=3))
+    assert (res.status, res.reason) == (PathStatus.ENDPOINT, "")
+    assert abs(res.point[0] - 1000 * z0) < 1e-6
+
+
+def test_nan_newton_step_ends_the_path_diverged(monkeypatch):
+    """complex ** on huge parts gives nan without raising; a nan corrector
+    step ends the path at once, as an OverflowError does."""
+    assert cmath.isnan(complex(1e200, -3e199) ** 2)
+    nan = complex(math.nan, math.nan)
+    with pytest.raises(OverflowError):
+        homotopy._correct(lambda z, t, tangent, G: ([nan], math.nan, math.nan), 1j, [1j], 0.5)
+    program = homotopy._step_program
+
+    def poisoned(cs, ct):
+        step = program(cs, ct)
+
+        def wrapped(z, t, tangent, G):
+            if not tangent and t < 0.5:
+                return [nan], math.nan, math.nan
+            return step(z, t, tangent, G)
+
+        return wrapped
+
+    monkeypatch.setattr(homotopy, "_step_program", poisoned)
+    start = _univariate((1, 2), (-1, 0))
+    target = _univariate((1, 2), (-2, 0))
+    res = track_path(start, target, (1.0,), HomotopyConfig(seed=3))
+    assert (res.status, res.reason) == (PathStatus.DIVERGED, "evaluation overflow")
+    assert res.steps < 20
+
+
+def _compliant_slices(count):
+    """The first `count` nonempty restricted slice systems of compliant at
+    degrees 2,2,2,2,2,2, seed 0."""
+    G, _ = compliant_linkage()
+    Fp = taylor_truncate(G, (2,) * 6)
+    factors = _draw_factors(G.links, homotopy._link_x_degrees(Fp, G.links), 0)
+    selections, _ = linear_product_start(Fp, G.links, (2,) * 6, 0)
+    out = []
+    for nu in selections:
+        restricted = homotopy._restrict(Fp.polys[: G.n], nu, factors, G.links, G.N)
+        if restricted is not None and restricted[0].n:
+            out.append(restricted[0])
+        if len(out) == count:
+            return out
+    raise AssertionError("too few nonempty slices")
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_balanced_slice_program_is_an_exact_power_of_two_scaling(index):
+    S = _compliant_slices(4)[index]
+    B = homotopy._balance(S)
+    exps = []
+    for p, q in zip(S.polys, B.polys):
+        assert [m for _, m in p.terms] == [m for _, m in q.terms]
+        c, a = q.terms[0][0], p.terms[0][0]
+        ratio = c.re / a.re if a.re else c.im / a.im
+        k = ratio.numerator.bit_length() - ratio.denominator.bit_length()
+        assert ratio == Fraction(2) ** k
+        exps.append(k)
+        assert all(c == ratio * a for (a, _), (c, _) in zip(p.terms, q.terms))
+        top = max(max(abs(c.re), abs(c.im)) for c, _ in q.terms)
+        assert 1 <= top < 2
+    assert max(exps) < 0  # compliant's slice rows have parts of 250 and more
+    cs, cb = compile_system(S), compile_system(B)
+    assert cs.pattern == cb.pattern
+    rng = random.Random(index)
+    for _ in range(20):
+        z = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(cs.size)]
+        (fs, js), (fb, jb) = cs.evaluate(z), cb.evaluate(z)
+        assert fb == [math.ldexp(1.0, exps[r]) * v for r, v in enumerate(fs)]
+        assert jb == [math.ldexp(1.0, exps[r]) * v for (r, _), v in zip(cs.pattern, js)]
+
+
 def test_track_path_fails_toward_singular_root():
     start = _univariate((1, 2), (-1, 0))
     target = _univariate((1, 2))  # double root at 0
@@ -310,10 +407,17 @@ def test_solve_two_link_arm_finds_all_six():
     assert text.rstrip().endswith("candidates: 6")
     # Any change to the tracker's arithmetic shows up here first.
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "0af91f7069ebe7c59b09efe40418fe77219e62e7a74e4d8c6d973966efccc8b0"
+        "d814bb788204cdfa96a376565c8f03d21cef01e74d1ab72805070ee3695b0e45"
     )
     names = [s.name for s in out.ledger.stages]
     assert names == ["slice-continuation", "product-to-truncated", "truncated-to-target"]
+    # every path is counted under its reason, which the ledger leaves out
+    for st_ in out.ledger.stages:
+        for status in PathStatus:
+            by_reason = sum(n for (s, _), n in st_.reasons.items() if s is status)
+            assert by_reason == st_.count(status)
+    assert out.ledger.stages[1].reasons[PathStatus.DIVERGED, "growing toward infinity"] == 5
+    assert "growing" not in text
     # every candidate closes the target system at native accuracy
     from expcert.scalars import PrecisionConfig
 
