@@ -13,9 +13,11 @@ the column norms of J^{-1}. With links they come from a double-precision
 inverse of J whose residual is bounded (linalg.inverse_column_bounds), and
 the elimination solves J x = F(z) for the Newton step alone. Link-free
 systems, and any J that bound declines, solve J X = [F(z) | I], whose
-first column is the Newton step and whose other columns are J^{-1}.
-newton_step and refine's newton_refine use the same linearization without
-the bound.
+first column is the Newton step and whose other columns are J^{-1}. In
+rational mode that solve is fraction-free (linalg.solve_fraction_free),
+and beta^2 and the column bounds are each read off its Gaussian-integer
+result as one exact Fraction. newton_step and refine's newton_refine use
+the same linearization without the bound.
 
 ALPHA_STAR is a rational number chosen strictly below the true threshold
 (13 - 3*sqrt(17))/4, so a conservative comparison can only under-certify.
@@ -44,7 +46,15 @@ from .errors import (
     SingularMatrix,
 )
 from .expsystems import ExpSystem, as_exp_system, gamma_bound_sq, value_and_jacobian
-from .linalg import CVector, identity, inverse_column_bounds, norm_sq, solve_columns, vec_sub
+from .linalg import (
+    CVector,
+    identity,
+    inverse_column_bounds,
+    norm_sq,
+    solve_columns,
+    solve_fraction_free,
+    vec_sub,
+)
 from .scalars import (
     ExactComplex,
     MODE_RATIONAL,
@@ -123,10 +133,11 @@ def _zero(prec: PrecisionConfig):
 def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
     """Evaluate F and its Jacobian J at z with one program call, and eliminate J once.
 
-    Returns (z lifted, F(z), Newton step, column bounds or None). When
-    inverse is set, the bounds are c_j >= sum_i |(J^{-1})_ij|^2, one per
-    column, for the curvature bound. Step and bounds are both None when J is
-    singular at the working precision.
+    Returns (z lifted, F(z), Newton step, its squared norm beta^2, column
+    bounds or None). When inverse is set, the bounds are
+    c_j >= sum_i |(J^{-1})_ij|^2, one per column, for the curvature bound.
+    Step, beta^2 and bounds are all None when J is singular at the working
+    precision.
 
     With links (m > 0, float mode only) the bounds come from a
     double-precision inverse of J (linalg.inverse_column_bounds), and the
@@ -135,11 +146,13 @@ def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
     column norms of the computed J^{-1}. Pivots depend on J alone, so the
     step is bit for bit the same on either route.
 
-    Link-free systems stay on the elimination: in rational mode their bound
-    is exact, and in float mode it matches the exact one to the working
-    precision, which the double-precision bound, with a slack of order u
-    times the condition of J, would not. Runs at the caller's working
-    precision.
+    Rational mode solves without fractions (linalg.solve_fraction_free):
+    beta^2 and each column bound are one exact Fraction read off the
+    integer solution, and the entries of J^{-1} are never formed. Link-free
+    systems stay on the elimination in float mode too: it matches the exact
+    bound to the working precision, which the double-precision bound, with
+    a slack of order u times the condition of J, would not. Runs at the
+    caller's working precision.
     """
     z = lift_point(z, prec)
     residual, J = value_and_jacobian(F, z, prec)  # raises in exact mode when m > 0
@@ -149,12 +162,17 @@ def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
     if eliminate_inverse:
         rhs = tuple(r + e for r, e in zip(rhs, identity(F.N, prec.is_exact)))
     try:
-        X = solve_columns(J, rhs, prec.bits)
+        if prec.is_exact:
+            solution = solve_fraction_free(J, rhs)
+            step, column_norm_sq = solution.column(0), solution.column_norm_sq
+        else:
+            X = tuple(zip(*solve_columns(J, rhs, prec.bits)))
+            step, column_norm_sq = X[0], lambda j: norm_sq(X[j])
     except SingularMatrix:
-        return z, residual, None, None
+        return z, residual, None, None, None
     if eliminate_inverse:
-        columns = tuple(norm_sq(col) for col in tuple(zip(*X))[1:])
-    return z, residual, tuple(row[0] for row in X), columns
+        columns = tuple(column_norm_sq(j) for j in range(1, F.N + 1))
+    return z, residual, step, column_norm_sq(0), columns
 
 
 def newton_step(F, z: CVector, prec: PrecisionConfig):
@@ -164,7 +182,7 @@ def newton_step(F, z: CVector, prec: PrecisionConfig):
     """
     F = as_exp_system(F)
     with working_precision(prec.bits):
-        z, _, step, _ = _linearize(F, z, prec, inverse=False)
+        z, _, step, _, _ = _linearize(F, z, prec, inverse=False)
         if step is None:
             return z, False
         return tuple(a - b for a, b in zip(z, step)), True
@@ -174,7 +192,7 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
     """Full certification of one point against a square system."""
     F = as_exp_system(F)
     with working_precision(prec.bits):
-        z, residual, step, columns = _linearize(F, z, prec, inverse=True)
+        z, residual, _, bsq, columns = _linearize(F, z, prec, inverse=True)
         gamma_sq = math.inf if columns is None else gamma_bound_sq(F, z, columns, prec)
         if prec.is_exact and all(v.is_zero() for v in residual):
             return Certificate(
@@ -187,7 +205,7 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
                 mode=prec.mode,
                 bits=prec.bits,
             )
-        if step is None:
+        if bsq is None:
             return Certificate(
                 beta_sq=_zero(prec),
                 gamma_bound_sq=math.inf,
@@ -198,7 +216,6 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
                 mode=prec.mode,
                 bits=prec.bits,
             )
-        bsq = norm_sq(step)
         return Certificate(
             beta_sq=bsq,
             gamma_bound_sq=gamma_sq,

@@ -10,20 +10,31 @@ Norm conventions: everything is squared. Operator norms are never computed;
 the Frobenius norm serves as their upper bound, which keeps the downstream
 bounds valid and, in rational mode, keeps every quantity exactly rational.
 
-solve_columns stores the matrix densely but skips exact zeros: the
+Exact solves are fraction-free (solve_fraction_free): each row of A is
+scaled by the lcm of its own denominators and each right-hand-side column
+by the lcm of the denominators that scaling leaves in it, and the Gaussian
+integer system is reduced by Bareiss's integer-preserving elimination
+("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968): first nonzero pivot, every update divided
+exactly by the previous pivot, then a back substitution that stays in the
+Gaussian integers. The solution is Y / (d c_j), column by column, with d
+the last pivot, so a caller can take the norm of a column as one Fraction
+instead of forming its entries. The elimination skips zero terms and zero
+entries; its results are exact either way.
+
+The floating solve stores the matrix densely but skips exact zeros: the
 elimination touches only rows with a nonzero entry in the pivot column and
 only the nonzero columns of the pivot row, the pivot search and the row
 scale pass over zero entries, and back substitution drops every term
 a_ik * x_kj with a zero factor and the division of a zero sum. The result is
-bit for bit that of the dense loops, in both kinds. Every skipped operation
-is x - 0 * y or 0 / piv. In rational mode both are exact. In floating mode
-every entry is a finite mpc already rounded to the working precision (the
-compiled program and the elimination both compute at it), mpmath has no
-signed zero, and 0 * y for finite y is zero, so x - 0 * y rounds x to
-itself and 0 / piv is zero: the pivots, the order of the remaining
-operations and every result stay the same. The one entry the dense loops
-also wrote, the cancelled entry under each pivot, is never read again and
-is left as it is.
+bit for bit that of the dense loops. Every skipped operation is x - 0 * y or
+0 / piv. Every entry is a finite mpc already rounded to the working
+precision (the compiled program and the elimination both compute at it),
+mpmath has no signed zero, and 0 * y for finite y is zero, so x - 0 * y
+rounds x to itself and 0 / piv is zero: the pivots, the order of the
+remaining operations and every result stay the same. The one entry the
+dense loops also wrote, the cancelled entry under each pivot, is never read
+again and is left as it is.
 
 inverse_column_bounds (mpc matrices only) bounds the column norms of A^{-1}
 from an approximate inverse R computed in Python's complex doubles (not
@@ -49,6 +60,7 @@ INVERSE_RESIDUAL_LIMIT.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -93,36 +105,41 @@ def _check_square(A: CMatrix):
     return n
 
 
-def solve_columns(A: CMatrix, B: CMatrix, bits: int | None = None) -> CMatrix:
-    """Solve A X = B for X, column by column.
-
-    Rational mode: exact Gaussian elimination, first nonzero pivot in each
-    column (deterministic, bit-identical across runs). Floating mode: partial
-    pivoting on the largest squared pivot, with a scaled singularity test: a
-    pivot whose squared modulus falls below 2^(16-bits) times the largest
-    squared entry of its row is treated as zero. Exact zeros are skipped
-    throughout (see the module docstring).
-
-    Raises SingularMatrix when no acceptable pivot exists.
-    """
+def _check_system(A: CMatrix, B: CMatrix):
+    """(n, width) of a square A and a right-hand side B with n rows."""
     n = _check_square(A)
     if len(B) != n:
         raise DimensionMismatch(f"right-hand side has {len(B)} rows, expected {n}")
-    if n == 0:
-        return ()
-    width = len(B[0])
+    width = len(B[0]) if n else 0
     for row in B:
         if len(row) != width:
             raise DimensionMismatch("ragged right-hand side")
-    exact = _is_exact(A)
-    aug = [list(A[i]) + list(B[i]) for i in range(n)]
+    return n, width
 
-    if exact:
-        _eliminate_exact(aug, n)
-    else:
-        if bits is None:
-            bits = mp.mp.prec
-        _eliminate_float(aug, n, bits)
+
+def solve_columns(A: CMatrix, B: CMatrix, bits: int | None = None) -> CMatrix:
+    """Solve A X = B for X, column by column.
+
+    Rational mode: X is read off solve_fraction_free's integer result, one
+    Gaussian-rational division per entry. Floating mode: partial pivoting on
+    the largest squared pivot, with a scaled singularity test: a pivot whose
+    squared modulus falls below 2^(16-bits) times the largest squared entry
+    of its row is treated as zero. The floating loops skip exact zeros (see
+    the module docstring).
+
+    Raises SingularMatrix when no acceptable pivot exists.
+    """
+    n, width = _check_system(A, B)
+    if n == 0:
+        return ()
+    if _is_exact(A):
+        solution = solve_fraction_free(A, B)
+        columns = [solution.column(j) for j in range(width)]
+        return tuple(tuple(col[i] for col in columns) for i in range(n))
+    if bits is None:
+        bits = mp.mp.prec
+    aug = [list(A[i]) + list(B[i]) for i in range(n)]
+    _eliminate_float(aug, n, bits)
 
     # Back substitution on the upper-triangular augmented system:
     # x_ij = (b_ij - sum over k > i of a_ik * x_kj) / a_ii, each sum taken in
@@ -143,6 +160,160 @@ def solve_columns(A: CMatrix, B: CMatrix, bits: int | None = None) -> CMatrix:
     return tuple(X)
 
 
+class _GaussianInt:
+    """A Gaussian integer real + imag i, with the parts of int's interface
+    that the fraction-free solve uses: real, imag, truth, -, * and // as
+    exact division. Real systems run the same code on plain ints.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real = real
+        self.imag = imag
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def __sub__(self, other):
+        return _GaussianInt(self.real - other.real, self.imag - other.imag)
+
+    def __mul__(self, other):
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return _GaussianInt(a * c - b * d, a * d + b * c)
+
+    def __floordiv__(self, other):
+        """The quotient self / other, which the caller knows lies in Z[i]."""
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        if d:
+            norm = c * c + d * d
+            return _GaussianInt((a * c + b * d) // norm, (b * c - a * d) // norm)
+        return _GaussianInt(a // c, b // c)
+
+
+class FractionFreeSolution:
+    """The solution X of A X = B as Gaussian integers: X_ij = Y_ij / (d c_j).
+
+    Y holds ints when A and B are real, else _GaussianInts; d is the last
+    pivot and scales[j] = c_j the scale of right-hand-side column j. A plain
+    class: a dataclass would add about 1 ms to every import of the package.
+    """
+
+    __slots__ = ("Y", "d", "scales")
+
+    def __init__(self, Y, d, scales):
+        self.Y = Y
+        self.d = d
+        self.scales = scales
+
+    def column(self, j: int) -> CVector:
+        """Column j of X as ExactComplex entries."""
+        d, c = self.d, self.scales[j]
+        values = [row[j] for row in self.Y]
+        if d.imag:
+            dc = _GaussianInt(d.real, -d.imag)
+            values = [v * dc for v in values]
+            den = (d.real * d.real + d.imag * d.imag) * c
+        else:
+            den = d.real * c
+        return tuple(ExactComplex(Fraction(v.real, den), Fraction(v.imag, den)) for v in values)
+
+    def column_norm_sq(self, j: int) -> Fraction:
+        """sum_i |X_ij|^2 as one Fraction."""
+        d, c = self.d, self.scales[j]
+        total = 0
+        for row in self.Y:
+            v = row[j]
+            total += v.real * v.real + v.imag * v.imag
+        return Fraction(total, (d.real * d.real + d.imag * d.imag) * c * c)
+
+
+def _integer_rows(A: CMatrix, B: CMatrix):
+    """The rows [L_i A_i | L_i c_j B_ij] of Gaussian integers, and the c_j.
+
+    L_i is the lcm of the denominators in row i of A alone, and c_j the lcm
+    of the denominators of the L_i B_ij: a right-hand side with larger
+    denominators than A's row (F(z) beside J(z) has about their square)
+    then scales its own column, not the whole row.
+    """
+    row_scales = [math.lcm(*(p.denominator for v in row for p in (v.re, v.im))) for row in A]
+    col_scales = [1] * len(B[0])
+    for L, row in zip(row_scales, B):
+        for j, v in enumerate(row):
+            for p in (v.re, v.im):
+                q = p.denominator
+                if q != 1:
+                    col_scales[j] = math.lcm(col_scales[j], q // math.gcd(q, L))
+    gaussian = any(v.im for rows in (A, B) for row in rows for v in row)
+    aug = []
+    for L, a_row, b_row in zip(row_scales, A, B):
+        parts = [(v.re.numerator * (L // v.re.denominator),
+                  v.im.numerator * (L // v.im.denominator)) for v in a_row]
+        for c, v in zip(col_scales, b_row):
+            m = L * c
+            parts.append((v.re.numerator * (m // v.re.denominator),
+                          v.im.numerator * (m // v.im.denominator)))
+        aug.append([_GaussianInt(*p) for p in parts] if gaussian else [re for re, _ in parts])
+    return aug, tuple(col_scales)
+
+
+def solve_fraction_free(A: CMatrix, B: CMatrix) -> FractionFreeSolution:
+    """Solve A X = B exactly over the Gaussian rationals, without fractions.
+
+    A and B hold ExactComplex entries. The scaled rows of _integer_rows are
+    reduced by Bareiss's elimination with the first nonzero pivot of each
+    column, the pivots those of Gaussian elimination over Fractions, so a
+    singular A raises SingularMatrix for the same column. The back
+    substitution y_i = (d b_i - sum over k > i of u_ik y_k) / u_ii then
+    gives y = d x with d the last pivot, and every division is exact.
+    Zero entries and zero terms are skipped.
+    """
+    n, width = _check_system(A, B)
+    if n == 0:
+        return FractionFreeSolution((), 1, ())
+    aug, scales = _integer_rows(A, B)
+    total = n + width
+    prev = None  # the previous pivot, by which every update divides exactly
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot_row is None:
+            raise SingularMatrix(f"exact elimination: column {col} has no nonzero pivot")
+        if pivot_row != col:
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        top = aug[col]
+        piv = top[col]
+        for r in range(col + 1, n):
+            row = aug[r]
+            v = row[col]
+            for j in range(col + 1, total):
+                a, t = row[j], top[j]
+                if v and t:
+                    new = piv * a - v * t
+                elif a:
+                    new = piv * a
+                else:
+                    continue
+                row[j] = new // prev if prev is not None else new
+        prev = piv
+
+    d = prev
+    Y = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        acc = [d * b if b else b for b in row[n:]]
+        for k in range(i + 1, n):
+            a = row[k]
+            if a:
+                yk = Y[k]
+                for j in range(width):
+                    y = yk[j]
+                    if y:
+                        acc[j] = acc[j] - a * y
+        piv = row[i]
+        Y[i] = tuple(v // piv if v else v for v in acc)
+    return FractionFreeSolution(tuple(Y), d, scales)
+
+
 def _eliminate_below(aug, n, col):
     """Subtract multiples of pivot row col from the rows below it.
 
@@ -161,20 +332,6 @@ def _eliminate_below(aug, n, col):
         factor = v / piv
         for j, t in cols:
             row[j] = row[j] - factor * t
-
-
-def _eliminate_exact(aug, n):
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if aug[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularMatrix(f"exact elimination: column {col} has no nonzero pivot")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        _eliminate_below(aug, n, col)
 
 
 def _eliminate_float(aug, n, bits):

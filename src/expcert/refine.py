@@ -16,7 +16,7 @@ import mpmath as mp
 
 from .certify import _linearize, _zero
 from .expsystems import as_exp_system
-from .linalg import CVector, norm_sq
+from .linalg import CVector
 from .scalars import PrecisionConfig, fraction_to_mpf, working_precision
 
 
@@ -62,13 +62,13 @@ def newton_refine(F, z: CVector, k: int, prec: PrecisionConfig):
         current = tuple(z)
         singular_at = None
         for j in range(k + 1):
-            z, _, step, _ = _linearize(F, current, prec, inverse=False)
+            z, _, step, bsq, _ = _linearize(F, current, prec, inverse=False)
             if step is None:
                 rows.append((j, _zero(prec)))
                 if j < k:
                     singular_at = j
                 break
-            rows.append((j, norm_sq(step)))
+            rows.append((j, bsq))
             if j == k:
                 break
             current = tuple(a - b for a, b in zip(z, step))

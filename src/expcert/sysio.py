@@ -48,6 +48,8 @@ FORMAT_VERSION = 1
 TOOL_NAME = "expcert"
 MAX_EXPONENT = 100
 MAX_DECIMAL_EXPONENT = 1000
+# Input text that an error message repeats is cut to this many characters.
+SHOWN_CHARS = 40
 
 
 class _Lines:
@@ -77,9 +79,16 @@ def _expect_format(lines: _Lines):
     no, line = lines.next("a 'format:' line")
     parts = line.replace(":", " ").split()
     if len(parts) != 2 or parts[0] != "format":
-        raise ParseError(f"expected 'format: {FORMAT_VERSION}', got {line!r}", line=no)
+        raise ParseError(f"expected 'format: {FORMAT_VERSION}', got {_shown(line)}", line=no)
     if parts[1] != str(FORMAT_VERSION):
-        raise ParseError(f"unsupported format version {parts[1]!r}", line=no)
+        raise ParseError(f"unsupported format version {_shown(parts[1])}", line=no)
+
+
+def _shown(text: str) -> str:
+    """text quoted for an error message, cut to SHOWN_CHARS characters plus its length."""
+    if len(text) <= SHOWN_CHARS:
+        return repr(text)
+    return f"{text[:SHOWN_CHARS]!r}... ({len(text)} characters)"
 
 
 def _rational(token: str, no: int) -> Fraction:
@@ -88,23 +97,24 @@ def _rational(token: str, no: int) -> Fraction:
         try:
             too_large = abs(int(exponent)) > MAX_DECIMAL_EXPONENT
         except ValueError:
-            raise ParseError(f"bad rational token {token!r}", line=no) from None
+            raise ParseError(f"bad rational token {_shown(token)}", line=no) from None
         if too_large:
             raise ParseError(
-                f"rational token {token!r} has a decimal exponent above {MAX_DECIMAL_EXPONENT}",
+                f"rational token {_shown(token)} has a decimal exponent"
+                f" above {MAX_DECIMAL_EXPONENT}",
                 line=no,
             )
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational token {token!r} ({exc})", line=no) from None
+        raise ParseError(f"bad rational token {_shown(token)} ({exc})", line=no) from None
 
 
 def _int(token: str, no: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"bad integer token {token!r}", line=no) from None
+        raise ParseError(f"bad integer token {_shown(token)}", line=no) from None
 
 
 def parse_system(text: str) -> ExpSystem:
@@ -114,17 +124,17 @@ def parse_system(text: str) -> ExpSystem:
     no, line = lines.next("a 'system n m' header")
     parts = line.split()
     if len(parts) != 3 or parts[0] != "system":
-        raise ParseError(f"expected 'system <n> <m>', got {line!r}", line=no)
+        raise ParseError(f"expected 'system <n> <m>', got {_shown(line)}", line=no)
     n, m = _int(parts[1], no), _int(parts[2], no)
     if n < 0 or m < 0:
-        raise ParseError(f"negative counts in header {line!r}", line=no)
+        raise ParseError(f"negative counts in header {_shown(line)}", line=no)
     nv = n + m
     polys = []
     for _ in range(n):
         no, line = lines.next("a 'poly <nterms>' block")
         parts = line.split()
         if len(parts) != 2 or parts[0] != "poly":
-            raise ParseError(f"expected 'poly <nterms>', got {line!r}", line=no)
+            raise ParseError(f"expected 'poly <nterms>', got {_shown(line)}", line=no)
         nterms = _int(parts[1], no)
         items = []
         for _ in range(nterms):
@@ -149,17 +159,17 @@ def parse_system(text: str) -> ExpSystem:
         toks = line.split()
         if len(toks) != 6 or toks[0] != "link":
             raise ParseError(
-                f"expected 'link <kind> <src> <dst> <re> <im>', got {line!r}", line=no
+                f"expected 'link <kind> <src> <dst> <re> <im>', got {_shown(line)}", line=no
             )
         try:
             kind = ExpKind(toks[1].lower())
         except ValueError:
-            raise ParseError(f"unknown link kind {toks[1]!r}", line=no) from None
+            raise ParseError(f"unknown link kind {_shown(toks[1])}", line=no) from None
         c = ExactComplex(_rational(toks[4], no), _rational(toks[5], no))
         links.append(ExpLink(kind, c, _int(toks[2], no), _int(toks[3], no)))
     if not lines.exhausted():
         no, line = lines.items[lines.pos]
-        raise ParseError(f"trailing content {line!r}", line=no)
+        raise ParseError(f"trailing content {_shown(line)}", line=no)
     return ExpSystem(PolynomialSystem(tuple(polys)), tuple(links))
 
 
@@ -196,18 +206,20 @@ def parse_points(text: str) -> PointsData:
     no, line = lines.next("a 'mode:' line")
     parts = line.replace(":", " ").split()
     if len(parts) != 2 or parts[0] != "mode" or parts[1] not in ("rational", "float"):
-        raise ParseError(f"expected 'mode: rational' or 'mode: float', got {line!r}", line=no)
+        raise ParseError(
+            f"expected 'mode: rational' or 'mode: float', got {_shown(line)}", line=no
+        )
     mode = parts[1]
     no, line = lines.next("a point count")
     count = _int(line, no)
     if count < 0:
-        raise ParseError(f"negative point count {count}", line=no)
+        raise ParseError(f"negative point count {_shown(line)}", line=no)
     coords = []
     while not lines.exhausted():
         no, line = lines.next("a coordinate line")
         toks = line.split()
         if len(toks) != 2:
-            raise ParseError(f"coordinate line needs 're im', got {line!r}", line=no)
+            raise ParseError(f"coordinate line needs 're im', got {_shown(line)}", line=no)
         coords.append(ExactComplex(_rational(toks[0], no), _rational(toks[1], no)))
     if count == 0:
         if coords:

@@ -35,7 +35,9 @@ from expcert.certify import (
     same_root,
 )
 from expcert.errors import NotCertified, NotRealMap, PreconditionFailed
-from expcert.expsystems import CompiledSystem, as_exp_system
+from expcert.expsystems import CompiledSystem, as_exp_system, gamma_bound_sq, value_and_jacobian
+from expcert.homotopy import taylor_truncate
+from expcert.linalg import identity, norm_sq
 from expcert.mechanisms import (
     two_link_arm_euler,
     two_link_arm_exp,
@@ -43,8 +45,9 @@ from expcert.mechanisms import (
 )
 from expcert.polynomials import Polynomial, PolynomialSystem
 from expcert.refine import newton_refine
-from expcert.scalars import ExactComplex, PrecisionConfig
+from expcert.scalars import ExactComplex, PrecisionConfig, mpf_to_fraction
 from expcert.sysio import parse_points, parse_system
+from test_linalg import _dense_solve_columns
 
 RAT = PrecisionConfig("rational", 64)
 F96 = PrecisionConfig("float", 96)
@@ -144,30 +147,46 @@ def test_beta_sq_matches_step():
 def _count_linearizations(monkeypatch) -> dict:
     """Count eliminations and program evaluations during one call.
 
-    Eliminations are linalg.solve_columns calls, wherever the package has
-    bound it; it is the package's only linear solve.
+    The package solves linear systems with linalg.solve_columns and, in
+    rational mode, linalg.solve_fraction_free. An elimination is a call of
+    either, wherever the package has bound it, that is not made from inside
+    another (solve_columns reads its exact results off solve_fraction_free).
     Evaluations are calls of CompiledSystem.evaluate, the one evaluator of
     F and Df.
     """
-    original = linalg.solve_columns
     original_evaluate = CompiledSystem.evaluate
     counts = {"eliminations": 0, "evaluations": 0}
+    depth = [0]
 
-    def counting(*args, **kwargs):
-        counts["eliminations"] += 1
-        return original(*args, **kwargs)
+    def counting(solve):
+        def wrapper(*args, **kwargs):
+            counts["eliminations"] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
 
     def counting_evaluate(self, z):
         counts["evaluations"] += 1
         return original_evaluate(self, z)
 
+    wrappers = {id(f): counting(f) for f in (linalg.solve_columns, linalg.solve_fraction_free)}
     for info in pkgutil.iter_modules(expcert.__path__):
         module = importlib.import_module(f"expcert.{info.name}")
         for name, obj in list(vars(module).items()):
-            if obj is original:
-                monkeypatch.setattr(module, name, counting)
+            if id(obj) in wrappers:
+                monkeypatch.setattr(module, name, wrappers[id(obj)])
     monkeypatch.setattr(CompiledSystem, "evaluate", counting_evaluate)
     return counts
+
+
+def test_an_exact_solve_columns_counts_as_one_elimination(monkeypatch):
+    """solve_columns reads exact results off solve_fraction_free: one elimination."""
+    counts = _count_linearizations(monkeypatch)
+    assert linalg.solve_columns(((ec(2),),), ((ec(1),),)) == ((ec(Fraction(1, 2)),),)
+    assert counts["eliminations"] == 1
 
 
 def _elimination_cases():
@@ -272,6 +291,48 @@ def test_rational_certificates_never_take_the_double_precision_bound(monkeypatch
     g, points = two_link_arm_poly()
     new, ref, accepted = _certify_both_routes(monkeypatch, g, points, RAT)
     assert accepted == [] and new == ref
+
+
+def _rational_cases():
+    """(system, point) pairs in rational mode whose J(z) and F(z) carry long
+    denominators: rr_dyad_poly at exact Newton iterates 0-3, whose F(z) has
+    about twice the denominator digits of J(z), and at two iterates from a
+    complex start, whose last pivot is not real; and two Taylor truncations
+    of compliant (N = 11) at its reference point and at that point refined
+    once at 64 bits, so with dyadic coordinates."""
+    F = as_exp_system(parse_system((DATA / "rr_dyad_poly.sys").read_text()))
+    z = parse_points((DATA / "rr_dyad_poly.pts").read_text()).points[0]
+    cases = {f"rr_dyad_poly-iterate{k}": (F, newton_refine(F, z, k, RAT)[0]) for k in range(4)}
+    z = tuple(v + ExactComplex(Fraction(0), Fraction(i + 1, 2**70)) for i, v in enumerate(z))
+    for k in (0, 2):
+        cases[f"rr_dyad_poly-complex-iterate{k}"] = (F, newton_refine(F, z, k, RAT)[0])
+    G = as_exp_system(parse_system((DATA / "compliant.sys").read_text()))
+    z = parse_points((DATA / "compliant.pts").read_text()).points[0]
+    for degrees in ((3, 4, 5, 6, 8, 9), (9, 8, 7, 6, 5, 4)):
+        T = taylor_truncate(G, degrees)
+        dyadic = newton_refine(T, z, 1, PrecisionConfig("float", 64))[0]
+        tag = "compliant-T" + "".join(map(str, degrees))
+        cases[tag] = (T, z)
+        cases[tag + "-64bit"] = (T, tuple(
+            ExactComplex(mpf_to_fraction(v.real), mpf_to_fraction(v.imag)) for v in dyadic))
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_rational_cases()))
+def test_rational_certificate_matches_the_dense_fraction_solve(case):
+    """beta^2, gamma^2, alpha^2 and the Newton step equal those of the dense
+    Fraction elimination of J X = [F(z) | I] exactly."""
+    F, z = _rational_cases()[case]
+    F = as_exp_system(F)
+    residual, J = value_and_jacobian(F, z, RAT)
+    rhs = tuple((v,) + e for v, e in zip(residual, identity(F.N, exact=True)))
+    X = tuple(zip(*_dense_solve_columns(J, rhs)))
+    beta_sq = norm_sq(X[0])
+    gamma_sq = gamma_bound_sq(F, z, tuple(norm_sq(col) for col in X[1:]), RAT)
+    cert = certify_solution(F, z, RAT)
+    assert (cert.beta_sq, cert.gamma_bound_sq, cert.alpha_bound_sq) == (
+        beta_sq, gamma_sq, beta_sq * gamma_sq)
+    assert newton_step(F, z, RAT) == (tuple(a - b for a, b in zip(z, X[0])), True)
 
 
 def test_certify_distinct_reference_points():

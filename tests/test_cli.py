@@ -146,6 +146,19 @@ def test_malformed_system_exits_two(capsys, tmp_path):
     assert code == 2 and "line 2" in err
 
 
+@pytest.mark.parametrize("token", ["7" * 5000, "1/" + "3" * 5000], ids=["integer", "ratio"])
+def test_oversized_coordinate_exits_two_with_a_short_message(capsys, tmp_path, token):
+    """A coordinate past the 4300-digit int limit is a parse error that quotes
+    only the head of the token and its length."""
+    pts = tmp_path / "long.pts"
+    pts.write_text(f"format: 1\nmode: rational\n1\n{token} 0\n" + "0 0\n" * 3)
+    code, _, err = run(capsys, "certify", "--system", sysf("rr_dyad_poly"), "--points", str(pts),
+                       "--mode", "rational")
+    assert code == 2 and err.startswith("error:") and "line 4" in err
+    assert f"({len(token)} characters)" in err
+    assert len(err) < 400
+
+
 def test_width_mismatch_exits_two(capsys):
     code, _, err = run(
         capsys,

@@ -4,11 +4,13 @@ The exact path must be bit-reproducible and genuinely exact; the floating
 path only needs to be stable enough for the soft certificates built on it.
 The Frobenius-dominates-spectral check matters because every operator norm
 in the package is silently replaced by a Frobenius bound. solve_columns
-skips exact zeros; a verbatim copy of the dense elimination it replaced is
-kept here as the reference it must match bit for bit.
+skips exact zeros in floating mode and solves exact systems without
+fractions; a verbatim copy of the dense elimination it replaced is kept
+here as the reference both must match, bit for bit and exactly.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -23,6 +25,7 @@ from expcert.linalg import (
     norm1_sq,
     norm_sq,
     solve_columns,
+    solve_fraction_free,
     vec_sub,
 )
 from expcert.scalars import ExactComplex, abs_sq
@@ -416,6 +419,88 @@ def test_sparse_elimination_matches_dense_bit_for_bit(bits, data):
         assert [[v._mpc_ for v in row] for row in got] == [
             [v._mpc_ for v in row] for row in want
         ]
+
+
+def _dyadic(rng, bits, odd=1):
+    """A random Fraction m / (odd 2^bits) with |m| below 2^(bits + 2)."""
+    return Fraction(rng.randint(-(2 ** (bits + 2)), 2 ** (bits + 2)), odd * 2**bits)
+
+
+@st.composite
+def dyadic_systems(draw):
+    """(A, B) of ExactComplex, A square of size 1..11, B = b or [b | I].
+
+    A's entries are dyadic with denominators of 2^64 to 2^256, sometimes
+    times a small odd factor, and real in half the draws (the solve then
+    runs on plain ints). b's denominators are up to twice as long as its
+    row's, as F(z) beside J(z) at an exactly refined point. Half the
+    matrices get a nonzero entry on a random permutation, so many are
+    invertible; zeroed diagonal entries force row exchanges. One draw in
+    four is made singular by a zero column or by a row that is an exact
+    combination of two others. Sizes and kinds come from a seeded
+    random.Random, whose draws, unlike Hypothesis's, are spread evenly.
+    """
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    n = rng.randint(1, 11)
+    real = rng.random() < 0.5
+    zero = ExactComplex(Fraction(0), Fraction(0))
+
+    def entry(bits):
+        odd = rng.choice((1, 1, 1, 3, 5, 7))
+        im = Fraction(0) if real else _dyadic(rng, bits, odd)
+        return ExactComplex(_dyadic(rng, bits, odd), im)
+
+    row_bits = [rng.randint(64, 256) for _ in range(n)]
+    density = rng.uniform(0.3, 1.0)
+    A = [[entry(row_bits[i]) if rng.random() < density else zero for _ in range(n)]
+         for i in range(n)]
+    if rng.random() < 0.5:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for i, j in enumerate(perm):
+            A[i][j] = entry(row_bits[i])
+    for i in range(n):
+        if rng.random() < 0.3:
+            A[i][i] = zero
+    if n > 2 and rng.random() < 0.25:
+        if rng.random() < 0.5:
+            j = rng.randrange(n)
+            for row in A:
+                row[j] = zero
+        else:
+            r, s, t = rng.sample(range(n), 3)
+            a, b = entry(8), entry(8)
+            A[r] = [a * x + b * y for x, y in zip(A[s], A[t])]
+    b = [entry(rng.randint(row_bits[i], 2 * row_bits[i])) if rng.random() < 0.9 else zero
+         for i in range(n)]
+    if rng.random() < 0.5:
+        B = tuple((bi,) for bi in b)
+    else:
+        B = tuple((bi,) + row for bi, row in zip(b, identity(n, exact=True)))
+    return tuple(map(tuple, A)), B
+
+
+@settings(max_examples=100, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(dyadic_systems())
+def test_fraction_free_solve_matches_dense_fractions(system):
+    """X, each column of X and each squared column norm equal the dense
+    Fraction elimination's exactly; a singular A fails on the same column.
+
+    Shrinking is off, as for the sparse elimination above.
+    """
+    A, B = system
+    want = _solve_or_error(_dense_solve_columns, A, B, None)
+    got = _solve_or_error(solve_columns, A, B, None)
+    assert got == want
+    if isinstance(want, str):
+        with pytest.raises(SingularMatrix, match=re.escape(want)):
+            solve_fraction_free(A, B)
+        return
+    solution = solve_fraction_free(A, B)
+    for j, col in enumerate(zip(*want)):
+        assert solution.column(j) == col
+        assert solution.column_norm_sq(j) == norm_sq(col)
 
 
 def test_permuted_diagonal_solve_does_no_multiplications(monkeypatch):
