@@ -2,10 +2,12 @@
 
 Each line gives the candidate count, the certified, distinct and real counts
 of certifying those candidates at the solve precision, a digest of the
-candidate roots, each stage's kept count, path outcomes and path counts by
-outcome and reason, the total tracker steps, and the solve time. Running it
-on two versions of the tracker compares them seed by seed, root set by root
-set.
+candidate roots, the sha256 of the candidates themselves, each stage's kept
+count, path outcomes and path counts by outcome and reason, the total
+tracker steps, and the solve time. Running it on two versions of the
+tracker compares them seed by seed: the root digest says whether they find
+the same roots, and candidates_sha256 whether the candidates are the same
+points, bit for bit and in order.
 
     python3 scripts/solve_sweep.py --system data/rr_dyad.sys --degrees 3,3,2,2 --seeds 0-39
 """
@@ -22,7 +24,7 @@ from pathlib import Path
 from expcert.certify import BatchOptions, certify_batch
 from expcert.homotopy import HomotopyConfig, PathStatus, solve_by_deformation
 from expcert.scalars import PrecisionConfig
-from expcert.sysio import parse_system
+from expcert.sysio import parse_system, serialize_points
 
 
 def seed_range(raw: str) -> range:
@@ -82,6 +84,9 @@ def sweep_line(F, degrees, seed: int, bits: int) -> dict:
         "distinct": rep.counts["distinct"],
         "real": rep.counts["real"],
         "roots": root_digest(out.candidates),
+        "candidates_sha256": hashlib.sha256(
+            serialize_points(out.candidates, "float").encode()
+        ).hexdigest(),
         "stages": stages,
         "steps": sum(steps for st in out.ledger.stages for _, _, steps in st.outcomes),
         "solve_s": round(seconds, 3),

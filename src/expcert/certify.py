@@ -22,11 +22,13 @@ the same linearization without the bound.
 ALPHA_STAR is a rational number chosen strictly below the true threshold
 (13 - 3*sqrt(17))/4, so a conservative comparison can only under-certify.
 The stronger condition alpha < 3/100 buys a robustness radius of
-1/(20*gamma) used by the same-root, distinctness and realness predicates.
+1/(20*gamma) (robust_radius_sq), used by the same-root and realness
+predicates and by the solver's merge of polished endpoints.
 
 All decisions compare squared quantities, and in floating mode the final
-comparison converts the computed value exactly to a rational, so the
-decision itself never rounds.
+comparison is exact: a computed value, converted exactly to a rational,
+against a rational threshold, or two computed values against each other.
+The decision itself never rounds.
 """
 
 from __future__ import annotations
@@ -252,24 +254,35 @@ def certify_distinct(F, cert1: Certificate, z1: CVector, cert2: Certificate, z2:
         return dist > SEPARATION_FACTOR * (b1 + b2)
 
 
+def robust_radius_sq(cert: Certificate):
+    """The squared robustness radius 1/(400 gamma^2) of a point, or 0.
+
+    When alpha < 3/100 at z, every point within 1/(20 gamma) of z converges
+    to the same solution. The radius is 0 when alpha misses 3/100 or gamma
+    is infinite; it is an exact Fraction in rational mode.
+    """
+    gamma_sq = cert.gamma_bound_sq
+    if _is_infinite(gamma_sq) or not _lt_exact(cert.alpha_bound_sq, ROBUST_ALPHA_SQ):
+        return 0
+    if isinstance(gamma_sq, Fraction):
+        return ROBUST_RADIUS_SQ / gamma_sq
+    with working_precision(cert.bits):
+        return fraction_to_mpf(ROBUST_RADIUS_SQ, cert.bits) / gamma_sq
+
+
 def same_root(F, cert_x: Certificate, z_x: CVector, z_y: CVector, prec: PrecisionConfig) -> bool:
     """Certify that z_y is an approximate solution sharing z_x's solution.
 
-    Requires the strong bound alpha < 3/100 at z_x; then any point within
-    1/(20 gamma) of z_x converges to the same solution. Tested squared:
-    ||x - y||^2 * gamma^2 < 1/400.
+    Requires the strong bound alpha < 3/100 at z_x; then z_y must lie
+    inside z_x's robustness radius (robust_radius_sq), tested squared.
     """
     if not _lt_exact(cert_x.alpha_bound_sq, ROBUST_ALPHA_SQ):
         raise PreconditionFailed("same_root needs alpha < 3/100 at the anchor point")
     if tuple(z_x) == tuple(z_y):
         return True
-    if _is_infinite(cert_x.gamma_bound_sq):
-        return False
     with working_precision(prec.bits):
-        a = lift_point(z_x, prec)
-        b = lift_point(z_y, prec)
-        dsq = norm_sq(vec_sub(a, b))
-        return _lt_exact(dsq * cert_x.gamma_bound_sq, ROBUST_RADIUS_SQ)
+        dsq = norm_sq(vec_sub(lift_point(z_x, prec), lift_point(z_y, prec)))
+        return dsq < robust_radius_sq(cert_x)
 
 
 def real_map_check(F) -> bool:
@@ -327,9 +340,8 @@ def certify_real(F, cert: Certificate, z: CVector, prec: PrecisionConfig,
         # ||z - pi_R(z)||^2 = sum Im(z_i)^2
         if imag_sq > 4 * cert.beta_sq:
             return RealStatus.NOT_REAL
-        if _lt_exact(cert.alpha_bound_sq, ROBUST_ALPHA_SQ) and not _is_infinite(cert.gamma_bound_sq):
-            if _lt_exact(imag_sq * cert.gamma_bound_sq, ROBUST_RADIUS_SQ):
-                return RealStatus.REAL
+        if imag_sq < robust_radius_sq(cert):
+            return RealStatus.REAL
         return RealStatus.UNDECIDED
 
 

@@ -52,6 +52,14 @@ projective patch alone would not end them sooner. A non-finite corrector
 step, which complex ** gives on huge parts without raising, also ends a
 path DIVERGED.
 
+Both deduplications are one first-fit merge (_first_fit): a point is
+dropped when it lies within the radius of a point kept before it, that
+radius computed once, when the point is kept. After each stage the radius
+is the relative cut 1e-8 * max(1, ||q||) in doubles (_dedup_native). The
+polished endpoints merge on squared distances at the polishing precision,
+with the larger of that cut squared and the kept point's squared
+robustness radius (certify.robust_radius_sq) (_polish).
+
 solve tracks on every CPU in its affinity mask. Paths are independent:
 a stage's gamma comes from the stage seed, so a path's result depends on
 its start point alone. One fork pool per solve (_tasks) runs one task per
@@ -79,7 +87,7 @@ from math import factorial
 
 import mpmath as mp
 
-from .certify import certify_solution, same_root
+from .certify import certify_solution, robust_radius_sq
 from .errors import DimensionMismatch, ValidationError
 from .expsystems import (
     CompiledSystem,
@@ -89,6 +97,7 @@ from .expsystems import (
     compile_system,
     define_function,
 )
+from .linalg import norm_sq, vec_sub
 from .polynomials import (
     Polynomial,
     PolynomialSystem,
@@ -698,17 +707,23 @@ def _lift_slice_point(sol, free, pinned, affine, N):
     return tuple(full)
 
 
-def _dedup_native(points, rel=1e-8):
+def _first_fit(points, radius, dist):
+    """The points p, in input order, with dist(p, q) > radius(q) for every q
+    kept before p. radius(q) is computed once, when q is kept."""
     kept = []
     for p in points:
-        dup = False
-        for q in kept:
-            if _norm([a - b for a, b in zip(p, q)]) <= rel * max(1.0, _norm(q)):
-                dup = True
-                break
-        if not dup:
-            kept.append(p)
-    return kept
+        if all(dist(p, q) > r for q, r in kept):
+            kept.append((p, radius(p)))
+    return [p for p, _ in kept]
+
+
+def _dedup_native(points):
+    """Merge endpoints within 1e-8 * max(1, ||q||) of an earlier kept q."""
+    return _first_fit(
+        points,
+        lambda q: 1e-8 * max(1.0, _norm(q)),
+        lambda p, q: _norm([a - b for a, b in zip(p, q)]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -948,11 +963,12 @@ def _solve_slices(record: StageRecord, run, selections):
 def _polish(F: ExpSystem, points, cfg: HomotopyConfig, ledger: RunLedger):
     """Refine endpoints at full precision and merge the ones provably equal.
 
-    Each surviving endpoint gets a short multiprecision Newton run; a new
-    point is folded into an earlier one when the earlier point certifies
-    with margin and the membership test says both lie in the same basin,
-    falling back to a relative distance cut when certification is out of
-    reach. Candidates are reported in path order.
+    Each endpoint gets a short multiprecision Newton run and is certified,
+    in path order. A point then merges into an earlier kept point q when
+    their squared distance is at most the larger of two radii: the
+    relative cut 1e-16 * max(1, ||q||^2), and q's squared robustness radius
+    (robust_radius_sq, 0 unless q certifies with alpha < 3/100 and finite
+    gamma). Candidates are reported in path order.
     """
     prec = PrecisionConfig("float", cfg.bits)
     reps = []  # (point, certificate or None)
@@ -964,32 +980,20 @@ def _polish(F: ExpSystem, points, cfg: HomotopyConfig, ledger: RunLedger):
             ledger.notes.append(
                 f"candidate refinement hit a singular Jacobian at step {table.singular_at}"
             )
-        cert = None
         try:
             cert = certify_solution(F, refined, prec)
-        except Exception:  # noqa: BLE001 - any failure just disables merging
+        except Exception:  # noqa: BLE001 - any failure just disables the robust radius
             cert = None
-        dup = False
-        for rz, rcert in reps:
-            merged = False
-            if rcert is not None and rcert.certified_approximate:
-                try:
-                    merged = same_root(F, rcert, rz, refined, prec)
-                except Exception:  # noqa: BLE001 - non-robust alpha, singular, ...
-                    merged = False
-            if not merged:
-                with working_precision(cfg.bits):
-                    d = mp.sqrt(
-                        sum((abs(a - b)) ** 2 for a, b in zip(rz, refined))
-                    )
-                    scale = max(mp.mpf(1), mp.sqrt(sum(abs(a) ** 2 for a in rz)))
-                merged = d <= mp.mpf("1e-8") * scale
-            if merged:
-                dup = True
-                break
-        if not dup:
-            reps.append((refined, cert))
-    return tuple(z for z, _ in reps)
+        reps.append((refined, cert))
+
+    def radius(rep):
+        z, cert = rep
+        cut = mp.mpf("1e-16") * max(1, norm_sq(z))
+        return cut if cert is None else max(cut, robust_radius_sq(cert))
+
+    with working_precision(cfg.bits):
+        kept = _first_fit(reps, radius, lambda p, q: norm_sq(vec_sub(p[0], q[0])))
+    return tuple(z for z, _ in kept)
 
 
 def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
@@ -1019,38 +1023,34 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
         shared = {"total-degree": (_total_degree_system(degs, F.P.nv), _balance(F.P), target)}
         with _tasks(shared, len(starts)) as run:
             ends = _track_stage(_stage(ledger, "total-degree", target), run, starts)
-        candidates = _polish(F, ends, cfg, ledger)
-        ledger.candidate_count = len(candidates)
-        return SolveResult(candidates, ledger)
-
-    Fp = taylor_truncate(F, degrees)
-    counts = _link_x_degrees(Fp, F.links)
-    factors = _draw_factors(F.links, counts, cfg.seed)
-    for i, (link, facs) in enumerate(zip(F.links, factors)):
-        parts = [f"a={facs[0].a}"] + [f"b{j + 1}={fac.b}" for j, fac in enumerate(facs)]
-        ledger.factor_lines.append(
-            f"link {i + 1} ({link.kind.value}, src {link.src}): " + ", ".join(parts)
+    else:
+        Fp = taylor_truncate(F, degrees)
+        counts = _link_x_degrees(Fp, F.links)
+        factors = _draw_factors(F.links, counts, cfg.seed)
+        for i, (link, facs) in enumerate(zip(F.links, factors)):
+            parts = [f"a={facs[0].a}"] + [f"b{j + 1}={fac.b}" for j, fac in enumerate(facs)]
+            ledger.factor_lines.append(
+                f"link {i + 1} ({link.kind.value}, src {link.src}): " + ", ".join(parts)
+            )
+        selections, product_system = linear_product_start(Fp, F.links, degrees, cfg.seed)
+        ledger.notes.append(
+            f"slices: {len(selections)} factor selections after pruning "
+            f"(source degrees {', '.join(str(c) for c in counts)})"
         )
-    selections, product_system = linear_product_start(Fp, F.links, degrees, cfg.seed)
-    ledger.notes.append(
-        f"slices: {len(selections)} factor selections after pruning "
-        f"(source degrees {', '.join(str(c) for c in counts)})"
-    )
-    slices, product, target = (_stage_config(cfg, k) for k in (1, 2, 3))
-    shared = {
-        "slice-continuation": (Fp.polys[: F.n], factors, F.links, F.N, slices),
-        "product-to-truncated": (product_system, Fp, product),
-        "truncated-to-target": (Fp, F, target),
-    }
-    # Compiled before the pool forks, the two steps are inherited by every
-    # worker instead of compiled in each.
-    for Fstart, Ftarget, _ in (shared["product-to-truncated"], shared["truncated-to-target"]):
-        _step_program(compile_system(Fstart), compile_system(Ftarget))
-    with _tasks(shared, len(selections)) as run:
-        start_sols = _solve_slices(_stage(ledger, "slice-continuation", slices), run, selections)
-        fp_sols = _track_stage(_stage(ledger, "product-to-truncated", product), run, start_sols)
-        ends = _track_stage(_stage(ledger, "truncated-to-target", target), run, fp_sols)
-
+        slices, product, target = (_stage_config(cfg, k) for k in (1, 2, 3))
+        shared = {
+            "slice-continuation": (Fp.polys[: F.n], factors, F.links, F.N, slices),
+            "product-to-truncated": (product_system, Fp, product),
+            "truncated-to-target": (Fp, F, target),
+        }
+        # Compiled before the pool forks, the two steps are inherited by every
+        # worker instead of compiled in each.
+        for Fstart, Ftarget, _ in (shared["product-to-truncated"], shared["truncated-to-target"]):
+            _step_program(compile_system(Fstart), compile_system(Ftarget))
+        with _tasks(shared, len(selections)) as run:
+            sols = _solve_slices(_stage(ledger, "slice-continuation", slices), run, selections)
+            sols = _track_stage(_stage(ledger, "product-to-truncated", product), run, sols)
+            ends = _track_stage(_stage(ledger, "truncated-to-target", target), run, sols)
     candidates = _polish(F, ends, cfg, ledger)
     ledger.candidate_count = len(candidates)
     return SolveResult(candidates, ledger)

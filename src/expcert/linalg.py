@@ -1,8 +1,8 @@
-"""Dense vectors and matrices over either scalar kind, the shared solve, and a
-double-precision bound on the column norms of an inverse.
+"""Dense vectors and matrices over either scalar kind, one solve per kind, and
+a double-precision bound on the column norms of an inverse.
 
 Vectors are tuples of scalars; matrices are tuples of row tuples. Both are
-immutable, so values can be shared freely. All operations are
+immutable, so values can be shared freely. The vector operations are
 generic over the two scalar kinds (ExactComplex, mpmath.mpc): arithmetic goes
 through operator overloading and abs_sq.
 
@@ -90,13 +90,6 @@ def vec_sub(x: CVector, y: CVector) -> CVector:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def _is_exact(A: CMatrix) -> bool:
-    for row in A:
-        for v in row:
-            return isinstance(v, ExactComplex)
-    return True
-
-
 def _check_square(A: CMatrix):
     n = len(A)
     for row in A:
@@ -118,24 +111,19 @@ def _check_system(A: CMatrix, B: CMatrix):
 
 
 def solve_columns(A: CMatrix, B: CMatrix, bits: int | None = None) -> CMatrix:
-    """Solve A X = B for X, column by column.
+    """Solve A X = B for X, column by column, over mpc entries.
 
-    Rational mode: X is read off solve_fraction_free's integer result, one
-    Gaussian-rational division per entry. Floating mode: partial pivoting on
-    the largest squared pivot, with a scaled singularity test: a pivot whose
-    squared modulus falls below 2^(16-bits) times the largest squared entry
-    of its row is treated as zero. The floating loops skip exact zeros (see
-    the module docstring).
+    Partial pivoting on the largest squared pivot, with a scaled singularity
+    test: a pivot whose squared modulus falls below 2^(16-bits) times the
+    largest squared entry of its row is treated as zero. The loops skip
+    exact zeros (see the module docstring). Exact systems are solved by
+    solve_fraction_free.
 
     Raises SingularMatrix when no acceptable pivot exists.
     """
-    n, width = _check_system(A, B)
+    n, _ = _check_system(A, B)
     if n == 0:
         return ()
-    if _is_exact(A):
-        solution = solve_fraction_free(A, B)
-        columns = [solution.column(j) for j in range(width)]
-        return tuple(tuple(col[i] for col in columns) for i in range(n))
     if bits is None:
         bits = mp.mp.prec
     aug = [list(A[i]) + list(B[i]) for i in range(n)]
@@ -356,7 +344,7 @@ def _eliminate_float(aug, n, bits):
         _eliminate_below(aug, n, col)
 
 
-def identity(n: int, exact: bool, bits: int | None = None) -> CMatrix:
+def identity(n: int, exact: bool) -> CMatrix:
     if exact:
         one, zero = EC_ONE, EC_ZERO
     else:

@@ -159,7 +159,6 @@ def _coerce(v):
 
 EC_ZERO = ExactComplex()
 EC_ONE = ExactComplex(Fraction(1))
-EC_I = ExactComplex(Fraction(0), Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -263,32 +262,6 @@ def _(z):
     ctx = z.context
     prec, rnd = ctx._prec_rounding
     return ctx.make_mpf(mpf_add(mpf_mul(a, a, prec, rnd), mpf_mul(b, b, prec, rnd), prec, rnd))
-
-
-@singledispatch
-def conj(z):
-    raise TypeError(f"conj: unsupported scalar {type(z).__name__}")
-
-
-@conj.register(ExactComplex)
-def _(z):
-    return z.conj()
-
-
-@conj.register(Fraction)
-@conj.register(int)
-@conj.register(float)
-def _(z):
-    return z
-
-
-@conj.register(complex)
-def _(z):
-    return z.conjugate()
-
-
-conj.register(type(mp.mpf(1)), lambda z: z)
-conj.register(type(mp.mpc(1, 1)), lambda z: z.conjugate())
 
 
 # Integers up to this many bits (about 3900 digits) stay below Python's

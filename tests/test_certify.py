@@ -22,6 +22,7 @@ from expcert.certify import (
     ALPHA_STAR,
     ALPHA_STAR_SQ,
     ROBUST_ALPHA_SQ,
+    ROBUST_RADIUS_SQ,
     BatchOptions,
     Certificate,
     RealStatus,
@@ -32,6 +33,7 @@ from expcert.certify import (
     decide_certified,
     newton_step,
     real_map_check,
+    robust_radius_sq,
     same_root,
 )
 from expcert.errors import NotCertified, NotRealMap, PreconditionFailed
@@ -147,25 +149,18 @@ def test_beta_sq_matches_step():
 def _count_linearizations(monkeypatch) -> dict:
     """Count eliminations and program evaluations during one call.
 
-    The package solves linear systems with linalg.solve_columns and, in
-    rational mode, linalg.solve_fraction_free. An elimination is a call of
-    either, wherever the package has bound it, that is not made from inside
-    another (solve_columns reads its exact results off solve_fraction_free).
-    Evaluations are calls of CompiledSystem.evaluate, the one evaluator of
-    F and Df.
+    The package solves linear systems with linalg.solve_columns in floating
+    mode and linalg.solve_fraction_free in rational mode. An elimination is
+    a call of either, wherever the package has bound it. Evaluations are
+    calls of CompiledSystem.evaluate, the one evaluator of F and Df.
     """
     original_evaluate = CompiledSystem.evaluate
     counts = {"eliminations": 0, "evaluations": 0}
-    depth = [0]
 
     def counting(solve):
         def wrapper(*args, **kwargs):
-            counts["eliminations"] += depth[0] == 0
-            depth[0] += 1
-            try:
-                return solve(*args, **kwargs)
-            finally:
-                depth[0] -= 1
+            counts["eliminations"] += 1
+            return solve(*args, **kwargs)
         return wrapper
 
     def counting_evaluate(self, z):
@@ -180,13 +175,6 @@ def _count_linearizations(monkeypatch) -> dict:
                 monkeypatch.setattr(module, name, wrappers[id(obj)])
     monkeypatch.setattr(CompiledSystem, "evaluate", counting_evaluate)
     return counts
-
-
-def test_an_exact_solve_columns_counts_as_one_elimination(monkeypatch):
-    """solve_columns reads exact results off solve_fraction_free: one elimination."""
-    counts = _count_linearizations(monkeypatch)
-    assert linalg.solve_columns(((ec(2),),), ((ec(1),),)) == ((ec(Fraction(1, 2)),),)
-    assert counts["eliminations"] == 1
 
 
 def _elimination_cases():
@@ -374,6 +362,25 @@ def test_same_root_rejects_distant_point():
     refined, _ = newton_refine(g, X1, 2, RAT)
     cert = certify_solution(g, refined, RAT)
     assert not same_root(g, cert, refined, X2, RAT)
+
+
+def test_robust_radius_is_exact_and_zero_without_robust_alpha():
+    g, (X1, _) = two_link_arm_poly()
+    r2, _ = newton_refine(g, X1, 2, RAT)
+    cert = certify_solution(g, r2, RAT)
+    assert cert.alpha_bound_sq < ROBUST_ALPHA_SQ
+    radius = robust_radius_sq(cert)
+    assert isinstance(radius, Fraction)
+    assert radius == ROBUST_RADIUS_SQ / cert.gamma_bound_sq
+    assert robust_radius_sq(certify_solution(g, X1, RAT)) == 0  # alpha ~ 0.0736
+    S = poly1((ec(1), (2,)), (ec(-1), (0,)))
+    singular = certify_solution(S, (ec(0),), RAT)
+    assert not singular.jacobian_invertible
+    assert robust_radius_sq(singular) == 0
+    # An exact zero certifies with alpha 0 but an infinite gamma.
+    zero = certify_solution(poly1((ec(1), (2,))), (ec(0),), RAT)
+    assert zero.alpha_bound_sq == 0 and math.isinf(zero.gamma_bound_sq)
+    assert robust_radius_sq(zero) == 0
 
 
 def test_real_map_check():

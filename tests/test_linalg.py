@@ -4,9 +4,10 @@ The exact path must be bit-reproducible and genuinely exact; the floating
 path only needs to be stable enough for the soft certificates built on it.
 The Frobenius-dominates-spectral check matters because every operator norm
 in the package is silently replaced by a Frobenius bound. solve_columns
-skips exact zeros in floating mode and solves exact systems without
-fractions; a verbatim copy of the dense elimination it replaced is kept
-here as the reference both must match, bit for bit and exactly.
+skips exact zeros in floating mode and solve_fraction_free solves exact
+systems without fractions; a verbatim copy of the dense elimination both
+replaced is kept here as the reference both must match, bit for bit and
+exactly.
 """
 
 import random
@@ -33,16 +34,28 @@ from expcert.scalars import ExactComplex, abs_sq
 rat = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
 
+def _is_exact(A):
+    return bool(A) and isinstance(A[0][0], ExactComplex)
+
+
+def solve_matrix(A, B, bits=None):
+    """X with A X = B: the columns of solve_fraction_free for an exact A,
+    else solve_columns."""
+    if _is_exact(A):
+        solution = solve_fraction_free(A, B)
+        return tuple(zip(*(solution.column(j) for j in range(len(B[0])))))
+    return solve_columns(A, B, bits)
+
+
 def solve_vector(A, b, bits=None):
     """Solve A x = b for a single right-hand-side vector."""
-    X = solve_columns(A, tuple((v,) for v in b), bits)
+    X = solve_matrix(A, tuple((v,) for v in b), bits)
     return tuple(row[0] for row in X)
 
 
 def invert(A, bits=None):
-    """Matrix inverse via solve_columns against the identity."""
-    exact = not A or isinstance(A[0][0], ExactComplex)
-    return solve_columns(A, identity(len(A), exact, bits), bits)
+    """Matrix inverse, solved against the identity."""
+    return solve_matrix(A, identity(len(A), _is_exact(A)), bits)
 
 
 def frobenius_norm_sq(A):
@@ -154,7 +167,7 @@ def test_exact_solve_reproduces_rhs(A, data):
 def test_solve_columns_multiple_rhs():
     A = exact_matrix([[1, 1], [0, 2]])
     B = exact_matrix([[3, 1], [4, 0]])
-    X = solve_columns(A, B)
+    X = solve_matrix(A, B)
     assert X == exact_matrix([[1, 1], [2, 0]])
 
 
@@ -187,7 +200,7 @@ def test_identity_shapes():
     eye = identity(3, exact=True)
     assert eye[0][0] == ec(1) and eye[0][1] == ec(0)
     with mp.workprec(64):
-        feye = identity(2, exact=False, bits=64)
+        feye = identity(2, exact=False)
         assert feye[1][1] == 1
 
 
@@ -217,7 +230,7 @@ def test_solve_columns_with_identity_matches_solve_and_invert(bits):
             b = tuple(_random_entry(rng, exact) for _ in range(n))
             B = tuple((bi,) + row for bi, row in zip(b, identity(n, exact)))
             try:
-                X = solve_columns(A, B, bits)
+                X = solve_matrix(A, B, bits)
             except SingularMatrix:
                 with pytest.raises(SingularMatrix):
                     solve_vector(A, b, bits)
@@ -327,7 +340,7 @@ def _dense_eliminate_float(aug, n, bits):
                 row[j] = row[j] - factor * top[j]
 
 
-def _sparse_entry(rng, exact):
+def _sparse_entry(rng):
     """A nonzero entry: a small integer or a ratio with denominator 1..7.
 
     Small integers make exact cancellations (and singular matrices) common;
@@ -341,8 +354,6 @@ def _sparse_entry(rng, exact):
             parts.append(Fraction(rng.randint(-99, 99), rng.randint(1, 7)))
     if not any(parts):
         parts[0] = Fraction(1)
-    if exact:
-        return ExactComplex(*parts)
     return mp.mpc(*(mp.mpf(p.numerator) / p.denominator for p in parts))
 
 
@@ -355,35 +366,33 @@ def sparse_systems(draw, bits):
     forces row exchanges. Two in five get one column scaled by 2^-e, exactly,
     with e around (bits - 16) / 2, so that its pivot falls on either side of
     the floating singularity threshold relative to the rest of its row.
-    bits None draws exact entries. Draw under the working precision.
+    Draw under the working precision.
     """
-    exact = bits is None
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(1, 12))
     density = draw(st.floats(0.1, 0.7))
-    zero = ExactComplex(Fraction(0), Fraction(0)) if exact else mp.mpc(0)
-    A = [[_sparse_entry(rng, exact) if rng.random() < density else zero for _ in range(n)]
+    zero = mp.mpc(0)
+    A = [[_sparse_entry(rng) if rng.random() < density else zero for _ in range(n)]
          for _ in range(n)]
     if draw(st.booleans()):
         perm = list(range(n))
         rng.shuffle(perm)
         for i, j in enumerate(perm):
-            A[i][j] = _sparse_entry(rng, exact)
+            A[i][j] = _sparse_entry(rng)
     for i in range(n):
         if rng.random() < 0.3:
             A[i][i] = zero
     if n > 1 and rng.random() < 0.4:
         j = rng.randrange(n)
-        e = rng.randint(20, 40) if exact else (bits - 16) // 2 + rng.randint(-6, 6)
-        scale = ExactComplex(Fraction(1, 2**e), Fraction(0)) if exact else mp.ldexp(1, -e)
+        e = (bits - 16) // 2 + rng.randint(-6, 6)
         for row in A:
-            row[j] = row[j] * scale
-    b = [_sparse_entry(rng, exact) if rng.random() < max(density, 0.5) else zero
+            row[j] = row[j] * mp.ldexp(1, -e)
+    b = [_sparse_entry(rng) if rng.random() < max(density, 0.5) else zero
          for _ in range(n)]
     if draw(st.booleans()):
         B = tuple((bi,) for bi in b)
     else:
-        B = tuple((bi,) + row for bi, row in zip(b, identity(n, exact)))
+        B = tuple((bi,) + row for bi, row in zip(b, identity(n, exact=False)))
     return tuple(map(tuple, A)), B
 
 
@@ -394,8 +403,8 @@ def _solve_or_error(solve, A, B, bits):
         return str(exc)
 
 
-@pytest.mark.parametrize("bits", [53, 96, 256, 1024, None],
-                         ids=["float53", "float96", "float256", "float1024", "rational"])
+@pytest.mark.parametrize("bits", [53, 96, 256, 1024],
+                         ids=["float53", "float96", "float256", "float1024"])
 @settings(max_examples=40, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(data=st.data())
@@ -406,15 +415,12 @@ def test_sparse_elimination_matches_dense_bit_for_bit(bits, data):
     systems of up to 12 x 25 entries against the dense reference takes
     minutes per precision.
     """
-    exact = bits is None
-    with mp.workprec(bits or 64):
+    with mp.workprec(bits):
         A, B = data.draw(sparse_systems(bits))
         want = _solve_or_error(_dense_solve_columns, A, B, bits)
         got = _solve_or_error(solve_columns, A, B, bits)
     if isinstance(want, str):
         assert got == want  # SingularMatrix, same message and column
-    elif exact:
-        assert got == want
     else:
         assert [[v._mpc_ for v in row] for row in got] == [
             [v._mpc_ for v in row] for row in want
@@ -491,7 +497,7 @@ def test_fraction_free_solve_matches_dense_fractions(system):
     """
     A, B = system
     want = _solve_or_error(_dense_solve_columns, A, B, None)
-    got = _solve_or_error(solve_columns, A, B, None)
+    got = _solve_or_error(solve_matrix, A, B, None)
     assert got == want
     if isinstance(want, str):
         with pytest.raises(SingularMatrix, match=re.escape(want)):
