@@ -14,10 +14,11 @@ inverse of J whose residual is bounded (linalg.inverse_column_bounds), and
 the elimination solves J x = F(z) for the Newton step alone. Link-free
 systems, and any J that bound declines, solve J X = [F(z) | I], whose
 first column is the Newton step and whose other columns are J^{-1}. In
-rational mode that solve is fraction-free (linalg.solve_fraction_free),
-and beta^2 and the column bounds are each read off its Gaussian-integer
-result as one exact Fraction. newton_step and refine's newton_refine use
-the same linearization without the bound.
+rational mode the program's Gaussian-integer rows (expsystems.integer_rows)
+go straight to a fraction-free solve (linalg.solve_fraction_free), and
+beta^2 and the column bounds are each read off its result as one Fraction.
+newton_step and refine's newton_refine use the same linearization without
+the bound.
 
 ALPHA_STAR is a rational number chosen strictly below the true threshold
 (13 - 3*sqrt(17))/4, so a conservative comparison can only under-certify.
@@ -47,7 +48,7 @@ from .errors import (
     PreconditionFailed,
     SingularMatrix,
 )
-from .expsystems import ExpSystem, as_exp_system, gamma_bound_sq, value_and_jacobian
+from .expsystems import ExpSystem, as_exp_system, gamma_bound_sq, integer_rows, value_and_jacobian
 from .linalg import (
     CVector,
     identity,
@@ -136,10 +137,10 @@ def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
     """Evaluate F and its Jacobian J at z with one program call, and eliminate J once.
 
     Returns (z lifted, F(z), Newton step, its squared norm beta^2, column
-    bounds or None). When inverse is set, the bounds are
-    c_j >= sum_i |(J^{-1})_ij|^2, one per column, for the curvature bound.
-    Step, beta^2 and bounds are all None when J is singular at the working
-    precision.
+    bounds or None), F(z) as numerators in rational mode. When inverse is
+    set, the bounds are c_j >= sum_i |(J^{-1})_ij|^2, one per column, for
+    the curvature bound. Step, beta^2 and bounds are all None when J is
+    singular at the working precision.
 
     With links (m > 0, float mode only) the bounds come from a
     double-precision inverse of J (linalg.inverse_column_bounds), and the
@@ -148,24 +149,28 @@ def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
     column norms of the computed J^{-1}. Pivots depend on J alone, so the
     step is bit for bit the same on either route.
 
-    Rational mode solves without fractions (linalg.solve_fraction_free):
-    beta^2 and each column bound are one exact Fraction read off the
-    integer solution, and the entries of J^{-1} are never formed. Link-free
-    systems stay on the elimination in float mode too: it matches the exact
-    bound to the working precision, which the double-precision bound, with
-    a slack of order u times the condition of J, would not. Runs at the
-    caller's working precision.
+    Rational mode evaluates and solves without fractions (integer_rows,
+    linalg.solve_fraction_free): beta^2 and each column bound are one exact
+    Fraction read off the integer solution, and the entries of J^{-1} are
+    never formed. Link-free systems stay on the elimination in float mode
+    too: it matches the exact bound to the working precision, which the
+    double-precision bound, with a slack of order u times the condition of
+    J, would not. Runs at the caller's working precision.
     """
     z = lift_point(z, prec)
-    residual, J = value_and_jacobian(F, z, prec)  # raises in exact mode when m > 0
-    columns = inverse_column_bounds(J) if inverse and F.m else None
+    if prec.is_exact:  # raises when m > 0
+        residual, rows, scales = integer_rows(F, z, prec, inverse)
+        columns = None
+    else:
+        residual, J = value_and_jacobian(F, z, prec)
+        columns = inverse_column_bounds(J) if inverse and F.m else None
+        rhs = tuple((v,) for v in residual)
+        if inverse and columns is None:
+            rhs = tuple(r + e for r, e in zip(rhs, identity(F.N, False)))
     eliminate_inverse = inverse and columns is None
-    rhs = tuple((v,) for v in residual)
-    if eliminate_inverse:
-        rhs = tuple(r + e for r, e in zip(rhs, identity(F.N, prec.is_exact)))
     try:
         if prec.is_exact:
-            solution = solve_fraction_free(J, rhs)
+            solution = solve_fraction_free(rows, scales)
             step, column_norm_sq = solution.column(0), solution.column_norm_sq
         else:
             X = tuple(zip(*solve_columns(J, rhs, prec.bits)))
@@ -196,7 +201,7 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
     with working_precision(prec.bits):
         z, residual, _, bsq, columns = _linearize(F, z, prec, inverse=True)
         gamma_sq = math.inf if columns is None else gamma_bound_sq(F, z, columns, prec)
-        if prec.is_exact and all(v.is_zero() for v in residual):
+        if prec.is_exact and not any(residual):  # the numerators of F(z)
             return Certificate(
                 beta_sq=Fraction(0),
                 gamma_bound_sq=gamma_sq,

@@ -10,12 +10,19 @@ F and its Jacobian are evaluated by one compiled program per system and
 scalar kind (CompiledSystem, cached by compile_system): the powers z_i^e,
 each row and each nonzero Jacobian entry a list of (coefficient, power
 indices) terms, constant entries folded. The same program serves every
-kind: hardware doubles for the path tracker, mpc at a given precision and
-exact ExactComplex for certification and refinement (value_and_jacobian).
-The kind sets how coefficients are lifted, the zero each sum starts from,
-whether links call cmath or mpmath, and one rounding order: doubles take
-c * x^a * y^b, the other kinds c * (x^a * y^b), which keeps both the
-tracker and the certificates bit for bit as they were.
+kind: hardware doubles for the path tracker, mpc at a given precision for
+certification and refinement (value_and_jacobian), and the Gaussian
+integers for exact points. The kind sets how coefficients are lifted, the
+zero each sum starts from, whether links call cmath or mpmath, and one
+rounding order: doubles take c * x^a * y^b, the other kinds
+c * (x^a * y^b), which keeps both the tracker and the certificates bit for
+bit as they were.
+
+The exact kind forms no Fraction: row r, times the lcm L_r of its
+denominators and homogenized to degree D_r in one more variable, is
+evaluated at (d z, d), d the lcm of z's denominators. The integer results
+are F_r = N_r / (L_r d^D_r) and J_rj = M_rj / (L_r d^(D_r - 1)), which
+integer_rows reduces to the rows of linalg.solve_fraction_free.
 
 The program runs as generated Python: straight-line source, one local per
 power and per monomial product, one statement per term, compiled with
@@ -61,6 +68,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,7 +82,7 @@ from .errors import (
     PreconditionFailed,
     ValidationError,
 )
-from .linalg import CVector, norm1_sq
+from .linalg import CVector, _GaussianInt, norm1_sq
 from .polynomials import (
     Polynomial,
     PolynomialSystem,
@@ -83,8 +91,6 @@ from .polynomials import (
     memo_hash,
 )
 from .scalars import (
-    EC_ONE,
-    EC_ZERO,
     ExactComplex,
     PrecisionConfig,
     exact_to_mpc,
@@ -267,12 +273,12 @@ def _scalar_kind(prec: PrecisionConfig | None):
     """(coefficient lift, zero, one, link function library) of a scalar kind.
 
     None is hardware doubles (complex), a float PrecisionConfig is mpc at its
-    bits, and a rational one is ExactComplex, which has no link functions.
+    bits, and a rational one Gaussian integers, which have no link functions.
     """
     if prec is None:
         return complex, 0j, 1.0 + 0j, cmath
     if prec.is_exact:
-        return (lambda c: c), EC_ZERO, EC_ONE, None
+        return (lambda c: _GaussianInt(int(c.re), int(c.im)) if c.im else int(c.re)), 0, 1, None
     return (lambda c: exact_to_mpc(c, prec.bits)), mp.mpc(0), mp.mpc(1), mp
 
 
@@ -313,7 +319,8 @@ class CompiledSystem:
     time. `pattern` lists the (row, column) of every structurally nonzero
     entry, in the order `evaluate` returns them; all other entries are
     `zero`. The scalar kind (see _scalar_kind) sets how coefficients are
-    lifted, the zero each sum starts from and the link functions. It also
+    lifted, the zero each sum starts from and the link functions (exact
+    rows as in the module docstring, with (L_r, D_r) in `row_scales`). It also
     sets one rounding order: in hardware doubles a term is c * x^a * y^b,
     left to right, as the tracker has always computed it; mpc and exact
     programs multiply each monomial out once in the table, x^a * y^b, and
@@ -331,7 +338,15 @@ class CompiledSystem:
         if prec is not None:
             _require_float(F, prec, "evaluation")
         lift, self.zero, self.one, lib = _scalar_kind(prec)
-        self.size = F.N
+        self.size, polys, self.row_scales = F.N, F.P.polys, []
+        if prec is not None and prec.is_exact:  # rows times L_r, homogenized in z_N = d
+            self.size, polys = F.N + 1, []
+            for p in F.P.polys:
+                L = math.lcm(*(q.denominator for c, _ in p.terms for q in (c.re, c.im)))
+                D = max(p.degree, 1)
+                self.row_scales.append((L, D))
+                polys.append(Polynomial.from_terms(self.size, [
+                    (c * L, m.exponents + (D - m.total_degree,)) for c, m in p.terms]))
         powers = {}
 
         def compile_terms(p: Polynomial):
@@ -347,10 +362,10 @@ class CompiledSystem:
                 for c, m in p.terms
             )
 
-        self.rows = [compile_terms(p) for p in F.P.polys]
+        self.rows = [compile_terms(p) for p in polys]
         self.entries = []
         entry_pos, folded_pos, self.folded = [], [], []
-        for r, p in enumerate(F.P.polys):
+        for r, p in enumerate(polys):
             for j in range(F.N):
                 terms = compile_terms(p.derivative(j))
                 if not terms:
@@ -509,23 +524,65 @@ def compile_system(system, prec: PrecisionConfig | None = None) -> CompiledSyste
         return CompiledSystem(system, prec)
 
 
-def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
-    """(F(z), dense Df(z)) from one call of F's compiled program.
-
-    Rows are the n polynomials, then one row z_dst - g(c * z_src) per link.
-    Exact coordinates are lifted to prec's scalar kind; floating work runs
-    at prec.bits.
-    """
+def _evaluate(F, z: CVector, prec: PrecisionConfig):
+    """(d, the Delta_r = L_r d^(D_r - 1), F(z), dense Df(z)) from one program
+    call; an exact z is taken as (d z, d), d the lcm of its denominators."""
     nv = F.N if isinstance(F, ExpSystem) else F.nv
     if len(z) != nv:
         raise DimensionMismatch(f"point has {len(z)} coordinates, expected {nv}")
-    program = compile_system(F, prec)
+    program, d, deltas = compile_system(F, prec), None, None
+    if prec.is_exact:
+        z = [ExactComplex.of(v) for v in z]
+        d = math.lcm(*(p.denominator for v in z for p in (v.re, v.im)))
+        deltas = [L * d ** (D - 1) for L, D in program.row_scales]
+        parts = ((v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator))
+                 for v in z)
+        z = tuple(_GaussianInt(re, im) if im else re for re, im in parts) + (d,)
     with working_precision(prec.bits):
         values, entries = program.evaluate(lift_point(z, prec))
     J = [[program.zero] * nv for _ in range(nv)]
     for (r, j), v in zip(program.pattern, entries):
         J[r][j] = v
+    return d, deltas, values, J
+
+
+def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
+    """(F(z), dense Df(z)) from one call of F's compiled program.
+
+    Rows are the n polynomials, then one row z_dst - g(c * z_src) per link.
+    Exact coordinates are lifted to prec's scalar kind; floating work runs
+    at prec.bits; exact values are the integer program's, as Fractions.
+    """
+    d, deltas, values, J = _evaluate(F, z, prec)
+    if d is not None:
+        values = [ExactComplex(Fraction(v.real, q * d), Fraction(v.imag, q * d))
+                  for v, q in zip(values, deltas)]
+        J = [[ExactComplex(Fraction(v.real, q), Fraction(v.imag, q)) for v in row]
+             for row, q in zip(J, deltas)]
     return tuple(values), tuple(tuple(row) for row in J)
+
+
+def integer_rows(F, z: CVector, prec: PrecisionConfig, inverse: bool):
+    """F(z)'s numerators, and the rows and scales of J X = [F(z) | I] (of
+    J x = F(z) unless inverse) for linalg.solve_fraction_free; rational prec.
+
+    Row i, J_i = M_i / Delta_i and F_i = N_i / (Delta_i d), is scaled by
+    Delta_i / g_i, g_i = gcd(Delta_i, parts of M_i), and F's column by the
+    lcm of the g_i d / h_i, h_i = gcd(g_i d, parts of N_i): the lcms of the
+    reduced denominators, so the rows are those the Fraction values give."""
+    d, deltas, values, J = _evaluate(F, z, prec)
+    n = len(values)
+    gs = [math.gcd(q, *(p for a in row for p in (a.real, a.imag))) for q, row in zip(deltas, J)]
+    hs = [math.gcd(g * d, v.real, v.imag) for g, v in zip(gs, values)]
+    c0 = math.lcm(*(g * d // h for g, h in zip(gs, hs)))
+    aug = []
+    for i, (row, v, q, g, h) in enumerate(zip(J, values, deltas, gs, hs)):
+        aug.append([a // g for a in row] + [v // h * (c0 * h // (g * d))])
+        if inverse:
+            aug[-1] += [q // g if j == i else 0 for j in range(n)]
+    gaussian = any(p.imag for row in aug for p in row)
+    aug = [[_GaussianInt(p.real, p.imag) if gaussian else p.real for p in row] for row in aug]
+    return values, aug, (c0,) + (1,) * n if inverse else (c0,)
 
 
 def link_bound_term(link: ExpLink, xval):

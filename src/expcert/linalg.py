@@ -10,17 +10,18 @@ Norm conventions: everything is squared. Operator norms are never computed;
 the Frobenius norm serves as their upper bound, which keeps the downstream
 bounds valid and, in rational mode, keeps every quantity exactly rational.
 
-Exact solves are fraction-free (solve_fraction_free): each row of A is
-scaled by the lcm of its own denominators and each right-hand-side column
-by the lcm of the denominators that scaling leaves in it, and the Gaussian
-integer system is reduced by Bareiss's integer-preserving elimination
-("Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 1968): first nonzero pivot, every update divided
-exactly by the previous pivot, then a back substitution that stays in the
-Gaussian integers. The solution is Y / (d c_j), column by column, with d
-the last pivot, so a caller can take the norm of a column as one Fraction
-instead of forming its entries. The elimination skips zero terms and zero
-entries; its results are exact either way.
+Exact solves are fraction-free (solve_fraction_free). Its Gaussian-integer
+rows, built by expsystems.integer_rows, have each row of A scaled by the
+lcm of its own denominators and each right-hand-side column by the lcm of
+the denominators that scaling leaves in it. They are reduced by Bareiss's
+integer-preserving elimination ("Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968): first
+nonzero pivot, every update divided exactly by the previous pivot, then a
+back substitution that stays in the Gaussian integers. The solution is
+Y / (d c_j), column by column, with d the last pivot, so a caller can take
+the norm of a column as one Fraction instead of forming its entries. The
+elimination skips zero terms and zero entries; its results are exact
+either way.
 
 The floating solve stores the matrix densely but skips exact zeros: the
 elimination touches only rows with a nonzero entry in the pivot column and
@@ -98,18 +99,6 @@ def _check_square(A: CMatrix):
     return n
 
 
-def _check_system(A: CMatrix, B: CMatrix):
-    """(n, width) of a square A and a right-hand side B with n rows."""
-    n = _check_square(A)
-    if len(B) != n:
-        raise DimensionMismatch(f"right-hand side has {len(B)} rows, expected {n}")
-    width = len(B[0]) if n else 0
-    for row in B:
-        if len(row) != width:
-            raise DimensionMismatch("ragged right-hand side")
-    return n, width
-
-
 def solve_columns(A: CMatrix, B: CMatrix, bits: int | None = None) -> CMatrix:
     """Solve A X = B for X, column by column, over mpc entries.
 
@@ -121,7 +110,9 @@ def solve_columns(A: CMatrix, B: CMatrix, bits: int | None = None) -> CMatrix:
 
     Raises SingularMatrix when no acceptable pivot exists.
     """
-    n, _ = _check_system(A, B)
+    n = _check_square(A)
+    if len(B) != n or any(len(row) != len(B[0]) for row in B):
+        raise DimensionMismatch(f"right-hand side is not {n} rows of one width")
     if n == 0:
         return ()
     if bits is None:
@@ -150,8 +141,9 @@ def solve_columns(A: CMatrix, B: CMatrix, bits: int | None = None) -> CMatrix:
 
 class _GaussianInt:
     """A Gaussian integer real + imag i, with the parts of int's interface
-    that the fraction-free solve uses: real, imag, truth, -, * and // as
-    exact division. Real systems run the same code on plain ints.
+    that the integer program and the fraction-free solve use: real, imag,
+    truth, +, -, *, ** and // as exact division (an int may be the other
+    operand of +, * and //). Real systems run the same code on plain ints.
     """
 
     __slots__ = ("real", "imag")
@@ -163,12 +155,20 @@ class _GaussianInt:
     def __bool__(self):
         return bool(self.real or self.imag)
 
+    def __add__(self, other):
+        return _GaussianInt(self.real + other.real, self.imag + other.imag)
+
     def __sub__(self, other):
         return _GaussianInt(self.real - other.real, self.imag - other.imag)
 
     def __mul__(self, other):
         a, b, c, d = self.real, self.imag, other.real, other.imag
         return _GaussianInt(a * c - b * d, a * d + b * c)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, e: int):
+        return self if e == 1 else self * self ** (e - 1)
 
     def __floordiv__(self, other):
         """The quotient self / other, which the caller knows lies in Z[i]."""
@@ -216,50 +216,21 @@ class FractionFreeSolution:
         return Fraction(total, (d.real * d.real + d.imag * d.imag) * c * c)
 
 
-def _integer_rows(A: CMatrix, B: CMatrix):
-    """The rows [L_i A_i | L_i c_j B_ij] of Gaussian integers, and the c_j.
-
-    L_i is the lcm of the denominators in row i of A alone, and c_j the lcm
-    of the denominators of the L_i B_ij: a right-hand side with larger
-    denominators than A's row (F(z) beside J(z) has about their square)
-    then scales its own column, not the whole row.
-    """
-    row_scales = [math.lcm(*(p.denominator for v in row for p in (v.re, v.im))) for row in A]
-    col_scales = [1] * len(B[0])
-    for L, row in zip(row_scales, B):
-        for j, v in enumerate(row):
-            for p in (v.re, v.im):
-                q = p.denominator
-                if q != 1:
-                    col_scales[j] = math.lcm(col_scales[j], q // math.gcd(q, L))
-    gaussian = any(v.im for rows in (A, B) for row in rows for v in row)
-    aug = []
-    for L, a_row, b_row in zip(row_scales, A, B):
-        parts = [(v.re.numerator * (L // v.re.denominator),
-                  v.im.numerator * (L // v.im.denominator)) for v in a_row]
-        for c, v in zip(col_scales, b_row):
-            m = L * c
-            parts.append((v.re.numerator * (m // v.re.denominator),
-                          v.im.numerator * (m // v.im.denominator)))
-        aug.append([_GaussianInt(*p) for p in parts] if gaussian else [re for re, _ in parts])
-    return aug, tuple(col_scales)
-
-
-def solve_fraction_free(A: CMatrix, B: CMatrix) -> FractionFreeSolution:
+def solve_fraction_free(aug: list, scales: tuple) -> FractionFreeSolution:
     """Solve A X = B exactly over the Gaussian rationals, without fractions.
 
-    A and B hold ExactComplex entries. The scaled rows of _integer_rows are
-    reduced by Bareiss's elimination with the first nonzero pivot of each
+    aug holds the rows [L_i A_i | L_i c_j B_ij], lists of ints (of
+    _GaussianInts unless all real), and scales the c_j. They are reduced in
+    place by Bareiss's elimination with the first nonzero pivot of each
     column, the pivots those of Gaussian elimination over Fractions, so a
     singular A raises SingularMatrix for the same column. The back
     substitution y_i = (d b_i - sum over k > i of u_ik y_k) / u_ii then
     gives y = d x with d the last pivot, and every division is exact.
     Zero entries and zero terms are skipped.
     """
-    n, width = _check_system(A, B)
+    n, width = len(aug), len(scales)
     if n == 0:
         return FractionFreeSolution((), 1, ())
-    aug, scales = _integer_rows(A, B)
     total = n + width
     prev = None  # the previous pivot, by which every update divides exactly
     for col in range(n):

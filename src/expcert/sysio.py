@@ -136,6 +136,8 @@ def parse_system(text: str) -> ExpSystem:
         if len(parts) != 2 or parts[0] != "poly":
             raise ParseError(f"expected 'poly <nterms>', got {_shown(line)}", line=no)
         nterms = _int(parts[1], no)
+        if nterms < 0:
+            raise ParseError(f"negative term count {_shown(line)}", line=no)
         items = []
         for _ in range(nterms):
             no, line = lines.next("a term line")
@@ -199,7 +201,8 @@ def parse_points(text: str) -> PointsData:
     """Parse a points file; the coordinate count per point is inferred.
 
     The total number of coordinate lines must split evenly over the declared
-    point count; whether that width matches a given system is checked at use.
+    point count, at least one line per point; whether that width matches a
+    given system is checked at use.
     """
     lines = _Lines(text)
     _expect_format(lines)
@@ -225,6 +228,8 @@ def parse_points(text: str) -> PointsData:
         if coords:
             raise ParseError(f"{len(coords)} coordinate lines after a count of 0")
         return PointsData(mode, ())
+    if len(coords) < count:
+        raise ParseError(f"{count} points need at least {count} coordinate lines, got {len(coords)}")
     if len(coords) % count != 0:
         raise ParseError(
             f"{len(coords)} coordinate lines do not divide into {count} points"

@@ -103,6 +103,7 @@ def test_decide_certified_monotone(bsq, gsq, sb, sg):
 def test_certify_hand_case_rational():
     S = poly1((ec(1), (2,)), (ec(-2), (0,)))  # x^2 - 2
     cert = certify_solution(S, (ec(Fraction(3, 2)),), RAT)
+    assert certify_solution(S, (Fraction(3, 2),), RAT) == cert  # bare rational coordinates
     assert cert.beta_sq == Fraction(1, 144)
     assert cert.gamma_bound_sq == Fraction(20, 9)
     assert cert.alpha_bound_sq == Fraction(20, 1296)
@@ -152,7 +153,8 @@ def _count_linearizations(monkeypatch) -> dict:
     The package solves linear systems with linalg.solve_columns in floating
     mode and linalg.solve_fraction_free in rational mode. An elimination is
     a call of either, wherever the package has bound it. Evaluations are
-    calls of CompiledSystem.evaluate, the one evaluator of F and Df.
+    calls of CompiledSystem.evaluate, the one evaluator of F and Df; in
+    rational mode that is the integer program behind integer_rows.
     """
     original_evaluate = CompiledSystem.evaluate
     counts = {"eliminations": 0, "evaluations": 0}

@@ -32,19 +32,20 @@ from expcert.expsystems import (
     compile_system,
     gamma_bound_generic,
     gamma_bound_sq,
+    integer_rows,
     link_bound_term,
     mu_exp_sq,
     ode_derivative_bound,
     value_and_jacobian,
 )
 from expcert.homotopy import taylor_truncate
-from expcert.linalg import norm1_sq, norm_sq
+from expcert.linalg import identity, norm1_sq, norm_sq
 from expcert.mechanisms import compliant_linkage
-from expcert.polynomials import Polynomial, PolynomialSystem
+from expcert.polynomials import Polynomial, PolynomialSystem, constant, padd, ppow, variable
 from expcert.scalars import ExactComplex, PrecisionConfig, exact_to_mpc, lift_point, mpf_to_fraction
 from expcert.sysio import parse_points, parse_system
 
-from test_linalg import invert
+from test_linalg import _integer_rows, invert
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -405,6 +406,65 @@ def test_reduction_identity_for_linkfree_systems(case):
         got = mp.sqrt(certify_solution(S, z, F192).gamma_bound_sq)
         want = mp.sqrt(mp.mpf(exact_sq.numerator) / exact_sq.denominator)
         assert abs(got - want) <= want * mp.mpf(10) ** -40
+
+
+# Fermat numbers 2^(2^k) + 1 are pairwise coprime; the last has 257 bits.
+_COPRIME = tuple(2 ** 2**k + 1 for k in range(9))
+
+
+@st.composite
+def linearization_cases(draw):
+    """A square link-free system and a Gaussian-rational point.
+
+    The point's parts have dyadic denominators up to 2^80, or pairwise
+    coprime ones (one Fermat number per part); a quarter of the coordinates
+    are zero, and half the points are real. Half the systems are shifted so
+    that the point is an exact root, and some have a Jacobian row that is
+    zero: a constant row, or (x_1 - z_1)^2, whose derivatives vanish at z.
+    """
+    S, _ = draw(square_rational_systems())
+    nv = S.nv
+    dyadic, real = draw(st.booleans()), draw(st.booleans())
+    coprime = draw(st.permutations(_COPRIME))
+
+    def part(k):
+        q = 2 ** draw(st.integers(0, 80)) if dyadic else coprime[k]
+        return Fraction(draw(st.integers(-4 * q, 4 * q)), q)
+
+    z = tuple(
+        ExactComplex() if draw(st.integers(0, 3)) == 0
+        else ExactComplex(part(2 * j), Fraction(0) if real else part(2 * j + 1))
+        for j in range(nv)
+    )
+    rows = list(S.polys)
+    if draw(st.booleans()):
+        rows = [padd(p, constant(nv, -p.evaluate(z))) for p in rows]
+    i, zero_row = draw(st.integers(0, nv - 1)), draw(st.sampled_from([None, "constant", "square"]))
+    if zero_row == "constant":
+        rows[i] = constant(nv, draw(rat))
+    elif zero_row == "square":
+        rows[i] = ppow(padd(variable(nv, 0), constant(nv, -z[0])), 2)
+    return PolynomialSystem(tuple(rows)), z
+
+
+def _entries(rows):
+    return [[(type(v), v.real, v.imag) for v in row] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(linearization_cases(), st.booleans())
+def test_integer_rows_are_the_reduced_fraction_rows(case, inverse):
+    """integer_rows gives, integer for integer, the rows and scales that the
+    reference gives for the Fraction values of [J | F(z) (| I)]."""
+    S, z = case
+    F = tuple(p.evaluate(z) for p in S.polys)
+    J = tuple(tuple(p.derivative(j).evaluate(z) for j in range(S.nv)) for p in S.polys)
+    B = tuple((v,) + (e if inverse else ()) for v, e in zip(F, identity(S.nv, exact=True)))
+    want_rows, want_scales = _integer_rows(J, B)
+    values, rows, scales = integer_rows(S, z, RAT, inverse)
+    assert scales == want_scales
+    assert _entries(rows) == _entries(want_rows)
+    assert (not any(values)) == all(v.is_zero() for v in F)
 
 
 def test_mu_matches_polynomial_route_exactly():

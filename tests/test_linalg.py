@@ -10,6 +10,7 @@ replaced is kept here as the reference both must match, bit for bit and
 exactly.
 """
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from expcert.errors import DimensionMismatch, SingularMatrix
 from expcert.linalg import (
+    _GaussianInt,
     identity,
     inverse_column_bounds,
     norm1_sq,
@@ -38,11 +40,46 @@ def _is_exact(A):
     return bool(A) and isinstance(A[0][0], ExactComplex)
 
 
+def _integer_rows(A, B):
+    """The rows [L_i A_i | L_i c_j B_ij] of Gaussian integers, and the c_j.
+
+    L_i is the lcm of the denominators in row i of A alone, and c_j the lcm
+    of the denominators of the L_i B_ij: a right-hand side with larger
+    denominators than A's row (F(z) beside J(z) has about their square)
+    then scales its own column, not the whole row.
+
+    The reference for the rows that expsystems.integer_rows builds from a
+    system's integer program, and the way these tests hand ExactComplex
+    matrices to solve_fraction_free.
+    """
+    if not A:
+        return [], ()
+    row_scales = [math.lcm(*(p.denominator for v in row for p in (v.re, v.im))) for row in A]
+    col_scales = [1] * len(B[0])
+    for L, row in zip(row_scales, B):
+        for j, v in enumerate(row):
+            for p in (v.re, v.im):
+                q = p.denominator
+                if q != 1:
+                    col_scales[j] = math.lcm(col_scales[j], q // math.gcd(q, L))
+    gaussian = any(v.im for rows in (A, B) for row in rows for v in row)
+    aug = []
+    for L, a_row, b_row in zip(row_scales, A, B):
+        parts = [(v.re.numerator * (L // v.re.denominator),
+                  v.im.numerator * (L // v.im.denominator)) for v in a_row]
+        for c, v in zip(col_scales, b_row):
+            m = L * c
+            parts.append((v.re.numerator * (m // v.re.denominator),
+                          v.im.numerator * (m // v.im.denominator)))
+        aug.append([_GaussianInt(*p) for p in parts] if gaussian else [re for re, _ in parts])
+    return aug, tuple(col_scales)
+
+
 def solve_matrix(A, B, bits=None):
     """X with A X = B: the columns of solve_fraction_free for an exact A,
     else solve_columns."""
     if _is_exact(A):
-        solution = solve_fraction_free(A, B)
+        solution = solve_fraction_free(*_integer_rows(A, B))
         return tuple(zip(*(solution.column(j) for j in range(len(B[0])))))
     return solve_columns(A, B, bits)
 
@@ -501,9 +538,9 @@ def test_fraction_free_solve_matches_dense_fractions(system):
     assert got == want
     if isinstance(want, str):
         with pytest.raises(SingularMatrix, match=re.escape(want)):
-            solve_fraction_free(A, B)
+            solve_fraction_free(*_integer_rows(A, B))
         return
-    solution = solve_fraction_free(A, B)
+    solution = solve_fraction_free(*_integer_rows(A, B))
     for j, col in enumerate(zip(*want)):
         assert solution.column(j) == col
         assert solution.column_norm_sq(j) == norm_sq(col)

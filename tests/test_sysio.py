@@ -8,14 +8,16 @@ them.
 
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expcert.certify import BatchOptions, BatchReport, Certificate, PointRecord, certify_batch
-from expcert.errors import ParseError, ValidationError
+from expcert.errors import ExpcertError, ParseError, ValidationError
 from expcert.expsystems import as_exp_system
 from expcert.mechanisms import (
     compliant_linkage,
@@ -108,6 +110,7 @@ def test_serialize_points_rejects_unknown_mode():
         ("format: 1\nsystem 1\n", 2, "system"),
         ("format: 1\nsystem -1 0\n", 2, "negative"),
         ("format: 1\nsystem 1 0\nrow 2\n", 3, "poly"),
+        ("format: 1\nsystem 1 0\npoly -1\n", 3, "negative term count"),
         ("format: 1\nsystem 1 0\npoly 1\n2 1\n", 4, "term line"),
         ("format: 1\nsystem 1 0\npoly 1\n-1 1 0\n", 4, "negative exponent"),
         ("format: 1\nsystem 1 0\npoly 1\n1 x 0\n", 4, "rational"),
@@ -131,12 +134,101 @@ def test_system_parse_errors_carry_line_numbers(text, lineno, fragment):
         ("format: 1\nmode: rational\n1\n1 2 3\n", "re im"),
         ("format: 1\nmode: rational\n2\n1 0\n2 0\n3 0\n", "divide"),
         ("format: 1\nmode: rational\n0\n1 0\n", "count of 0"),
+        ("format: 1\nmode: rational\n3\n1 0\n2 0\n", "3 points need at least 3 coordinate lines, got 2"),
+        ("format: 1\nmode: float\n1\n", "got 0"),
     ],
 )
 def test_points_parse_errors(text, fragment):
     with pytest.raises(ParseError) as info:
         parse_points(text)
     assert fragment in str(info.value)
+
+
+def test_a_point_count_without_coordinates_fails_at_once():
+    """A count above the number of coordinate lines is an error, raised
+    before any point is built: a count of 10^18 over no lines would
+    otherwise build 10^18 empty points."""
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="got 0"):
+        parse_points(f"format: 1\nmode: float\n{10**18}\n")
+    assert time.perf_counter() - start < 1
+
+
+# Tokens that sit on a boundary of the grammar: signs, zero, counts far
+# beyond the lines present, the exponent caps and one past them, and
+# strings that are not numbers at all.
+_EDGE_TOKENS = ["-1", "0", "1", "2", str(10**18), "-" + str(10**18), str(MAX_EXPONENT),
+                str(MAX_EXPONENT + 1), f"1e{MAX_DECIMAL_EXPONENT}",
+                f"1e{MAX_DECIMAL_EXPONENT + 1}", "1/0", "3/4", "-0.5", "nan", "inf", "x",
+                "format:", "mode:", "system", "poly", "link", "exp", "sin", "rational",
+                "float", "#", ":"]
+_DATA_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(DATA.iterdir())]
+_FUZZ = settings(max_examples=150, deadline=500)
+
+
+def _parses_or_fails_cleanly(text):
+    """Both parsers either return or raise an ExpcertError (exit code 2), and
+    parsed points all have one width of at least one coordinate."""
+    try:
+        parse_system(text)
+    except ExpcertError:
+        pass
+    try:
+        points = parse_points(text).points
+    except ExpcertError:
+        return
+    assert all(len(z) == len(points[0]) > 0 for z in points)
+
+
+@st.composite
+def mutated_data_files(draw):
+    """A data file after a few line edits: delete, duplicate, swap, insert a
+    line of edge tokens, or replace one token of a line with an edge token."""
+    lines = draw(st.sampled_from(_DATA_TEXTS)).splitlines()
+    edge_line = st.lists(st.sampled_from(_EDGE_TOKENS), max_size=8).map(" ".join)
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            lines.append(draw(edge_line))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap", "insert", "token"]))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "insert":
+            lines.insert(i, draw(edge_line))
+        else:
+            toks = lines[i].split() or [""]
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(_EDGE_TOKENS))
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@_FUZZ
+@given(mutated_data_files())
+def test_parsers_accept_or_reject_mutated_data_files(text):
+    _parses_or_fails_cleanly(text)
+
+
+@st.composite
+def grammar_shaped_texts(draw):
+    """A format line, a system or points header, a count, then lines of edge
+    tokens: counts far beyond the lines that follow come up often."""
+    header = draw(st.sampled_from(["mode: rational", "mode: float", "system 1 0", "system 2 1"]))
+    count = draw(st.one_of(st.integers(-3, 10**18).map(str), st.sampled_from(_EDGE_TOKENS)))
+    lines = draw(st.lists(st.lists(st.sampled_from(_EDGE_TOKENS), max_size=6).map(" ".join),
+                          max_size=10))
+    return "\n".join(["format: 1", header, count] + lines) + "\n"
+
+
+@_FUZZ
+@given(st.one_of(st.text(), grammar_shaped_texts()))
+def test_parsers_accept_or_reject_random_text(text):
+    _parses_or_fails_cleanly(text)
 
 
 def test_exponent_caps_sit_at_their_constants():
