@@ -15,10 +15,9 @@ the elimination solves J x = F(z) for the Newton step alone. Link-free
 systems, and any J that bound declines, solve J X = [F(z) | I], whose
 first column is the Newton step and whose other columns are J^{-1}. In
 rational mode the program's Gaussian-integer rows (expsystems.integer_rows)
-go straight to a fraction-free solve (linalg.solve_fraction_free), and
-beta^2 and the column bounds are each read off its result as one Fraction.
-newton_step and refine's newton_refine use the same linearization without
-the bound.
+go straight to a fraction-free solve (linalg.solve_fraction_free), whose
+integer column sums give beta^2 and gamma^2 as one Fraction each. newton_step
+and refine's newton_refine use the same linearization without the bound.
 
 ALPHA_STAR is a rational number chosen strictly below the true threshold
 (13 - 3*sqrt(17))/4, so a conservative comparison can only under-certify.
@@ -49,6 +48,7 @@ from .errors import (
     SingularMatrix,
 )
 from .expsystems import ExpSystem, as_exp_system, gamma_bound_sq, integer_rows, value_and_jacobian
+from .expsystems import integer_gamma_bound_sq
 from .linalg import (
     CVector,
     identity,
@@ -63,6 +63,7 @@ from .scalars import (
     MODE_RATIONAL,
     PrecisionConfig,
     fraction_to_mpf,
+    integer_point,
     lift_point,
     mpf_to_fraction,
     working_precision,
@@ -136,50 +137,54 @@ def _zero(prec: PrecisionConfig):
 def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
     """Evaluate F and its Jacobian J at z with one program call, and eliminate J once.
 
-    Returns (z lifted, F(z), Newton step, its squared norm beta^2, column
-    bounds or None), F(z) as numerators in rational mode. When inverse is
-    set, the bounds are c_j >= sum_i |(J^{-1})_ij|^2, one per column, for
-    the curvature bound. Step, beta^2 and bounds are all None when J is
-    singular at the working precision.
+    Returns (z lifted, F(z), Newton step, its squared norm beta^2, gamma^2
+    or None), F(z) as numerators in rational mode. gamma^2, the curvature
+    bound, is computed only when inverse is set, from c_j >= sum_i
+    |(J^{-1})_ij|^2, one per column. Step, beta^2 and gamma^2 are all None
+    when J is singular at the working precision.
 
-    With links (m > 0, float mode only) the bounds come from a
+    With links (m > 0, float mode only) the c_j come from a
     double-precision inverse of J (linalg.inverse_column_bounds), and the
     elimination solves J x = F(z) alone. Otherwise, or when that bound is
-    declined, it solves J X = [F(z) | I] and the bounds are the squared
+    declined, it solves J X = [F(z) | I] and the c_j are the squared
     column norms of the computed J^{-1}. Pivots depend on J alone, so the
     step is bit for bit the same on either route.
 
     Rational mode evaluates and solves without fractions (integer_rows,
-    linalg.solve_fraction_free): beta^2 and each column bound are one exact
-    Fraction read off the integer solution, and the entries of J^{-1} are
-    never formed. Link-free systems stay on the elimination in float mode
-    too: it matches the exact bound to the working precision, which the
-    double-precision bound, with a slack of order u times the condition of
-    J, would not. Runs at the caller's working precision.
+    linalg.solve_fraction_free), and forms beta^2 and gamma^2 as one
+    Fraction each from the integer column sums (integer_gamma_bound_sq),
+    with no entry of J^{-1} and, when inverse is set, no step. Link-free
+    systems stay on the elimination in float mode too: it matches the exact
+    bound to the working precision, which the double-precision bound, with
+    a slack of order u times the condition of J, would not. Runs at the
+    caller's working precision.
     """
     z = lift_point(z, prec)
     if prec.is_exact:  # raises when m > 0
-        residual, rows, scales = integer_rows(F, z, prec, inverse)
-        columns = None
-    else:
-        residual, J = value_and_jacobian(F, z, prec)
-        columns = inverse_column_bounds(J) if inverse and F.m else None
-        rhs = tuple((v,) for v in residual)
-        if inverse and columns is None:
-            rhs = tuple(r + e for r, e in zip(rhs, identity(F.N, False)))
-    eliminate_inverse = inverse and columns is None
-    try:
-        if prec.is_exact:
+        residual, rows, scales, n1 = integer_rows(F, z, prec, inverse)
+        try:
             solution = solve_fraction_free(rows, scales)
-            step, column_norm_sq = solution.column(0), solution.column_norm_sq
-        else:
-            X = tuple(zip(*solve_columns(J, rhs, prec.bits)))
-            step, column_norm_sq = X[0], lambda j: norm_sq(X[j])
+        except SingularMatrix:
+            return z, residual, None, None, None
+        sums, dd = solution.norm_sq_parts()
+        bsq = Fraction(sums[0], dd * scales[0] ** 2)
+        if inverse:
+            return z, residual, None, bsq, integer_gamma_bound_sq(F, n1, sums[1:], dd, prec)
+        return z, residual, solution.column(0), bsq, None
+    residual, J = value_and_jacobian(F, z, prec)
+    columns = inverse_column_bounds(J) if inverse and F.m else None
+    rhs = tuple((v,) for v in residual)
+    eliminate_inverse = inverse and columns is None
+    if eliminate_inverse:
+        rhs = tuple(r + e for r, e in zip(rhs, identity(F.N, False)))
+    try:
+        X = tuple(zip(*solve_columns(J, rhs, prec.bits)))
     except SingularMatrix:
         return z, residual, None, None, None
     if eliminate_inverse:
-        columns = tuple(column_norm_sq(j) for j in range(1, F.N + 1))
-    return z, residual, step, column_norm_sq(0), columns
+        columns = tuple(norm_sq(col) for col in X[1:])
+    gamma_sq = gamma_bound_sq(F, z, columns, prec) if inverse else None
+    return z, residual, X[0], norm_sq(X[0]), gamma_sq
 
 
 def newton_step(F, z: CVector, prec: PrecisionConfig):
@@ -199,14 +204,13 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
     """Full certification of one point against a square system."""
     F = as_exp_system(F)
     with working_precision(prec.bits):
-        z, residual, _, bsq, columns = _linearize(F, z, prec, inverse=True)
-        gamma_sq = math.inf if columns is None else gamma_bound_sq(F, z, columns, prec)
+        z, residual, _, bsq, gamma_sq = _linearize(F, z, prec, inverse=True)
         if prec.is_exact and not any(residual):  # the numerators of F(z)
             return Certificate(
                 beta_sq=Fraction(0),
-                gamma_bound_sq=gamma_sq,
+                gamma_bound_sq=math.inf if gamma_sq is None else gamma_sq,
                 alpha_bound_sq=Fraction(0),
-                jacobian_invertible=columns is not None,
+                jacobian_invertible=gamma_sq is not None,
                 exact_zero=True,
                 certified_approximate=True,
                 mode=prec.mode,
@@ -240,14 +244,17 @@ def certify_distinct(F, cert1: Certificate, z1: CVector, cert2: Certificate, z2:
 
     Rational mode uses the sufficient squared test ||z1 - z2||^2 >
     8 (beta1^2 + beta2^2), which implies the separation condition
-    ||z1 - z2|| > 2 (beta1 + beta2) without taking square roots; floating
-    mode evaluates the separation condition directly.
+    ||z1 - z2|| > 2 (beta1 + beta2) without taking square roots, cross-
+    multiplied into integers with z_k = X_k / q_k (scalars.integer_point).
+    Floating mode evaluates the separation condition directly.
     """
     if not (cert1.certified_approximate and cert2.certified_approximate):
         raise NotCertified("certify_distinct needs two certified approximate solutions")
     if cert1.mode == MODE_RATIONAL and cert2.mode == MODE_RATIONAL:
-        dsq = norm_sq(vec_sub(z1, z2))
-        return dsq > 2 * SEPARATION_FACTOR**2 * (cert1.beta_sq + cert2.beta_sq)
+        (q1, X1), (q2, X2) = integer_point(z1), integer_point(z2)
+        dsq = sum((q2 * a - q1 * c) ** 2 + (q2 * b - q1 * d) ** 2 for (a, b), (c, d) in zip(X1, X2))
+        (a1, b1), (a2, b2) = (c.beta_sq.as_integer_ratio() for c in (cert1, cert2))
+        return dsq * b1 * b2 > 2 * SEPARATION_FACTOR**2 * (a1 * b2 + a2 * b1) * (q1 * q2) ** 2
     bits = max(cert1.bits, cert2.bits)
     with working_precision(bits):
         prec = PrecisionConfig(mode="float", bits=bits)
@@ -401,7 +408,8 @@ def certify_batch(F, points, prec: PrecisionConfig, options: BatchOptions = Batc
     Per-point failures are recorded, never fatal. Certified points are
     partitioned into distinct-solution sets: two points that cannot be
     certified distinct share a set id (the smallest member index). Points
-    are certified one after another, in input order.
+    are certified one after another, in input order, each lifted to prec
+    once for all the tests.
     """
     F = as_exp_system(F)
     report = BatchReport(mode=prec.mode, bits=prec.bits)
@@ -411,9 +419,10 @@ def certify_batch(F, points, prec: PrecisionConfig, options: BatchOptions = Batc
         report.real_map = real_map_check(F)
         return report
 
-    for rec in records:
+    lifted = [lift_point(rec.point, prec) for rec in records]
+    for rec, z in zip(records, lifted):
         try:
-            rec.certificate = certify_solution(F, rec.point, prec)
+            rec.certificate = certify_solution(F, z, prec)
         except ExpcertError as exc:
             rec.error = f"{type(exc).__name__}: {exc}"
 
@@ -436,7 +445,8 @@ def certify_batch(F, points, prec: PrecisionConfig, options: BatchOptions = Batc
         for a in range(len(certified)):
             for b in range(a + 1, len(certified)):
                 ra, rb = certified[a], certified[b]
-                if not certify_distinct(F, ra.certificate, ra.point, rb.certificate, rb.point):
+                za, zb = lifted[ra.index], lifted[rb.index]
+                if not certify_distinct(F, ra.certificate, za, rb.certificate, zb):
                     union(ra.index, rb.index)
         for r in certified:
             r.distinct_set = find(r.index)
@@ -445,6 +455,6 @@ def certify_batch(F, points, prec: PrecisionConfig, options: BatchOptions = Batc
     if options.real and report.real_map:
         for r in certified:
             r.real = certify_real(
-                F, r.certificate, r.point, prec, assume_real_map=options.assume_real_map
+                F, r.certificate, lifted[r.index], prec, assume_real_map=options.assume_real_map
             )
     return report

@@ -32,6 +32,9 @@ from .sysio import (
 )
 
 AUDIT_FLOOR_BITS = 1024
+# The largest --precision (rr_dyad certifies in about 2 s at it). The audit's
+# max(AUDIT_FLOOR_BITS, 2 * BITS) stays valid: PrecisionConfig has no upper bound.
+MAX_PRECISION_BITS = 32768
 
 
 def _read_text(path: str) -> str:
@@ -70,14 +73,22 @@ def _degree_list(raw: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not an integer list: {raw!r}")
 
 
-def _nonnegative_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _bounded_int(low: int | None = None, high: int | None = None):
+    """An argparse type: an integer within whichever bounds are given."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {raw!r}")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+    return parse
+
+
+_precision_bits = _bounded_int(high=MAX_PRECISION_BITS)
 
 
 def run_certify(args) -> int:
@@ -169,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument(
         "--mode", choices=(MODE_RATIONAL, MODE_FLOAT), default=MODE_FLOAT
     )
-    cert.add_argument("--precision", type=int, default=96, metavar="BITS")
+    cert.add_argument("--precision", type=_precision_bits, default=96, metavar="BITS")
     cert.add_argument(
         "--refine",
-        type=_nonnegative_int,
+        type=_bounded_int(low=0),
         default=0,
         metavar="K",
         help="Newton-refine each point K times before certifying",
@@ -205,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated truncation degree per link, e.g. 3,3,2,2",
     )
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--precision", type=int, default=256, metavar="BITS")
+    solve.add_argument("--precision", type=_precision_bits, default=256, metavar="BITS")
     solve.add_argument("--output", required=True, help="candidate points file")
     solve.set_defaults(func=run_solve)
     return parser

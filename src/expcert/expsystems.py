@@ -48,14 +48,15 @@ is the polynomial one,
 
     gamma(f, z)^2  <=  mu^2 * D^3 / (4 * ||z||_1^2),
 
-exact rational in exact mode. With links it is
+which rational mode forms as one Fraction from integers
+(integer_gamma_bound_sq). With links it is
 mu * (D^(3/2) / (2 ||z||_1) + sum of per-kind link envelope terms)
 (link_bound_term). Both take from the caller one upper bound per column
 on sum_i |(Df(z)^{-1})_ij|^2, which is all that mu needs. certify gets them
 from a double-precision inverse of Df(z) with a bounded residual when
 m > 0, and as the squared column norms of Df(z)^{-1} at the working
-precision when m = 0 (exact in rational mode) or when that bound is
-declined. The generic bound
+precision (integer sums over |d|^2 in rational mode) when m = 0 or when
+that bound is declined. The generic bound
 (gamma_bound_generic) only needs the order and coefficient sizes of a linear
 ODE satisfied by each link function, plus a caller-supplied value bound, so
 it also covers functions outside the built-in five.
@@ -95,6 +96,7 @@ from .scalars import (
     PrecisionConfig,
     exact_to_mpc,
     fraction_to_mpf,
+    integer_point,
     lift_point,
     working_precision,
 )
@@ -509,15 +511,33 @@ class CompiledSystem:
         return self._evaluate(z)
 
 
-@lru_cache(maxsize=16)
 def compile_system(system, prec: PrecisionConfig | None = None) -> CompiledSystem:
     """The compiled program of a system for one scalar kind, cached.
 
-    prec None compiles for hardware doubles, as the tracker needs. A solve
-    stage tracks between at most two systems, each slice compiles its
-    restricted system once, and certification uses one or two precisions
-    per system, so a few entries serve every path and every point.
+    prec None compiles for hardware doubles, as the tracker needs. A system
+    keeps its programs, and takes a missing one from a cache keyed by
+    equality: one field-wise comparison per system and prec. A solve stage
+    tracks between at most two systems, each slice compiles its restricted
+    system once, and certification uses one or two precisions per system,
+    so a few entries serve every path and every point.
     """
+    programs = system.__dict__.get("_programs")
+    if programs is None:
+        programs = system.__dict__["_programs"] = _Programs()
+    if prec not in programs:
+        programs[prec] = _program_by_equality(system, prec)
+    return programs[prec]
+
+
+class _Programs(dict):
+    """A system's programs by prec, pickled empty: generated functions do not pickle."""
+
+    def __reduce__(self):
+        return _Programs, ()
+
+
+@lru_cache(maxsize=16)
+def _program_by_equality(system, prec: PrecisionConfig | None) -> CompiledSystem:
     if prec is None or prec.is_exact:
         return CompiledSystem(system, prec)
     with working_precision(prec.bits):  # constant entries are folded in mpc
@@ -525,25 +545,23 @@ def compile_system(system, prec: PrecisionConfig | None = None) -> CompiledSyste
 
 
 def _evaluate(F, z: CVector, prec: PrecisionConfig):
-    """(d, the Delta_r = L_r d^(D_r - 1), F(z), dense Df(z)) from one program
-    call; an exact z is taken as (d z, d), d the lcm of its denominators."""
+    """(the exact point (d z, d) or None, the Delta_r = L_r d^(D_r - 1),
+    F(z), dense Df(z)) from one program call, with d the lcm of an exact
+    z's denominators."""
     nv = F.N if isinstance(F, ExpSystem) else F.nv
     if len(z) != nv:
         raise DimensionMismatch(f"point has {len(z)} coordinates, expected {nv}")
-    program, d, deltas = compile_system(F, prec), None, None
+    program, point, deltas = compile_system(F, prec), None, None
     if prec.is_exact:
-        z = [ExactComplex.of(v) for v in z]
-        d = math.lcm(*(p.denominator for v in z for p in (v.re, v.im)))
+        d, parts = integer_point(z)
         deltas = [L * d ** (D - 1) for L, D in program.row_scales]
-        parts = ((v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator))
-                 for v in z)
-        z = tuple(_GaussianInt(re, im) if im else re for re, im in parts) + (d,)
+        z = point = tuple(_GaussianInt(re, im) if im else re for re, im in parts) + (d,)
     with working_precision(prec.bits):
         values, entries = program.evaluate(lift_point(z, prec))
     J = [[program.zero] * nv for _ in range(nv)]
     for (r, j), v in zip(program.pattern, entries):
         J[r][j] = v
-    return d, deltas, values, J
+    return point, deltas, values, J
 
 
 def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
@@ -553,8 +571,9 @@ def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
     Exact coordinates are lifted to prec's scalar kind; floating work runs
     at prec.bits; exact values are the integer program's, as Fractions.
     """
-    d, deltas, values, J = _evaluate(F, z, prec)
-    if d is not None:
+    point, deltas, values, J = _evaluate(F, z, prec)
+    if point is not None:
+        d = point[-1]
         values = [ExactComplex(Fraction(v.real, q * d), Fraction(v.imag, q * d))
                   for v, q in zip(values, deltas)]
         J = [[ExactComplex(Fraction(v.real, q), Fraction(v.imag, q)) for v in row]
@@ -563,14 +582,16 @@ def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
 
 
 def integer_rows(F, z: CVector, prec: PrecisionConfig, inverse: bool):
-    """F(z)'s numerators, and the rows and scales of J X = [F(z) | I] (of
-    J x = F(z) unless inverse) for linalg.solve_fraction_free; rational prec.
+    """F(z)'s numerators, the rows and scales of J X = [F(z) | I] (of
+    J x = F(z) unless inverse) for linalg.solve_fraction_free, and
+    ||z||_1^2 as (A, d^2), A the squared norm of (d z, d); rational prec.
 
     Row i, J_i = M_i / Delta_i and F_i = N_i / (Delta_i d), is scaled by
     Delta_i / g_i, g_i = gcd(Delta_i, parts of M_i), and F's column by the
     lcm of the g_i d / h_i, h_i = gcd(g_i d, parts of N_i): the lcms of the
     reduced denominators, so the rows are those the Fraction values give."""
-    d, deltas, values, J = _evaluate(F, z, prec)
+    point, deltas, values, J = _evaluate(F, z, prec)
+    d = point[-1]
     n = len(values)
     gs = [math.gcd(q, *(p for a in row for p in (a.real, a.imag))) for q, row in zip(deltas, J)]
     hs = [math.gcd(g * d, v.real, v.imag) for g, v in zip(gs, values)]
@@ -582,7 +603,8 @@ def integer_rows(F, z: CVector, prec: PrecisionConfig, inverse: bool):
             aug[-1] += [q // g if j == i else 0 for j in range(n)]
     gaussian = any(p.imag for row in aug for p in row)
     aug = [[_GaussianInt(p.real, p.imag) if gaussian else p.real for p in row] for row in aug]
-    return values, aug, (c0,) + (1,) * n if inverse else (c0,)
+    n1 = (sum(p.real * p.real + p.imag * p.imag for p in point), d * d)
+    return values, aug, (c0,) + (1,) * n if inverse else (c0,), n1
 
 
 def link_bound_term(link: ExpLink, xval):
@@ -609,11 +631,10 @@ def mu_exp_sq(F: ExpSystem, n1sq, columns, prec: PrecisionConfig):
     c_j >= sum_i |(Df(z)^{-1})_ij|^2 per column: the first n are scaled by
     the squared per-row entries d_i ||z||_1^(2 d_i - 2) ||P||^2, the last m
     are taken as they are, and the sum, floored at 1, is returned. With
-    m = 0 and exact column sums this is exactly the polynomial mu^2,
-    rational in exact mode. ||P||^2 comes from the system's compiled
-    program, which holds it in prec's scalar kind.
+    m = 0 and exact column sums this is exactly the polynomial mu^2.
+    ||P||^2 comes from the system's compiled program, which holds it at
+    prec. Floating only, as is gamma_bound_sq.
     """
-    _require_float(F, prec, "mu_exp_sq")
     with working_precision(prec.bits):
         dsq = delta_sq_entries(F.P.degrees, n1sq)
         psq = compile_system(F, prec).p_norm_sq
@@ -621,15 +642,16 @@ def mu_exp_sq(F: ExpSystem, n1sq, columns, prec: PrecisionConfig):
         for j, col in enumerate(columns):
             scale_sq = dsq[j] * psq if j < F.n else 1
             total = total + scale_sq * col
-        return total if total > 1 else 1 + 0 * total
+        return total if total > 1 else mp.mpf(1)
 
 
 def gamma_bound_sq(F: ExpSystem, z: CVector, columns, prec: PrecisionConfig):
     """Squared curvature bound at z, given bounds on Df(z)^{-1}'s column norms.
 
-    m = 0: mu^2 * D^3 / (4 ||z||_1^2), exact rational in exact mode.
-    m > 0: (mu * (D^(3/2) / (2 ||z||_1) + sum of link envelope terms))^2,
-    floating only. mu_exp_sq describes columns.
+    m = 0: mu^2 * D^3 / (4 ||z||_1^2); rational mode takes it in integers
+    (integer_gamma_bound_sq).
+    m > 0: (mu * (D^(3/2) / (2 ||z||_1) + sum of link envelope terms))^2.
+    Floating only; mu_exp_sq describes columns.
     """
     _require_float(F, prec, "gamma_bound_sq")
     with working_precision(prec.bits):
@@ -644,6 +666,21 @@ def gamma_bound_sq(F: ExpSystem, z: CVector, columns, prec: PrecisionConfig):
             total = total + link_bound_term(link, z[link.src - 1])
         g = mp.sqrt(musq) * total
         return g * g
+
+
+def integer_gamma_bound_sq(F: ExpSystem, n1, sums, dd, prec: PrecisionConfig) -> Fraction:
+    """gamma_bound_sq's link-free bound as one Fraction, from integer_rows'
+    n1 = (A, q^2) = ||z||_1^2 and the S_j / dd = sum_i |(Df(z)^{-1})_ij|^2 of
+    linalg's norm_sq_parts. With row degrees d_j, D the largest, and
+    N = sum_j d_j A^(d_j - 1) q^(2(D - d_j)) S_j, mu^2 is the larger of 1
+    and ||P||^2 N / (q^(2D - 2) dd), and gamma^2 = mu^2 D^3 q^2 / (4 A)."""
+    (A, q2), D = n1, F.P.max_degree
+    N = sum(dj * A ** (dj - 1) * q2 ** (D - dj) * S for dj, S in zip(F.P.degrees, sums) if dj)
+    psq = compile_system(F, prec).p_norm_sq
+    num, den = psq.numerator * N, psq.denominator * q2 ** (D - 1) * dd
+    if num <= den:
+        num = den = 1
+    return Fraction(num * D**3 * q2, den * 4 * A)
 
 
 def _as_float(v):

@@ -19,7 +19,8 @@ integer-preserving Gaussian elimination", Math. Comp. 1968): first
 nonzero pivot, every update divided exactly by the previous pivot, then a
 back substitution that stays in the Gaussian integers. The solution is
 Y / (d c_j), column by column, with d the last pivot, so a caller can take
-the norm of a column as one Fraction instead of forming its entries. The
+the squared norm of a column as the integer sum_i |Y_ij|^2 over |d|^2 c_j^2
+instead of forming its entries (FractionFreeSolution.norm_sq_parts). The
 elimination skips zero terms and zero entries; its results are exact
 either way.
 
@@ -206,14 +207,12 @@ class FractionFreeSolution:
             den = d.real * c
         return tuple(ExactComplex(Fraction(v.real, den), Fraction(v.imag, den)) for v in values)
 
-    def column_norm_sq(self, j: int) -> Fraction:
-        """sum_i |X_ij|^2 as one Fraction."""
-        d, c = self.d, self.scales[j]
-        total = 0
-        for row in self.Y:
-            v = row[j]
-            total += v.real * v.real + v.imag * v.imag
-        return Fraction(total, (d.real * d.real + d.imag * d.imag) * c * c)
+    def norm_sq_parts(self) -> tuple:
+        """([S_j = sum_i |Y_ij|^2 for each column j], |d|^2), all ints: column j
+        of X has the squared norm S_j / (|d|^2 c_j^2)."""
+        d = self.d
+        sums = [sum(v.real * v.real + v.imag * v.imag for v in col) for col in zip(*self.Y)]
+        return sums, d.real * d.real + d.imag * d.imag
 
 
 def solve_fraction_free(aug: list, scales: tuple) -> FractionFreeSolution:

@@ -17,6 +17,7 @@ repr() of a binary float.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
@@ -223,6 +224,15 @@ def lift(z: ExactComplex, prec: PrecisionConfig):
 def lift_point(z, prec: PrecisionConfig) -> tuple:
     """Lift every exact coordinate of a point; other coordinates pass through."""
     return tuple(lift(v, prec) if isinstance(v, ExactComplex) else v for v in z)
+
+
+def integer_point(z) -> tuple:
+    """(q, X) with z = X / q: q the lcm of the denominators of an exact point's
+    parts, and X the Gaussian integers q z as (re, im) pairs of ints."""
+    z = [ExactComplex.of(v) for v in z]
+    q = math.lcm(*(p.denominator for v in z for p in (v.re, v.im)))
+    return q, tuple((v.re.numerator * (q // v.re.denominator),
+                     v.im.numerator * (q // v.im.denominator)) for v in z)
 
 
 @singledispatch

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import expcert
-from expcert import certify as certify_module, linalg
+from expcert import certify as certify_module, linalg, scalars
 from expcert.certify import (
     ALPHA_STAR,
     ALPHA_STAR_SQ,
@@ -37,9 +37,9 @@ from expcert.certify import (
     same_root,
 )
 from expcert.errors import NotCertified, NotRealMap, PreconditionFailed
-from expcert.expsystems import CompiledSystem, as_exp_system, gamma_bound_sq, value_and_jacobian
+from expcert.expsystems import CompiledSystem, as_exp_system, value_and_jacobian
 from expcert.homotopy import taylor_truncate
-from expcert.linalg import identity, norm_sq
+from expcert.linalg import identity, norm_sq, vec_sub
 from expcert.mechanisms import (
     two_link_arm_euler,
     two_link_arm_exp,
@@ -49,6 +49,7 @@ from expcert.polynomials import Polynomial, PolynomialSystem
 from expcert.refine import newton_refine
 from expcert.scalars import ExactComplex, PrecisionConfig, mpf_to_fraction
 from expcert.sysio import parse_points, parse_system
+from test_expsystems import fraction_mu_gamma_sq
 from test_linalg import _dense_solve_columns
 
 RAT = PrecisionConfig("rational", 64)
@@ -217,6 +218,25 @@ def test_newton_step_eliminates_once(monkeypatch):
     assert counts == {"eliminations": 1, "evaluations": 1}
 
 
+def test_float_batch_lifts_each_point_once(monkeypatch):
+    """certify_batch lifts each exact coordinate once, and the distinct and
+    real tests of every certified pair and point take the lifted points."""
+    G, (Z1, Z2) = two_link_arm_exp()
+    points = [Z1, Z2, Z1, Z2]
+    lifted = []
+    original = scalars.lift
+
+    def counting(v, prec):
+        lifted.append(v)
+        return original(v, prec)
+
+    monkeypatch.setattr(scalars, "lift", counting)
+    report = certify_batch(G, points, F96, BatchOptions(distinct=True, real=True))
+    assert report.counts["certified"] == len(points) and report.counts["distinct"] == 2
+    assert report.counts["real"] + report.counts["not_real"] + report.counts["undecided"] == 4
+    assert len(lifted) == sum(len(z) for z in points)
+
+
 def test_float_certification_of_transcendental_system():
     G, (Z1, Z2) = two_link_arm_exp()
     c1 = certify_solution(G, Z1, F96)
@@ -318,7 +338,7 @@ def test_rational_certificate_matches_the_dense_fraction_solve(case):
     rhs = tuple((v,) + e for v, e in zip(residual, identity(F.N, exact=True)))
     X = tuple(zip(*_dense_solve_columns(J, rhs)))
     beta_sq = norm_sq(X[0])
-    gamma_sq = gamma_bound_sq(F, z, tuple(norm_sq(col) for col in X[1:]), RAT)
+    _, gamma_sq = fraction_mu_gamma_sq(F.P, z, [norm_sq(col) for col in X[1:]])
     cert = certify_solution(F, z, RAT)
     assert (cert.beta_sq, cert.gamma_bound_sq, cert.alpha_bound_sq) == (
         beta_sq, gamma_sq, beta_sq * gamma_sq)
@@ -332,6 +352,47 @@ def test_certify_distinct_reference_points():
     assert certify_distinct(g, c1, X1, c2, X2)
     assert certify_distinct(g, c2, X2, c1, X1)  # symmetric
     assert not certify_distinct(g, c1, X1, c1, X1)
+
+
+def _rational_certificate(beta_sq):
+    return Certificate(beta_sq=beta_sq, gamma_bound_sq=Fraction(1), alpha_bound_sq=beta_sq,
+                       jacobian_invertible=True, exact_zero=False, certified_approximate=True,
+                       mode="rational", bits=64)
+
+
+_parts = st.builds(Fraction, st.integers(-10**6, 10**6),
+                   st.sampled_from([1, 3, 7 * 2**30, 2**64 + 1]))
+
+
+@st.composite
+def distinct_cases(draw):
+    """Two Gaussian-rational points of 1 to 3 coordinates and two beta^2, on
+    the bound ||z1 - z2||^2 = 8 (beta1^2 + beta2^2) for a third of them."""
+    n = draw(st.integers(1, 3))
+    z1, z2 = (tuple(ExactComplex(draw(_parts), draw(_parts)) for _ in range(n)) for _ in range(2))
+    if draw(st.booleans()):
+        z2 = z1[:-1] + (z2[-1],)
+    b1 = draw(st.fractions(min_value=0, max_value=10**12, max_denominator=10**9))
+    b2 = draw(st.fractions(min_value=0, max_value=10**12, max_denominator=10**9))
+    if draw(st.integers(0, 2)) == 0:
+        bound = norm_sq(vec_sub(z1, z2)) / 8
+        b1 = bound * draw(st.fractions(min_value=0, max_value=1, max_denominator=100))
+        b2 = bound - b1
+    return z1, z2, b1, b2
+
+
+@settings(max_examples=200, deadline=None)
+@given(distinct_cases())
+@example(((ec(0),), (ec(2),), Fraction(1, 4), Fraction(1, 4)))  # on the bound
+@example(((ec(Fraction(1, 3)),), (ec(Fraction(1, 3)),), Fraction(0), Fraction(0)))
+def test_integer_distinct_test_equals_the_fraction_test(case):
+    """The cross-multiplied integer test decides as ||z1 - z2||^2 >
+    8 (beta1^2 + beta2^2) in Fractions, on the bound too."""
+    z1, z2, b1, b2 = case
+    want = norm_sq(vec_sub(z1, z2)) > 8 * (b1 + b2)
+    c1, c2 = _rational_certificate(b1), _rational_certificate(b2)
+    assert certify_distinct(None, c1, z1, c2, z2) == want
+    assert certify_distinct(None, c2, z2, c1, z1) == want
 
 
 def test_certify_distinct_requires_certificates():

@@ -14,6 +14,7 @@ import pytest
 
 from expcert import cli, homotopy
 from expcert.cli import main
+from expcert.scalars import PrecisionConfig
 from expcert.sysio import parse_points
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -206,6 +207,31 @@ def test_hostile_file_exits_two_fast(tmp_path, system, points):
     assert proc.returncode == 2 and proc.stderr.startswith("error:")
     assert "exponent" in proc.stderr
     assert float(proc.stdout.split()[-1]) < 1.0
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_precision_above_the_cap_exits_two_fast(tmp_path, command):
+    """10^9 bits is refused while the arguments are parsed; 3 * 10^6 bits
+    used to run certify for more than 30 s. A child process, so that a
+    regression fails on the timeout instead of hanging the suite."""
+    argv = ["--system", str(DATA / "rr_dyad.sys"), "--precision", str(10**9)]
+    if command == "certify":
+        argv += ["--points", str(DATA / "rr_dyad.pts")]
+    else:
+        argv += ["--truncate-degrees", "3,3,2,2", "--output", str(tmp_path / "cand.pts")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "expcert.cli", command] + argv,
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(
+        f"error: argument --precision: must be <= {cli.MAX_PRECISION_BITS}, got {10**9}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_audit_precision_is_valid_at_the_cap():
+    bits = max(cli.AUDIT_FLOOR_BITS, 2 * cli.MAX_PRECISION_BITS)
+    assert PrecisionConfig("float", bits).bits == bits
 
 
 # Runs certify and solve through main in one child interpreter, checks that

@@ -6,19 +6,22 @@ the ODE-data machinery: the bound may be loose but must never be below the
 truth.
 """
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from expcert.certify import certify_solution
+from expcert.certify import certify_batch, certify_solution
 from expcert.errors import (
     ExactModeUnsupported,
     PreconditionFailed,
+    SingularMatrix,
     ValidationError,
 )
 from expcert.expsystems import (
@@ -32,20 +35,31 @@ from expcert.expsystems import (
     compile_system,
     gamma_bound_generic,
     gamma_bound_sq,
+    integer_gamma_bound_sq,
     integer_rows,
     link_bound_term,
     mu_exp_sq,
     ode_derivative_bound,
+    _program_by_equality,
     value_and_jacobian,
 )
 from expcert.homotopy import taylor_truncate
-from expcert.linalg import identity, norm1_sq, norm_sq
+from expcert.linalg import identity, norm1_sq, norm_sq, solve_fraction_free
 from expcert.mechanisms import compliant_linkage
-from expcert.polynomials import Polynomial, PolynomialSystem, constant, padd, ppow, variable
+from expcert.polynomials import (
+    Polynomial,
+    PolynomialSystem,
+    bw_norm_sq,
+    constant,
+    delta_sq_entries,
+    padd,
+    ppow,
+    variable,
+)
 from expcert.scalars import ExactComplex, PrecisionConfig, exact_to_mpc, lift_point, mpf_to_fraction
-from expcert.sysio import parse_points, parse_system
+from expcert.sysio import parse_points, parse_system, serialize_system
 
-from test_linalg import _integer_rows, invert
+from test_linalg import _dense_solve_columns, _integer_rows, invert
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -461,10 +475,83 @@ def test_integer_rows_are_the_reduced_fraction_rows(case, inverse):
     J = tuple(tuple(p.derivative(j).evaluate(z) for j in range(S.nv)) for p in S.polys)
     B = tuple((v,) + (e if inverse else ()) for v, e in zip(F, identity(S.nv, exact=True)))
     want_rows, want_scales = _integer_rows(J, B)
-    values, rows, scales = integer_rows(S, z, RAT, inverse)
+    values, rows, scales, (A, q2) = integer_rows(S, z, RAT, inverse)
+    assert Fraction(A, q2) == norm1_sq(z)
     assert scales == want_scales
     assert _entries(rows) == _entries(want_rows)
     assert (not any(values)) == all(v.is_zero() for v in F)
+
+
+def fraction_mu_gamma_sq(S: PolynomialSystem, z, columns):
+    """mu^2 and the link-free gamma^2 in Fractions, from the column norms of
+    Df(z)^{-1}: the reference for expsystems.integer_gamma_bound_sq."""
+    n1sq = norm1_sq(z)
+    psq = bw_norm_sq(S)
+    total = sum(dsq * psq * c for dsq, c in zip(delta_sq_entries(S.degrees, n1sq), columns))
+    mu_sq = total if total > 1 else Fraction(1)
+    return mu_sq, mu_sq * S.max_degree**3 / (4 * n1sq)
+
+
+def _ratio(draw, big):
+    q = draw(st.sampled_from([1, 3, 2**40, _COPRIME[5]]))
+    return Fraction(draw(st.integers(-big * q, big * q)), q)
+
+
+@st.composite
+def mixed_degree_cases(draw):
+    """Rows of degrees 1 to 4 with one of them linear, at a point with
+    non-trivial denominators, so that q^(2(D - d_j)) is never 1 for every row."""
+    nv = draw(st.integers(2, 3))
+    rows = []
+    for i in range(nv):
+        d = 1 if i == 0 else draw(st.integers(2, 4))
+        lead = [0] * nv
+        lead[i] = d
+        items = [(ExactComplex(_ratio(draw, 3) or 1, _ratio(draw, 3)), tuple(lead))]
+        for _ in range(draw(st.integers(0, 2))):
+            exps = tuple(draw(st.integers(0, 1)) for _ in range(nv))
+            items.append((ExactComplex(_ratio(draw, 3), _ratio(draw, 3)), exps))
+        rows.append(Polynomial.from_terms(nv, items))
+    z = tuple(ExactComplex(_ratio(draw, 4), _ratio(draw, 4)) for _ in range(nv))
+    return PolynomialSystem(tuple(rows)), z
+
+
+@st.composite
+def floored_mu_cases(draw):
+    """a x^d with d >= 2 at |x| >= 4: mu^2 = (1 + |x|^2)^(d - 1) / (d |x|^(2d - 2))
+    is below 1, and the bound takes mu^2 = 1."""
+    d = draw(st.integers(2, 4))
+    a = ExactComplex(_ratio(draw, 5) or 1, _ratio(draw, 5))
+    x = ExactComplex(draw(st.sampled_from([4, -5, Fraction(37, 7)])), _ratio(draw, 1))
+    return PolynomialSystem((Polynomial.from_terms(1, [(a, (d,))]),)), (x,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(linearization_cases(), mixed_degree_cases(), floored_mu_cases()))
+@example((PolynomialSystem((poly(1, (1, (2,))),)), (ec(2),)))  # mu^2 = 5/8, floored
+@example((PolynomialSystem((poly(1, (1, (2,)), (-4, (0,))),)), (ec(2),)))  # an exact root
+@example((PolynomialSystem((poly(2, (1, (2, 0)), (ec(0, 1), (0, 1))),
+                            poly(2, (ec(1, 2), (1, 1)), (-3, (0, 0))))),
+          (ec(Fraction(1, 3), Fraction(2, 7)), ec(Fraction(-5, 11), 1))))  # a complex last pivot
+def test_integer_mu_and_gamma_equal_the_fraction_route(case):
+    """mu^2 and gamma^2 from integer_rows and the integer column sums equal,
+    as Fractions, those of the dense Fraction solve of J X = [F(z) | I]."""
+    S, z = case
+    F = as_exp_system(S)
+    _, rows, scales, n1 = integer_rows(F, z, RAT, True)
+    try:
+        sums, dd = solve_fraction_free(rows, scales).norm_sq_parts()
+    except SingularMatrix:
+        return
+    values = tuple(p.evaluate(z) for p in S.polys)
+    J = tuple(tuple(p.derivative(j).evaluate(z) for j in range(S.nv)) for p in S.polys)
+    B = tuple((v,) + e for v, e in zip(values, identity(S.nv, exact=True)))
+    X = tuple(zip(*_dense_solve_columns(J, B)))
+    mu_sq, gamma_sq = fraction_mu_gamma_sq(S, z, [norm_sq(col) for col in X[1:]])
+    got = integer_gamma_bound_sq(F, n1, sums[1:], dd, RAT)
+    (A, q2), D = n1, S.max_degree
+    assert got == gamma_sq and got * 4 * A / (D**3 * q2) == mu_sq
+    assert certify_solution(F, z, RAT).gamma_bound_sq == gamma_sq
 
 
 def test_mu_matches_polynomial_route_exactly():
@@ -484,12 +571,56 @@ def test_equal_systems_share_one_compiled_program():
     F, G = (as_exp_system(parse_system(text)) for _ in range(2))
     assert F is not G and F == G and hash(F) == hash(G)
     assert hash(F) == hash((F.P, F.links)) and hash(F.P) == hash((F.P.polys,))
-    compile_system.cache_clear()
+    _program_by_equality.cache_clear()
     assert compile_system(F, F96) is compile_system(G, F96)
-    info = compile_system.cache_info()
+    info = _program_by_equality.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert compile_system(F, F96) is compile_system(G, F96)  # each instance's own memo
+    assert _program_by_equality.cache_info() == info
     H = taylor_truncate(F, (2,) * F.m)
     assert H != F.P and compile_system(H) is compile_system(taylor_truncate(G, (2,) * G.m))
+
+
+def _count_system_comparisons(monkeypatch) -> dict:
+    """Count the field-wise __eq__ calls of ExpSystem and PolynomialSystem."""
+    counts = {}
+    for cls in (ExpSystem, PolynomialSystem):
+        def counting(self, other, original=cls.__eq__, name=cls.__name__):
+            counts[name] = counts.get(name, 0) + 1
+            return original(self, other)
+        monkeypatch.setattr(cls, "__eq__", counting)
+    return counts
+
+
+def test_a_reparsed_system_walks_the_program_cache_once(monkeypatch):
+    """Certifying a batch on a re-parsed compliant truncation compares the
+    new system with the cached equal one once per precision, not once per
+    program lookup."""
+    G = as_exp_system(parse_system((DATA / "compliant.sys").read_text()))
+    text = serialize_system(as_exp_system(taylor_truncate(G, (2,) * G.m)))
+    points = parse_points((DATA / "compliant.pts").read_text()).points
+    points = points + points[:1]
+    precisions = (RAT, F96)
+    for prec in precisions:
+        certify_batch(parse_system(text), points, prec)
+    F = parse_system(text)
+    counts = _count_system_comparisons(monkeypatch)
+    for prec in precisions:
+        assert all(r.certificate for r in certify_batch(F, points, prec).records)
+    assert set(counts) <= {"ExpSystem", "PolynomialSystem"}
+    assert max(counts.values(), default=0) <= len(precisions)
+
+
+def test_a_system_with_programs_pickles_and_copies():
+    """Generated functions do not pickle: a pickled or deep-copied system
+    leaves its programs behind, and takes the equal system's from the cache."""
+    F = as_exp_system(parse_system((DATA / "rr_dyad_poly.sys").read_text()))
+    program = compile_system(F, RAT)
+    program.evaluate((0,) * (F.N + 1))  # generates the function
+    for clone in (pickle.loads(pickle.dumps(F)), copy.deepcopy(F), copy.copy(F)):
+        assert clone == F and clone is not F
+        assert compile_system(clone, RAT) is program
+    assert not vars(pickle.loads(pickle.dumps(F)))["_programs"]
 
 
 def test_systems_of_one_structure_share_compiled_code():

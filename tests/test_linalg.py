@@ -527,8 +527,9 @@ def dyadic_systems(draw):
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(dyadic_systems())
 def test_fraction_free_solve_matches_dense_fractions(system):
-    """X, each column of X and each squared column norm equal the dense
-    Fraction elimination's exactly; a singular A fails on the same column.
+    """X, each column of X and each squared column norm, S_j / (|d|^2 c_j^2)
+    from the integer parts, equal the dense Fraction elimination's exactly;
+    a singular A fails on the same column.
 
     Shrinking is off, as for the sparse elimination above.
     """
@@ -541,9 +542,10 @@ def test_fraction_free_solve_matches_dense_fractions(system):
             solve_fraction_free(*_integer_rows(A, B))
         return
     solution = solve_fraction_free(*_integer_rows(A, B))
+    sums, dd = solution.norm_sq_parts()
     for j, col in enumerate(zip(*want)):
         assert solution.column(j) == col
-        assert solution.column_norm_sq(j) == norm_sq(col)
+        assert Fraction(sums[j], dd * solution.scales[j] ** 2) == norm_sq(col)
 
 
 def test_permuted_diagonal_solve_does_no_multiplications(monkeypatch):
