@@ -2,12 +2,13 @@
 
 Each line gives the candidate count, the certified, distinct and real counts
 of certifying those candidates at the solve precision, a digest of the
-candidate roots, the sha256 of the candidates themselves, each stage's kept
-count, path outcomes and path counts by outcome and reason, the total
-tracker steps, and the solve time. Running it on two versions of the
-tracker compares them seed by seed: the root digest says whether they find
-the same roots, and candidates_sha256 whether the candidates are the same
-points, bit for bit and in order.
+candidate roots, the sha256 of the candidates themselves and of the run
+ledger, each stage's kept count, path outcomes and path counts by outcome
+and reason, the total tracker steps, and the solve time. Running it on two
+versions of the tracker compares them seed by seed: the root digest says
+whether they find the same roots, candidates_sha256 whether the candidates
+are the same points, bit for bit and in order, and ledger_sha256 whether
+every path and note of the run is the same.
 
     python3 scripts/solve_sweep.py --system data/rr_dyad.sys --degrees 3,3,2,2 --seeds 0-39
 """
@@ -87,6 +88,7 @@ def sweep_line(F, degrees, seed: int, bits: int) -> dict:
         "candidates_sha256": hashlib.sha256(
             serialize_points(out.candidates, "float").encode()
         ).hexdigest(),
+        "ledger_sha256": hashlib.sha256(out.ledger.render().encode()).hexdigest(),
         "stages": stages,
         "steps": sum(steps for st in out.ledger.stages for _, _, steps in st.outcomes),
         "solve_s": round(seconds, 3),

@@ -85,6 +85,7 @@ from .errors import (
 )
 from .linalg import CVector, _GaussianInt, norm1_sq
 from .polynomials import (
+    Memo,
     Polynomial,
     PolynomialSystem,
     bw_norm_sq,
@@ -523,17 +524,10 @@ def compile_system(system, prec: PrecisionConfig | None = None) -> CompiledSyste
     """
     programs = system.__dict__.get("_programs")
     if programs is None:
-        programs = system.__dict__["_programs"] = _Programs()
+        programs = system.__dict__["_programs"] = Memo()  # generated functions do not pickle
     if prec not in programs:
         programs[prec] = _program_by_equality(system, prec)
     return programs[prec]
-
-
-class _Programs(dict):
-    """A system's programs by prec, pickled empty: generated functions do not pickle."""
-
-    def __reduce__(self):
-        return _Programs, ()
 
 
 @lru_cache(maxsize=16)

@@ -52,21 +52,26 @@ projective patch alone would not end them sooner. A non-finite corrector
 step, which complex ** gives on huge parts without raising, also ends a
 path DIVERGED.
 
-Both deduplications are one first-fit merge (_first_fit): a point is
+Both deduplications are one first-fit filter (_first_fit): a point is
 dropped when it lies within the radius of a point kept before it, that
 radius computed once, when the point is kept. After each stage the radius
 is the relative cut 1e-8 * max(1, ||q||) in doubles (_dedup_native). The
 polished endpoints merge on squared distances at the polishing precision,
 with the larger of that cut squared and the kept point's squared
-robustness radius (certify.robust_radius_sq) (_polish).
+robustness radius (certify.robust_radius_sq) (_polish, _merge_polished).
 
 solve tracks on every CPU in its affinity mask. Paths are independent:
 a stage's gamma comes from the stage seed, so a path's result depends on
 its start point alone. One fork pool per solve (_tasks) runs one task per
 slice, which restricts, compiles and tracks that slice, and one task per
-path of the later stages; the parent takes the results in task order and
-deduplicates, polishes and logs them as before. Ledgers, candidates and
-reports are therefore bit for bit the same for any worker count.
+path of the later stages; the task of a last-stage path also polishes
+its endpoint (_polish). The stages stream through the pool (_stream):
+the parent reads each stage's results in task order, logs them, and
+submits each endpoint the stage's first-fit filter keeps as a task of
+the next stage at once, so no stage waits for the slowest path of the
+one before. It then merges the polished endpoints in path order. Every
+result depends on its task alone, so ledgers, candidates and reports are
+bit for bit the same for any worker count and any completion order.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
@@ -707,20 +712,25 @@ def _lift_slice_point(sol, free, pinned, affine, N):
     return tuple(full)
 
 
-def _first_fit(points, radius, dist):
-    """The points p, in input order, with dist(p, q) > radius(q) for every q
-    kept before p. radius(q) is computed once, when q is kept."""
+def _first_fit(radius, dist):
+    """A first-fit filter: keep(p) keeps p, and says so, when
+    dist(p, q) > radius(q) for every q it kept before p. radius(q) is
+    computed once, when q is kept. Points are offered one at a time, so a
+    caller can act on each kept point before the next one exists."""
     kept = []
-    for p in points:
+
+    def keep(p):
         if all(dist(p, q) > r for q, r in kept):
             kept.append((p, radius(p)))
-    return [p for p, _ in kept]
+            return True
+        return False
+
+    return keep
 
 
-def _dedup_native(points):
-    """Merge endpoints within 1e-8 * max(1, ||q||) of an earlier kept q."""
+def _dedup_native():
+    """A first-fit filter of endpoints on the radius 1e-8 * max(1, ||q||)."""
     return _first_fit(
-        points,
         lambda q: 1e-8 * max(1.0, _norm(q)),
         lambda p, q: _norm([a - b for a, b in zip(p, q)]),
     )
@@ -830,9 +840,10 @@ def _stage(ledger: RunLedger, name: str, cfg: HomotopyConfig) -> StageRecord:
 # Tracking on every core
 #
 # A task is (stage name, argument). Its function takes the solve's shared
-# systems, keyed by stage name, and the task, and returns a picklable
-# result. Pool workers inherit the shared systems through the fork, so a
-# task sends only a selection or a start point.
+# data, keyed by stage name, and the task, and returns a picklable
+# (notes, (label, PathResult) pairs, (endpoint, polish or None) pairs).
+# Pool workers inherit the shared data through the fork, so a task sends
+# only a selection or a labelled start point.
 
 
 def _worker_count() -> int:
@@ -842,7 +853,7 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-_shared = None  # in a pool worker: the systems of the solve that forked it
+_shared = None  # in a pool worker: the data of the solve that forked it
 
 
 def _adopt(shared) -> None:
@@ -850,28 +861,37 @@ def _adopt(shared) -> None:
     _shared = shared
 
 
-def _run_task(task):
-    fn, arg = task
-    return fn(_shared, arg)
+def _run_task(fn, task):
+    return fn(_shared, task)
+
+
+class _Done(tuple):
+    """The handle (result,) of a task that ran at once: get() returns it."""
+
+    def get(self):
+        return self[0]
 
 
 @contextlib.contextmanager
 def _tasks(shared: dict, count: int):
-    """Yield run(fn, tasks), the results fn(shared, task) in task order.
+    """Yield submit(fn, task), which starts fn(shared, task) and returns a
+    handle whose get() gives its result.
 
     The tasks run in a fork pool opened here, with one worker per CPU in
     the affinity mask, but no more than `count`, the task count of the
-    first stage; each worker takes the next task when it is free (imap,
-    chunksize 1). Every result depends on its task alone, so the results,
-    and what the caller builds from them in order, are bit for bit those
-    of the serial route for any worker count. The serial route, plain map
-    in this process, is taken with one worker, in a daemonic process
+    first stage; submit queues the task (apply_async) and each worker
+    takes the next one when it is free. Every result depends on its task
+    alone, so results read in task order, and what the caller builds from
+    them, are bit for bit those of the serial route for any worker count
+    and any completion order. The serial route runs each task in this
+    process at once; it is taken with one worker, in a daemonic process
     (which may not have children), where fork is missing, and while other
     threads run (fork copies the calling thread alone, so a lock another
     thread holds would stay held in the workers). Fork, not spawn, lets
-    the workers inherit the systems instead of receiving them pickled. The
-    pool is closed and joined on the way out, after terminate() when the
-    caller raised, so no worker outlives the block.
+    the workers inherit the shared data and every program compiled before
+    the fork instead of receiving them pickled. A task's exception is
+    raised by get(). The pool is closed and joined on the way out, after
+    terminate() when the caller raised, so no worker outlives the block.
     """
     import multiprocessing  # here, as importing it adds about 10% to `import expcert.cli`
 
@@ -882,11 +902,11 @@ def _tasks(shared: dict, count: int):
         or "fork" not in multiprocessing.get_all_start_methods()
         or threading.active_count() > 1
     ):
-        yield lambda fn, tasks: map(partial(fn, shared), tasks)
+        yield lambda fn, task: _Done((fn(shared, task),))
         return
     pool = multiprocessing.get_context("fork").Pool(workers, _adopt, (shared,))
     try:
-        yield lambda fn, tasks: pool.imap(_run_task, ((fn, t) for t in tasks), chunksize=1)
+        yield lambda fn, task: pool.apply_async(_run_task, (fn, task))
     except BaseException:
         pool.terminate()
         raise
@@ -895,17 +915,56 @@ def _tasks(shared: dict, count: int):
         pool.join()
 
 
-def _path_task(shared: dict, task) -> PathResult:
-    """Track one start point of a stage."""
-    stage, z0 = task
-    Fstart, Ftarget, cfg = shared[stage]
-    return track_path(Fstart, Ftarget, z0, cfg)
+def _polish(F: ExpSystem, point, bits: int):
+    """Refine one endpoint by three multiprecision Newton steps at `bits`
+    and certify it: (refined point, squared merge radius, the refinement's
+    singular_at).
+
+    The radius is the larger of the relative cut 1e-16 * max(1, ||z||^2)
+    and the point's squared robustness radius (robust_radius_sq, 0 unless
+    it certifies with alpha < 3/100 and finite gamma); a certification
+    that raises leaves the cut alone.
+    """
+    prec = PrecisionConfig(MODE_FLOAT, bits)
+    with working_precision(bits):
+        z = tuple(mp.mpc(v) for v in point)
+    refined, table = newton_refine(F, z, 3, prec)
+    try:
+        cert = certify_solution(F, refined, prec)
+    except Exception:  # noqa: BLE001 - any failure just disables the robust radius
+        cert = None
+    with working_precision(bits):
+        radius = mp.mpf("1e-16") * max(1, norm_sq(refined))
+        if cert is not None:
+            radius = max(radius, robust_radius_sq(cert))
+    return refined, radius, table.singular_at
+
+
+def _merge_polished(polished, bits: int) -> tuple:
+    """The refined points of `polished` ((point, squared radius, ...) in
+    path order) that first-fit keeps on squared distances at `bits`: a
+    point merges into an earlier kept q within q's radius."""
+    with working_precision(bits):
+        keep = _first_fit(lambda q: q[1], lambda p, q: norm_sq(vec_sub(p[0], q[0])))
+        return tuple(p[0] for p in polished if keep(p))
+
+
+def _path_task(shared: dict, task):
+    """Track one start point of a stage. In the last stage, whose shared
+    data name the system to polish against, also polish its endpoint
+    (_polish)."""
+    stage, (i, z0) = task
+    Fstart, Ftarget, cfg, F = shared[stage]
+    res = track_path(Fstart, Ftarget, z0, cfg)
+    if res.status is not PathStatus.ENDPOINT:
+        return [], [(str(i), res)], []
+    polish = None if F is None else _polish(F, res.point, cfg.bits)
+    return [], [(str(i), res)], [(res.point, polish)]
 
 
 def _slice_task(shared: dict, task):
     """Restrict to one factor selection, track the slice's total-degree
-    paths to its balanced rows (_balance) and lift their endpoints:
-    (notes, (label, PathResult) pairs, lifted endpoints)."""
+    paths to its balanced rows (_balance) and lift their endpoints."""
     stage, nu = task
     head, factors, links, N, cfg = shared[stage]
     nulabel = "nu=(" + ",".join(str(k) for k in nu) + ")"
@@ -917,83 +976,47 @@ def _slice_task(shared: dict, task):
         return [f"{nulabel}: not square after restriction, skipped"], [], []
     if len(free) == 0:
         point = _lift_slice_point((), free, pinned, affine, N)
-        return [], [(nulabel, PathResult(PathStatus.ENDPOINT, (), 0, "no free variable"))], [point]
+        res = PathResult(PathStatus.ENDPOINT, (), 0, "no free variable")
+        return [], [(nulabel, res)], [(point, None)]
     degs = S.degrees
     start, S = _total_degree_system(degs, len(free)), _balance(S)
-    outcomes, points = [], []
+    outcomes, ends = [], []
     for idx, z0 in enumerate(_roots_of_unity_starts(degs)):
         res = track_path(start, S, z0, cfg)
         outcomes.append((f"{nulabel}#{idx}", res))
         if res.status is PathStatus.ENDPOINT:
-            points.append(_lift_slice_point(res.point, free, pinned, affine, N))
-    return [], outcomes, points
+            ends.append((_lift_slice_point(res.point, free, pinned, affine, N), None))
+    return [], outcomes, ends
 
 
-def _track_stage(record: StageRecord, run, starts):
-    """Track every start of the stage, one path task each, on every core
-    (_tasks); log outcomes under the start's index, in start order, and
-    return deduplicated endpoints, bit for bit as tracked one by one."""
-    ends = []
-    results = run(_path_task, [(record.name, z0) for z0 in starts])
-    for i, res in enumerate(results):
-        record.log(str(i), res)
-        if res.status is PathStatus.ENDPOINT:
-            ends.append(res.point)
-    kept = _dedup_native(ends)
-    record.kept = len(kept)
-    return kept
+def _stream(submit, records, tasks):
+    """Run a solve's stages, streamed through submit (_tasks), and return
+    the polishes of the endpoints the last stage keeps, in path order.
 
-
-def _solve_slices(record: StageRecord, run, selections):
-    """Solve every slice by total-degree continuation, one slice task each,
-    on every core (_tasks), and lift the solutions; notes, outcomes and
-    solutions are logged in selection order, bit for bit as solved one by
-    one."""
-    sols = []
-    for notes, outcomes, points in run(_slice_task, [(record.name, nu) for nu in selections]):
-        record.notes += notes
-        for label, res in outcomes:
-            record.log(label, res)
-        sols += points
-    kept = _dedup_native(sols)
-    record.kept = len(kept)
-    return kept
-
-
-def _polish(F: ExpSystem, points, cfg: HomotopyConfig, ledger: RunLedger):
-    """Refine endpoints at full precision and merge the ones provably equal.
-
-    Each endpoint gets a short multiprecision Newton run and is certified,
-    in path order. A point then merges into an earlier kept point q when
-    their squared distance is at most the larger of two radii: the
-    relative cut 1e-16 * max(1, ||q||^2), and q's squared robustness radius
-    (robust_radius_sq, 0 unless q certifies with alpha < 3/100 and finite
-    gamma). Candidates are reported in path order.
+    tasks are the first stage's (fn, task) pairs; records hold the stages
+    in order. Each stage's results are read in task order: notes and
+    outcomes are logged to its record, and each endpoint that passes the
+    stage's first-fit filter (_dedup_native) is submitted at once as the
+    next stage's path task, labelled by its index, so a later stage starts
+    while the one before is still running.
     """
-    prec = PrecisionConfig("float", cfg.bits)
-    reps = []  # (point, certificate or None)
-    with working_precision(cfg.bits):
-        lifted = [tuple(mp.mpc(v) for v in p) for p in points]
-    for z in lifted:
-        refined, table = newton_refine(F, z, 3, prec)
-        if table.singular_at is not None:
-            ledger.notes.append(
-                f"candidate refinement hit a singular Jacobian at step {table.singular_at}"
-            )
-        try:
-            cert = certify_solution(F, refined, prec)
-        except Exception:  # noqa: BLE001 - any failure just disables the robust radius
-            cert = None
-        reps.append((refined, cert))
-
-    def radius(rep):
-        z, cert = rep
-        cut = mp.mpf("1e-16") * max(1, norm_sq(z))
-        return cut if cert is None else max(cut, robust_radius_sq(cert))
-
-    with working_precision(cfg.bits):
-        kept = _first_fit(reps, radius, lambda p, q: norm_sq(vec_sub(p[0], q[0])))
-    return tuple(z for z, _ in kept)
+    handles = [submit(fn, task) for fn, task in tasks]
+    for k, record in enumerate(records):
+        after = records[k + 1].name if k + 1 < len(records) else None
+        keep, kept = _dedup_native(), []
+        for handle in handles:
+            notes, outcomes, ends = handle.get()
+            record.notes += notes
+            for label, res in outcomes:
+                record.log(label, res)
+            for point, polish in ends:
+                if not keep(point):
+                    continue
+                if after is not None:
+                    polish = submit(_path_task, (after, (len(kept), point)))
+                kept.append(polish)
+        record.kept, handles = len(kept), kept
+    return handles
 
 
 def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
@@ -1002,10 +1025,12 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
     With links present: truncate, solve the linear-product slices, carry the
     solutions to the truncated system and on to F. Without links this is a
     plain total-degree continuation of the polynomial part. Paths are
-    tracked on every CPU in the affinity mask (_tasks), with the same
-    result for any worker count. Endpoints are polished at cfg.bits and
-    deduplicated; everything random is derived from cfg.seed and recorded
-    in the returned ledger.
+    tracked on every CPU in the affinity mask (_tasks), and the task that
+    tracks a path of the last stage polishes its endpoint at cfg.bits
+    (_polish), with the same result for any worker count. The parent
+    deduplicates the endpoints and merges the polished ones
+    (_merge_polished); everything random is derived from cfg.seed and
+    recorded in the returned ledger.
     """
     F = as_exp_system(F)
     degrees = tuple(int(d) for d in degrees)
@@ -1018,11 +1043,11 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
         if any(d < 1 for d in F.P.degrees):
             raise ValidationError("every polynomial must have positive degree")
         degs = F.P.degrees
-        starts = _roots_of_unity_starts(degs)
         target = _stage_config(cfg, 3)
-        shared = {"total-degree": (_total_degree_system(degs, F.P.nv), _balance(F.P), target)}
-        with _tasks(shared, len(starts)) as run:
-            ends = _track_stage(_stage(ledger, "total-degree", target), run, starts)
+        shared = {"total-degree": (_total_degree_system(degs, F.P.nv), _balance(F.P), target, F)}
+        records = [_stage(ledger, "total-degree", target)]
+        starts = enumerate(_roots_of_unity_starts(degs))
+        tasks = [(_path_task, ("total-degree", start)) for start in starts]
     else:
         Fp = taylor_truncate(F, degrees)
         counts = _link_x_degrees(Fp, F.links)
@@ -1040,17 +1065,25 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
         slices, product, target = (_stage_config(cfg, k) for k in (1, 2, 3))
         shared = {
             "slice-continuation": (Fp.polys[: F.n], factors, F.links, F.N, slices),
-            "product-to-truncated": (product_system, Fp, product),
-            "truncated-to-target": (Fp, F, target),
+            "product-to-truncated": (product_system, Fp, product, None),
+            "truncated-to-target": (Fp, F, target, F),
         }
         # Compiled before the pool forks, the two steps are inherited by every
         # worker instead of compiled in each.
-        for Fstart, Ftarget, _ in (shared["product-to-truncated"], shared["truncated-to-target"]):
+        for Fstart, Ftarget, _, _ in (shared["product-to-truncated"], shared["truncated-to-target"]):
             _step_program(compile_system(Fstart), compile_system(Ftarget))
-        with _tasks(shared, len(selections)) as run:
-            sols = _solve_slices(_stage(ledger, "slice-continuation", slices), run, selections)
-            sols = _track_stage(_stage(ledger, "product-to-truncated", product), run, sols)
-            ends = _track_stage(_stage(ledger, "truncated-to-target", target), run, sols)
-    candidates = _polish(F, ends, cfg, ledger)
+        records = [_stage(ledger, name, c) for name, c in zip(shared, (slices, product, target))]
+        tasks = [(_slice_task, ("slice-continuation", nu)) for nu in selections]
+    # Generated before the pool forks, F's polishing program is inherited by
+    # every worker instead of generated in each.
+    compile_system(F, PrecisionConfig(MODE_FLOAT, cfg.bits))._evaluate
+    with _tasks(shared, len(tasks)) as submit:
+        polished = _stream(submit, records, tasks)
+    for _, _, singular_at in polished:
+        if singular_at is not None:
+            ledger.notes.append(
+                f"candidate refinement hit a singular Jacobian at step {singular_at}"
+            )
+    candidates = _merge_polished(polished, cfg.bits)
     ledger.candidate_count = len(candidates)
     return SolveResult(candidates, ledger)

@@ -168,20 +168,27 @@ def compose(poly: Polynomial, subs, nfree: int) -> Polynomial:
     return acc
 
 
+class Memo(dict):
+    """What an instance memoizes for this interpreter only: pickles and
+    deep-copies empty."""
+
+    def __reduce__(self):
+        return Memo, ()
+
+
 def memo_hash(obj, fields: tuple) -> int:
     """The dataclass hash of a frozen system, computed once per instance.
 
     Hashing a system walks every term; the compiled-program caches hash
     their system key on every lookup. Equality stays the field-wise one.
     The memo holds for one interpreter only: link kinds hash by their
-    names, and string hashes are salted per process, so a system sent to
-    another process by pickling must not take its memo along.
+    names, and string hashes are salted per process. It is kept in a Memo,
+    so a pickled or deep-copied system leaves it behind.
     """
-    h = obj.__dict__.get("_hash")
-    if h is None:
-        h = hash(fields)
-        object.__setattr__(obj, "_hash", h)
-    return h
+    memo = obj.__dict__.get("_memo")
+    if not memo:
+        memo = obj.__dict__["_memo"] = Memo(hash=hash(fields))
+    return memo["hash"]
 
 
 @dataclass(frozen=True)

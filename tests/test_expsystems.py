@@ -623,6 +623,20 @@ def test_a_system_with_programs_pickles_and_copies():
     assert not vars(pickle.loads(pickle.dumps(F)))["_programs"]
 
 
+def test_a_hashed_system_pickles_and_copies_without_its_hash():
+    """String hashes are salted per interpreter, so the hash memo stays
+    behind: a pickled or deep-copied system hashes afresh, as an equal
+    system parsed in the receiving interpreter would."""
+    text = (DATA / "rr_dyad.sys").read_text()
+    F = as_exp_system(parse_system(text))
+    hash(F)
+    assert vars(F)["_memo"] and vars(F.P)["_memo"]
+    for G in (pickle.loads(pickle.dumps(F)), copy.deepcopy(F)):
+        assert not vars(G).get("_memo") and not vars(G.P).get("_memo")
+        fresh = as_exp_system(parse_system(text))
+        assert G == fresh and hash(G) == hash(fresh)
+
+
 def test_systems_of_one_structure_share_compiled_code():
     """Generated source holds names only, so two systems that differ only
     in their coefficients run one code object, each with its own values."""

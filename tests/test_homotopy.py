@@ -13,6 +13,8 @@ import multiprocessing
 import random
 import struct
 import threading
+import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -1100,3 +1102,89 @@ def test_a_raising_task_reaches_the_caller_and_leaves_no_worker(monkeypatch, k):
     with pytest.raises(ZeroDivisionError, match="injected"):
         _solve_case("arm")
     assert multiprocessing.active_children() == []
+
+
+def _first_starts(name):
+    """The serial fingerprint of a pooled case, and the first start point
+    each stage seed tracks, by stage seed."""
+    track, firsts = homotopy.track_path, {}
+
+    def recording(Fstart, Ftarget, z0, cfg):
+        firsts.setdefault(cfg.seed, tuple(z0))
+        return track(Fstart, Ftarget, z0, cfg)
+
+    homotopy.track_path = recording
+    try:
+        serial = _fingerprint(_solve_case(name))
+    finally:
+        homotopy.track_path = track
+    return serial, firsts
+
+
+@pytest.mark.parametrize("name", ["arm", "link-free"])
+def test_results_completing_out_of_order_give_the_serial_solve(monkeypatch, name):
+    """The first start of every stage sleeps in its worker, so tasks queued
+    after it finish first; the parent still reads results in task order."""
+    monkeypatch.setattr(homotopy, "_worker_count", lambda: 1)
+    serial, firsts = _first_starts(name)
+    track = homotopy.track_path
+
+    def slow_first(Fstart, Ftarget, z0, cfg):
+        if firsts.get(cfg.seed) == tuple(z0):
+            time.sleep(0.2)
+        return track(Fstart, Ftarget, z0, cfg)
+
+    monkeypatch.setattr(homotopy, "track_path", slow_first)
+    monkeypatch.setattr(homotopy, "_worker_count", lambda: 2)
+    assert _fingerprint(_solve_case(name)) == serial
+
+
+def test_singular_refinement_notes_follow_the_kept_endpoints(monkeypatch):
+    """Three final endpoints of the arm report a singular refinement: the
+    first (step 2), the second (step 0), and a copy of the second that the
+    last endpoint path is bent onto, 1e-12 away (step 1), which the native
+    deduplication drops. Only the two kept ones are noted, in path order,
+    at one worker and at two."""
+    target_seed = homotopy._stage_config(HomotopyConfig(seed=12), 3).seed
+    track = homotopy.track_path
+    ends = []
+
+    def recording(Fstart, Ftarget, z0, cfg):
+        res = track(Fstart, Ftarget, z0, cfg)
+        if cfg.seed == target_seed and res.status is PathStatus.ENDPOINT:
+            ends.append((tuple(z0), res))
+        return res
+
+    monkeypatch.setattr(homotopy, "_worker_count", lambda: 1)
+    monkeypatch.setattr(homotopy, "track_path", recording)
+    _solve_case("arm")
+    (_, first), (_, second), (bent, last) = ends[0], ends[1], ends[-1]
+    copy = tuple(v + 1e-12 for v in second.point)
+    steps = {first.point: 2, second.point: 0, copy: 1}
+
+    def bending(Fstart, Ftarget, z0, cfg):
+        if cfg.seed == target_seed and tuple(z0) == bent:
+            return replace(last, point=copy)
+        return track(Fstart, Ftarget, z0, cfg)
+
+    refine = homotopy.newton_refine
+
+    def singular(F, z, k, prec):
+        refined, table = refine(F, z, k, prec)
+        at = steps.get(tuple(complex(v) for v in z))
+        return refined, table if at is None else replace(table, singular_at=at)
+
+    monkeypatch.setattr(homotopy, "track_path", bending)
+    monkeypatch.setattr(homotopy, "newton_refine", singular)
+    prints = []
+    for workers in (1, 2):
+        monkeypatch.setattr(homotopy, "_worker_count", lambda: workers)
+        out = _solve_case("arm")
+        stage = out.ledger.stages[-1]
+        assert stage.kept == stage.count(PathStatus.ENDPOINT) - 1
+        notes = [n for n in out.ledger.notes if n.startswith("candidate refinement")]
+        assert notes == [
+            f"candidate refinement hit a singular Jacobian at step {k}" for k in (2, 0)
+        ]
+        prints.append(_fingerprint(out))
+    assert prints[1] == prints[0]

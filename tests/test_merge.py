@@ -1,7 +1,8 @@
 """The solver's first-fit merges against the O(k^2) loops they replaced.
 
 homotopy._first_fit serves both merges: _dedup_native after each stage and
-the merge of polished endpoints in _polish. Verbatim copies of the loops
+the parent's merge of polished endpoints (_merge_polished), on the radii
+the workers' _polish computes. Verbatim copies of the loops
 that did this before, and of the same_root they called, are kept here
 (names prefixed _loop) as the references. The point clouds hold exact
 duplicates, pairs on either side of the 1e-8 relative cut and of the
@@ -28,7 +29,7 @@ from expcert.certify import (
     _lt_exact,
 )
 from expcert.errors import PreconditionFailed, SingularMatrix
-from expcert.homotopy import HomotopyConfig, RunLedger, _dedup_native, _norm, _polish
+from expcert.homotopy import HomotopyConfig, _dedup_native, _merge_polished, _norm, _polish
 from expcert.linalg import norm_sq, vec_sub
 from expcert.scalars import PrecisionConfig, lift_point, working_precision
 
@@ -61,7 +62,8 @@ def _loop_same_root(F, cert_x, z_x, z_y, prec):
 
 
 def _loop_polish_merge(F, refined_certs, cfg):
-    """_polish's merge loop, over (refined point, certificate or None) pairs."""
+    """The merge loop of polished endpoints, over (refined point,
+    certificate or None) pairs."""
     prec = PrecisionConfig("float", cfg.bits)
     reps = []
     for refined, cert in refined_certs:
@@ -125,7 +127,8 @@ def double_clouds(draw):
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(double_clouds())
 def test_dedup_native_keeps_what_the_loop_kept(points):
-    assert _dedup_native(points) == _loop_dedup_native(points)
+    keep = _dedup_native()
+    assert [p for p in points if keep(p)] == _loop_dedup_native(points)
 
 
 def _certificate(rng, kind, bits):
@@ -193,7 +196,8 @@ def polished_clouds(draw):
 @given(polished_clouds())
 def test_polish_keeps_what_the_loop_kept(cloud):
     """_polish, with refinement and certification replaced by the drawn
-    points and certificates in order, keeps the loop's points in its order."""
+    points and certificates in order, gives radii on which _merge_polished
+    keeps the loop's points in its order."""
     bits, reps = cloud
     cfg = HomotopyConfig(seed=0, bits=bits)
     refined = iter(z for z, _ in reps)
@@ -214,7 +218,7 @@ def test_polish_keeps_what_the_loop_kept(cloud):
     saved = homotopy.newton_refine, homotopy.certify_solution
     homotopy.newton_refine, homotopy.certify_solution = newton_refine, certify_solution
     try:
-        got = _polish(None, [(0j,)] * len(reps), cfg, RunLedger(0, cfg))
+        polished = [_polish(None, (0j,), bits) for _ in reps]
     finally:
         homotopy.newton_refine, homotopy.certify_solution = saved
-    assert got == _loop_polish_merge(None, reps, cfg)
+    assert _merge_polished(polished, bits) == _loop_polish_merge(None, reps, cfg)

@@ -28,6 +28,10 @@ ROOT = Path(__file__).resolve().parent.parent
              "--degrees", "3,3,2,2", "--seeds", "0-1"],
             '"seed": 1, "candidates": 4, "certified": 4, "distinct": 4, "real": 4',
         ),
+        (
+            ["solve_sweep.py", "--system", str(ROOT / "data" / "rr_dyad_poly.sys"), "--seeds", "3"],
+            '"ledger_sha256": "',
+        ),
     ],
 )
 def test_script_runs(argv, expected):
