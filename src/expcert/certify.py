@@ -5,19 +5,28 @@ A point z is certified as an approximate solution when
     alpha = beta * gamma_bound < ALPHA_STAR,
 
 where beta is the Newton step length at z and gamma_bound the curvature
-bound of expsystems.gamma_bound_sq. Both come from one linearization of the
-system at z: one call of its compiled program (expsystems.value_and_jacobian)
-for the residual and the Jacobian J, and one elimination at the working
-precision. Beta needs that precision; the bound needs only upper bounds on
-the column norms of J^{-1}. With links they come from a double-precision
-inverse of J whose residual is bounded (linalg.inverse_column_bounds), and
-the elimination solves J x = F(z) for the Newton step alone. Link-free
-systems, and any J that bound declines, solve J X = [F(z) | I], whose
-first column is the Newton step and whose other columns are J^{-1}. In
-rational mode the program's Gaussian-integer rows (expsystems.integer_rows)
-go straight to a fraction-free solve (linalg.solve_fraction_free), whose
-integer column sums give beta^2 and gamma^2 as one Fraction each. newton_step
-and refine's newton_refine use the same linearization without the bound.
+bound. Both come from one linearization of the system at z.
+
+Linked systems (m > 0, float mode) are bounded on an exact core
+(_linked_bounds). The point is a dyadic rational, so the integer program
+gives every polynomial row and its Jacobian entries exactly
+(expsystems.linked_rows); only the 2m link values g(c z_src) and
+c g'(c z_src) are irrational, and mpmath's interval functions enclose
+them. With R a double-precision inverse of the exact Jacobian J0 and e a
+bound on ||I - R J||_F that takes in the enclosures' radii
+(linalg.inverse_column_bounds), beta is bounded from ||R F0||, formed
+exactly in integers, and gamma from the same column bounds on J^{-1}. Every
+quantity is an upper bound, rounded upward, so a certified verdict is a
+proof. The exact core takes no elimination in mpc and no fallback to one:
+when the double-precision bound declines J, the point is not certified.
+
+Link-free systems solve J X = [F(z) | I] once, whose first column is the
+Newton step and whose other columns are J^{-1}: at the working precision
+in float mode, and in rational mode by a fraction-free solve
+(linalg.solve_fraction_free) of the program's Gaussian-integer rows
+(expsystems.integer_rows), whose integer column sums give beta^2 and
+gamma^2 as one Fraction each. newton_step and refine's newton_refine take
+the Newton step from the same elimination, in mpc for floating points.
 
 ALPHA_STAR is a rational number chosen strictly below the true threshold
 (13 - 3*sqrt(17))/4, so a conservative comparison can only under-certify.
@@ -25,10 +34,11 @@ The stronger condition alpha < 3/100 buys a robustness radius of
 1/(20*gamma) (robust_radius_sq), used by the same-root and realness
 predicates and by the solver's merge of polished endpoints.
 
-All decisions compare squared quantities, and in floating mode the final
-comparison is exact: a computed value, converted exactly to a rational,
-against a rational threshold, or two computed values against each other.
-The decision itself never rounds.
+All decisions compare squared quantities exactly: alpha^2 against
+ALPHA_STAR^2 as the exact product of beta^2 and gamma^2, and the distinct,
+same-root and real tests on exact squared distances of the points, against
+upper bounds on beta and a lower bound on the robustness radius. The
+decision itself never rounds.
 """
 
 from __future__ import annotations
@@ -39,6 +49,19 @@ from enum import Enum
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_rational,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_sqrt,
+    mpf_sub,
+    round_ceiling,
+    to_float,
+)
 
 from .errors import (
     ExpcertError,
@@ -47,13 +70,23 @@ from .errors import (
     PreconditionFailed,
     SingularMatrix,
 )
-from .expsystems import ExpSystem, as_exp_system, gamma_bound_sq, integer_rows, value_and_jacobian
-from .expsystems import integer_gamma_bound_sq
+from .expsystems import (
+    ENCLOSURE_EXTRA_BITS,
+    ExpSystem,
+    as_exp_system,
+    gamma_bound_sq,
+    integer_gamma_bound_sq,
+    integer_rows,
+    linked_gamma_bound_sq,
+    linked_rows,
+    value_and_jacobian,
+)
 from .linalg import (
     CVector,
     identity,
     inverse_column_bounds,
     norm_sq,
+    product_norm_sq,
     solve_columns,
     solve_fraction_free,
     vec_sub,
@@ -62,9 +95,9 @@ from .scalars import (
     ExactComplex,
     MODE_RATIONAL,
     PrecisionConfig,
-    fraction_to_mpf,
     integer_point,
     lift_point,
+    mpc_parts,
     mpf_to_fraction,
     working_precision,
 )
@@ -108,26 +141,39 @@ def _is_infinite(v) -> bool:
         return False
 
 
+def _exact(value) -> Fraction:
+    """A Fraction, int or finite mpf as an exact Fraction."""
+    return value if isinstance(value, (Fraction, int)) else mpf_to_fraction(value)
+
+
 def _lt_exact(value, threshold: Fraction) -> bool:
     """Exact comparison value < threshold for Fraction or finite mpf values."""
-    if _is_infinite(value):
-        return False
-    if isinstance(value, (Fraction, int)):
-        return value < threshold
-    return mpf_to_fraction(value) < threshold
+    return not _is_infinite(value) and _exact(value) < threshold
 
 
 def decide_certified(beta_sq, gamma_bound_sq) -> bool:
-    """Pure decision: beta^2 * gamma^2 < ALPHA_STAR^2 (monotone in gamma)."""
+    """Pure decision: beta^2 * gamma^2 < ALPHA_STAR^2, with the product taken
+    exactly (monotone in gamma)."""
     if _is_infinite(gamma_bound_sq):
         return False
-    return _lt_exact(beta_sq * gamma_bound_sq, ALPHA_STAR_SQ)
+    return _exact(beta_sq) * _exact(gamma_bound_sq) < ALPHA_STAR_SQ
 
 
-def _as_working_mpf(v, bits: int):
+def _upper_mpf(v, bits: int):
+    """An mpf at least v: v itself, or a Fraction rounded up to bits."""
     if isinstance(v, Fraction):
-        return fraction_to_mpf(v, bits)
+        return mp.make_mpf(from_rational(v.numerator, v.denominator, bits, round_ceiling))
     return v
+
+
+def _exact_sq_distance(a: CVector, b: CVector):
+    """||a - b||^2 as an mpf, exactly, for points of mpc (or double) coordinates."""
+    total = fzero
+    for u, v in zip(a, b):
+        for p, q in zip(mpc_parts(u), mpc_parts(v)):
+            t = mpf_sub(p, q)
+            total = mpf_add(total, mpf_mul(t, t))
+    return mp.make_mpf(total)
 
 
 def _zero(prec: PrecisionConfig):
@@ -139,24 +185,18 @@ def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
 
     Returns (z lifted, F(z), Newton step, its squared norm beta^2, gamma^2
     or None), F(z) as numerators in rational mode. gamma^2, the curvature
-    bound, is computed only when inverse is set, from c_j >= sum_i
-    |(J^{-1})_ij|^2, one per column. Step, beta^2 and gamma^2 are all None
-    when J is singular at the working precision.
-
-    With links (m > 0, float mode only) the c_j come from a
-    double-precision inverse of J (linalg.inverse_column_bounds), and the
-    elimination solves J x = F(z) alone. Otherwise, or when that bound is
-    declined, it solves J X = [F(z) | I] and the c_j are the squared
-    column norms of the computed J^{-1}. Pivots depend on J alone, so the
-    step is bit for bit the same on either route.
+    bound, is computed only when inverse is set, from the squared column
+    norms of J^{-1}: the elimination then solves J X = [F(z) | I], whose
+    first column is the Newton step and whose other columns are J^{-1}.
+    Step, beta^2 and gamma^2 are all None when J is singular at the
+    working precision. With links, only the Newton step is taken here
+    (newton_step, refine); certify_solution bounds them on the exact core
+    (_linked_bounds).
 
     Rational mode evaluates and solves without fractions (integer_rows,
     linalg.solve_fraction_free), and forms beta^2 and gamma^2 as one
     Fraction each from the integer column sums (integer_gamma_bound_sq),
-    with no entry of J^{-1} and, when inverse is set, no step. Link-free
-    systems stay on the elimination in float mode too: it matches the exact
-    bound to the working precision, which the double-precision bound, with
-    a slack of order u times the condition of J, would not. Runs at the
+    with no entry of J^{-1} and, when inverse is set, no step. Runs at the
     caller's working precision.
     """
     z = lift_point(z, prec)
@@ -172,19 +212,48 @@ def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
             return z, residual, None, bsq, integer_gamma_bound_sq(F, n1, sums[1:], dd, prec)
         return z, residual, solution.column(0), bsq, None
     residual, J = value_and_jacobian(F, z, prec)
-    columns = inverse_column_bounds(J) if inverse and F.m else None
     rhs = tuple((v,) for v in residual)
-    eliminate_inverse = inverse and columns is None
-    if eliminate_inverse:
+    if inverse:
         rhs = tuple(r + e for r, e in zip(rhs, identity(F.N, False)))
     try:
         X = tuple(zip(*solve_columns(J, rhs, prec.bits)))
     except SingularMatrix:
         return z, residual, None, None, None
-    if eliminate_inverse:
-        columns = tuple(norm_sq(col) for col in X[1:])
-    gamma_sq = gamma_bound_sq(F, z, columns, prec) if inverse else None
+    gamma_sq = gamma_bound_sq(F, z, tuple(norm_sq(col) for col in X[1:]), prec) if inverse else None
     return z, residual, X[0], norm_sq(X[0]), gamma_sq
+
+
+def _linked_bounds(F: ExpSystem, z: CVector, prec: PrecisionConfig):
+    """Upper bounds (beta^2, gamma^2), mpfs of prec.bits bits, for a linked
+    system at the dyadic point z lifted to prec, or (None, None) when the
+    double-precision inverse bound declines J.
+
+    J = J0 + Delta and F(z) = F0 + delta on the exact core (linked_rows).
+    R, a double-precision inverse of J0, gives e >= ||I - R J||_F with
+    ||Delta||_F folded in (inverse_column_bounds), and then
+    J^{-1} = (I - E)^{-1} R, so
+
+        beta = ||J^{-1} F(z)||  <=  (||R F0|| + ||R|| ||delta||) / (1 - e),
+
+    with ||R F0||^2 exact (product_norm_sq), and gamma^2 from the same
+    column bounds (linked_gamma_bound_sq). Everything rounds upward.
+    """
+    bits = prec.bits
+    core = linked_rows(F, lift_point(z, prec), bits)
+    # ||Delta||_F as a double no smaller than it: a 53-bit sqrt rounded up is
+    # a double unless it underflows, which the added 2^-1022 covers.
+    radius = to_float(mpf_sqrt(core.jacobian_sq, 53, round_ceiling)) + 2.0**-1022
+    bound = inverse_column_bounds(core.rows, core.row_scales, radius)
+    if bound is None:
+        return None, None
+    R, e, r_norm, columns = bound
+    wp, up = bits + ENCLOSURE_EXTRA_BITS, round_ceiling
+    rf = product_norm_sq(R, core.values, core.value_scales)
+    head = mpf_sqrt(from_rational(rf.numerator, rf.denominator, wp, up), wp, up)
+    tail = mpf_mul(from_float(r_norm), mpf_sqrt(core.delta_sq, wp, up), wp, up)
+    beta = mpf_div(mpf_add(head, tail, wp, up), mpf_sub(fone, from_float(e)), wp, up)
+    beta_sq = mp.make_mpf(mpf_mul(beta, beta, bits, up))
+    return beta_sq, linked_gamma_bound_sq(F, core.n1, columns, core.envelope, bits)
 
 
 def newton_step(F, z: CVector, prec: PrecisionConfig):
@@ -201,10 +270,19 @@ def newton_step(F, z: CVector, prec: PrecisionConfig):
 
 
 def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
-    """Full certification of one point against a square system."""
+    """Full certification of one point against a square system.
+
+    A linked system in float mode is bounded on its exact core
+    (_linked_bounds); every other system through _linearize. Float alphas
+    are the product of beta^2 and gamma^2 rounded up, and the verdict
+    takes that product exactly.
+    """
     F = as_exp_system(F)
-    with working_precision(prec.bits):
-        z, residual, _, bsq, gamma_sq = _linearize(F, z, prec, inverse=True)
+    if F.m and not prec.is_exact:
+        bsq, gamma_sq = _linked_bounds(F, z, prec)
+    else:
+        with working_precision(prec.bits):
+            z, residual, _, bsq, gamma_sq = _linearize(F, z, prec, inverse=True)
         if prec.is_exact and not any(residual):  # the numerators of F(z)
             return Certificate(
                 beta_sq=Fraction(0),
@@ -216,27 +294,31 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
                 mode=prec.mode,
                 bits=prec.bits,
             )
-        if bsq is None:
-            return Certificate(
-                beta_sq=_zero(prec),
-                gamma_bound_sq=math.inf,
-                alpha_bound_sq=math.inf,
-                jacobian_invertible=False,
-                exact_zero=False,
-                certified_approximate=False,
-                mode=prec.mode,
-                bits=prec.bits,
-            )
+    if bsq is None:
         return Certificate(
-            beta_sq=bsq,
-            gamma_bound_sq=gamma_sq,
-            alpha_bound_sq=bsq * gamma_sq,
-            jacobian_invertible=True,
+            beta_sq=_zero(prec),
+            gamma_bound_sq=math.inf,
+            alpha_bound_sq=math.inf,
+            jacobian_invertible=False,
             exact_zero=False,
-            certified_approximate=decide_certified(bsq, gamma_sq),
+            certified_approximate=False,
             mode=prec.mode,
             bits=prec.bits,
         )
+    if prec.is_exact:
+        alpha_sq = bsq * gamma_sq
+    else:
+        alpha_sq = mp.fmul(bsq, gamma_sq, prec=prec.bits, rounding="u")
+    return Certificate(
+        beta_sq=bsq,
+        gamma_bound_sq=gamma_sq,
+        alpha_bound_sq=alpha_sq,
+        jacobian_invertible=True,
+        exact_zero=False,
+        certified_approximate=decide_certified(bsq, gamma_sq),
+        mode=prec.mode,
+        bits=prec.bits,
+    )
 
 
 def certify_distinct(F, cert1: Certificate, z1: CVector, cert2: Certificate, z2: CVector) -> bool:
@@ -246,7 +328,10 @@ def certify_distinct(F, cert1: Certificate, z1: CVector, cert2: Certificate, z2:
     8 (beta1^2 + beta2^2), which implies the separation condition
     ||z1 - z2|| > 2 (beta1 + beta2) without taking square roots, cross-
     multiplied into integers with z_k = X_k / q_k (scalars.integer_point).
-    Floating mode evaluates the separation condition directly.
+    Floating mode decides the separation condition itself exactly, from
+    the exact squared distance D and the betas' squares B_k, which are
+    upper bounds: D > 4 (B1 + B2 + 2 sqrt(B1 B2)) holds exactly when
+    L = D - 4 B1 - 4 B2 > 0 and L^2 > 64 B1 B2.
     """
     if not (cert1.certified_approximate and cert2.certified_approximate):
         raise NotCertified("certify_distinct needs two certified approximate solutions")
@@ -256,14 +341,13 @@ def certify_distinct(F, cert1: Certificate, z1: CVector, cert2: Certificate, z2:
         (a1, b1), (a2, b2) = (c.beta_sq.as_integer_ratio() for c in (cert1, cert2))
         return dsq * b1 * b2 > 2 * SEPARATION_FACTOR**2 * (a1 * b2 + a2 * b1) * (q1 * q2) ** 2
     bits = max(cert1.bits, cert2.bits)
-    with working_precision(bits):
-        prec = PrecisionConfig(mode="float", bits=bits)
-        a = lift_point(z1, prec)
-        b = lift_point(z2, prec)
-        dist = mp.sqrt(norm_sq(vec_sub(a, b)))
-        b1 = mp.sqrt(_as_working_mpf(cert1.beta_sq, bits))
-        b2 = mp.sqrt(_as_working_mpf(cert2.beta_sq, bits))
-        return dist > SEPARATION_FACTOR * (b1 + b2)
+    prec = PrecisionConfig(mode="float", bits=bits)
+    dsq = _exact_sq_distance(lift_point(z1, prec), lift_point(z2, prec))
+    b1, b2 = (_upper_mpf(c.beta_sq, bits) for c in (cert1, cert2))
+    k = SEPARATION_FACTOR**2
+    slack = mp.fsub(dsq, mp.fmul(k, mp.fadd(b1, b2, exact=True), exact=True), exact=True)
+    product = mp.fmul(4 * k * k, mp.fmul(b1, b2, exact=True), exact=True)
+    return slack > 0 and mp.fmul(slack, slack, exact=True) > product
 
 
 def robust_radius_sq(cert: Certificate):
@@ -271,30 +355,33 @@ def robust_radius_sq(cert: Certificate):
 
     When alpha < 3/100 at z, every point within 1/(20 gamma) of z converges
     to the same solution. The radius is 0 when alpha misses 3/100 or gamma
-    is infinite; it is an exact Fraction in rational mode.
+    is infinite; it is an exact Fraction in rational mode, and in float
+    mode an mpf rounded down, so no larger than the radius of the gamma
+    bound.
     """
     gamma_sq = cert.gamma_bound_sq
     if _is_infinite(gamma_sq) or not _lt_exact(cert.alpha_bound_sq, ROBUST_ALPHA_SQ):
         return 0
     if isinstance(gamma_sq, Fraction):
         return ROBUST_RADIUS_SQ / gamma_sq
-    with working_precision(cert.bits):
-        return fraction_to_mpf(ROBUST_RADIUS_SQ, cert.bits) / gamma_sq
+    den = mp.fmul(ROBUST_RADIUS_SQ.denominator, gamma_sq, exact=True)
+    return mp.fdiv(ROBUST_RADIUS_SQ.numerator, den, prec=cert.bits, rounding="d")
 
 
 def same_root(F, cert_x: Certificate, z_x: CVector, z_y: CVector, prec: PrecisionConfig) -> bool:
     """Certify that z_y is an approximate solution sharing z_x's solution.
 
     Requires the strong bound alpha < 3/100 at z_x; then z_y must lie
-    inside z_x's robustness radius (robust_radius_sq), tested squared.
+    inside z_x's robustness radius (robust_radius_sq), tested squared on
+    the exact distance.
     """
     if not _lt_exact(cert_x.alpha_bound_sq, ROBUST_ALPHA_SQ):
         raise PreconditionFailed("same_root needs alpha < 3/100 at the anchor point")
     if tuple(z_x) == tuple(z_y):
         return True
-    with working_precision(prec.bits):
-        dsq = norm_sq(vec_sub(lift_point(z_x, prec), lift_point(z_y, prec)))
-        return dsq < robust_radius_sq(cert_x)
+    a, b = lift_point(z_x, prec), lift_point(z_y, prec)
+    dsq = norm_sq(vec_sub(a, b)) if prec.is_exact else _exact_sq_distance(a, b)
+    return dsq < robust_radius_sq(cert_x)
 
 
 def real_map_check(F) -> bool:
@@ -316,13 +403,17 @@ def real_map_check(F) -> bool:
 
 
 def _imag_part_sq(z: CVector, exact: bool):
-    total = Fraction(0) if exact else mp.mpf(0)
+    """sum_i Im(z_i)^2 exactly: a Fraction, or an mpf for a lifted float point."""
+    if not exact:
+        total = fzero
+        for v in z:
+            im = mpc_parts(v)[1]
+            total = mpf_add(total, mpf_mul(im, im))
+        return mp.make_mpf(total)
+    total = Fraction(0)
     for v in z:
-        if isinstance(v, ExactComplex):
-            total = total + v.im * v.im
-        else:
-            im = v.imag if hasattr(v, "imag") else 0
-            total = total + im * im
+        im = v.im if isinstance(v, ExactComplex) else v.imag
+        total = total + im * im
     return total
 
 
@@ -335,6 +426,8 @@ def certify_real(F, cert: Certificate, z: CVector, prec: PrecisionConfig,
     REAL when alpha < 3/100 and the real projection lies inside the
     robustness radius; UNDECIDED otherwise. A point with exactly zero
     imaginary parts is REAL outright: a real map keeps its iterates real.
+    The displacement is exact, beta an upper bound and the radius a lower
+    one.
     """
     F = as_exp_system(F)
     if not assume_real_map and not real_map_check(F):

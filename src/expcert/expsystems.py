@@ -11,10 +11,11 @@ scalar kind (CompiledSystem, cached by compile_system): the powers z_i^e,
 each row and each nonzero Jacobian entry a list of (coefficient, power
 indices) terms, constant entries folded. The same program serves every
 kind: hardware doubles for the path tracker, mpc at a given precision for
-certification and refinement (value_and_jacobian), and the Gaussian
-integers for exact points. The kind sets how coefficients are lifted, the
-zero each sum starts from, whether links call cmath or mpmath, and one
-rounding order: doubles take c * x^a * y^b, the other kinds
+refinement and link-free certification (value_and_jacobian), and the
+Gaussian integers for exact points and for the exact core of a linked one
+(linked_rows), whose link rows that kind leaves out. The kind sets how
+coefficients are lifted, the zero each sum starts from, whether links call
+cmath or mpmath, and one rounding order: doubles take c * x^a * y^b, the other kinds
 c * (x^a * y^b), which keeps both the tracker and the certificates bit for
 bit as they were.
 
@@ -22,7 +23,9 @@ The exact kind forms no Fraction: row r, times the lcm L_r of its
 denominators and homogenized to degree D_r in one more variable, is
 evaluated at (d z, d), d the lcm of z's denominators. The integer results
 are F_r = N_r / (L_r d^D_r) and J_rj = M_rj / (L_r d^(D_r - 1)), which
-integer_rows reduces to the rows of linalg.solve_fraction_free.
+integer_rows reduces to the rows of linalg.solve_fraction_free, and
+linked_rows hands to linalg.inverse_column_bounds and
+linalg.product_norm_sq as they are.
 
 The program runs as generated Python: straight-line source, one local per
 power and per monomial product, one statement per term, compiled with
@@ -50,19 +53,30 @@ is the polynomial one,
 
 which rational mode forms as one Fraction from integers
 (integer_gamma_bound_sq). With links it is
-mu * (D^(3/2) / (2 ||z||_1) + sum of per-kind link envelope terms)
-(link_bound_term). Both take from the caller one upper bound per column
-on sum_i |(Df(z)^{-1})_ij|^2, which is all that mu needs. certify gets them
-from a double-precision inverse of Df(z) with a bounded residual when
-m > 0, and as the squared column norms of Df(z)^{-1} at the working
-precision (integer sums over |d|^2 in rational mode) when m = 0 or when
-that bound is declined. The generic bound
+mu * (D^(3/2) / (2 ||z||_1) + sum of per-kind link envelope terms), the
+term of y = g(c x) being max(|c|, |c|^2 |f(c x)| / 2 over g's family f:
+exp; sin and cos; sinh and cosh). Both take from the caller one upper
+bound per column on sum_i |(Df(z)^{-1})_ij|^2, which is all that mu needs:
+the squared column norms of Df(z)^{-1} when m = 0, at the working
+precision or as integer sums over |d|^2 in rational mode.
+
+A linked system is bounded on an exact core instead (linked_rows,
+linked_gamma_bound_sq). A float point is a dyadic X / d, so the integer
+program evaluates its polynomial rows and their Jacobian entries exactly
+(the exact kind compiles the polynomial rows alone), and a link row holds
+the exact z_dst and unit entries. The 2m irrational numbers g(c z_src) and
+c g'(c z_src) are enclosed by mpmath's interval exp and cos/sin (sinh and
+cosh built from exp) a few bits above the working precision; their
+midpoints complete the exact F0 and J0, and their radii bound
+F - F0 and Df - J0. The column bounds then come from a double-precision
+inverse of J0 (linalg.inverse_column_bounds), and the envelope terms from
+the enclosures' upper ends; every step rounds outward. The generic bound
 (gamma_bound_generic) only needs the order and coefficient sizes of a linear
 ODE satisfied by each link function, plus a caller-supplied value bound, so
 it also covers functions outside the built-in five.
 
-All link evaluation is floating-point only: exp/sin/... of a nonzero rational
-is irrational, so exact mode is rejected whenever m > 0.
+Link functions have no exact values: exp/sin/... of a nonzero rational is
+irrational, so rational mode is rejected whenever m > 0.
 """
 
 from __future__ import annotations
@@ -76,6 +90,32 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import mpmath as mp
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_int,
+    from_man_exp,
+    from_rational,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_lt,
+    mpf_mul,
+    mpf_shift,
+    mpf_sqrt,
+    mpf_sub,
+    mpi_add,
+    mpi_cos_sin,
+    mpi_div,
+    mpi_exp,
+    mpi_mul,
+    mpi_neg,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
+from mpmath.libmp.libmpi import mpi_one, mpi_shift
 
 from .errors import (
     DimensionMismatch,
@@ -93,8 +133,10 @@ from .polynomials import (
     memo_hash,
 )
 from .scalars import (
+    MODE_RATIONAL,
     ExactComplex,
     PrecisionConfig,
+    dyadic_point,
     exact_to_mpc,
     fraction_to_mpf,
     integer_point,
@@ -323,7 +365,9 @@ class CompiledSystem:
     entry, in the order `evaluate` returns them; all other entries are
     `zero`. The scalar kind (see _scalar_kind) sets how coefficients are
     lifted, the zero each sum starts from and the link functions (exact
-    rows as in the module docstring, with (L_r, D_r) in `row_scales`). It also
+    rows as in the module docstring, with (L_r, D_r) in `row_scales`; the
+    exact kind has no link functions and compiles the polynomial rows
+    alone). It also
     sets one rounding order: in hardware doubles a term is c * x^a * y^b,
     left to right, as the tracker has always computed it; mpc and exact
     programs multiply each monomial out once in the table, x^a * y^b, and
@@ -338,8 +382,6 @@ class CompiledSystem:
 
     def __init__(self, system, prec: PrecisionConfig | None = None):
         F = as_exp_system(system)
-        if prec is not None:
-            _require_float(F, prec, "evaluation")
         lift, self.zero, self.one, lib = _scalar_kind(prec)
         self.size, polys, self.row_scales = F.N, F.P.polys, []
         if prec is not None and prec.is_exact:  # rows times L_r, homogenized in z_N = d
@@ -399,7 +441,7 @@ class CompiledSystem:
             self.products = tuple(products)
         self.links = []
         link_pos = []
-        for k, l in enumerate(F.links):
+        for k, l in enumerate(F.links if lib else ()):  # exact: the link rows are linked_rows's
             g, dg, sign = _LINK_FUNCTIONS[l.kind]
             s, d = l.src - 1, l.dst - 1
             self.links.append((getattr(lib, g), getattr(lib, dg), sign, lift(l.c), s, d))
@@ -545,17 +587,30 @@ def _evaluate(F, z: CVector, prec: PrecisionConfig):
     nv = F.N if isinstance(F, ExpSystem) else F.nv
     if len(z) != nv:
         raise DimensionMismatch(f"point has {len(z)} coordinates, expected {nv}")
-    program, point, deltas = compile_system(F, prec), None, None
     if prec.is_exact:
-        d, parts = integer_point(z)
-        deltas = [L * d ** (D - 1) for L, D in program.row_scales]
-        z = point = tuple(_GaussianInt(re, im) if im else re for re, im in parts) + (d,)
+        _require_float(as_exp_system(F), prec, "evaluation")
+        return _evaluate_integer(F, *integer_point(z), prec)
+    program = compile_system(F, prec)
     with working_precision(prec.bits):
         values, entries = program.evaluate(lift_point(z, prec))
+    return None, None, values, _dense(program, entries, nv)
+
+
+def _evaluate_integer(F, d: int, parts, prec: PrecisionConfig):
+    """_evaluate at the exact point X / d, X given as (re, im) pairs of ints.
+    The program has no link rows: those rows of Df(z) are left zero."""
+    program = compile_system(F, prec)
+    deltas = [L * d ** (D - 1) for L, D in program.row_scales]
+    point = tuple(_GaussianInt(re, im) if im else re for re, im in parts) + (d,)
+    values, entries = program.evaluate(point)
+    return point, deltas, values, _dense(program, entries, len(parts))
+
+
+def _dense(program: CompiledSystem, entries, nv: int) -> list:
     J = [[program.zero] * nv for _ in range(nv)]
     for (r, j), v in zip(program.pattern, entries):
         J[r][j] = v
-    return point, deltas, values, J
+    return J
 
 
 def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
@@ -601,65 +656,230 @@ def integer_rows(F, z: CVector, prec: PrecisionConfig, inverse: bool):
     return values, aug, (c0,) + (1,) * n if inverse else (c0,), n1
 
 
-def link_bound_term(link: ExpLink, xval):
-    """Envelope term for one link at the current source value.
+# Bits above the working precision at which linked_rows encloses the link
+# functions: their radii then sit about 2^-32 below the rounding of the point.
+ENCLOSURE_EXTRA_BITS = 32
+# linked_rows refuses a point with a nonzero coordinate part below
+# 2^-(16 bits + this): its integers grow with that exponent, and the
+# certificate of a compliant point with a part of 1e-30000 took 2 s.
+MIN_PART_EXTRA_BITS = 16384
+# Exact programs do not depend on bits: linked_rows takes this one.
+_EXACT = PrecisionConfig(MODE_RATIONAL)
 
-    EXP:      max(|c|, |c^2 exp(c x)| / 2)
-    SIN/COS:  max(|c|, |c^2 sin(c x)| / 2, |c^2 cos(c x)| / 2)
-    SINH/COSH:max(|c|, |c^2 sinh(c x)| / 2, |c^2 cosh(c x)| / 2)
+
+def _cosh_sinh(x, wp: int):
+    """Enclosures of cosh and sinh of a real interval, from the interval exp."""
+    e = mpi_exp(x, wp)
+    r = mpi_div(mpi_one, e, wp)
+    return mpi_shift(mpi_add(e, r, wp), -1), mpi_shift(mpi_sub(e, r, wp), -1)
+
+
+def _enclose_family(kind: ExpKind, a, b, wp: int) -> dict:
+    """Enclosures, as (real, imaginary) interval pairs, of the functions of
+    kind's family at w = a + b i: exp alone, sin and cos, or sinh and cosh."""
+    if kind is ExpKind.EXP:
+        ea, (cb, sb) = mpi_exp(a, wp), mpi_cos_sin(b, wp)
+        return {"exp": (mpi_mul(ea, cb, wp), mpi_mul(ea, sb, wp))}
+    if kind in (ExpKind.SIN, ExpKind.COS):
+        (ca, sa), (chb, shb) = mpi_cos_sin(a, wp), _cosh_sinh(b, wp)
+        return {"sin": (mpi_mul(sa, chb, wp), mpi_mul(ca, shb, wp)),
+                "cos": (mpi_mul(ca, chb, wp), mpi_neg(mpi_mul(sa, shb, wp)))}
+    (cha, sha), (cb, sb) = _cosh_sinh(a, wp), mpi_cos_sin(b, wp)
+    return {"sinh": (mpi_mul(sha, cb, wp), mpi_mul(cha, sb, wp)),
+            "cosh": (mpi_mul(cha, cb, wp), mpi_mul(sha, sb, wp))}
+
+
+def _interval(num: int, den: int, wp: int):
+    """The interval num / den rounded outward to wp bits."""
+    return from_rational(num, den, wp, round_floor), from_rational(num, den, wp, round_ceiling)
+
+
+def _mid_rad_sq(box):
+    """(the midpoint as (q, (re, im)), re, im ints over a power of two q,
+    and the squared radius as a raw mpf) of a complex interval; all exact."""
+    q, (mid,) = dyadic_point([mp.make_mpc(tuple(mpf_shift(mpf_add(lo, hi), -1) for lo, hi in box))])
+    rad = [mpf_shift(mpf_sub(hi, lo), -1) for lo, hi in box]
+    return (q, mid), mpf_add(mpf_mul(rad[0], rad[0]), mpf_mul(rad[1], rad[1]))
+
+
+def _modulus_sq_upper(box):
+    """An upper bound on |f|^2 over a complex interval, exactly: the squares
+    of the largest endpoint moduli of its two parts."""
+    total = fzero
+    for lo, hi in box:
+        top = mpf_abs(hi) if mpf_lt(mpf_abs(lo), mpf_abs(hi)) else mpf_abs(lo)
+        total = mpf_add(total, mpf_mul(top, top))
+    return total
+
+
+def _flush_tiny(row: list, q: int) -> int:
+    """Set to 0, in place, each nonzero part of row / q below 2^-1022 in
+    modulus, and return how many were set."""
+    flushed, small = 0, q.bit_length() - 1020
+    for j, v in enumerate(row):
+        if not v:
+            continue
+        re, im = v.real, v.imag
+        if re and re.bit_length() < small and abs(re) << 1022 < q:
+            re, flushed = 0, flushed + 1
+        if im and im.bit_length() < small and abs(im) << 1022 < q:
+            im, flushed = 0, flushed + 1
+        if (re, im) != (v.real, v.imag):
+            row[j] = _GaussianInt(re, im)
+    return flushed
+
+
+class LinkedRows:
+    """A linked system at a dyadic point z, as an exact core and enclosures.
+
+    F(z) = F0 + delta and Df(z) = J0 + Delta with F0 and J0 exact, given as
+    integer rows over positive scales: J0 row i is rows[i] / row_scales[i],
+    F0_i is values[i] / value_scales[i], ints or _GaussianInts.
+    delta_sq >= ||delta||^2 and jacobian_sq >= ||Delta||_F^2 are raw mpfs;
+    envelope holds one raw mpf per link, an upper bound on its envelope
+    term max(|c|, |c|^2 |f(c z_src)| / 2 over the functions f of its
+    family), and n1 = (A, d^2) is ||z||_1^2 = 1 + ||z||^2 as A / d^2.
     """
-    csq = fraction_to_mpf(link.c.abs2(), mp.mp.prec)
-    cmod = mp.sqrt(csq)
-    w = exact_to_mpc(link.c, mp.mp.prec) * xval
-    if link.kind is ExpKind.EXP:
-        return max(cmod, csq * abs(mp.exp(w)) / 2)
-    if link.kind in (ExpKind.SIN, ExpKind.COS):
-        return max(cmod, csq * abs(mp.sin(w)) / 2, csq * abs(mp.cos(w)) / 2)
-    return max(cmod, csq * abs(mp.sinh(w)) / 2, csq * abs(mp.cosh(w)) / 2)
+
+    __slots__ = ("rows", "row_scales", "values", "value_scales", "delta_sq",
+                 "jacobian_sq", "envelope", "n1")
+
+
+def linked_rows(F: ExpSystem, z: CVector, bits: int) -> LinkedRows:
+    """The exact core of F and Df at a point of finite mpc coordinates.
+
+    The point is the dyadic X / d exactly (dyadic_point). Its polynomial
+    rows and their Jacobian entries come exactly from the integer program,
+    at (X, d) as in the module docstring. Link k, y = g(c x), has the
+    exact entries 1 and z_dst; only g(w) and c g'(w), w = c x, are
+    irrational. They are enclosed at bits + ENCLOSURE_EXTRA_BITS from
+    mpmath's interval exp and cos_sin, once for every link of one family
+    and one w (sin and cos of one source share them); the midpoints fill
+    F0 and J0 and the radii bound delta and Delta. No Fraction is formed:
+    with c = (a + b i) / p, w is an integer pair over p d. A point with a
+    part too small for the integers to stay cheap raises ValidationError
+    (MIN_PART_EXTRA_BITS). A nonzero part
+    of J0 below 2^-1022, which no normal double holds (such as the
+    imaginary noise of a real root), is moved from J0 into Delta
+    (_flush_tiny), so that J0 rounds to doubles with relative error u.
+    """
+    d, parts = dyadic_point(z)
+    if d.bit_length() > 16 * bits + MIN_PART_EXTRA_BITS:
+        raise ValidationError(
+            f"a coordinate part of 2^-{d.bit_length() - 1} is below the 2^-"
+            f"{16 * bits + MIN_PART_EXTRA_BITS} that the exact core takes at {bits} bits")
+    _, deltas, values, J = _evaluate_integer(F, d, parts, _EXACT)
+    n, wp = F.n, bits + ENCLOSURE_EXTRA_BITS
+    out = LinkedRows()
+    out.rows, out.row_scales = J[:n], deltas
+    out.values, out.value_scales = list(values), [q * d for q in deltas]
+    delta_sq = jacobian_sq = fzero
+    out.envelope, families = [], {}
+    for link in F.links:
+        g, dg, sign = _LINK_FUNCTIONS[link.kind]
+        p, ((a, b),) = integer_point((link.c,))
+        (xr, xi), (yr, yi) = parts[link.src - 1], parts[link.dst - 1]
+        w = (a * xr - b * xi, a * xi + b * xr)  # over p d
+        key = (frozenset((g, dg)), w, p)
+        if key not in families:
+            family = _enclose_family(link.kind, *(_interval(v, p * d, wp) for v in w), wp)
+            top = max((_modulus_sq_upper(f) for f in family.values()), key=mp.make_mpf)
+            families[key] = family, mpf_sqrt(top, wp, round_ceiling)
+        family, top = families[key]
+        (t, (gr, gi)), rad_sq = _mid_rad_sq(family[g])
+        delta_sq = mpf_add(delta_sq, rad_sq)
+        q = max(t, d)  # the lcm of two powers of two
+        out.values.append(_GaussianInt(yr * (q // d) - gr * (q // t), yi * (q // d) - gi * (q // t)))
+        out.value_scales.append(q)
+        (t, (hr, hi)), rad_sq = _mid_rad_sq(family[dg])  # c g' = sign c dg
+        csq = from_rational(a * a + b * b, p * p, wp, round_ceiling)
+        jacobian_sq = mpf_add(jacobian_sq, mpf_mul(csq, rad_sq, wp, round_ceiling), wp, round_ceiling)
+        s = -1 if sign > 0 else 1  # the entry is -c g'
+        row = [0] * F.N
+        row[link.src - 1] = _GaussianInt(s * (a * hr - b * hi), s * (a * hi + b * hr))
+        row[link.dst - 1] = p * t
+        out.rows.append(row)
+        out.row_scales.append(p * t)
+        cmod = mpf_sqrt(csq, wp, round_ceiling)
+        half = mpf_shift(mpf_mul(csq, top, wp, round_ceiling), -1)  # |c|^2 max |f| / 2
+        out.envelope.append(half if mpf_lt(cmod, half) else cmod)
+    flushed = sum(_flush_tiny(row, q) for row, q in zip(out.rows, out.row_scales))
+    if flushed:
+        jacobian_sq = mpf_add(jacobian_sq, from_man_exp(flushed, -2044), wp, round_ceiling)
+    out.delta_sq, out.jacobian_sq = delta_sq, jacobian_sq
+    out.n1 = (sum(re * re + im * im for re, im in parts) + d * d, d * d)
+    return out
+
+
+def linked_gamma_bound_sq(F: ExpSystem, n1, columns, envelope, bits: int):
+    """An upper bound on a linked system's gamma^2 at a dyadic point, from
+    linked_rows's n1 and envelope and column bounds c_j >= sum_i
+    |(Df(z)^{-1})_ij|^2 (floats); an mpf of bits bits, rounded up.
+
+    gamma <= mu * (D^(3/2) / (2 ||z||_1) + the sum of the link envelope
+    terms), with mu^2 = max{1, sum_j s_j c_j}, s_j = d_j ||z||_1^(2 d_j - 2)
+    ||P||^2 for the n polynomial columns and 1 for the m link columns, and
+    ||z||_1^2 = A / d^2 exactly. Every operation rounds outward at
+    bits + ENCLOSURE_EXTRA_BITS: up for the bound, down for ||z||_1 in its
+    denominator.
+    """
+    (A, q2), D, n = n1, F.P.max_degree, F.n
+    wp, up = bits + ENCLOSURE_EXTRA_BITS, round_ceiling
+    psq = compile_system(F, _EXACT).p_norm_sq
+    psq = from_rational(psq.numerator, psq.denominator, wp, up)
+    n1sq = from_rational(A, q2, wp, up)
+    mu_sq = fzero
+    for j, c in enumerate(columns):
+        term = from_float(c)
+        if j < n:
+            dj = F.P.degrees[j]
+            if not dj:
+                continue
+            term = mpf_mul(term, mpf_mul(psq, from_int(dj), wp, up), wp, up)
+            for _ in range(dj - 1):
+                term = mpf_mul(term, n1sq, wp, up)
+        mu_sq = mpf_add(mu_sq, term, wp, up)
+    mu = mpf_sqrt(mu_sq, wp, up) if mpf_lt(fone, mu_sq) else fone
+    norm1_low = mpf_sqrt(from_rational(A, q2, wp, round_floor), wp, round_floor)
+    total = mpf_div(mpf_sqrt(from_int(D**3), wp, up), mpf_shift(norm1_low, 1), wp, up)
+    for term in envelope:
+        total = mpf_add(total, term, wp, up)
+    gamma = mpf_mul(mu, total, wp, up)
+    return mp.make_mpf(mpf_mul(gamma, gamma, bits, up))
 
 
 def mu_exp_sq(F: ExpSystem, n1sq, columns, prec: PrecisionConfig):
-    """Squared conditioning factor for the full system, given column bounds.
+    """Squared conditioning factor of a link-free system, given column bounds.
 
     n1sq is ||z||_1^2 = 1 + ||z||^2 at the point. columns holds one
-    c_j >= sum_i |(Df(z)^{-1})_ij|^2 per column: the first n are scaled by
-    the squared per-row entries d_i ||z||_1^(2 d_i - 2) ||P||^2, the last m
-    are taken as they are, and the sum, floored at 1, is returned. With
-    m = 0 and exact column sums this is exactly the polynomial mu^2.
+    c_j >= sum_i |(Df(z)^{-1})_ij|^2 per column, each scaled by the squared
+    row entry d_j ||z||_1^(2 d_j - 2) ||P||^2, and the sum, floored at 1, is
+    returned; with exact column sums this is exactly the polynomial mu^2.
     ||P||^2 comes from the system's compiled program, which holds it at
     prec. Floating only, as is gamma_bound_sq.
     """
     with working_precision(prec.bits):
-        dsq = delta_sq_entries(F.P.degrees, n1sq)
         psq = compile_system(F, prec).p_norm_sq
         total = 0
-        for j, col in enumerate(columns):
-            scale_sq = dsq[j] * psq if j < F.n else 1
-            total = total + scale_sq * col
+        for dsq, col in zip(delta_sq_entries(F.P.degrees, n1sq), columns):
+            total = total + dsq * psq * col
         return total if total > 1 else mp.mpf(1)
 
 
 def gamma_bound_sq(F: ExpSystem, z: CVector, columns, prec: PrecisionConfig):
-    """Squared curvature bound at z, given bounds on Df(z)^{-1}'s column norms.
+    """Squared curvature bound mu^2 * D^3 / (4 ||z||_1^2) of a link-free
+    system at z, given bounds on Df(z)^{-1}'s column norms (mu_exp_sq).
 
-    m = 0: mu^2 * D^3 / (4 ||z||_1^2); rational mode takes it in integers
-    (integer_gamma_bound_sq).
-    m > 0: (mu * (D^(3/2) / (2 ||z||_1) + sum of link envelope terms))^2.
-    Floating only; mu_exp_sq describes columns.
+    Floating only: rational mode takes it in integers
+    (integer_gamma_bound_sq), and a linked system takes
+    linked_gamma_bound_sq.
     """
     _require_float(F, prec, "gamma_bound_sq")
+    if F.m:
+        raise ValidationError("gamma_bound_sq is link-free; linked systems take linked_gamma_bound_sq")
     with working_precision(prec.bits):
-        z = lift_point(z, prec)
-        n1sq = norm1_sq(z)
-        musq = mu_exp_sq(F, n1sq, columns, prec)
-        D = F.P.max_degree
-        if F.is_polynomial():
-            return musq * D**3 / (4 * n1sq)
-        total = mp.sqrt(mp.mpf(D)) ** 3 / (2 * mp.sqrt(n1sq))
-        for link in F.links:
-            total = total + link_bound_term(link, z[link.src - 1])
-        g = mp.sqrt(musq) * total
-        return g * g
+        n1sq = norm1_sq(lift_point(z, prec))
+        return mu_exp_sq(F, n1sq, columns, prec) * F.P.max_degree**3 / (4 * n1sq)
 
 
 def integer_gamma_bound_sq(F: ExpSystem, n1, sums, dd, prec: PrecisionConfig) -> Fraction:

@@ -38,25 +38,28 @@ remaining operations and every result stay the same. The one entry the
 dense loops also wrote, the cancelled entry under each pivot, is never read
 again and is left as it is.
 
-inverse_column_bounds (mpc matrices only) bounds the column norms of A^{-1}
-from an approximate inverse R computed in Python's complex doubles (not
-numpy, whose import alone adds about 10 MB to the process), after Rump,
-"Verification methods", Acta Numerica 2010; R is Krawczyk's preconditioner
-in Breiding, Rose and Timme, arXiv:2011.05000. With E = I - R A and
-||E||_F <= e < 1, A is invertible and A^{-1} = (I - E)^{-1} R, so every
-column obeys
+inverse_column_bounds bounds the inverse of an exact matrix A, given as
+integer rows over row scales like solve_fraction_free's, perturbed by any
+Delta of Frobenius norm at most a given radius. It computes an
+approximate inverse R of A in Python's complex doubles (not numpy, whose
+import alone adds about 10 MB to the process), after Rump, "Verification
+methods", Acta Numerica 2010; R is Krawczyk's preconditioner in Breiding,
+Rose and Timme, arXiv:2011.05000. With E = I - R (A + Delta) and
+||E||_F <= e < 1, A + Delta is invertible and (A + Delta)^{-1} =
+(I - E)^{-1} R, so every column and every vector obey
 
-    ||A^{-1} e_j||  <=  ||R e_j|| / (1 - e).
+    ||(A + Delta)^{-1} e_j||  <=  ||R e_j|| / (1 - e),
+    ||(A + Delta)^{-1} f||    <=  ||R f|| / (1 - e).
 
-e is bounded by the computed residual fl(I - R A_d), where A_d is A rounded
-to doubles, plus a-priori terms for the rounding of that product and of A
-itself (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-ch. 3); every double-precision norm is inflated for its own rounding. The
-squared bounds are then within about 1 + 4e of the true squared column
-norms. The function declines, and the caller solves for A^{-1} at its
-working precision instead, when A does not round to normal doubles, when
-the double elimination meets a zero pivot, or when e reaches
-INVERSE_RESIDUAL_LIMIT.
+e is bounded by the computed residual fl(I - R A_d), where A_d is A
+rounded to doubles, plus a-priori terms for the rounding of that product
+and of A itself (Higham, Accuracy and Stability of Numerical Algorithms,
+2002, ch. 3), plus ||R||_F times the radius; every double-precision norm
+is inflated for its own rounding. The squared bounds are then within about
+1 + 4e of the true squared column norms. The function declines when A
+does not round to normal doubles, when the double elimination meets a zero
+pivot, or when e reaches INVERSE_RESIDUAL_LIMIT. product_norm_sq forms
+||R f||^2 exactly, for f given as integers over scales.
 """
 
 from __future__ import annotations
@@ -332,16 +335,22 @@ _TINY = 2.0**-1022
 INVERSE_RESIDUAL_LIMIT = 2.0**-26
 
 
-def _to_double(v):
-    """The mpc v rounded to a complex double, or None unless each nonzero part
-    rounds to a finite normal double, that is with relative error <= u."""
-    d = complex(v)
-    for part, (_, man, _, _) in zip((d.real, d.imag), v._mpc_):
-        if man and not _TINY <= abs(part) < math.inf:
+def _to_double(num, den: int):
+    """num / den (num an int or a _GaussianInt, den a positive int) as a
+    complex double, or None unless each nonzero part rounds to a finite
+    normal double, that is with relative error <= u. Python divides ints
+    with one correct rounding, and raises OverflowError past the largest
+    double."""
+    parts = []
+    for p in (num.real, num.imag):
+        try:
+            x = p / den
+        except OverflowError:
             return None
-        if not man and part:  # mpmath keeps inf and nan with a zero mantissa
+        if p and not _TINY <= abs(x):
             return None
-    return d
+        parts.append(x)
+    return complex(*parts)
 
 
 def _invert_double(A):
@@ -378,20 +387,25 @@ def _norm_upper(parts):
     return math.sqrt(sum(x * x for x in parts)) * (1 + (len(parts) + 4) * _U)
 
 
-def inverse_column_bounds(A: CMatrix):
-    """Bounds c_j >= sum_i |(A^{-1})_ij|^2 from a double-precision inverse, or None.
+def inverse_column_bounds(rows, scales, radius: float = 0.0):
+    """Bounds on the inverse of A + Delta from a double-precision inverse R of A.
 
-    A is a square matrix of mpc. Returns a tuple of floats, one per column,
-    each within a factor 1 + 1e-7 of the sum it bounds, or None when
-    the bound is declined (see the module docstring); None says nothing
-    about A's invertibility.
+    A is exact, A_ij = rows[i][j] / scales[i] with ints or _GaussianInts
+    over positive ints (the row form of solve_fraction_free), and Delta is
+    any matrix with ||Delta||_F <= radius, a nonnegative float. Returns
+    (R, e, r_norm, columns): R as lists of complex doubles, e >=
+    ||I - R (A + Delta)||_F, r_norm >= ||R||_F, and one float per column
+    c_j >= sum_i |((A + Delta)^{-1})_ij|^2, each within a factor 1 + 1e-7
+    of that sum for A itself when radius is 0. Returns None when the bound
+    is declined (see the module docstring); None says nothing about A's
+    invertibility.
     """
-    n = _check_square(A)
+    n = _check_square(rows)
     Ad = []
-    for row in A:
+    for row, q in zip(rows, scales):
         drow = []
         for v in row:
-            d = _to_double(v) if v else 0j
+            d = _to_double(v, q) if v else 0j
             if d is None:
                 return None
             drow.append(d)
@@ -401,13 +415,13 @@ def inverse_column_bounds(A: CMatrix):
         return None
     # Row i of fl(R A_d) and of fl(|R| |A_d|), summed in order of k over the
     # nonzeros of A_d's rows; a zero term is skipped, which adds exactly 0.
-    rows = [[(j, v, abs(v)) for j, v in enumerate(row) if v] for row in Ad]
+    nonzero = [[(j, v, abs(v)) for j, v in enumerate(row) if v] for row in Ad]
     resid = []  # real and imaginary parts of fl(I - R A_d), up to sign
     mods = []  # fl(|R| |A_d|)
     for i, r in enumerate(R):
         acc = [0j] * n
         mod = [0.0] * n
-        for rk, nz in zip(r, rows):
+        for rk, nz in zip(r, nonzero):
             if rk:
                 ak = abs(rk)
                 for j, v, a in nz:
@@ -427,6 +441,12 @@ def inverse_column_bounds(A: CMatrix):
     gamma = k * _U / (1 - k * _U)
     m = _norm_upper(mods) * (1 + (2 * n + 16) * _U)
     e = (_norm_upper(resid) + gamma * (math.sqrt(n) + m) + 2 * _U * m) * (1 + 32 * _U)
+    # ||R Delta||_F <= ||R||_F radius. The product and the sum round down by
+    # at most a factor 1 - u each, which 1 + 4u makes up with its own
+    # rounding; underflow in the product loses at most 2^-1074 against
+    # e * 4u > 2^-104.
+    r_norm = _norm_upper([x for row in R for v in row for x in (v.real, v.imag)])
+    e = (e + r_norm * radius) * (1 + 4 * _U)
     if not e < INVERSE_RESIDUAL_LIMIT:
         return None
     # The 2n squares and sums of a column lose less than a factor
@@ -439,4 +459,30 @@ def inverse_column_bounds(A: CMatrix):
         if not 2.0**-900 <= s < math.inf:  # no underflow in the sum, and no overflow
             return None
         bounds.append(s * scale)
-    return tuple(bounds)
+    return R, e, r_norm, tuple(bounds)
+
+
+def product_norm_sq(R, values, scales) -> Fraction:
+    """||R f||^2 exactly, for rows R of complex doubles and f_j = values[j] /
+    scales[j], ints or _GaussianInts over positive ints.
+
+    Every double is an integer over a power of two, so with 2^t the largest
+    of those powers and S the lcm of the scales, R f = Y / (2^t S) for
+    Gaussian integers Y, and the result is sum_i |Y_i|^2 / (2^t S)^2.
+    Zero entries of f are skipped.
+    """
+    S = math.lcm(*scales)
+    f = [(j, v.real * (S // q), v.imag * (S // q))
+         for j, (v, q) in enumerate(zip(values, scales)) if v]
+    parts = [x.as_integer_ratio() for row in R for v in row for x in (v.real, v.imag)]
+    two_t = max(q for _, q in parts)
+    ints = [p * (two_t // q) for p, q in parts]
+    n, total = len(values), 0
+    for i in range(len(R)):
+        re = im = 0
+        for j, fr, fi in f:
+            a, b = ints[2 * (n * i + j)], ints[2 * (n * i + j) + 1]
+            re += a * fr - b * fi
+            im += a * fi + b * fr
+        total += re * re + im * im
+    return Fraction(total, (S * two_t) ** 2)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import singledispatch
 
 import mpmath as mp
-from mpmath.libmp import from_rational, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import from_float, from_rational, fzero, mpf_add, mpf_mul, round_nearest
 
 from .errors import ValidationError
 
@@ -233,6 +233,31 @@ def integer_point(z) -> tuple:
     q = math.lcm(*(p.denominator for v in z for p in (v.re, v.im)))
     return q, tuple((v.re.numerator * (q // v.re.denominator),
                      v.im.numerator * (q // v.im.denominator)) for v in z)
+
+
+def mpc_parts(v) -> tuple:
+    """The raw (real, imaginary) mpf parts of an mpc, an mpf or a Python
+    float or complex, exactly."""
+    if hasattr(v, "_mpc_"):
+        return v._mpc_
+    if hasattr(v, "_mpf_"):
+        return v._mpf_, fzero
+    v = complex(v)
+    return from_float(v.real), from_float(v.imag)
+
+
+def dyadic_point(z) -> tuple:
+    """integer_point's (q, X) for a point of finite mpc, mpf or double
+    coordinates, read off their mantissas: q is a power of two, and
+    z = X / q exactly."""
+    parts = [mpc_parts(v) for v in z]
+    for part in parts:
+        for _, man, exp, bc in part:
+            if not man and (exp or bc):  # mpmath keeps inf and nan with a zero mantissa
+                raise ValidationError("point has a non-finite coordinate")
+    k = max([0] + [-exp for part in parts for _, man, exp, _ in part if man])
+    return 1 << k, tuple(
+        tuple((-man if sign else man) << (exp + k) for sign, man, exp, _ in part) for part in parts)
 
 
 @singledispatch

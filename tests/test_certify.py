@@ -5,16 +5,19 @@ everything downstream silently depends on that constant being on the safe
 side of the exact algebraic number it approximates.
 """
 
+import functools
 import importlib
 import math
 import pkgutil
+import random
 import threading
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from mpmath import iv
 
 import expcert
 from expcert import certify as certify_module, linalg, scalars
@@ -37,7 +40,7 @@ from expcert.certify import (
     same_root,
 )
 from expcert.errors import NotCertified, NotRealMap, PreconditionFailed
-from expcert.expsystems import CompiledSystem, as_exp_system, value_and_jacobian
+from expcert.expsystems import CompiledSystem, ExpKind, as_exp_system, value_and_jacobian
 from expcert.homotopy import taylor_truncate
 from expcert.linalg import identity, norm_sq, vec_sub
 from expcert.mechanisms import (
@@ -49,7 +52,7 @@ from expcert.polynomials import Polynomial, PolynomialSystem
 from expcert.refine import newton_refine
 from expcert.scalars import ExactComplex, PrecisionConfig, mpf_to_fraction
 from expcert.sysio import parse_points, parse_system
-from test_expsystems import fraction_mu_gamma_sq
+from test_expsystems import fraction_mu_gamma_sq, mpc_bounds_sq
 from test_linalg import _dense_solve_columns
 
 RAT = PrecisionConfig("rational", 64)
@@ -152,10 +155,13 @@ def _count_linearizations(monkeypatch) -> dict:
     """Count eliminations and program evaluations during one call.
 
     The package solves linear systems with linalg.solve_columns in floating
-    mode and linalg.solve_fraction_free in rational mode. An elimination is
-    a call of either, wherever the package has bound it. Evaluations are
-    calls of CompiledSystem.evaluate, the one evaluator of F and Df; in
-    rational mode that is the integer program behind integer_rows.
+    mode and linalg.solve_fraction_free in rational mode, and certifies a
+    linked system from the double-precision inverse of
+    linalg.inverse_column_bounds. An elimination is a call of any of them,
+    wherever the package has bound it. Evaluations are calls of
+    CompiledSystem.evaluate, the one evaluator of F and Df; in rational
+    mode, and for a linked system's certificate, that is the integer
+    program behind integer_rows and linked_rows.
     """
     original_evaluate = CompiledSystem.evaluate
     counts = {"eliminations": 0, "evaluations": 0}
@@ -170,7 +176,8 @@ def _count_linearizations(monkeypatch) -> dict:
         counts["evaluations"] += 1
         return original_evaluate(self, z)
 
-    wrappers = {id(f): counting(f) for f in (linalg.solve_columns, linalg.solve_fraction_free)}
+    solvers = (linalg.solve_columns, linalg.solve_fraction_free, linalg.inverse_column_bounds)
+    wrappers = {id(f): counting(f) for f in solvers}
     for info in pkgutil.iter_modules(expcert.__path__):
         module = importlib.import_module(f"expcert.{info.name}")
         for name, obj in list(vars(module).items()):
@@ -250,57 +257,220 @@ def test_float_certification_of_transcendental_system():
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
-def _certify_both_routes(monkeypatch, F, points, prec):
-    """Certificates from the double-precision mu bound and from the [F | I] route.
-
-    The reference route is the one certify takes when
-    inverse_column_bounds declines. Also returns, per call of
-    inverse_column_bounds, whether it accepted.
-    """
+def _spy_inverse_bounds(monkeypatch) -> list:
+    """Record, per call of certify's inverse_column_bounds, whether it accepted."""
     original = certify_module.inverse_column_bounds
     accepted = []
 
-    def spy(J):
-        out = original(J)
+    def spy(*args):
+        out = original(*args)
         accepted.append(out is not None)
         return out
 
     monkeypatch.setattr(certify_module, "inverse_column_bounds", spy)
-    new = [certify_solution(F, z, prec) for z in points]
-    monkeypatch.setattr(certify_module, "inverse_column_bounds", lambda J: None)
-    ref = [certify_solution(F, z, prec) for z in points]
-    monkeypatch.undo()
-    return new, ref, accepted
+    return accepted
 
 
 @pytest.mark.parametrize("bits", [96, 256, 1024])
 @pytest.mark.parametrize("stem", sorted(p.stem for p in DATA.glob("*.sys")))
 def test_double_precision_mu_matches_the_elimination_route(monkeypatch, stem, bits):
-    """Same verdict and beta, and alpha at most 1e-9 relative above the reference.
+    """Same verdicts as the mpc elimination route (mpc_bounds_sq), and alpha
+    at most 1e-9 relative below and 1e-6 above it.
 
-    Linked systems take the double-precision bound at every shipped point;
-    link-free ones never call it, so their certificates are the reference's.
+    Linked systems certify on the exact core, whose double-precision bound
+    accepts at every shipped point, and whose alpha bounds the true alpha
+    from above; link-free ones keep the mpc elimination and never call it.
     """
     F = as_exp_system(parse_system((DATA / f"{stem}.sys").read_text()))
     points = parse_points((DATA / f"{stem}.pts").read_text()).points
     prec = PrecisionConfig("float", bits)
-    new, ref, accepted = _certify_both_routes(monkeypatch, F, points, prec)
+    accepted = _spy_inverse_bounds(monkeypatch)
+    certs = [certify_solution(F, z, prec) for z in points]
     assert accepted == ([True] * len(points) if F.m else [])
-    for a, b in zip(new, ref):
-        assert a.certified_approximate == b.certified_approximate
-        assert a.beta_sq._mpf_ == b.beta_sq._mpf_
-        if not F.m:
-            assert a == b
-            continue
+    for cert, z in zip(certs, points):
+        beta_sq, gamma_sq = mpc_bounds_sq(F, z, prec)
+        assert cert.certified_approximate == decide_certified(beta_sq, gamma_sq)
         with mp.workprec(bits):
-            assert b.alpha_bound_sq <= a.alpha_bound_sq
-            assert a.alpha_bound_sq <= b.alpha_bound_sq * (1 + mp.mpf(10) ** -9) ** 2
+            ref = beta_sq * gamma_sq
+            assert ref * (1 - mp.mpf(10) ** -9) ** 2 <= cert.alpha_bound_sq
+            assert cert.alpha_bound_sq <= ref * (1 + mp.mpf(10) ** -6) ** 2
 
 
 def test_rational_certificates_never_take_the_double_precision_bound(monkeypatch):
     g, points = two_link_arm_poly()
-    new, ref, accepted = _certify_both_routes(monkeypatch, g, points, RAT)
-    assert accepted == [] and new == ref
+    accepted = _spy_inverse_bounds(monkeypatch)
+    certs = [certify_solution(g, z, RAT) for z in points]
+    assert accepted == [] and all(c.certified_approximate for c in certs)
+
+
+LINKED = ("compliant", "compliant_alt", "rr_dyad", "rr_dyad_euler")
+F320 = PrecisionConfig("float", 320)
+
+
+@functools.lru_cache(maxsize=None)
+def _planted(stem: str):
+    """(system, [(root, gamma)]) with each reference point refined to a
+    320-bit root zeta and gamma the curvature bound there."""
+    F = as_exp_system(parse_system((DATA / f"{stem}.sys").read_text()))
+    roots = []
+    for ref in parse_points((DATA / f"{stem}.pts").read_text()).points:
+        root = newton_refine(F, ref, 8, F320)[0]
+        with mp.workprec(320):
+            roots.append((root, mp.sqrt(certify_solution(F, root, F320).gamma_bound_sq)))
+    return F, roots
+
+
+def _tight_points(stem: str, rng: random.Random, count: int):
+    """count (root, point) pairs: a root of _planted and a point moved off it
+    along a random complex direction by 10^-6 to 10^-2 of alpha* / gamma."""
+    F, roots = _planted(stem)
+    out = []
+    with mp.workprec(320):
+        for k in range(count):
+            root, gamma = roots[k % len(roots)]
+            d = [mp.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in root]
+            norm = mp.sqrt(sum(abs(v) ** 2 for v in d))
+            scale = mp.mpf(float(ALPHA_STAR)) / gamma * mp.mpf(10) ** rng.uniform(-6, -2) / norm
+            out.append((root, tuple(v + scale * c for v, c in zip(root, d))))
+    return F, out
+
+
+@pytest.mark.parametrize("stem", LINKED)
+def test_certified_beta_bounds_the_distance_to_the_root(stem):
+    """Alpha theory puts the root within 2 beta of a certified point. Tight
+    points refined 1-3 times at 96 bits sit at the rounding floor, where a
+    beta taken from F(z) evaluated in mpc follows the rounding of the
+    residual: on these points it was up to 7.5 times too small on
+    compliant and 3.4 times on compliant_alt. The exact core's is not."""
+    F, cases = _tight_points(stem, random.Random(stem), 8)
+    for root, z0 in cases:
+        for k in (1, 2, 3):
+            z = newton_refine(F, z0, k, F96)[0]
+            cert = certify_solution(F, z, F96)
+            assert cert.certified_approximate
+            with mp.workprec(320):
+                assert norm_sq(vec_sub(z, root)) <= 4 * cert.beta_sq
+
+
+def test_a_point_with_a_vanishing_coordinate_part_fails_fast():
+    """A part of 1e-30000 would make the exact core's integers about 10^5
+    bits long: certify_batch records the refusal as the point's error at
+    once, and certifies the other points."""
+    F, (Z1, Z2) = two_link_arm_exp()
+    tiny = (ExactComplex(Z1[0].re, Fraction(1, 10**30000)),) + tuple(Z1[1:])
+    report = certify_batch(F, [Z1, tiny, Z2], F96, BatchOptions(distinct=True, real=False))
+    assert report.records[1].certificate is None
+    assert "exact core" in report.records[1].error
+    assert report.counts["certified"] == 2 and report.counts["distinct"] == 2
+
+
+def _iv_scalar(c: ExactComplex):
+    return iv.mpc(iv.mpf(c.re.numerator) / c.re.denominator,
+                  iv.mpf(c.im.numerator) / c.im.denominator)
+
+
+def _iv_link_functions(kind: ExpKind, w):
+    """(g(w), g'(w)) in interval arithmetic; sinh and cosh from exp."""
+    if kind is ExpKind.EXP:
+        e = iv.exp(w)
+        return e, e
+    if kind is ExpKind.SIN:
+        return iv.sin(w), iv.cos(w)
+    if kind is ExpKind.COS:
+        return iv.cos(w), -iv.sin(w)
+    ep, em = iv.exp(w), iv.exp(-w)
+    sinh, cosh = (ep - em) / 2, (ep + em) / 2
+    return (sinh, cosh) if kind is ExpKind.SINH else (cosh, sinh)
+
+
+def _iv_polynomial(p, X):
+    total = iv.mpc(0)
+    for c, mono in p.terms:
+        term = _iv_scalar(c)
+        for x, e in zip(X, mono.exponents):
+            if e:
+                term = term * x**e
+        total = total + term
+    return total
+
+
+def _iv_system(F, X, jacobian: bool):
+    """F(X), or Df(X), over a box X of complex intervals."""
+    if not jacobian:
+        rows = [_iv_polynomial(p, X) for p in F.P.polys]
+        for link in F.links:
+            g, _ = _iv_link_functions(link.kind, _iv_scalar(link.c) * X[link.src - 1])
+            rows.append(X[link.dst - 1] - g)
+        return rows
+    rows = [[_iv_polynomial(p.derivative(j), X) for j in range(F.N)] for p in F.P.polys]
+    for link in F.links:
+        c = _iv_scalar(link.c)
+        _, dg = _iv_link_functions(link.kind, c * X[link.src - 1])
+        row = [iv.mpc(0)] * F.N
+        row[link.src - 1], row[link.dst - 1] = -c * dg, iv.mpc(1)
+        rows.append(row)
+    return rows
+
+
+def _krawczyk(F, z, radius):
+    """(X, K(X)) for the box X of the given radius around z, in every real
+    and imaginary part, and the Krawczyk operator
+    K(X) = z - R F(z) + (I - R Df(X)) (X - z), R the inverse of Df(z) at
+    320 bits. K(X) inside X proves a unique root in X, and K(X) holds it."""
+    with mp.workprec(320):
+        R = mp.inverse(mp.matrix([list(row) for row in value_and_jacobian(F, z, F320)[1]]))
+        R = [[iv.mpc(R[i, j].real, R[i, j].imag) for j in range(F.N)] for i in range(F.N)]
+    Z = [iv.mpc(v.real, v.imag) for v in z]
+    box = iv.mpc(iv.mpf([-radius, radius]), iv.mpf([-radius, radius]))
+    X = [v + box for v in Z]
+    Fz, JX = _iv_system(F, Z, False), _iv_system(F, X, True)
+    K = []
+    for i in range(F.N):
+        k = Z[i] - iv.fsum(R[i][j] * Fz[j] for j in range(F.N))
+        for j in range(F.N):
+            entry = (1 if i == j else 0) - iv.fsum(R[i][l] * JX[l][j] for l in range(F.N))
+            k = k + entry * box
+        K.append(k)
+    return X, K
+
+
+def _inside(inner, outer) -> bool:
+    return all(o.a < i.a and i.b < o.b
+               for a, b in zip(inner, outer) for i, o in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def _disjoint(A, B) -> bool:
+    return any(i.b < o.a or o.b < i.a
+               for a, b in zip(A, B) for i, o in ((a.real, b.real), (a.imag, b.imag)))
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(LINKED), st.integers(0, 2**32), st.integers(0, 2))
+def test_krawczyk_encloses_one_root_per_certified_point(stem, seed, refine):
+    """Krawczyk's test, in mpmath.iv at 320 bits, as an oracle: the box of
+    radius 2 beta around each certified point maps into itself, and points
+    certified distinct have disjoint K(X), so their roots differ."""
+    F, cases = _tight_points(stem, random.Random(seed), 4)
+    points = [newton_refine(F, z, refine, F96)[0] for _, z in cases]
+    report = certify_batch(F, points, F96, BatchOptions(distinct=True, real=False))
+    boxes = {}
+    old = iv.prec
+    iv.prec = 320
+    try:
+        for rec, z in zip(report.records, points):
+            if rec.certificate.certified_approximate:
+                with mp.workprec(320):
+                    radius = 2 * mp.sqrt(rec.certificate.beta_sq)
+                X, K = _krawczyk(F, z, radius)
+                assert _inside(K, X)
+                boxes[rec.index] = K
+    finally:
+        iv.prec = old
+    for a in boxes:
+        for b in boxes:
+            sets = report.records[a].distinct_set, report.records[b].distinct_set
+            if a < b and sets[0] != sets[1]:
+                assert _disjoint(boxes[a], boxes[b])
 
 
 def _rational_cases():

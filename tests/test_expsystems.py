@@ -37,14 +37,14 @@ from expcert.expsystems import (
     gamma_bound_sq,
     integer_gamma_bound_sq,
     integer_rows,
-    link_bound_term,
+    linked_rows,
     mu_exp_sq,
     ode_derivative_bound,
     _program_by_equality,
     value_and_jacobian,
 )
 from expcert.homotopy import taylor_truncate
-from expcert.linalg import identity, norm1_sq, norm_sq, solve_fraction_free
+from expcert.linalg import identity, norm1_sq, norm_sq, solve_columns, solve_fraction_free
 from expcert.mechanisms import compliant_linkage
 from expcert.polynomials import (
     Polynomial,
@@ -56,7 +56,14 @@ from expcert.polynomials import (
     ppow,
     variable,
 )
-from expcert.scalars import ExactComplex, PrecisionConfig, exact_to_mpc, lift_point, mpf_to_fraction
+from expcert.scalars import (
+    ExactComplex,
+    PrecisionConfig,
+    exact_to_mpc,
+    fraction_to_mpf,
+    lift_point,
+    mpf_to_fraction,
+)
 from expcert.sysio import parse_points, parse_system, serialize_system
 
 from test_linalg import _dense_solve_columns, _integer_rows, invert
@@ -365,11 +372,102 @@ def test_ode_derivative_bound_validation():
         ode_derivative_bound(data, -1, 2)
 
 
-def test_link_bound_term_floor():
+def mpc_link_bound_term(link: ExpLink, xval):
+    """Envelope term for one link at the current source value, in mpc at
+    the working precision: the reference for the upper ends that
+    expsystems.linked_rows takes from its enclosures.
+
+    EXP:      max(|c|, |c^2 exp(c x)| / 2)
+    SIN/COS:  max(|c|, |c^2 sin(c x)| / 2, |c^2 cos(c x)| / 2)
+    SINH/COSH:max(|c|, |c^2 sinh(c x)| / 2, |c^2 cosh(c x)| / 2)
+    """
+    csq = fraction_to_mpf(link.c.abs2(), mp.mp.prec)
+    cmod = mp.sqrt(csq)
+    w = exact_to_mpc(link.c, mp.mp.prec) * xval
+    if link.kind is ExpKind.EXP:
+        return max(cmod, csq * abs(mp.exp(w)) / 2)
+    if link.kind in (ExpKind.SIN, ExpKind.COS):
+        return max(cmod, csq * abs(mp.sin(w)) / 2, csq * abs(mp.cos(w)) / 2)
+    return max(cmod, csq * abs(mp.sinh(w)) / 2, csq * abs(mp.cosh(w)) / 2)
+
+
+def mpc_bounds_sq(F: ExpSystem, z, prec: PrecisionConfig):
+    """(beta^2, gamma^2) of a linked system in mpc, or None when J is singular
+    at the working precision: F(z) and J in mpc, one elimination of
+    J X = [F(z) | I], mu^2 from the squared column norms of the computed
+    J^{-1} and the link envelope terms of mpc_link_bound_term. The soft
+    route certify took for linked systems before its exact core, kept as
+    the reference the exact core's bounds are compared with."""
+    with mp.workprec(prec.bits):
+        z = lift_point(z, prec)
+        residual, J = value_and_jacobian(F, z, prec)
+        rhs = tuple((v,) + e for v, e in zip(residual, identity(F.N, False)))
+        try:
+            X = tuple(zip(*solve_columns(J, rhs, prec.bits)))
+        except SingularMatrix:
+            return None
+        n1sq = norm1_sq(z)
+        psq = fraction_to_mpf(bw_norm_sq(F.P), prec.bits)
+        scales = [d * psq for d in delta_sq_entries(F.P.degrees, n1sq)] + [1] * F.m
+        mu_sq = sum(c * norm_sq(col) for c, col in zip(scales, X[1:]))
+        mu_sq = max(mu_sq, mp.mpf(1))
+        total = mp.sqrt(mp.mpf(F.P.max_degree)) ** 3 / (2 * mp.sqrt(n1sq))
+        for link in F.links:
+            total = total + mpc_link_bound_term(link, z[link.src - 1])
+        return norm_sq(X[0]), mu_sq * total * total
+
+
+@st.composite
+def linked_cases(draw):
+    """x + y_1 + ... + y_5 - 1 in (x, y_1..y_5), with one link of each
+    kind, y_k = g_k(c_k x) for rational complex c_k, at a point of random
+    96-bit complex coordinates."""
+    rng = draw(st.randoms(use_true_random=False))
+    links = []
+    for k, kind in enumerate(ExpKind):
+        c = ExactComplex(Fraction(rng.randint(-12, 12), rng.choice([1, 3, 4])),
+                         Fraction(rng.randint(-12, 12), rng.choice([1, 5, 8])))
+        links.append(ExpLink(kind, c, 1, k + 2))
+    N = 1 + len(links)
+    rows = [poly(N, *[(1, tuple(int(j == i) for j in range(N))) for i in range(N)], (-1, (0,) * N))]
+    F = ExpSystem(PolynomialSystem(tuple(rows)), tuple(links))
     with mp.workprec(96):
-        link = ExpLink(ExpKind.SIN, ec(1), 1, 2)
-        # at x = 0: max(1, |sin 0|/2, |cos 0|/2) = 1
-        assert link_bound_term(link, mp.mpc(0)) == 1
+        z = tuple(mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(N))
+    return F, z
+
+
+@settings(max_examples=40, deadline=None)
+@given(linked_cases(), st.sampled_from([96, 256]))
+def test_linked_rows_enclose_the_link_rows(case, bits):
+    """F0 and J0 differ from F(z) and Df(z), evaluated in mpc at 4 * bits,
+    by no more than the radii linked_rows reports, for every link kind, and
+    each envelope term is no smaller than mpc_link_bound_term's."""
+    F, z = case
+    core = linked_rows(F, z, bits)
+    wp = 4 * bits
+    with mp.workprec(wp):
+        values, J = value_and_jacobian(F, z, PrecisionConfig("float", wp))
+        gap_f = sum(abs(v - _exact_over(a, q)) ** 2 for v, a, q in zip(values, core.values, core.value_scales))
+        gap_j = sum(abs(v - _exact_over(a, q)) ** 2
+                    for vrow, arow, q in zip(J, core.rows, core.row_scales) for v, a in zip(vrow, arow))
+        slack = mp.mpf(2) ** (-3 * bits)  # the mpc evaluation's own rounding
+        assert gap_f <= mp.make_mpf(core.delta_sq) + slack
+        assert gap_j <= mp.make_mpf(core.jacobian_sq) + slack
+        for link, term in zip(F.links, core.envelope):
+            assert mpc_link_bound_term(link, z[link.src - 1]) <= mp.make_mpf(term)
+
+
+def _exact_over(a, q):
+    return mp.mpc(mp.mpf(a.real) / q, mp.mpf(a.imag) / q)
+
+
+def test_link_bound_term_floor():
+    """At x = 0, max(1, |sin 0|/2, |cos 0|/2) = 1: the enclosures of sin 0 and
+    cos 0 are exact, so the exact core's upper end is 1 too."""
+    F = simple_system()
+    with mp.workprec(96):
+        assert mpc_link_bound_term(F.links[0], mp.mpc(0)) == 1
+        assert linked_rows(F, (mp.mpc(0), mp.mpc(0)), 96).envelope == [mp.mpf(1)._mpf_]
 
 
 def test_generic_bound_preconditions():

@@ -10,6 +10,7 @@ replaced is kept here as the reference both must match, bit for bit and
 exactly.
 """
 
+import itertools
 import math
 import random
 import re
@@ -27,11 +28,12 @@ from expcert.linalg import (
     inverse_column_bounds,
     norm1_sq,
     norm_sq,
+    product_norm_sq,
     solve_columns,
     solve_fraction_free,
     vec_sub,
 )
-from expcert.scalars import ExactComplex, abs_sq
+from expcert.scalars import ExactComplex, abs_sq, dyadic_point, mpf_to_fraction
 
 rat = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
@@ -627,32 +629,62 @@ def bound_cases(draw, bits):
     return kind, tuple(map(tuple, A))
 
 
+def _dyadic_rows(A):
+    """An mpc matrix as inverse_column_bounds's exact integer rows and scales."""
+    rows, scales = [], []
+    for row in A:
+        q, parts = dyadic_point(row)
+        rows.append([_GaussianInt(re, im) for re, im in parts])
+        scales.append(q)
+    return rows, scales
+
+
 @pytest.mark.parametrize("bits", [96, 256, 1024])
 @settings(max_examples=60, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(data=st.data())
 def test_inverse_column_bounds_enclose_the_column_norms(bits, data):
-    """Accepted bounds lie in [s_j, (1 + 1e-7) s_j], s_j = sum_i |(A^-1)_ij|^2.
+    """Accepted bounds lie in [s_j, (1 + 1e-7) s_j], s_j = sum_i |(A^-1)_ij|^2,
+    and e bounds ||I - R A||_F, here measured from R and A exactly.
 
-    s_j is taken from solve_columns(A, I) at the working precision, whose
-    relative error (below 1e-20 at the conditions the bound accepts) is far
-    inside the bound's own slack. Singular and near-singular matrices are
-    declined. Shrinking is off, as for the sparse elimination above.
+    s_j is taken from solve_columns(A, I) at four times the working
+    precision, whose relative error (below 1e-20 at the conditions the
+    bound accepts) is far inside the bound's own slack; the working
+    precision alone can call a badly scaled A singular, which its pivot
+    test measures against the largest entry of the row. Singular and
+    near-singular matrices are declined. Shrinking is off, as for the
+    sparse elimination above.
     """
     with mp.workprec(bits):
         kind, A = data.draw(bound_cases(bits))
-        got = inverse_column_bounds(A)
-        try:
-            X = solve_columns(A, identity(len(A), False), bits)
-        except SingularMatrix:
-            X = None
-        if kind != "scaled" or X is None:
+        got = inverse_column_bounds(*_dyadic_rows(A))
+        if kind != "scaled":
             assert got is None
         if got is None:
             return
-        for c, col in zip(got, zip(*X)):
+    with mp.workprec(4 * bits):
+        X = solve_columns(A, identity(len(A), False), 4 * bits)
+        R, e, r_norm, bounds = got
+        for c, col in zip(bounds, zip(*X)):
             s = norm_sq(col)
             assert s <= c <= s * (1 + mp.mpf(10) ** -7)
+    exact = [[(mpf_to_fraction(v.real), mpf_to_fraction(v.imag)) for v in row] for row in A]
+    assert r_norm**2 >= sum(abs(v) ** 2 for row in R for v in row)
+    residual = 0
+    for i, j in itertools.product(range(len(A)), repeat=2):
+        terms = [_mul_exact(R[i][k], exact[k][j]) for k in range(len(A))]
+        residual += _abs2_exact(((i == j) - sum(a for a, _ in terms), sum(b for _, b in terms)))
+    assert residual <= Fraction(e) ** 2
+
+
+def _mul_exact(r: complex, a):
+    """r a exactly, for a double r and a pair a = (re, im) of Fractions, as a pair."""
+    (x, y), (u, v) = (Fraction(r.real), Fraction(r.imag)), a
+    return x * u - y * v, x * v + y * u
+
+
+def _abs2_exact(v):
+    return v[0] * v[0] + v[1] * v[1]
 
 
 @pytest.mark.parametrize("entry,bits", [
@@ -660,18 +692,17 @@ def test_inverse_column_bounds_enclose_the_column_norms(bits, data):
     ("1e-400", 1024),  # underflows to 0.0
     ("1e-330", 96),    # below the smallest subnormal: rounds to 0.0
     ("1e-310", 96),    # subnormal: rounds with more than a relative u
-    ("nan", 96),
 ])
 def test_inverse_column_bounds_decline_entries_doubles_cannot_hold(entry, bits):
     with mp.workprec(bits):
         A = [[mp.mpc(2, 1), mp.mpc(0)], [mp.mpc(1), mp.mpc(3)]]
-        assert inverse_column_bounds(tuple(map(tuple, A))) is not None
+        assert inverse_column_bounds(*_dyadic_rows(A)) is not None
         for i, j, part in ((0, 0, 0), (1, 0, 1), (1, 1, 0)):
             B = [list(row) for row in A]
             parts = [B[i][j].real, B[i][j].imag]
             parts[part] = mp.mpf(entry)
             B[i][j] = mp.mpc(*parts)
-            assert inverse_column_bounds(tuple(map(tuple, B))) is None
+            assert inverse_column_bounds(*_dyadic_rows(B)) is None
 
 
 def test_inverse_column_bounds_of_a_permuted_diagonal_are_tight():
@@ -681,7 +712,39 @@ def test_inverse_column_bounds_of_a_permuted_diagonal_are_tight():
     with mp.workprec(96):
         A = tuple(tuple(mp.mpc(i + 1, 1) if j == perm[i] else mp.mpc(0) for j in range(4))
                   for i in range(4))
-        got = inverse_column_bounds(A)
+        _, _, _, got = inverse_column_bounds(*_dyadic_rows(A))
         for i in range(4):
             want = 1 / abs_sq(mp.mpc(i + 1, 1))
             assert want <= got[i] <= want * (1 + mp.mpf(10) ** -13)
+
+
+@pytest.mark.parametrize("radius", [2.0**-60, 2.0**-30, 2.0**-20])
+def test_inverse_column_bounds_fold_a_perturbation_into_e(radius):
+    """e grows by about ||R||_F times the radius, and is declined once it
+    reaches INVERSE_RESIDUAL_LIMIT."""
+    rows, scales = [[3, 1], [_GaussianInt(1, 2), 5]], [1, 2]
+    R, e0, r_norm, _ = inverse_column_bounds(rows, scales)
+    got = inverse_column_bounds(rows, scales, radius)
+    if r_norm * radius >= 2.0**-26:
+        assert got is None
+        return
+    _, e, _, _ = got
+    assert e0 + r_norm * radius <= e <= (e0 + r_norm * radius) * (1 + 1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.randoms(use_true_random=False))
+def test_product_norm_sq_is_exact(n, rng):
+    """||R f||^2 equals the Fraction sum for doubles R and Gaussian-integer
+    values over scales with odd factors."""
+    R = [[complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) * 2.0 ** rng.randint(-60, 60)
+          if rng.random() < 0.8 else 0j for _ in range(n)] for _ in range(n)]
+    values = [_GaussianInt(rng.randint(-10**30, 10**30), rng.randint(-10**30, 10**30))
+              if rng.random() < 0.8 else 0 for _ in range(n)]
+    scales = [rng.choice([1, 3, 2**70, 7 * 2**90]) for _ in range(n)]
+    f = [(Fraction(v.real, q), Fraction(v.imag, q)) for v, q in zip(values, scales)]
+    want = Fraction(0)
+    for row in R:
+        y = [_mul_exact(r, fj) for r, fj in zip(row, f)]
+        want += _abs2_exact((sum(a for a, _ in y), sum(b for _, b in y)))
+    assert product_norm_sq(R, values, scales) == want
