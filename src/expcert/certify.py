@@ -7,6 +7,10 @@ A point z is certified as an approximate solution when
 where beta is the Newton step length at z and gamma_bound the curvature
 bound. Both come from one linearization of the system at z.
 
+Every certificate comes from exact values at the point, which is rational
+in both modes: an exact point is X / q (scalars.integer_point), and a float
+point the dyadic X / 2^k its mpc coordinates hold (expsystems.core_point).
+
 Linked systems (m > 0, float mode) are bounded on an exact core
 (_linked_bounds). The point is a dyadic rational, so the integer program
 gives every polynomial row and its Jacobian entries exactly
@@ -21,12 +25,14 @@ proof. The exact core takes no elimination in mpc and no fallback to one:
 when the double-precision bound declines J, the point is not certified.
 
 Link-free systems solve J X = [F(z) | I] once, whose first column is the
-Newton step and whose other columns are J^{-1}: at the working precision
-in float mode, and in rational mode by a fraction-free solve
+Newton step and whose other columns are J^{-1}, by a fraction-free solve
 (linalg.solve_fraction_free) of the program's Gaussian-integer rows
 (expsystems.integer_rows), whose integer column sums give beta^2 and
-gamma^2 as one Fraction each. newton_step and refine's newton_refine take
-the Newton step from the same elimination, in mpc for floating points.
+gamma^2 as one Fraction each. In float mode both are rounded up to
+mpfs of the working precision, and the verdict is taken from those, so a
+certified verdict is a proof in either mode. newton_step and refine's
+newton_refine take the Newton step alone: exactly for exact points, and
+from one elimination in mpc for floating ones.
 
 ALPHA_STAR is a rational number chosen strictly below the true threshold
 (13 - 3*sqrt(17))/4, so a conservative comparison can only under-certify.
@@ -74,7 +80,6 @@ from .expsystems import (
     ENCLOSURE_EXTRA_BITS,
     ExpSystem,
     as_exp_system,
-    gamma_bound_sq,
     integer_gamma_bound_sq,
     integer_rows,
     linked_gamma_bound_sq,
@@ -83,7 +88,6 @@ from .expsystems import (
 )
 from .linalg import (
     CVector,
-    identity,
     inverse_column_bounds,
     norm_sq,
     product_norm_sq,
@@ -135,10 +139,8 @@ class Certificate:
 
 
 def _is_infinite(v) -> bool:
-    try:
-        return math.isinf(v)
-    except TypeError:
-        return False
+    """Whether v is the sentinel math.inf; a Fraction or an mpf is finite."""
+    return isinstance(v, float) and math.isinf(v)
 
 
 def _exact(value) -> Fraction:
@@ -184,23 +186,19 @@ def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
     """Evaluate F and its Jacobian J at z with one program call, and eliminate J once.
 
     Returns (z lifted, F(z), Newton step, its squared norm beta^2, gamma^2
-    or None), F(z) as numerators in rational mode. gamma^2, the curvature
-    bound, is computed only when inverse is set, from the squared column
-    norms of J^{-1}: the elimination then solves J X = [F(z) | I], whose
-    first column is the Newton step and whose other columns are J^{-1}.
-    Step, beta^2 and gamma^2 are all None when J is singular at the
-    working precision. With links, only the Newton step is taken here
-    (newton_step, refine); certify_solution bounds them on the exact core
-    (_linked_bounds).
-
-    Rational mode evaluates and solves without fractions (integer_rows,
-    linalg.solve_fraction_free), and forms beta^2 and gamma^2 as one
-    Fraction each from the integer column sums (integer_gamma_bound_sq),
-    with no entry of J^{-1} and, when inverse is set, no step. Runs at the
-    caller's working precision.
+    or None); step, beta^2 and gamma^2 are None when J is singular. In
+    rational mode, and for a link-free certificate (inverse) in either
+    mode, integer_rows evaluates the point exactly, a float one at its
+    dyadic value, and linalg.solve_fraction_free solves J X = [F(z) | I]
+    (J x = F(z) unless inverse). beta^2 and gamma^2 come as one Fraction
+    each from the integer column sums (integer_gamma_bound_sq), with no
+    entry of J^{-1} and, with inverse, no step; F(z) comes as numerators.
+    Otherwise the step alone is solved in mpc at the caller's working
+    precision (newton_step, refine); certify_solution bounds a linked
+    point by _linked_bounds.
     """
     z = lift_point(z, prec)
-    if prec.is_exact:  # raises when m > 0
+    if prec.is_exact or inverse:  # raises in rational mode when m > 0
         residual, rows, scales, n1 = integer_rows(F, z, prec, inverse)
         try:
             solution = solve_fraction_free(rows, scales)
@@ -209,18 +207,14 @@ def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
         sums, dd = solution.norm_sq_parts()
         bsq = Fraction(sums[0], dd * scales[0] ** 2)
         if inverse:
-            return z, residual, None, bsq, integer_gamma_bound_sq(F, n1, sums[1:], dd, prec)
+            return z, residual, None, bsq, integer_gamma_bound_sq(F, n1, sums[1:], dd)
         return z, residual, solution.column(0), bsq, None
     residual, J = value_and_jacobian(F, z, prec)
-    rhs = tuple((v,) for v in residual)
-    if inverse:
-        rhs = tuple(r + e for r, e in zip(rhs, identity(F.N, False)))
     try:
-        X = tuple(zip(*solve_columns(J, rhs, prec.bits)))
+        (step,) = zip(*solve_columns(J, tuple((v,) for v in residual), prec.bits))
     except SingularMatrix:
         return z, residual, None, None, None
-    gamma_sq = gamma_bound_sq(F, z, tuple(norm_sq(col) for col in X[1:]), prec) if inverse else None
-    return z, residual, X[0], norm_sq(X[0]), gamma_sq
+    return z, residual, step, norm_sq(step), None
 
 
 def _linked_bounds(F: ExpSystem, z: CVector, prec: PrecisionConfig):
@@ -273,49 +267,36 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
     """Full certification of one point against a square system.
 
     A linked system in float mode is bounded on its exact core
-    (_linked_bounds); every other system through _linearize. Float alphas
-    are the product of beta^2 and gamma^2 rounded up, and the verdict
-    takes that product exactly.
+    (_linked_bounds); a link-free one is certified exactly (_linearize),
+    and in float mode its beta^2 and gamma^2 are rounded up to prec.bits.
+    Float alphas are the product of beta^2 and gamma^2 rounded up, and the
+    verdict takes that product exactly.
     """
     F = as_exp_system(F)
+    exact_zero = False
     if F.m and not prec.is_exact:
         bsq, gamma_sq = _linked_bounds(F, z, prec)
     else:
-        with working_precision(prec.bits):
-            z, residual, _, bsq, gamma_sq = _linearize(F, z, prec, inverse=True)
-        if prec.is_exact and not any(residual):  # the numerators of F(z)
-            return Certificate(
-                beta_sq=Fraction(0),
-                gamma_bound_sq=math.inf if gamma_sq is None else gamma_sq,
-                alpha_bound_sq=Fraction(0),
-                jacobian_invertible=gamma_sq is not None,
-                exact_zero=True,
-                certified_approximate=True,
-                mode=prec.mode,
-                bits=prec.bits,
-            )
-    if bsq is None:
-        return Certificate(
-            beta_sq=_zero(prec),
-            gamma_bound_sq=math.inf,
-            alpha_bound_sq=math.inf,
-            jacobian_invertible=False,
-            exact_zero=False,
-            certified_approximate=False,
-            mode=prec.mode,
-            bits=prec.bits,
-        )
-    if prec.is_exact:
+        _, residual, _, bsq, gamma_sq = _linearize(F, z, prec, inverse=True)
+        exact_zero = prec.is_exact and not any(residual)  # the numerators of F(z)
+        if not prec.is_exact and bsq is not None:
+            bsq, gamma_sq = _upper_mpf(bsq, prec.bits), _upper_mpf(gamma_sq, prec.bits)
+    invertible = gamma_sq is not None
+    if exact_zero:
+        bsq, alpha_sq = Fraction(0), Fraction(0)
+    elif not invertible:
+        bsq, alpha_sq = _zero(prec), math.inf
+    elif prec.is_exact:
         alpha_sq = bsq * gamma_sq
     else:
         alpha_sq = mp.fmul(bsq, gamma_sq, prec=prec.bits, rounding="u")
     return Certificate(
         beta_sq=bsq,
-        gamma_bound_sq=gamma_sq,
+        gamma_bound_sq=gamma_sq if invertible else math.inf,
         alpha_bound_sq=alpha_sq,
-        jacobian_invertible=True,
-        exact_zero=False,
-        certified_approximate=decide_certified(bsq, gamma_sq),
+        jacobian_invertible=invertible,
+        exact_zero=exact_zero,
+        certified_approximate=exact_zero or (invertible and decide_certified(bsq, gamma_sq)),
         mode=prec.mode,
         bits=prec.bits,
     )

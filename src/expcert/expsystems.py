@@ -11,9 +11,10 @@ scalar kind (CompiledSystem, cached by compile_system): the powers z_i^e,
 each row and each nonzero Jacobian entry a list of (coefficient, power
 indices) terms, constant entries folded. The same program serves every
 kind: hardware doubles for the path tracker, mpc at a given precision for
-refinement and link-free certification (value_and_jacobian), and the
-Gaussian integers for exact points and for the exact core of a linked one
-(linked_rows), whose link rows that kind leaves out. The kind sets how
+refinement (value_and_jacobian), and the Gaussian integers for every
+certificate: at exact points, at float points read as their dyadic values
+(integer_rows), and for the exact core of a linked point (linked_rows),
+whose link rows that kind leaves out. The kind sets how
 coefficients are lifted, the zero each sum starts from, whether links call
 cmath or mpmath, and one rounding order: doubles take c * x^a * y^b, the other kinds
 c * (x^a * y^b), which keeps both the tracker and the certificates bit for
@@ -51,16 +52,16 @@ is the polynomial one,
 
     gamma(f, z)^2  <=  mu^2 * D^3 / (4 * ||z||_1^2),
 
-which rational mode forms as one Fraction from integers
-(integer_gamma_bound_sq). With links it is
+formed as one Fraction from integers (integer_gamma_bound_sq) at an exact
+point or at a float one read as its dyadic value (core_point): either way
+the point is rational, and the bound is exact. With links it is
 mu * (D^(3/2) / (2 ||z||_1) + sum of per-kind link envelope terms), the
 term of y = g(c x) being max(|c|, |c|^2 |f(c x)| / 2 over g's family f:
-exp; sin and cos; sinh and cosh). Both take from the caller one upper
-bound per column on sum_i |(Df(z)^{-1})_ij|^2, which is all that mu needs:
-the squared column norms of Df(z)^{-1} when m = 0, at the working
-precision or as integer sums over |d|^2 in rational mode.
+exp; sin and cos; sinh and cosh). Both take one bound per column on
+sum_i |(Df(z)^{-1})_ij|^2, which is all that mu needs: exact integer sums
+over |d|^2 without links, double-precision column bounds with them.
 
-A linked system is bounded on an exact core instead (linked_rows,
+A linked system is bounded on an exact core (linked_rows,
 linked_gamma_bound_sq). A float point is a dyadic X / d, so the integer
 program evaluates its polynomial rows and their Jacobian entries exactly
 (the exact kind compiles the polynomial rows alone), and a link row holds
@@ -123,13 +124,12 @@ from .errors import (
     PreconditionFailed,
     ValidationError,
 )
-from .linalg import CVector, _GaussianInt, norm1_sq
+from .linalg import CVector, _GaussianInt
 from .polynomials import (
     Memo,
     Polynomial,
     PolynomialSystem,
     bw_norm_sq,
-    delta_sq_entries,
     memo_hash,
 )
 from .scalars import (
@@ -292,13 +292,6 @@ def as_exp_system(F) -> ExpSystem:
     raise TypeError(f"expected a system, got {type(F).__name__}")
 
 
-def _require_float(F: ExpSystem, prec: PrecisionConfig, what: str):
-    if F.m > 0 and prec.is_exact:
-        raise ExactModeUnsupported(
-            f"{what} requires floating arithmetic when links are present (m = {F.m})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # The compiled program: F(z) and Df(z) for every scalar kind
 
@@ -373,9 +366,9 @@ class CompiledSystem:
     programs multiply each monomial out once in the table, x^a * y^b, and
     take c * (x^a * y^b), as certification has always computed it, so
     both keep their results bit for bit. Floating kinds evaluate at the
-    caller's working precision. Programs for mpc and exact kinds also hold
-    the system constant ||P||^2 of the curvature bound (p_norm_sq), rounded
-    once to the kind's precision, so the bound does not rebuild it per point.
+    caller's working precision. Exact programs also hold the system
+    constant ||P||^2 of the curvature bound (p_norm_sq), a Fraction, so the
+    bound does not rebuild it per point.
     `value` and `evaluate` run functions generated from the term lists
     (body), each on its first call.
     """
@@ -447,10 +440,7 @@ class CompiledSystem:
             self.links.append((getattr(lib, g), getattr(lib, dg), sign, lift(l.c), s, d))
             link_pos += [(F.n + k, s), (F.n + k, d)]
         self.pattern = tuple(entry_pos + link_pos + folded_pos)
-        self.p_norm_sq = None
-        if prec is not None:
-            psq = bw_norm_sq(F.P)
-            self.p_norm_sq = psq if prec.is_exact else fraction_to_mpf(psq, prec.bits)
+        self.p_norm_sq = bw_norm_sq(F.P) if prec is not None and prec.is_exact else None
 
     def body(self, pre: str, namespace: dict, jacobian: bool = True, shared=None):
         """Straight-line source that evaluates the program at z into locals.
@@ -580,26 +570,32 @@ def _program_by_equality(system, prec: PrecisionConfig | None) -> CompiledSystem
         return CompiledSystem(system, prec)
 
 
-def _evaluate(F, z: CVector, prec: PrecisionConfig):
+def _evaluate(F, z: CVector, prec: PrecisionConfig, exact: bool = False):
     """(the exact point (d z, d) or None, the Delta_r = L_r d^(D_r - 1),
-    F(z), dense Df(z)) from one program call, with d the lcm of an exact
-    z's denominators."""
+    F(z), dense Df(z)) from one program call, with z = X / d: the integer
+    program at an exact z's integer_point, or, when exact is set, at a
+    float z's dyadic value (core_point); else the mpc program at prec."""
     nv = F.N if isinstance(F, ExpSystem) else F.nv
     if len(z) != nv:
         raise DimensionMismatch(f"point has {len(z)} coordinates, expected {nv}")
     if prec.is_exact:
-        _require_float(as_exp_system(F), prec, "evaluation")
-        return _evaluate_integer(F, *integer_point(z), prec)
+        m = as_exp_system(F).m
+        if m:
+            raise ExactModeUnsupported(
+                f"evaluation requires floating arithmetic when links are present (m = {m})")
+        return _evaluate_integer(F, *integer_point(z))
+    if exact:
+        return _evaluate_integer(F, *core_point(z, prec.bits))
     program = compile_system(F, prec)
     with working_precision(prec.bits):
         values, entries = program.evaluate(lift_point(z, prec))
     return None, None, values, _dense(program, entries, nv)
 
 
-def _evaluate_integer(F, d: int, parts, prec: PrecisionConfig):
+def _evaluate_integer(F, d: int, parts):
     """_evaluate at the exact point X / d, X given as (re, im) pairs of ints.
     The program has no link rows: those rows of Df(z) are left zero."""
-    program = compile_system(F, prec)
+    program = compile_system(F, _EXACT)
     deltas = [L * d ** (D - 1) for L, D in program.row_scales]
     point = tuple(_GaussianInt(re, im) if im else re for re, im in parts) + (d,)
     values, entries = program.evaluate(point)
@@ -633,13 +629,15 @@ def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
 def integer_rows(F, z: CVector, prec: PrecisionConfig, inverse: bool):
     """F(z)'s numerators, the rows and scales of J X = [F(z) | I] (of
     J x = F(z) unless inverse) for linalg.solve_fraction_free, and
-    ||z||_1^2 as (A, d^2), A the squared norm of (d z, d); rational prec.
+    ||z||_1^2 as (A, d^2), A the squared norm of (d z, d). z is an exact
+    point under a rational prec, and under a float one a point of finite
+    mpc coordinates, taken as its dyadic value exactly (core_point).
 
     Row i, J_i = M_i / Delta_i and F_i = N_i / (Delta_i d), is scaled by
     Delta_i / g_i, g_i = gcd(Delta_i, parts of M_i), and F's column by the
     lcm of the g_i d / h_i, h_i = gcd(g_i d, parts of N_i): the lcms of the
     reduced denominators, so the rows are those the Fraction values give."""
-    point, deltas, values, J = _evaluate(F, z, prec)
+    point, deltas, values, J = _evaluate(F, z, prec, exact=True)
     d = point[-1]
     n = len(values)
     gs = [math.gcd(q, *(p for a in row for p in (a.real, a.imag))) for q, row in zip(deltas, J)]
@@ -659,12 +657,25 @@ def integer_rows(F, z: CVector, prec: PrecisionConfig, inverse: bool):
 # Bits above the working precision at which linked_rows encloses the link
 # functions: their radii then sit about 2^-32 below the rounding of the point.
 ENCLOSURE_EXTRA_BITS = 32
-# linked_rows refuses a point with a nonzero coordinate part below
+# core_point refuses a point with a nonzero coordinate part below
 # 2^-(16 bits + this): its integers grow with that exponent, and the
 # certificate of a compliant point with a part of 1e-30000 took 2 s.
 MIN_PART_EXTRA_BITS = 16384
-# Exact programs do not depend on bits: linked_rows takes this one.
+# Exact programs do not depend on bits: every integer evaluation takes this one.
 _EXACT = PrecisionConfig(MODE_RATIONAL)
+
+
+def core_point(z: CVector, bits: int) -> tuple:
+    """dyadic_point's (d, X) of a point of finite mpc coordinates, which
+    every float certificate evaluates exactly. A point with a nonzero part
+    below 2^-(16 bits + MIN_PART_EXTRA_BITS), whose integers would not stay
+    cheap, raises ValidationError."""
+    d, parts = dyadic_point(z)
+    if d.bit_length() > 16 * bits + MIN_PART_EXTRA_BITS:
+        raise ValidationError(
+            f"a coordinate part of 2^-{d.bit_length() - 1} is below the 2^-"
+            f"{16 * bits + MIN_PART_EXTRA_BITS} that the exact core takes at {bits} bits")
+    return d, parts
 
 
 def _cosh_sinh(x, wp: int):
@@ -748,7 +759,7 @@ class LinkedRows:
 def linked_rows(F: ExpSystem, z: CVector, bits: int) -> LinkedRows:
     """The exact core of F and Df at a point of finite mpc coordinates.
 
-    The point is the dyadic X / d exactly (dyadic_point). Its polynomial
+    The point is the dyadic X / d exactly (core_point). Its polynomial
     rows and their Jacobian entries come exactly from the integer program,
     at (X, d) as in the module docstring. Link k, y = g(c x), has the
     exact entries 1 and z_dst; only g(w) and c g'(w), w = c x, are
@@ -756,19 +767,13 @@ def linked_rows(F: ExpSystem, z: CVector, bits: int) -> LinkedRows:
     mpmath's interval exp and cos_sin, once for every link of one family
     and one w (sin and cos of one source share them); the midpoints fill
     F0 and J0 and the radii bound delta and Delta. No Fraction is formed:
-    with c = (a + b i) / p, w is an integer pair over p d. A point with a
-    part too small for the integers to stay cheap raises ValidationError
-    (MIN_PART_EXTRA_BITS). A nonzero part
+    with c = (a + b i) / p, w is an integer pair over p d. A nonzero part
     of J0 below 2^-1022, which no normal double holds (such as the
     imaginary noise of a real root), is moved from J0 into Delta
     (_flush_tiny), so that J0 rounds to doubles with relative error u.
     """
-    d, parts = dyadic_point(z)
-    if d.bit_length() > 16 * bits + MIN_PART_EXTRA_BITS:
-        raise ValidationError(
-            f"a coordinate part of 2^-{d.bit_length() - 1} is below the 2^-"
-            f"{16 * bits + MIN_PART_EXTRA_BITS} that the exact core takes at {bits} bits")
-    _, deltas, values, J = _evaluate_integer(F, d, parts, _EXACT)
+    d, parts = core_point(z, bits)
+    _, deltas, values, J = _evaluate_integer(F, d, parts)
     n, wp = F.n, bits + ENCLOSURE_EXTRA_BITS
     out = LinkedRows()
     out.rows, out.row_scales = J[:n], deltas
@@ -848,49 +853,16 @@ def linked_gamma_bound_sq(F: ExpSystem, n1, columns, envelope, bits: int):
     return mp.make_mpf(mpf_mul(gamma, gamma, bits, up))
 
 
-def mu_exp_sq(F: ExpSystem, n1sq, columns, prec: PrecisionConfig):
-    """Squared conditioning factor of a link-free system, given column bounds.
-
-    n1sq is ||z||_1^2 = 1 + ||z||^2 at the point. columns holds one
-    c_j >= sum_i |(Df(z)^{-1})_ij|^2 per column, each scaled by the squared
-    row entry d_j ||z||_1^(2 d_j - 2) ||P||^2, and the sum, floored at 1, is
-    returned; with exact column sums this is exactly the polynomial mu^2.
-    ||P||^2 comes from the system's compiled program, which holds it at
-    prec. Floating only, as is gamma_bound_sq.
-    """
-    with working_precision(prec.bits):
-        psq = compile_system(F, prec).p_norm_sq
-        total = 0
-        for dsq, col in zip(delta_sq_entries(F.P.degrees, n1sq), columns):
-            total = total + dsq * psq * col
-        return total if total > 1 else mp.mpf(1)
-
-
-def gamma_bound_sq(F: ExpSystem, z: CVector, columns, prec: PrecisionConfig):
-    """Squared curvature bound mu^2 * D^3 / (4 ||z||_1^2) of a link-free
-    system at z, given bounds on Df(z)^{-1}'s column norms (mu_exp_sq).
-
-    Floating only: rational mode takes it in integers
-    (integer_gamma_bound_sq), and a linked system takes
-    linked_gamma_bound_sq.
-    """
-    _require_float(F, prec, "gamma_bound_sq")
-    if F.m:
-        raise ValidationError("gamma_bound_sq is link-free; linked systems take linked_gamma_bound_sq")
-    with working_precision(prec.bits):
-        n1sq = norm1_sq(lift_point(z, prec))
-        return mu_exp_sq(F, n1sq, columns, prec) * F.P.max_degree**3 / (4 * n1sq)
-
-
-def integer_gamma_bound_sq(F: ExpSystem, n1, sums, dd, prec: PrecisionConfig) -> Fraction:
-    """gamma_bound_sq's link-free bound as one Fraction, from integer_rows'
-    n1 = (A, q^2) = ||z||_1^2 and the S_j / dd = sum_i |(Df(z)^{-1})_ij|^2 of
+def integer_gamma_bound_sq(F: ExpSystem, n1, sums, dd) -> Fraction:
+    """The link-free bound gamma^2 = mu^2 D^3 / (4 ||z||_1^2) as one
+    Fraction, from integer_rows' n1 = (A, q^2) = ||z||_1^2 and the
+    S_j / dd = sum_i |(Df(z)^{-1})_ij|^2 of
     linalg's norm_sq_parts. With row degrees d_j, D the largest, and
     N = sum_j d_j A^(d_j - 1) q^(2(D - d_j)) S_j, mu^2 is the larger of 1
     and ||P||^2 N / (q^(2D - 2) dd), and gamma^2 = mu^2 D^3 q^2 / (4 A)."""
     (A, q2), D = n1, F.P.max_degree
     N = sum(dj * A ** (dj - 1) * q2 ** (D - dj) * S for dj, S in zip(F.P.degrees, sums) if dj)
-    psq = compile_system(F, prec).p_norm_sq
+    psq = compile_system(F, _EXACT).p_norm_sq
     num, den = psq.numerator * N, psq.denominator * q2 ** (D - 1) * dd
     if num <= den:
         num = den = 1

@@ -1,6 +1,10 @@
 """Dense vectors and matrices over either scalar kind, one solve per kind, and
 a double-precision bound on the column norms of an inverse.
 
+No certificate takes the floating solve, which gives the Newton step of
+refinement: a link-free point is certified by the exact solve, and a
+linked one by the double-precision bound.
+
 Vectors are tuples of scalars; matrices are tuples of row tuples. Both are
 immutable, so values can be shared freely. The vector operations are
 generic over the two scalar kinds (ExactComplex, mpmath.mpc): arithmetic goes
@@ -70,7 +74,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import DimensionMismatch, SingularMatrix
-from .scalars import ExactComplex, EC_ZERO, EC_ONE, abs_sq
+from .scalars import ExactComplex, abs_sq
 
 CVector = tuple
 CMatrix = tuple
@@ -82,11 +86,6 @@ def norm_sq(x: CVector):
     for v in x:
         total = total + abs_sq(v)
     return total
-
-
-def norm1_sq(x: CVector):
-    """Squared projective-style norm 1 + ||x||^2."""
-    return 1 + norm_sq(x)
 
 
 def vec_sub(x: CVector, y: CVector) -> CVector:
@@ -315,14 +314,6 @@ def _eliminate_float(aug, n, bits):
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         _eliminate_below(aug, n, col)
-
-
-def identity(n: int, exact: bool) -> CMatrix:
-    if exact:
-        one, zero = EC_ONE, EC_ZERO
-    else:
-        one, zero = mp.mpc(1), mp.mpc(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 # Unit roundoff of IEEE doubles, rounding to nearest.

@@ -3,11 +3,11 @@
 A polynomial is a normalized term list (graded-lex order, no duplicate
 monomials, no zero coefficients) over a fixed ambient variable count. The
 degree is always taken from the actual terms, never declared, because the
-weighted coefficient norm (bw_norm_sq) and the scaling entries
-(delta_sq_entries) that feed the curvature bound in expsystems are
-degree-sensitive. Both are exact rationals for exact points. padd,
-pscale, pmul, ppow and compose are exact polynomial arithmetic; the solver
-builds its product start rows and restricts systems to slices with them.
+weighted coefficient norm (bw_norm_sq) and the row degrees that feed the
+curvature bound in expsystems are degree-sensitive. The norm is an exact
+rational. padd, pscale, pmul, ppow and compose are exact polynomial
+arithmetic; the solver builds its product start rows and restricts systems
+to slices with them.
 
 Nothing here evaluates a system: its values and Jacobian come from the one
 compiled program in expsystems (value_and_jacobian), which compiles each
@@ -250,13 +250,3 @@ def bw_norm_sq(g) -> Fraction:
         total += Fraction(w, dfac) * coeff.abs2()
     return total
 
-
-def delta_sq_entries(degrees, n1sq) -> list:
-    """Squared diagonal entries d_i * n1sq^(d_i - 1) of the scaling matrix."""
-    out = []
-    for d in degrees:
-        if d == 0:
-            out.append(0 * n1sq)
-        else:
-            out.append(d * n1sq ** (d - 1))
-    return out

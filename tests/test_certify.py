@@ -18,6 +18,7 @@ import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from mpmath import iv
+from mpmath.libmp import from_rational, round_ceiling
 
 import expcert
 from expcert import certify as certify_module, linalg, scalars
@@ -42,7 +43,7 @@ from expcert.certify import (
 from expcert.errors import NotCertified, NotRealMap, PreconditionFailed
 from expcert.expsystems import CompiledSystem, ExpKind, as_exp_system, value_and_jacobian
 from expcert.homotopy import taylor_truncate
-from expcert.linalg import identity, norm_sq, vec_sub
+from expcert.linalg import norm_sq, vec_sub
 from expcert.mechanisms import (
     two_link_arm_euler,
     two_link_arm_exp,
@@ -50,10 +51,10 @@ from expcert.mechanisms import (
 )
 from expcert.polynomials import Polynomial, PolynomialSystem
 from expcert.refine import newton_refine
-from expcert.scalars import ExactComplex, PrecisionConfig, mpf_to_fraction
+from expcert.scalars import ExactComplex, PrecisionConfig, lift_point, mpf_to_fraction
 from expcert.sysio import parse_points, parse_system
-from test_expsystems import fraction_mu_gamma_sq, mpc_bounds_sq
-from test_linalg import _dense_solve_columns
+from test_expsystems import fraction_mu_gamma_sq, linearization_cases, mpc_bounds_sq
+from test_linalg import _dense_solve_columns, identity
 
 RAT = PrecisionConfig("rational", 64)
 F96 = PrecisionConfig("float", 96)
@@ -154,14 +155,14 @@ def test_beta_sq_matches_step():
 def _count_linearizations(monkeypatch) -> dict:
     """Count eliminations and program evaluations during one call.
 
-    The package solves linear systems with linalg.solve_columns in floating
-    mode and linalg.solve_fraction_free in rational mode, and certifies a
-    linked system from the double-precision inverse of
-    linalg.inverse_column_bounds. An elimination is a call of any of them,
-    wherever the package has bound it. Evaluations are calls of
-    CompiledSystem.evaluate, the one evaluator of F and Df; in rational
-    mode, and for a linked system's certificate, that is the integer
-    program behind integer_rows and linked_rows.
+    The package takes a floating Newton step with linalg.solve_columns;
+    it certifies a link-free point, and takes an exact Newton step, with
+    linalg.solve_fraction_free; and it certifies a linked system from the
+    double-precision inverse of linalg.inverse_column_bounds. An
+    elimination is a call of any of them, wherever the package has bound
+    it. Evaluations are calls of CompiledSystem.evaluate, the one evaluator
+    of F and Df; for every certificate, and for an exact Newton step, that
+    is the integer program behind integer_rows and linked_rows.
     """
     original_evaluate = CompiledSystem.evaluate
     counts = {"eliminations": 0, "evaluations": 0}
@@ -196,6 +197,7 @@ def _elimination_cases():
         "exact-zero": (poly1((ec(1), (2,)), (ec(-1), (0,))), (ec(1),), RAT),
         "exact-zero-singular": (poly1((ec(1), (2,))), (ec(0),), RAT),
         "singular": (poly1((ec(1), (2,)), (ec(-1), (0,))), (ec(0),), RAT),
+        "float-link-free": (g, X1, F96),
     }
 
 
@@ -279,7 +281,8 @@ def test_double_precision_mu_matches_the_elimination_route(monkeypatch, stem, bi
 
     Linked systems certify on the exact core, whose double-precision bound
     accepts at every shipped point, and whose alpha bounds the true alpha
-    from above; link-free ones keep the mpc elimination and never call it.
+    from above; link-free ones are certified exactly at the point's dyadic
+    value and never call it.
     """
     F = as_exp_system(parse_system((DATA / f"{stem}.sys").read_text()))
     points = parse_points((DATA / f"{stem}.pts").read_text()).points
@@ -303,7 +306,63 @@ def test_rational_certificates_never_take_the_double_precision_bound(monkeypatch
     assert accepted == [] and all(c.certified_approximate for c in certs)
 
 
-LINKED = ("compliant", "compliant_alt", "rr_dyad", "rr_dyad_euler")
+def _assert_the_rational_certificate_rounded_up(F, z, bits: int):
+    """certify_solution of z in float mode at bits is, bit for bit, the
+    rational certificate of the dyadic point z lifted to bits, with beta^2
+    and gamma^2 rounded up to bits and alpha^2 their product rounded up."""
+    prec = PrecisionConfig("float", bits)
+    dyadic = tuple(ExactComplex(mpf_to_fraction(v.real), mpf_to_fraction(v.imag))
+                   for v in lift_point(z, prec))
+    got, want = certify_solution(F, z, prec), certify_solution(F, dyadic, RAT)
+    assert got.jacobian_invertible == want.jacobian_invertible and not got.exact_zero
+    if not want.jacobian_invertible:
+        assert not got.certified_approximate and math.isinf(got.alpha_bound_sq)
+        return
+    beta_sq, gamma_sq = (mp.make_mpf(from_rational(v.numerator, v.denominator, bits, round_ceiling))
+                         for v in (want.beta_sq, want.gamma_bound_sq))
+    alpha_sq = mp.fmul(beta_sq, gamma_sq, prec=bits, rounding="u")
+    assert (got.beta_sq._mpf_, got.gamma_bound_sq._mpf_, got.alpha_bound_sq._mpf_) == (
+        beta_sq._mpf_, gamma_sq._mpf_, alpha_sq._mpf_)
+    assert got.certified_approximate == decide_certified(beta_sq, gamma_sq)
+
+
+@settings(max_examples=100, deadline=None)
+@given(linearization_cases(), st.sampled_from([96, 256, 1024]))
+def test_a_link_free_float_certificate_is_the_rational_one_rounded_up(case, bits):
+    S, z = case
+    _assert_the_rational_certificate_rounded_up(as_exp_system(S), z, bits)
+
+
+@pytest.mark.parametrize("bits", [96, 256, 1024])
+def test_rr_dyad_poly_float_certificates_are_the_rational_ones_rounded_up(bits):
+    """Every data point, refined 0-3 times at bits, down to the rounding floor."""
+    F = as_exp_system(parse_system((DATA / "rr_dyad_poly.sys").read_text()))
+    prec = PrecisionConfig("float", bits)
+    for z in parse_points((DATA / "rr_dyad_poly.pts").read_text()).points:
+        for k in range(4):
+            _assert_the_rational_certificate_rounded_up(F, newton_refine(F, z, k, prec)[0], bits)
+
+
+@pytest.mark.parametrize("bits", [96, 256])
+def test_an_ill_conditioned_link_free_system_certifies_in_float_mode(bits):
+    """x + y = 2 and x + (1 + e) y = 2 + e with e = 1/(2.5 10^9), whose
+    Jacobian has condition number about 10^10, near its root (1, 1). The
+    double-precision inverse bound declines that Jacobian (its residual
+    bound is near 10^10 u, far above 2^-26); the exact link-free route
+    certifies the point at any precision."""
+    q = 2_500_000_000
+    e = Fraction(1, q)
+    S = PolynomialSystem((
+        Polynomial.from_terms(2, [(1, (1, 0)), (1, (0, 1)), (-2, (0, 0))]),
+        Polynomial.from_terms(2, [(1, (1, 0)), (1 + e, (0, 1)), (-2 - e, (0, 0))]),
+    ))
+    assert linalg.inverse_column_bounds([[1, 1], [q, q + 1]], [1, q]) is None
+    z = (ec(1 + Fraction(1, 10**20)), ec(1 - Fraction(1, 10**20)))
+    cert = certify_solution(S, z, PrecisionConfig("float", bits))
+    assert cert.certified_approximate and cert.jacobian_invertible
+
+
+TIGHT_STEMS = ("compliant", "compliant_alt", "rr_dyad", "rr_dyad_euler", "rr_dyad_poly")
 F320 = PrecisionConfig("float", 320)
 
 
@@ -335,13 +394,14 @@ def _tight_points(stem: str, rng: random.Random, count: int):
     return F, out
 
 
-@pytest.mark.parametrize("stem", LINKED)
+@pytest.mark.parametrize("stem", TIGHT_STEMS)
 def test_certified_beta_bounds_the_distance_to_the_root(stem):
     """Alpha theory puts the root within 2 beta of a certified point. Tight
     points refined 1-3 times at 96 bits sit at the rounding floor, where a
     beta taken from F(z) evaluated in mpc follows the rounding of the
     residual: on these points it was up to 7.5 times too small on
-    compliant and 3.4 times on compliant_alt. The exact core's is not."""
+    compliant and 3.4 times on compliant_alt. The exact core's is not, and
+    neither is the link-free rr_dyad_poly's, taken exactly."""
     F, cases = _tight_points(stem, random.Random(stem), 8)
     for root, z0 in cases:
         for k in (1, 2, 3):
@@ -353,15 +413,18 @@ def test_certified_beta_bounds_the_distance_to_the_root(stem):
 
 
 def test_a_point_with_a_vanishing_coordinate_part_fails_fast():
-    """A part of 1e-30000 would make the exact core's integers about 10^5
-    bits long: certify_batch records the refusal as the point's error at
-    once, and certifies the other points."""
-    F, (Z1, Z2) = two_link_arm_exp()
-    tiny = (ExactComplex(Z1[0].re, Fraction(1, 10**30000)),) + tuple(Z1[1:])
-    report = certify_batch(F, [Z1, tiny, Z2], F96, BatchOptions(distinct=True, real=False))
-    assert report.records[1].certificate is None
-    assert "exact core" in report.records[1].error
-    assert report.counts["certified"] == 2 and report.counts["distinct"] == 2
+    """A part of 1e-30000 would make the integers of a float certificate
+    about 10^5 bits long, with links (the exact core) or without (the exact
+    link-free route): certify_batch records the refusal as the point's
+    error at once, and certifies the other points."""
+    poly = as_exp_system(parse_system((DATA / "rr_dyad_poly.sys").read_text()))
+    cases = [two_link_arm_exp(), (poly, parse_points((DATA / "rr_dyad_poly.pts").read_text()).points)]
+    for F, (Z1, Z2) in cases:
+        tiny = (ExactComplex(Z1[0].re, Fraction(1, 10**30000)),) + tuple(Z1[1:])
+        report = certify_batch(F, [Z1, tiny, Z2], F96, BatchOptions(distinct=True, real=False))
+        assert report.records[1].certificate is None
+        assert "exact core" in report.records[1].error
+        assert report.counts["certified"] == 2 and report.counts["distinct"] == 2
 
 
 def _iv_scalar(c: ExactComplex):
@@ -445,7 +508,7 @@ def _disjoint(A, B) -> bool:
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(LINKED), st.integers(0, 2**32), st.integers(0, 2))
+@given(st.sampled_from(TIGHT_STEMS), st.integers(0, 2**32), st.integers(0, 2))
 def test_krawczyk_encloses_one_root_per_certified_point(stem, seed, refine):
     """Krawczyk's test, in mpmath.iv at 320 bits, as an oracle: the box of
     radius 2 beta around each certified point maps into itself, and points

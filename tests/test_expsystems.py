@@ -34,24 +34,21 @@ from expcert.expsystems import (
     builtin_ode_data,
     compile_system,
     gamma_bound_generic,
-    gamma_bound_sq,
     integer_gamma_bound_sq,
     integer_rows,
     linked_rows,
-    mu_exp_sq,
     ode_derivative_bound,
     _program_by_equality,
     value_and_jacobian,
 )
 from expcert.homotopy import taylor_truncate
-from expcert.linalg import identity, norm1_sq, norm_sq, solve_columns, solve_fraction_free
+from expcert.linalg import norm_sq, solve_columns, solve_fraction_free
 from expcert.mechanisms import compliant_linkage
 from expcert.polynomials import (
     Polynomial,
     PolynomialSystem,
     bw_norm_sq,
     constant,
-    delta_sq_entries,
     padd,
     ppow,
     variable,
@@ -66,7 +63,8 @@ from expcert.scalars import (
 )
 from expcert.sysio import parse_points, parse_system, serialize_system
 
-from test_linalg import _dense_solve_columns, _integer_rows, invert
+from test_linalg import _dense_solve_columns, _integer_rows, identity, invert, norm1_sq
+from test_polynomials import delta_sq_entries
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -140,8 +138,6 @@ def test_exact_mode_rejected_with_links():
     F = simple_system()
     with pytest.raises(ExactModeUnsupported):
         value_and_jacobian(F, (ec(0), ec(0)), RAT)
-    with pytest.raises(ExactModeUnsupported):
-        gamma_bound_sq(F, (ec(0), ec(0)), None, RAT)
     with pytest.raises(ExactModeUnsupported):
         certify_solution(F, (ec(0), ec(0)), RAT)
 
@@ -392,12 +388,13 @@ def mpc_link_bound_term(link: ExpLink, xval):
 
 
 def mpc_bounds_sq(F: ExpSystem, z, prec: PrecisionConfig):
-    """(beta^2, gamma^2) of a linked system in mpc, or None when J is singular
-    at the working precision: F(z) and J in mpc, one elimination of
-    J X = [F(z) | I], mu^2 from the squared column norms of the computed
-    J^{-1} and the link envelope terms of mpc_link_bound_term. The soft
-    route certify took for linked systems before its exact core, kept as
-    the reference the exact core's bounds are compared with."""
+    """(beta^2, gamma^2) of a system with or without links in mpc, or None
+    when J is singular at the working precision: F(z) and J in mpc, one
+    elimination of J X = [F(z) | I], mu^2 from the squared column norms of
+    the computed J^{-1} and the link envelope terms of mpc_link_bound_term.
+    The soft route certify took for float points before every float
+    certificate came from exact values, kept as the reference those
+    certificates are compared with."""
     with mp.workprec(prec.bits):
         z = lift_point(z, prec)
         residual, J = value_and_jacobian(F, z, prec)
@@ -646,7 +643,7 @@ def test_integer_mu_and_gamma_equal_the_fraction_route(case):
     B = tuple((v,) + e for v, e in zip(values, identity(S.nv, exact=True)))
     X = tuple(zip(*_dense_solve_columns(J, B)))
     mu_sq, gamma_sq = fraction_mu_gamma_sq(S, z, [norm_sq(col) for col in X[1:]])
-    got = integer_gamma_bound_sq(F, n1, sums[1:], dd, RAT)
+    got = integer_gamma_bound_sq(F, n1, sums[1:], dd)
     (A, q2), D = n1, S.max_degree
     assert got == gamma_sq and got * 4 * A / (D**3 * q2) == mu_sq
     assert certify_solution(F, z, RAT).gamma_bound_sq == gamma_sq
@@ -654,13 +651,12 @@ def test_integer_mu_and_gamma_equal_the_fraction_route(case):
 
 def test_mu_matches_polynomial_route_exactly():
     S = PolynomialSystem((poly(1, (1, (2,)), (-2, (0,))),))
-    F = as_exp_system(S)
-    with mp.workprec(96):
-        Jinv = invert(value_and_jacobian(F, (ec(Fraction(3, 2)),), F96)[1], 96)
-        columns = tuple(norm_sq(col) for col in zip(*Jinv))
-        musq = mu_exp_sq(F, norm1_sq((ec(Fraction(3, 2)),)), columns, F96)
-        # polynomial route: mu^2 = max(1, 5 * 13/18) = 65/18
-        assert abs(musq - mp.mpf(65) / 18) < mp.mpf(10) ** -25
+    z = (ec(Fraction(3, 2)),)
+    Jinv = invert(value_and_jacobian(S, z, RAT)[1])
+    columns = tuple(norm_sq(col) for col in zip(*Jinv))
+    musq, _ = fraction_mu_gamma_sq(S, z, columns)
+    # polynomial route: mu^2 = max(1, 5 * 13/18) = 65/18
+    assert musq == Fraction(65, 18)
 
 
 def test_equal_systems_share_one_compiled_program():

@@ -1,7 +1,7 @@
 """Linear algebra over both scalar kinds.
 
 The exact path must be bit-reproducible and genuinely exact; the floating
-path only needs to be stable enough for the soft certificates built on it.
+path only needs to be stable enough for the Newton steps built on it.
 The Frobenius-dominates-spectral check matters because every operator norm
 in the package is silently replaced by a Frobenius bound. solve_columns
 skips exact zeros in floating mode and solve_fraction_free solves exact
@@ -24,22 +24,31 @@ from hypothesis import Phase, given, settings, strategies as st
 from expcert.errors import DimensionMismatch, SingularMatrix
 from expcert.linalg import (
     _GaussianInt,
-    identity,
     inverse_column_bounds,
-    norm1_sq,
     norm_sq,
     product_norm_sq,
     solve_columns,
     solve_fraction_free,
     vec_sub,
 )
-from expcert.scalars import ExactComplex, abs_sq, dyadic_point, mpf_to_fraction
+from expcert.scalars import EC_ONE, EC_ZERO, ExactComplex, abs_sq, dyadic_point, mpf_to_fraction
 
 rat = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
 
 def _is_exact(A):
     return bool(A) and isinstance(A[0][0], ExactComplex)
+
+
+def identity(n: int, exact: bool):
+    """The n x n identity of ExactComplex, or of mpc entries."""
+    one, zero = (EC_ONE, EC_ZERO) if exact else (mp.mpc(1), mp.mpc(0))
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def norm1_sq(x):
+    """Squared projective-style norm 1 + ||x||^2."""
+    return 1 + norm_sq(x)
 
 
 def _integer_rows(A, B):

@@ -27,7 +27,6 @@ from expcert.polynomials import (
     PolynomialSystem,
     bw_norm_sq,
     constant,
-    delta_sq_entries,
     variable,
 )
 from expcert.scalars import ExactComplex, PrecisionConfig
@@ -36,6 +35,12 @@ from test_linalg import solve_vector
 
 rat = st.fractions(min_value=-20, max_value=20, max_denominator=32)
 RAT = PrecisionConfig("rational", 64)
+
+
+def delta_sq_entries(degrees, n1sq) -> list:
+    """Squared diagonal entries d_i * n1sq^(d_i - 1) of the scaling matrix of
+    the curvature bound: the reference for its row terms."""
+    return [d * n1sq ** (d - 1) if d else 0 * n1sq for d in degrees]
 
 
 def ec(re, im=0):

@@ -32,6 +32,10 @@ ROOT = Path(__file__).resolve().parent.parent
             ["solve_sweep.py", "--system", str(ROOT / "data" / "rr_dyad_poly.sys"), "--seeds", "3"],
             '"ledger_sha256": "',
         ),
+        (
+            ["certify_sweep.py", "--stems", "rr_dyad_poly", "--bits", "96"],
+            '"stem": "rr_dyad_poly", "mode": "rational", "precision": 96, "flags": "r4", "exit": 0',
+        ),
     ],
 )
 def test_script_runs(argv, expected):
