@@ -30,9 +30,8 @@ Newton step and whose other columns are J^{-1}, by a fraction-free solve
 (expsystems.integer_rows), whose integer column sums give beta^2 and
 gamma^2 as one Fraction each. In float mode both are rounded up to
 mpfs of the working precision, and the verdict is taken from those, so a
-certified verdict is a proof in either mode. newton_step and refine's
-newton_refine take the Newton step alone: exactly for exact points, and
-from one elimination in mpc for floating ones.
+certified verdict is a proof in either mode. The Newton step alone is
+refine's (newton_direction), which newton_step takes.
 
 ALPHA_STAR is a rational number chosen strictly below the true threshold
 (13 - 3*sqrt(17))/4, so a conservative comparison can only under-certify.
@@ -40,11 +39,12 @@ The stronger condition alpha < 3/100 buys a robustness radius of
 1/(20*gamma) (robust_radius_sq), used by the same-root and realness
 predicates and by the solver's merge of polished endpoints.
 
-All decisions compare squared quantities exactly: alpha^2 against
-ALPHA_STAR^2 as the exact product of beta^2 and gamma^2, and the distinct,
-same-root and real tests on exact squared distances of the points, against
-upper bounds on beta and a lower bound on the robustness radius. The
-decision itself never rounds.
+All decisions compare squared quantities exactly, in one way in both
+modes: alpha^2 against ALPHA_STAR^2 as the exact product of beta^2 and
+gamma^2, and the distinct, same-root and real tests on the points read as
+their exact (q, X) (_exact_point), cross-multiplied in integers against
+the betas' squares, which are upper bounds, and the exact squared
+robustness radius. The decision itself never rounds.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from mpmath.libmp import (
     fone,
     from_float,
     from_rational,
-    fzero,
     mpf_add,
     mpf_div,
     mpf_mul,
@@ -84,24 +83,21 @@ from .expsystems import (
     integer_rows,
     linked_gamma_bound_sq,
     linked_rows,
-    value_and_jacobian,
 )
 from .linalg import (
     CVector,
     inverse_column_bounds,
-    norm_sq,
     product_norm_sq,
-    solve_columns,
     solve_fraction_free,
-    vec_sub,
 )
+from .refine import newton_direction
 from .scalars import (
-    ExactComplex,
     MODE_RATIONAL,
     PrecisionConfig,
+    dyadic_point,
+    exact_sq_distance,
     integer_point,
     lift_point,
-    mpc_parts,
     mpf_to_fraction,
     working_precision,
 )
@@ -161,60 +157,15 @@ def decide_certified(beta_sq, gamma_bound_sq) -> bool:
     return _exact(beta_sq) * _exact(gamma_bound_sq) < ALPHA_STAR_SQ
 
 
-def _upper_mpf(v, bits: int):
-    """An mpf at least v: v itself, or a Fraction rounded up to bits."""
-    if isinstance(v, Fraction):
-        return mp.make_mpf(from_rational(v.numerator, v.denominator, bits, round_ceiling))
-    return v
+def _upper_mpf(v: Fraction, bits: int):
+    """The Fraction v rounded up to an mpf of bits bits."""
+    return mp.make_mpf(from_rational(v.numerator, v.denominator, bits, round_ceiling))
 
 
-def _exact_sq_distance(a: CVector, b: CVector):
-    """||a - b||^2 as an mpf, exactly, for points of mpc (or double) coordinates."""
-    total = fzero
-    for u, v in zip(a, b):
-        for p, q in zip(mpc_parts(u), mpc_parts(v)):
-            t = mpf_sub(p, q)
-            total = mpf_add(total, mpf_mul(t, t))
-    return mp.make_mpf(total)
-
-
-def _zero(prec: PrecisionConfig):
-    return Fraction(0) if prec.is_exact else mp.mpf(0)
-
-
-def _linearize(F: ExpSystem, z: CVector, prec: PrecisionConfig, inverse: bool):
-    """Evaluate F and its Jacobian J at z with one program call, and eliminate J once.
-
-    Returns (z lifted, F(z), Newton step, its squared norm beta^2, gamma^2
-    or None); step, beta^2 and gamma^2 are None when J is singular. In
-    rational mode, and for a link-free certificate (inverse) in either
-    mode, integer_rows evaluates the point exactly, a float one at its
-    dyadic value, and linalg.solve_fraction_free solves J X = [F(z) | I]
-    (J x = F(z) unless inverse). beta^2 and gamma^2 come as one Fraction
-    each from the integer column sums (integer_gamma_bound_sq), with no
-    entry of J^{-1} and, with inverse, no step; F(z) comes as numerators.
-    Otherwise the step alone is solved in mpc at the caller's working
-    precision (newton_step, refine); certify_solution bounds a linked
-    point by _linked_bounds.
-    """
-    z = lift_point(z, prec)
-    if prec.is_exact or inverse:  # raises in rational mode when m > 0
-        residual, rows, scales, n1 = integer_rows(F, z, prec, inverse)
-        try:
-            solution = solve_fraction_free(rows, scales)
-        except SingularMatrix:
-            return z, residual, None, None, None
-        sums, dd = solution.norm_sq_parts()
-        bsq = Fraction(sums[0], dd * scales[0] ** 2)
-        if inverse:
-            return z, residual, None, bsq, integer_gamma_bound_sq(F, n1, sums[1:], dd)
-        return z, residual, solution.column(0), bsq, None
-    residual, J = value_and_jacobian(F, z, prec)
-    try:
-        (step,) = zip(*solve_columns(J, tuple((v,) for v in residual), prec.bits))
-    except SingularMatrix:
-        return z, residual, None, None, None
-    return z, residual, step, norm_sq(step), None
+def _exact_point(z: CVector, prec: PrecisionConfig) -> tuple:
+    """(q, X) with z = X / q exactly: integer_point in rational mode, and in
+    float mode the dyadic_point of z lifted to prec."""
+    return integer_point(z) if prec.is_exact else dyadic_point(lift_point(z, prec))
 
 
 def _linked_bounds(F: ExpSystem, z: CVector, prec: PrecisionConfig):
@@ -257,7 +208,7 @@ def newton_step(F, z: CVector, prec: PrecisionConfig):
     """
     F = as_exp_system(F)
     with working_precision(prec.bits):
-        z, _, step, _, _ = _linearize(F, z, prec, inverse=False)
+        z, step, _ = newton_direction(F, z, prec)
         if step is None:
             return z, False
         return tuple(a - b for a, b in zip(z, step)), True
@@ -267,25 +218,33 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
     """Full certification of one point against a square system.
 
     A linked system in float mode is bounded on its exact core
-    (_linked_bounds); a link-free one is certified exactly (_linearize),
-    and in float mode its beta^2 and gamma^2 are rounded up to prec.bits.
-    Float alphas are the product of beta^2 and gamma^2 rounded up, and the
-    verdict takes that product exactly.
+    (_linked_bounds); a link-free one is certified exactly, by integer_rows
+    and one fraction-free solve of J X = [F(z) | I], and in float mode its
+    beta^2 and gamma^2 are rounded up to prec.bits. Float alphas
+    are the product of beta^2 and gamma^2 rounded up, and the verdict takes
+    that product exactly.
     """
     F = as_exp_system(F)
     exact_zero = False
     if F.m and not prec.is_exact:
         bsq, gamma_sq = _linked_bounds(F, z, prec)
-    else:
-        _, residual, _, bsq, gamma_sq = _linearize(F, z, prec, inverse=True)
+    else:  # integer_rows raises in rational mode when m > 0
+        residual, rows, scales, n1 = integer_rows(F, lift_point(z, prec), prec, inverse=True)
         exact_zero = prec.is_exact and not any(residual)  # the numerators of F(z)
-        if not prec.is_exact and bsq is not None:
-            bsq, gamma_sq = _upper_mpf(bsq, prec.bits), _upper_mpf(gamma_sq, prec.bits)
+        try:
+            sums, dd = solve_fraction_free(rows, scales).norm_sq_parts()
+        except SingularMatrix:
+            bsq = gamma_sq = None
+        else:
+            bsq = Fraction(sums[0], dd * scales[0] ** 2)
+            gamma_sq = integer_gamma_bound_sq(F, n1, sums[1:], dd)
+            if not prec.is_exact:
+                bsq, gamma_sq = _upper_mpf(bsq, prec.bits), _upper_mpf(gamma_sq, prec.bits)
     invertible = gamma_sq is not None
     if exact_zero:
         bsq, alpha_sq = Fraction(0), Fraction(0)
     elif not invertible:
-        bsq, alpha_sq = _zero(prec), math.inf
+        bsq, alpha_sq = Fraction(0) if prec.is_exact else mp.mpf(0), math.inf
     elif prec.is_exact:
         alpha_sq = bsq * gamma_sq
     else:
@@ -305,48 +264,41 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
 def certify_distinct(F, cert1: Certificate, z1: CVector, cert2: Certificate, z2: CVector) -> bool:
     """Certify that two certified points have different associated solutions.
 
-    Rational mode uses the sufficient squared test ||z1 - z2||^2 >
-    8 (beta1^2 + beta2^2), which implies the separation condition
-    ||z1 - z2|| > 2 (beta1 + beta2) without taking square roots, cross-
-    multiplied into integers with z_k = X_k / q_k (scalars.integer_point).
-    Floating mode decides the separation condition itself exactly, from
-    the exact squared distance D and the betas' squares B_k, which are
-    upper bounds: D > 4 (B1 + B2 + 2 sqrt(B1 B2)) holds exactly when
-    L = D - 4 B1 - 4 B2 > 0 and L^2 > 64 B1 B2.
+    Decides the separation condition ||z1 - z2|| > 2 (beta1 + beta2)
+    exactly, in integers, in both modes. Each point is read as its exact
+    (q, X) at its certificate's precision (_exact_point), which gives the
+    squared distance D = Dn / Q, Q = (q1 q2)^2, and the betas' squares,
+    upper bounds, are read exactly as B_k = a_k / b_k. D > 4 (B1 + B2 +
+    2 sqrt(B1 B2)) holds exactly when Ln = Dn b1 b2 - 4 (a1 b2 + a2 b1) Q
+    > 0 and Ln^2 > 64 a1 a2 b1 b2 Q^2.
     """
     if not (cert1.certified_approximate and cert2.certified_approximate):
         raise NotCertified("certify_distinct needs two certified approximate solutions")
-    if cert1.mode == MODE_RATIONAL and cert2.mode == MODE_RATIONAL:
-        (q1, X1), (q2, X2) = integer_point(z1), integer_point(z2)
-        dsq = sum((q2 * a - q1 * c) ** 2 + (q2 * b - q1 * d) ** 2 for (a, b), (c, d) in zip(X1, X2))
-        (a1, b1), (a2, b2) = (c.beta_sq.as_integer_ratio() for c in (cert1, cert2))
-        return dsq * b1 * b2 > 2 * SEPARATION_FACTOR**2 * (a1 * b2 + a2 * b1) * (q1 * q2) ** 2
-    bits = max(cert1.bits, cert2.bits)
-    prec = PrecisionConfig(mode="float", bits=bits)
-    dsq = _exact_sq_distance(lift_point(z1, prec), lift_point(z2, prec))
-    b1, b2 = (_upper_mpf(c.beta_sq, bits) for c in (cert1, cert2))
+    dn, dq = exact_sq_distance(*(_exact_point(z, PrecisionConfig(c.mode, c.bits))
+                                 for z, c in ((z1, cert1), (z2, cert2))))
+    (a1, b1), (a2, b2) = (_exact(c.beta_sq).as_integer_ratio() for c in (cert1, cert2))
     k = SEPARATION_FACTOR**2
-    slack = mp.fsub(dsq, mp.fmul(k, mp.fadd(b1, b2, exact=True), exact=True), exact=True)
-    product = mp.fmul(4 * k * k, mp.fmul(b1, b2, exact=True), exact=True)
-    return slack > 0 and mp.fmul(slack, slack, exact=True) > product
+    slack = dn * b1 * b2 - k * (a1 * b2 + a2 * b1) * dq
+    return slack > 0 and slack * slack > 4 * k * k * a1 * a2 * b1 * b2 * dq * dq
 
 
 def robust_radius_sq(cert: Certificate):
-    """The squared robustness radius 1/(400 gamma^2) of a point, or 0.
+    """The squared robustness radius 1/(400 gamma^2) of a point, exactly, or 0.
 
     When alpha < 3/100 at z, every point within 1/(20 gamma) of z converges
     to the same solution. The radius is 0 when alpha misses 3/100 or gamma
-    is infinite; it is an exact Fraction in rational mode, and in float
-    mode an mpf rounded down, so no larger than the radius of the gamma
-    bound.
+    is infinite; otherwise it is a Fraction in both modes, a float gamma^2
+    being read exactly.
     """
     gamma_sq = cert.gamma_bound_sq
     if _is_infinite(gamma_sq) or not _lt_exact(cert.alpha_bound_sq, ROBUST_ALPHA_SQ):
         return 0
-    if isinstance(gamma_sq, Fraction):
-        return ROBUST_RADIUS_SQ / gamma_sq
-    den = mp.fmul(ROBUST_RADIUS_SQ.denominator, gamma_sq, exact=True)
-    return mp.fdiv(ROBUST_RADIUS_SQ.numerator, den, prec=cert.bits, rounding="d")
+    return ROBUST_RADIUS_SQ / _exact(gamma_sq)
+
+
+def _within(num: int, den: int, bound) -> bool:
+    """num / den < bound, for an int or Fraction bound, in integers."""
+    return num * bound.denominator < bound.numerator * den
 
 
 def same_root(F, cert_x: Certificate, z_x: CVector, z_y: CVector, prec: PrecisionConfig) -> bool:
@@ -354,15 +306,14 @@ def same_root(F, cert_x: Certificate, z_x: CVector, z_y: CVector, prec: Precisio
 
     Requires the strong bound alpha < 3/100 at z_x; then z_y must lie
     inside z_x's robustness radius (robust_radius_sq), tested squared on
-    the exact distance.
+    the exact distance of the points read at prec (_exact_point).
     """
     if not _lt_exact(cert_x.alpha_bound_sq, ROBUST_ALPHA_SQ):
         raise PreconditionFailed("same_root needs alpha < 3/100 at the anchor point")
     if tuple(z_x) == tuple(z_y):
         return True
-    a, b = lift_point(z_x, prec), lift_point(z_y, prec)
-    dsq = norm_sq(vec_sub(a, b)) if prec.is_exact else _exact_sq_distance(a, b)
-    return dsq < robust_radius_sq(cert_x)
+    dsq = exact_sq_distance(_exact_point(z_x, prec), _exact_point(z_y, prec))
+    return _within(*dsq, robust_radius_sq(cert_x))
 
 
 def real_map_check(F) -> bool:
@@ -383,21 +334,6 @@ def real_map_check(F) -> bool:
     return True
 
 
-def _imag_part_sq(z: CVector, exact: bool):
-    """sum_i Im(z_i)^2 exactly: a Fraction, or an mpf for a lifted float point."""
-    if not exact:
-        total = fzero
-        for v in z:
-            im = mpc_parts(v)[1]
-            total = mpf_add(total, mpf_mul(im, im))
-        return mp.make_mpf(total)
-    total = Fraction(0)
-    for v in z:
-        im = v.im if isinstance(v, ExactComplex) else v.imag
-        total = total + im * im
-    return total
-
-
 def certify_real(F, cert: Certificate, z: CVector, prec: PrecisionConfig,
                  assume_real_map: bool = False) -> RealStatus:
     """Decide whether the associated solution is real.
@@ -407,8 +343,9 @@ def certify_real(F, cert: Certificate, z: CVector, prec: PrecisionConfig,
     REAL when alpha < 3/100 and the real projection lies inside the
     robustness radius; UNDECIDED otherwise. A point with exactly zero
     imaginary parts is REAL outright: a real map keeps its iterates real.
-    The displacement is exact, beta an upper bound and the radius a lower
-    one.
+    The displacement, read from the exact point (_exact_point), and the
+    radius are exact, beta and gamma upper bounds, and every test compares
+    in integers.
     """
     F = as_exp_system(F)
     if not assume_real_map and not real_map_check(F):
@@ -418,17 +355,16 @@ def certify_real(F, cert: Certificate, z: CVector, prec: PrecisionConfig,
         )
     if not cert.certified_approximate:
         raise NotCertified("certify_real needs a certified approximate solution")
-    with working_precision(prec.bits):
-        zm = lift_point(z, prec)
-        imag_sq = _imag_part_sq(zm, prec.is_exact)
-        if imag_sq == 0:
-            return RealStatus.REAL
-        # ||z - pi_R(z)||^2 = sum Im(z_i)^2
-        if imag_sq > 4 * cert.beta_sq:
-            return RealStatus.NOT_REAL
-        if imag_sq < robust_radius_sq(cert):
-            return RealStatus.REAL
-        return RealStatus.UNDECIDED
+    q, X = _exact_point(z, prec)
+    imag_sq = sum(im * im for _, im in X)  # ||z - pi_R(z)||^2 = imag_sq / q^2
+    if imag_sq == 0:
+        return RealStatus.REAL
+    a, b = _exact(cert.beta_sq).as_integer_ratio()
+    if imag_sq * b > 4 * a * q * q:
+        return RealStatus.NOT_REAL
+    if _within(imag_sq, q * q, robust_radius_sq(cert)):
+        return RealStatus.REAL
+    return RealStatus.UNDECIDED
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,9 @@ mu * (D^(3/2) / (2 ||z||_1) + sum of per-kind link envelope terms), the
 term of y = g(c x) being max(|c|, |c|^2 |f(c x)| / 2 over g's family f:
 exp; sin and cos; sinh and cosh). Both take one bound per column on
 sum_i |(Df(z)^{-1})_ij|^2, which is all that mu needs: exact integer sums
-over |d|^2 without links, double-precision column bounds with them.
+over |d|^2 without links, double-precision column bounds with them, which
+are integers over a power of two. Either way one function forms mu^2
+exactly, as a pair of integers (_mu_sq).
 
 A linked system is bounded on an exact core (linked_rows,
 linked_gamma_bound_sq). A float point is a dyadic X / d, so the integer
@@ -71,7 +73,8 @@ cosh built from exp) a few bits above the working precision; their
 midpoints complete the exact F0 and J0, and their radii bound
 F - F0 and Df - J0. The column bounds then come from a double-precision
 inverse of J0 (linalg.inverse_column_bounds), and the envelope terms from
-the enclosures' upper ends; every step rounds outward. The generic bound
+the enclosures' upper ends; every step after the exact mu^2 rounds
+outward. The generic bound
 (gamma_bound_generic) only needs the order and coefficient sizes of a linear
 ODE satisfied by each link function, plus a caller-supplied value bound, so
 it also covers functions outside the built-in five.
@@ -92,8 +95,6 @@ from functools import cached_property, lru_cache
 
 import mpmath as mp
 from mpmath.libmp import (
-    fone,
-    from_float,
     from_int,
     from_man_exp,
     from_rational,
@@ -207,9 +208,6 @@ class ExpSystem:
     @property
     def N(self) -> int:
         return self.n + self.m
-
-    def is_polynomial(self) -> bool:
-        return self.m == 0
 
 
 @dataclass(frozen=True)
@@ -816,56 +814,52 @@ def linked_rows(F: ExpSystem, z: CVector, bits: int) -> LinkedRows:
     return out
 
 
+def _mu_sq(F: ExpSystem, n1, sums, dd) -> tuple:
+    """mu^2 = max{1, ||Df(z)^{-1} Delta||_F^2} as (num, den) ints, exactly,
+    from n1 = (A, q^2) = ||z||_1^2 and column sums S_j / dd >= sum_i
+    |(Df(z)^{-1})_ij|^2 (equal to it without links). With the n polynomial
+    row degrees d_j, D the largest, and N = sum_j d_j A^(d_j - 1)
+    q^(2(D - d_j)) S_j over the polynomial columns, it is the larger of 1
+    and (||P||^2 N + q^(2D - 2) (the link columns' S_j)) / (q^(2D - 2) dd)."""
+    (A, q2), D = n1, F.P.max_degree
+    N = sum(dj * A ** (dj - 1) * q2 ** (D - dj) * S for dj, S in zip(F.P.degrees, sums) if dj)
+    psq = compile_system(F, _EXACT).p_norm_sq
+    scale = psq.denominator * q2 ** (D - 1)
+    num, den = psq.numerator * N + scale * sum(sums[F.n:]), scale * dd
+    return (num, den) if num > den else (1, 1)
+
+
 def linked_gamma_bound_sq(F: ExpSystem, n1, columns, envelope, bits: int):
     """An upper bound on a linked system's gamma^2 at a dyadic point, from
     linked_rows's n1 and envelope and column bounds c_j >= sum_i
     |(Df(z)^{-1})_ij|^2 (floats); an mpf of bits bits, rounded up.
 
     gamma <= mu * (D^(3/2) / (2 ||z||_1) + the sum of the link envelope
-    terms), with mu^2 = max{1, sum_j s_j c_j}, s_j = d_j ||z||_1^(2 d_j - 2)
-    ||P||^2 for the n polynomial columns and 1 for the m link columns, and
-    ||z||_1^2 = A / d^2 exactly. Every operation rounds outward at
-    bits + ENCLOSURE_EXTRA_BITS: up for the bound, down for ||z||_1 in its
-    denominator.
+    terms), with mu^2 exact (_mu_sq): each double c_j is read exactly as an
+    int over the largest of their powers of two. The rest rounds outward
+    at bits + ENCLOSURE_EXTRA_BITS: up for the bound, down for ||z||_1 in
+    its denominator.
     """
-    (A, q2), D, n = n1, F.P.max_degree, F.n
+    ratios = [c.as_integer_ratio() for c in columns]
+    dd = max(den for _, den in ratios)
+    num, den = _mu_sq(F, n1, [a * (dd // b) for a, b in ratios], dd)
+    (A, q2), D = n1, F.P.max_degree
     wp, up = bits + ENCLOSURE_EXTRA_BITS, round_ceiling
-    psq = compile_system(F, _EXACT).p_norm_sq
-    psq = from_rational(psq.numerator, psq.denominator, wp, up)
-    n1sq = from_rational(A, q2, wp, up)
-    mu_sq = fzero
-    for j, c in enumerate(columns):
-        term = from_float(c)
-        if j < n:
-            dj = F.P.degrees[j]
-            if not dj:
-                continue
-            term = mpf_mul(term, mpf_mul(psq, from_int(dj), wp, up), wp, up)
-            for _ in range(dj - 1):
-                term = mpf_mul(term, n1sq, wp, up)
-        mu_sq = mpf_add(mu_sq, term, wp, up)
-    mu = mpf_sqrt(mu_sq, wp, up) if mpf_lt(fone, mu_sq) else fone
     norm1_low = mpf_sqrt(from_rational(A, q2, wp, round_floor), wp, round_floor)
     total = mpf_div(mpf_sqrt(from_int(D**3), wp, up), mpf_shift(norm1_low, 1), wp, up)
     for term in envelope:
         total = mpf_add(total, term, wp, up)
-    gamma = mpf_mul(mu, total, wp, up)
-    return mp.make_mpf(mpf_mul(gamma, gamma, bits, up))
+    mu_sq = from_rational(num, den, wp, up)
+    return mp.make_mpf(mpf_mul(mu_sq, mpf_mul(total, total, wp, up), bits, up))
 
 
 def integer_gamma_bound_sq(F: ExpSystem, n1, sums, dd) -> Fraction:
     """The link-free bound gamma^2 = mu^2 D^3 / (4 ||z||_1^2) as one
     Fraction, from integer_rows' n1 = (A, q^2) = ||z||_1^2 and the
-    S_j / dd = sum_i |(Df(z)^{-1})_ij|^2 of
-    linalg's norm_sq_parts. With row degrees d_j, D the largest, and
-    N = sum_j d_j A^(d_j - 1) q^(2(D - d_j)) S_j, mu^2 is the larger of 1
-    and ||P||^2 N / (q^(2D - 2) dd), and gamma^2 = mu^2 D^3 q^2 / (4 A)."""
+    S_j / dd = sum_i |(Df(z)^{-1})_ij|^2 of linalg's norm_sq_parts, with
+    mu^2 exact (_mu_sq)."""
     (A, q2), D = n1, F.P.max_degree
-    N = sum(dj * A ** (dj - 1) * q2 ** (D - dj) * S for dj, S in zip(F.P.degrees, sums) if dj)
-    psq = compile_system(F, _EXACT).p_norm_sq
-    num, den = psq.numerator * N, psq.denominator * q2 ** (D - 1) * dd
-    if num <= den:
-        num = den = 1
+    num, den = _mu_sq(F, n1, sums, dd)
     return Fraction(num * D**3 * q2, den * 4 * A)
 
 

@@ -56,9 +56,10 @@ Both deduplications are one first-fit filter (_first_fit): a point is
 dropped when it lies within the radius of a point kept before it, that
 radius computed once, when the point is kept. After each stage the radius
 is the relative cut 1e-8 * max(1, ||q||) in doubles (_dedup_native). The
-polished endpoints merge on squared distances at the polishing precision,
-with the larger of that cut squared and the kept point's squared
-robustness radius (certify.robust_radius_sq) (_polish, _merge_polished).
+polished endpoints merge on exact squared distances of their dyadic
+values, in integers, with the larger of that cut squared and the kept
+point's exact squared robustness radius (certify.robust_radius_sq)
+(_polish, _merge_polished).
 
 solve tracks on every CPU in its affinity mask. Paths are independent:
 a stage's gamma comes from the stage seed, so a path's result depends on
@@ -102,7 +103,6 @@ from .expsystems import (
     compile_system,
     define_function,
 )
-from .linalg import norm_sq, vec_sub
 from .polynomials import (
     Polynomial,
     PolynomialSystem,
@@ -114,7 +114,15 @@ from .polynomials import (
     variable,
 )
 from .refine import newton_refine
-from .scalars import EC_ONE, MODE_FLOAT, ExactComplex, PrecisionConfig, working_precision
+from .scalars import (
+    EC_ONE,
+    MODE_FLOAT,
+    ExactComplex,
+    PrecisionConfig,
+    dyadic_point,
+    exact_sq_distance,
+    working_precision,
+)
 
 # ---------------------------------------------------------------------------
 # Maclaurin truncation of link rows
@@ -917,13 +925,13 @@ def _tasks(shared: dict, count: int):
 
 def _polish(F: ExpSystem, point, bits: int):
     """Refine one endpoint by three multiprecision Newton steps at `bits`
-    and certify it: (refined point, squared merge radius, the refinement's
-    singular_at).
+    and certify it: (refined point, its dyadic (q, X), squared merge
+    radius, the refinement's singular_at).
 
-    The radius is the larger of the relative cut 1e-16 * max(1, ||z||^2)
-    and the point's squared robustness radius (robust_radius_sq, 0 unless
-    it certifies with alpha < 3/100 and finite gamma); a certification
-    that raises leaves the cut alone.
+    The radius is exact: the larger of the relative cut 1e-16 * max(1,
+    ||z||^2) and the point's squared robustness radius (robust_radius_sq,
+    0 unless it certifies with alpha < 3/100 and finite gamma); a
+    certification that raises leaves the cut alone.
     """
     prec = PrecisionConfig(MODE_FLOAT, bits)
     with working_precision(bits):
@@ -933,20 +941,19 @@ def _polish(F: ExpSystem, point, bits: int):
         cert = certify_solution(F, refined, prec)
     except Exception:  # noqa: BLE001 - any failure just disables the robust radius
         cert = None
-    with working_precision(bits):
-        radius = mp.mpf("1e-16") * max(1, norm_sq(refined))
-        if cert is not None:
-            radius = max(radius, robust_radius_sq(cert))
-    return refined, radius, table.singular_at
+    q, X = exact = dyadic_point(refined)
+    radius = Fraction(max(q * q, sum(a * a + b * b for a, b in X)), 10**16 * q * q)
+    if cert is not None:
+        radius = max(radius, robust_radius_sq(cert))
+    return refined, exact, radius, table.singular_at
 
 
-def _merge_polished(polished, bits: int) -> tuple:
-    """The refined points of `polished` ((point, squared radius, ...) in
-    path order) that first-fit keeps on squared distances at `bits`: a
-    point merges into an earlier kept q within q's radius."""
-    with working_precision(bits):
-        keep = _first_fit(lambda q: q[1], lambda p, q: norm_sq(vec_sub(p[0], q[0])))
-        return tuple(p[0] for p in polished if keep(p))
+def _merge_polished(polished) -> tuple:
+    """The refined points of `polished` ((point, (q, X), squared radius,
+    ...) in path order) that first-fit keeps on exact squared distances: a
+    point merges into an earlier kept one within that one's radius."""
+    keep = _first_fit(lambda p: p[2], lambda p, q: Fraction(*exact_sq_distance(p[1], q[1])))
+    return tuple(p[0] for p in polished if keep(p))
 
 
 def _path_task(shared: dict, task):
@@ -1079,11 +1086,11 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
     compile_system(F, PrecisionConfig(MODE_FLOAT, cfg.bits))._evaluate
     with _tasks(shared, len(tasks)) as submit:
         polished = _stream(submit, records, tasks)
-    for _, _, singular_at in polished:
+    for *_, singular_at in polished:
         if singular_at is not None:
             ledger.notes.append(
                 f"candidate refinement hit a singular Jacobian at step {singular_at}"
             )
-    candidates = _merge_polished(polished, cfg.bits)
+    candidates = _merge_polished(polished)
     ledger.candidate_count = len(candidates)
     return SolveResult(candidates, ledger)

@@ -88,12 +88,6 @@ def norm_sq(x: CVector):
     return total
 
 
-def vec_sub(x: CVector, y: CVector) -> CVector:
-    if len(x) != len(y):
-        raise DimensionMismatch(f"vector lengths differ: {len(x)} vs {len(y)}")
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def _check_square(A: CMatrix):
     n = len(A)
     for row in A:

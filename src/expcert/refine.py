@@ -4,7 +4,8 @@ newton_refine drives k Newton iterations and records the step length at
 every iterate, which is the natural convergence diagnostic: once inside the
 certification basin the recorded exponents roughly double row over row
 until they saturate the working precision. Each iterate costs one residual,
-one Jacobian and one elimination: the recorded step is the one taken.
+one Jacobian and one elimination (newton_direction): the recorded step is
+the one taken.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .certify import _linearize, _zero
-from .expsystems import as_exp_system
-from .linalg import CVector
-from .scalars import PrecisionConfig, fraction_to_mpf, working_precision
+from .errors import SingularMatrix
+from .expsystems import as_exp_system, integer_rows, value_and_jacobian
+from .linalg import CVector, norm_sq, solve_columns, solve_fraction_free
+from .scalars import PrecisionConfig, fraction_to_mpf, lift_point, working_precision
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,6 @@ class ResidualTable:
     rows: tuple
     singular_at: int | None = None
 
-    def beta_sq_at(self, k: int):
-        return self.rows[k][1]
-
     def beta_values(self, bits: int):
         """Unsquared step lengths as (k, mpf) pairs at the given precision."""
         out = []
@@ -44,6 +42,31 @@ class ResidualTable:
                     bsq = fraction_to_mpf(bsq, bits)
                 out.append((k, mp.sqrt(bsq)))
         return out
+
+
+def newton_direction(F, z: CVector, prec: PrecisionConfig):
+    """(z lifted to prec, the Newton step J^{-1} F(z), its squared norm
+    beta^2), with step and beta^2 None when J is singular.
+
+    Exact points take the step exactly, from integer_rows and a
+    fraction-free solve; floating ones by one elimination in mpc at
+    prec.bits, with beta^2 at the caller's working precision.
+    """
+    z = lift_point(z, prec)
+    if prec.is_exact:
+        _, rows, scales, _ = integer_rows(F, z, prec, inverse=False)
+        try:
+            solution = solve_fraction_free(rows, scales)
+        except SingularMatrix:
+            return z, None, None
+        sums, dd = solution.norm_sq_parts()
+        return z, solution.column(0), Fraction(sums[0], dd * scales[0] ** 2)
+    residual, J = value_and_jacobian(F, z, prec)
+    try:
+        (step,) = zip(*solve_columns(J, tuple((v,) for v in residual), prec.bits))
+    except SingularMatrix:
+        return z, None, None
+    return z, step, norm_sq(step)
 
 
 def newton_refine(F, z: CVector, k: int, prec: PrecisionConfig):
@@ -62,9 +85,9 @@ def newton_refine(F, z: CVector, k: int, prec: PrecisionConfig):
         current = tuple(z)
         singular_at = None
         for j in range(k + 1):
-            z, _, step, bsq, _ = _linearize(F, current, prec, inverse=False)
+            z, step, bsq = newton_direction(F, current, prec)
             if step is None:
-                rows.append((j, _zero(prec)))
+                rows.append((j, Fraction(0) if prec.is_exact else mp.mpf(0)))
                 if j < k:
                     singular_at = j
                 break

@@ -64,9 +64,6 @@ class ExactComplex:
             return re
         return ExactComplex(Fraction(re), Fraction(im))
 
-    def conj(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         """Squared modulus, exactly rational."""
         return self.re * self.re + self.im * self.im
@@ -158,7 +155,6 @@ def _coerce(v):
     return NotImplemented
 
 
-EC_ZERO = ExactComplex()
 EC_ONE = ExactComplex(Fraction(1))
 
 
@@ -258,6 +254,14 @@ def dyadic_point(z) -> tuple:
     k = max([0] + [-exp for part in parts for _, man, exp, _ in part if man])
     return 1 << k, tuple(
         tuple((-man if sign else man) << (exp + k) for sign, man, exp, _ in part) for part in parts)
+
+
+def exact_sq_distance(p: tuple, r: tuple) -> tuple:
+    """||z - w||^2 as (num, den) ints, for z = X / q and w = Y / s given as
+    the (q, X) and (s, Y) of integer_point or dyadic_point."""
+    (q, X), (s, Y) = p, r
+    num = sum((s * a - q * c) ** 2 + (s * b - q * d) ** 2 for (a, b), (c, d) in zip(X, Y))
+    return num, (q * s) ** 2
 
 
 @singledispatch

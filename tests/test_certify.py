@@ -43,7 +43,7 @@ from expcert.certify import (
 from expcert.errors import NotCertified, NotRealMap, PreconditionFailed
 from expcert.expsystems import CompiledSystem, ExpKind, as_exp_system, value_and_jacobian
 from expcert.homotopy import taylor_truncate
-from expcert.linalg import norm_sq, vec_sub
+from expcert.linalg import norm_sq
 from expcert.mechanisms import (
     two_link_arm_euler,
     two_link_arm_exp,
@@ -51,7 +51,13 @@ from expcert.mechanisms import (
 )
 from expcert.polynomials import Polynomial, PolynomialSystem
 from expcert.refine import newton_refine
-from expcert.scalars import ExactComplex, PrecisionConfig, lift_point, mpf_to_fraction
+from expcert.scalars import (
+    ExactComplex,
+    PrecisionConfig,
+    fraction_to_mpf,
+    lift_point,
+    mpf_to_fraction,
+)
 from expcert.sysio import parse_points, parse_system
 from test_expsystems import fraction_mu_gamma_sq, linearization_cases, mpc_bounds_sq
 from test_linalg import _dense_solve_columns, identity
@@ -66,6 +72,10 @@ def ec(re, im=0):
 
 def poly1(*items):
     return PolynomialSystem((Polynomial.from_terms(1, items),))
+
+
+def _sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
 
 
 def test_threshold_is_strictly_below_the_algebraic_constant():
@@ -409,7 +419,7 @@ def test_certified_beta_bounds_the_distance_to_the_root(stem):
             cert = certify_solution(F, z, F96)
             assert cert.certified_approximate
             with mp.workprec(320):
-                assert norm_sq(vec_sub(z, root)) <= 4 * cert.beta_sq
+                assert norm_sq(_sub(z, root)) <= 4 * cert.beta_sq
 
 
 def test_a_point_with_a_vanishing_coordinate_part_fails_fast():
@@ -600,7 +610,8 @@ _parts = st.builds(Fraction, st.integers(-10**6, 10**6),
 @st.composite
 def distinct_cases(draw):
     """Two Gaussian-rational points of 1 to 3 coordinates and two beta^2, on
-    the bound ||z1 - z2||^2 = 8 (beta1^2 + beta2^2) for a third of them."""
+    the separation bound ||z1 - z2|| = 2 (beta1 + beta2) for a third of
+    them."""
     n = draw(st.integers(1, 3))
     z1, z2 = (tuple(ExactComplex(draw(_parts), draw(_parts)) for _ in range(n)) for _ in range(2))
     if draw(st.booleans()):
@@ -608,9 +619,10 @@ def distinct_cases(draw):
     b1 = draw(st.fractions(min_value=0, max_value=10**12, max_denominator=10**9))
     b2 = draw(st.fractions(min_value=0, max_value=10**12, max_denominator=10**9))
     if draw(st.integers(0, 2)) == 0:
-        bound = norm_sq(vec_sub(z1, z2)) / 8
-        b1 = bound * draw(st.fractions(min_value=0, max_value=1, max_denominator=100))
-        b2 = bound - b1
+        # beta1 = t ||z1 - z2|| / 2 and beta2 = (1 - t) ||z1 - z2|| / 2
+        t = draw(st.fractions(min_value=0, max_value=1, max_denominator=100))
+        d = norm_sq(_sub(z1, z2))
+        b1, b2 = d * t * t / 4, d * (1 - t) * (1 - t) / 4
     return z1, z2, b1, b2
 
 
@@ -618,14 +630,96 @@ def distinct_cases(draw):
 @given(distinct_cases())
 @example(((ec(0),), (ec(2),), Fraction(1, 4), Fraction(1, 4)))  # on the bound
 @example(((ec(Fraction(1, 3)),), (ec(Fraction(1, 3)),), Fraction(0), Fraction(0)))
+@example(((ec(0),), (ec(6, 6),), Fraction(9), Fraction(1)))  # 64 < 72 < 80
+@example(((ec(0),), (ec(3, Fraction(1, 2)),), Fraction(1), Fraction(1, 4)))  # 9 < 37/4 < 10
 def test_integer_distinct_test_equals_the_fraction_test(case):
-    """The cross-multiplied integer test decides as ||z1 - z2||^2 >
-    8 (beta1^2 + beta2^2) in Fractions, on the bound too."""
+    """The cross-multiplied integer test decides the separation condition
+    ||z1 - z2|| > 2 (beta1 + beta2) as Fractions do, on the bound too, and
+    holds wherever the sufficient ||z1 - z2||^2 > 8 (beta1^2 + beta2^2)
+    does. With unequal betas it also holds between the two: the examples
+    put ||z1 - z2||^2 between 4 (beta1 + beta2)^2 and 8 (beta1^2 +
+    beta2^2)."""
     z1, z2, b1, b2 = case
-    want = norm_sq(vec_sub(z1, z2)) > 8 * (b1 + b2)
+    d = norm_sq(_sub(z1, z2))
+    slack = d - 4 * (b1 + b2)
+    want = slack > 0 and slack * slack > 64 * b1 * b2
+    if d > 8 * (b1 + b2):
+        assert want
     c1, c2 = _rational_certificate(b1), _rational_certificate(b2)
     assert certify_distinct(None, c1, z1, c2, z2) == want
     assert certify_distinct(None, c2, z2, c1, z1) == want
+
+
+_DYADIC_BITS = 256
+
+
+def _dyadic(draw, mantissa_bits=40):
+    return Fraction(draw(st.integers(-2**mantissa_bits, 2**mantissa_bits)), 2 ** draw(st.integers(0, 40)))
+
+
+@st.composite
+def mode_cases(draw):
+    """Two dyadic points of 1 to 3 coordinates, one real for half of the
+    draws, and the beta^2 and gamma^2 of two certified points, dyadic too:
+    at random; with ||z1 - z2||^2 between 4 (beta1 + beta2)^2 and 8
+    (beta1^2 + beta2^2); or on either side of z1's robustness radius."""
+    n = draw(st.integers(1, 3))
+    z1, z2 = (tuple((_dyadic(draw), _dyadic(draw)) for _ in range(n)) for _ in range(2))
+    if draw(st.booleans()):
+        z1 = tuple((re, Fraction(0)) for re, _ in z1)
+    d = sum((a - c) ** 2 + (b - e) ** 2 for (a, b), (c, e) in zip(z1, z2))
+    b1, b2 = (abs(_dyadic(draw, 30)) for _ in range(2))
+    g1, g2 = (abs(_dyadic(draw, 30)) or Fraction(1) for _ in range(2))  # a gamma bound is positive
+    kind = draw(st.integers(0, 2))
+    if kind == 1:  # d / b1 = 128 / 13 lies between 9 and 10, with b2 = b1 / 4
+        b1 = d * Fraction(13, 128)
+        b2 = b1 / 4
+    elif kind == 2 and d:  # 2^e / (400 d) lies in [1/2, 2]
+        e = (400 * d).numerator.bit_length() - (400 * d).denominator.bit_length()
+        g1 = Fraction(2) ** -e * draw(st.sampled_from([Fraction(1, 8), 8]))
+        b1 = min(b1, Fraction(1, 2048) / g1)  # alpha^2 below 1/2048 < (3/100)^2
+    return z1, z2, (b1, g1), (b2, g2)
+
+
+def _mode_pair(z, bg):
+    """The point and certificate in rational mode and in float mode."""
+    b, g = bg
+    rational = Certificate(b, g, b * g, True, False, True, "rational", 64)
+    with mp.workprec(_DYADIC_BITS):
+        point = tuple(mp.mpc(fraction_to_mpf(re, _DYADIC_BITS), fraction_to_mpf(im, _DYADIC_BITS))
+                      for re, im in z)
+        values = [fraction_to_mpf(v, _DYADIC_BITS) for v in (b, g, b * g)]
+        assert [mpf_to_fraction(v) for v in values] == [b, g, b * g]
+        floating = Certificate(*values, True, False, True, "float", _DYADIC_BITS)
+    return (tuple(ExactComplex(re, im) for re, im in z), rational), (point, floating)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionFailed:
+        return PreconditionFailed
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode_cases())
+def test_both_modes_decide_alike_at_equal_points(case):
+    """Certificates of equal values, a Fraction in rational mode and the
+    same mpf in float mode, at equal dyadic points get equal answers from
+    certify_distinct, same_root, certify_real and robust_radius_sq."""
+    z1, z2, c1, c2 = case
+    (r1, rc1), (f1, fc1) = _mode_pair(z1, c1)
+    (r2, rc2), (f2, fc2) = _mode_pair(z2, c2)
+    S = PolynomialSystem(tuple(Polynomial.from_terms(len(z1), [(ec(1), (1,) * len(z1))])
+                               for _ in z1))
+    F256 = PrecisionConfig("float", _DYADIC_BITS)
+    assert robust_radius_sq(rc1) == robust_radius_sq(fc1)
+    assert certify_distinct(None, rc1, r1, rc2, r2) == certify_distinct(None, fc1, f1, fc2, f2)
+    assert (_outcome(same_root, None, rc1, r1, r2, RAT)
+            == _outcome(same_root, None, fc1, f1, f2, F256))
+    for (rz, rc), (fz, fc) in (((r1, rc1), (f1, fc1)), ((r2, rc2), (f2, fc2))):
+        assert (certify_real(S, rc, rz, RAT, assume_real_map=True)
+                == certify_real(S, fc, fz, F256, assume_real_map=True))
 
 
 def test_certify_distinct_requires_certificates():

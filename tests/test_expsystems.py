@@ -90,14 +90,13 @@ def simple_system():
 def test_shape_properties():
     F = simple_system()
     assert (F.n, F.m, F.N) == (1, 1, 2)
-    assert not F.is_polynomial()
     assert as_exp_system(F) is F
 
 
 def test_as_exp_system_wraps_polynomials():
     S = PolynomialSystem((poly(1, (1, (1,))),))
     F = as_exp_system(S)
-    assert F.m == 0 and F.is_polynomial()
+    assert F.m == 0
     with pytest.raises(TypeError):
         as_exp_system("nope")
 

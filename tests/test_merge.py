@@ -30,7 +30,7 @@ from expcert.certify import (
 )
 from expcert.errors import PreconditionFailed, SingularMatrix
 from expcert.homotopy import HomotopyConfig, _dedup_native, _merge_polished, _norm, _polish
-from expcert.linalg import norm_sq, vec_sub
+from expcert.linalg import norm_sq
 from expcert.scalars import PrecisionConfig, lift_point, working_precision
 
 
@@ -57,7 +57,7 @@ def _loop_same_root(F, cert_x, z_x, z_y, prec):
     with working_precision(prec.bits):
         a = lift_point(z_x, prec)
         b = lift_point(z_y, prec)
-        dsq = norm_sq(vec_sub(a, b))
+        dsq = norm_sq(tuple(u - v for u, v in zip(a, b)))
         return _lt_exact(dsq * cert_x.gamma_bound_sq, ROBUST_RADIUS_SQ)
 
 
@@ -221,4 +221,4 @@ def test_polish_keeps_what_the_loop_kept(cloud):
         polished = [_polish(None, (0j,), bits) for _ in reps]
     finally:
         homotopy.newton_refine, homotopy.certify_solution = saved
-    assert _merge_polished(polished, bits) == _loop_polish_merge(None, reps, cfg)
+    assert _merge_polished(polished) == _loop_polish_merge(None, reps, cfg)

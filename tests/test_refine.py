@@ -30,8 +30,8 @@ def test_two_steps_from_three_halves():
     assert table.singular_at is None
     ks = [k for k, _ in table.rows]
     assert ks == [0, 1, 2]
-    assert table.beta_sq_at(0) == Fraction(1, 144)
-    assert table.beta_sq_at(1) == Fraction(1, 166464)
+    assert table.rows[0][1] == Fraction(1, 144)
+    assert table.rows[1][1] == Fraction(1, 166464)
 
 
 def test_residuals_square_each_step():

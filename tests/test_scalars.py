@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from expcert.scalars import (
     EC_ONE,
-    EC_ZERO,
     ExactComplex,
     PrecisionConfig,
     abs_sq,
@@ -55,14 +54,14 @@ def test_division_exact():
     a = ec(5, 5)
     assert a / ec(3, -1) == ec(1, 2)
     with pytest.raises(ZeroDivisionError):
-        a / EC_ZERO
+        a / ExactComplex()
 
 
 def test_constants():
     i = ec(0, 1)
     assert EC_ONE * i == i
     assert i * i == -EC_ONE
-    assert EC_ZERO + EC_ONE == EC_ONE
+    assert ExactComplex() + EC_ONE == EC_ONE
 
 
 @given(rationals, rationals)
@@ -70,14 +69,6 @@ def test_abs_sq_exact(re, im):
     z = ExactComplex(re, im)
     assert abs_sq(z) == re * re + im * im
     assert isinstance(abs_sq(z), Fraction)
-
-
-@given(rationals, rationals, rationals, rationals)
-def test_conjugation_is_a_ring_map(a, b, c, d):
-    x, y = ExactComplex(a, b), ExactComplex(c, d)
-    assert (x * y).conj() == x.conj() * y.conj()
-    assert (x + y).conj() == x.conj() + y.conj()
-    assert x.conj().conj() == x
 
 
 def test_complex_cast():

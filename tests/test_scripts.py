@@ -47,3 +47,22 @@ def test_script_runs(argv, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
+
+
+def test_sweep_diff_ignores_solve_time_and_reports_differences(tmp_path):
+    """sweep_diff.py exits 0 on outputs that differ only in solve_s, and 1,
+    printing both lines, on outputs that differ in anything else."""
+    lines = ['{"seed": 0, "candidates": 4, "solve_s": 0.5}', '{"seed": 1, "candidates": 4, "solve_s": 0.6}']
+    a, b, c = (tmp_path / name for name in "abc")
+    a.write_text("\n".join(lines) + "\n")
+    b.write_text("\n".join(line.replace("0.", "9.") for line in lines) + "\n")
+    c.write_text(lines[0] + '\n{"seed": 1, "candidates": 3, "solve_s": 0.6}\n')
+    script = str(ROOT / "scripts" / "sweep_diff.py")
+    same = subprocess.run([sys.executable, script, str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+    assert same.returncode == 0 and same.stdout == ""
+    differ = subprocess.run([sys.executable, script, str(a), str(c)],
+                            capture_output=True, text=True, timeout=60)
+    assert differ.returncode == 1
+    assert differ.stdout.splitlines() == [
+        "line 2:", '< {"candidates": 4, "seed": 1}', '> {"candidates": 3, "seed": 1}']
