@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .certify import BatchOptions, certify_batch, certify_solution
 from .errors import ExpcertError, ValidationError
@@ -204,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--seed", type=int, default=None, help="recorded in the report")
     cert.add_argument("--output", default=None, help="report path (default stdout)")
     cert.add_argument("--format", choices=("json", "text"), default="json")
-    cert.set_defaults(func=run_certify)
 
     solve = sub.add_parser("solve", help="generate candidate solutions by deformation")
     solve.add_argument("--system", required=True, help="system file")
@@ -218,14 +218,22 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--precision", type=_precision_bits, default=256, metavar="BITS")
     solve.add_argument("--output", required=True, help="candidate points file")
-    solve.set_defaults(func=run_solve)
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of main: parse_args leaves it as it is."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, not bound into the shared parser, so that a
+    # wrapper set on this module later (a profiler's, say) is the one run.
+    run = run_certify if args.command == "certify" else run_solve
     try:
-        return args.func(args)
+        return run(args)
     except ExpcertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

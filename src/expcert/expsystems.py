@@ -430,12 +430,12 @@ class CompiledSystem:
             self.rows = [regroup(t) for t in self.rows]
             self.entries = [regroup(t) for t in self.entries]
             self.products = tuple(products)
-        self.links = []
+        self.lib, self.links = lib, []
         link_pos = []
         for k, l in enumerate(F.links if lib else ()):  # exact: the link rows are linked_rows's
             g, dg, sign = _LINK_FUNCTIONS[l.kind]
             s, d = l.src - 1, l.dst - 1
-            self.links.append((getattr(lib, g), getattr(lib, dg), sign, lift(l.c), s, d))
+            self.links.append((g, dg, sign, lift(l.c), s, d))
             link_pos += [(F.n + k, s), (F.n + k, d)]
         self.pattern = tuple(entry_pos + link_pos + folded_pos)
         self.p_norm_sq = bw_norm_sq(F.P) if prec is not None and prec.is_exact else None
@@ -465,6 +465,20 @@ class CompiledSystem:
         inf - inf makes the power nan without a raise
         (complex(1e200, -3e199) ** 2); the tracker's corrector then finds a
         non-finite step norm and ends the path DIVERGED all the same.
+
+        Link rows share their calls as powers do: the argument w = c * z_src
+        once per distinct (c, source), each function of it once per distinct
+        (function, w), at the first link that needs it, and in the mpc kind
+        sin and cos of one w together, from one mp.cos_sin (mpc_cos_sin at
+        the context's precision and rounding). Every shared value is the one
+        a repeated call gives, since w is the same product of the same
+        operands and mpmath 1.3.0's mpc_cos_sin forms each part as mpc_cos
+        and mpc_sin do (the same mpf_cos_sin and mpf_cosh_sinh at the same
+        working precision, one rounding per part); the calls left are a
+        subset of the unshared ones in their order, so no first raise
+        moves. Each Jacobian entry still computes -c * sign at run time,
+        under the caller's precision, where a constant folded now would be
+        rounded at whatever precision generates the source.
         """
         namespace[f"{pre}Z"], namespace[f"{pre}I"] = self.zero, self.one
         shared = {} if shared is None else shared
@@ -493,15 +507,32 @@ class CompiledSystem:
         entries = []
         if jacobian:
             entries = [total(f"{pre}e{k}", terms) for k, terms in enumerate(self.entries)]
-        for k, (fn, dfn, sign, c, s, d) in enumerate(self.links):
-            namespace.update(
-                {f"{pre}g{k}": fn, f"{pre}dg{k}": dfn, f"{pre}sg{k}": sign, f"{pre}lc{k}": c}
-            )
-            lines.append(f"{pre}w{k} = {pre}lc{k} * z{s}")
-            lines.append(f"{pre}y{k} = z{d} - {pre}g{k}({pre}w{k})")
+        args, calls = {}, {}  # (c, source) -> local w; (function, w) -> local holding it
+
+        def call(fn, w):
+            if (fn, w) not in calls:
+                if self.lib is mp and fn in ("sin", "cos"):
+                    calls["cos", w], calls["sin", w] = f"{w}_cos", f"{w}_sin"
+                    namespace[f"{pre}cos_sin"] = mp.cos_sin
+                    lines.append(f"{w}_cos, {w}_sin = {pre}cos_sin({w})")
+                else:
+                    calls[fn, w] = f"{w}_{fn}"
+                    namespace[f"{pre}{fn}"] = getattr(self.lib, fn)
+                    lines.append(f"{w}_{fn} = {pre}{fn}({w})")
+            return calls[fn, w]
+
+        for k, (g, dg, sign, c, s, d) in enumerate(self.links):
+            namespace[f"{pre}sg{k}"], namespace[f"{pre}lc{k}"] = sign, c
+            w = args.get((c, s))
+            if w is None:
+                w = args[c, s] = f"{pre}w{k}"
+                lines.append(f"{w} = {pre}lc{k} * z{s}")
+            gw = call(g, w)
+            lines.append(f"{pre}y{k} = z{d} - {gw}")
             values.append(f"{pre}y{k}")
             if jacobian:
-                lines.append(f"{pre}j{k} = -{pre}lc{k} * {pre}sg{k} * {pre}dg{k}({pre}w{k})")
+                dgw = call(dg, w)
+                lines.append(f"{pre}j{k} = -{pre}lc{k} * {pre}sg{k} * {dgw}")
                 entries += [f"{pre}j{k}", f"{pre}I"]
         if jacobian:
             for k, v in enumerate(self.folded):

@@ -93,7 +93,7 @@ from math import factorial
 
 import mpmath as mp
 
-from .certify import certify_solution, robust_radius_sq
+from .certify import certify_solution, newton_step, robust_radius_sq
 from .errors import DimensionMismatch, ValidationError
 from .expsystems import (
     CompiledSystem,
@@ -113,7 +113,6 @@ from .polynomials import (
     pscale,
     variable,
 )
-from .refine import newton_refine
 from .scalars import (
     EC_ONE,
     MODE_FLOAT,
@@ -926,7 +925,7 @@ def _tasks(shared: dict, count: int):
 def _polish(F: ExpSystem, point, bits: int):
     """Refine one endpoint by three multiprecision Newton steps at `bits`
     and certify it: (refined point, its dyadic (q, X), squared merge
-    radius, the refinement's singular_at).
+    radius, the index of the first singular step or None).
 
     The radius is exact: the larger of the relative cut 1e-16 * max(1,
     ||z||^2) and the point's squared robustness radius (robust_radius_sq,
@@ -935,8 +934,13 @@ def _polish(F: ExpSystem, point, bits: int):
     """
     prec = PrecisionConfig(MODE_FLOAT, bits)
     with working_precision(bits):
-        z = tuple(mp.mpc(v) for v in point)
-    refined, table = newton_refine(F, z, 3, prec)
+        refined = tuple(mp.mpc(v) for v in point)
+    singular_at = None
+    for k in range(3):
+        refined, invertible = newton_step(F, refined, prec)
+        if not invertible:
+            singular_at = k
+            break
     try:
         cert = certify_solution(F, refined, prec)
     except Exception:  # noqa: BLE001 - any failure just disables the robust radius
@@ -945,7 +949,7 @@ def _polish(F: ExpSystem, point, bits: int):
     radius = Fraction(max(q * q, sum(a * a + b * b for a, b in X)), 10**16 * q * q)
     if cert is not None:
         radius = max(radius, robust_radius_sq(cert))
-    return refined, exact, radius, table.singular_at
+    return refined, exact, radius, singular_at
 
 
 def _merge_polished(polished) -> tuple:

@@ -42,6 +42,17 @@ remaining operations and every result stay the same. The one entry the
 dense loops also wrote, the cancelled entry under each pivot, is never read
 again and is left as it is.
 
+The floating solve also runs on the raw (real, imaginary) mpf parts of its
+entries rather than on mpc objects, and wraps only the solution back into
+mpc. Each of its operations is the libmp call the mpc or mpf operator
+makes, at the context's (prec, rounding), on the same operands in the same
+order: mpc_mul, mpc_sub and mpc_div for the arithmetic, abs_sq's own
+abs_sq_parts for the squared moduli of the pivot search and the row scale,
+and mpf_mul for the threshold times the row scale. Only the comparisons
+differ, mpf_cmp for the operators' mpf_gt and mpf_lt, which agree with it
+on every value but nan, and no entry is nan. So the result is bit for bit
+that of the object loop, without an mpc object per operation.
+
 inverse_column_bounds bounds the inverse of an exact matrix A, given as
 integer rows over row scales like solve_fraction_free's, perturbed by any
 Delta of Frobenius norm at most a given radius. It computes an
@@ -72,12 +83,14 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, fzero, mpc_div, mpc_mul, mpc_sub, mpf_cmp, mpf_mul
 
 from .errors import DimensionMismatch, SingularMatrix
-from .scalars import ExactComplex, abs_sq
+from .scalars import ExactComplex, abs_sq, abs_sq_parts
 
 CVector = tuple
 CMatrix = tuple
+_ZERO = (fzero, fzero)  # the raw parts of mpc(0); mpmath has no signed zero
 
 
 def norm_sq(x: CVector):
@@ -101,9 +114,9 @@ def solve_columns(A: CMatrix, B: CMatrix, bits: int | None = None) -> CMatrix:
 
     Partial pivoting on the largest squared pivot, with a scaled singularity
     test: a pivot whose squared modulus falls below 2^(16-bits) times the
-    largest squared entry of its row is treated as zero. The loops skip
-    exact zeros (see the module docstring). Exact systems are solved by
-    solve_fraction_free.
+    largest squared entry of its row is treated as zero. The loops run on
+    the raw parts and skip exact zeros (see the module docstring). Exact
+    systems are solved by solve_fraction_free.
 
     Raises SingularMatrix when no acceptable pivot exists.
     """
@@ -114,8 +127,9 @@ def solve_columns(A: CMatrix, B: CMatrix, bits: int | None = None) -> CMatrix:
         return ()
     if bits is None:
         bits = mp.mp.prec
-    aug = [list(A[i]) + list(B[i]) for i in range(n)]
-    _eliminate_float(aug, n, bits)
+    prec, rnd = mp.mp._prec_rounding
+    aug = [[v._mpc_ for v in A[i]] + [v._mpc_ for v in B[i]] for i in range(n)]
+    _eliminate_float(aug, n, bits, prec, rnd)
 
     # Back substitution on the upper-triangular augmented system:
     # x_ij = (b_ij - sum over k > i of a_ik * x_kj) / a_ii, each sum taken in
@@ -127,13 +141,14 @@ def solve_columns(A: CMatrix, B: CMatrix, bits: int | None = None) -> CMatrix:
         acc = row[n:]
         for k in range(i + 1, n):
             a = row[k]
-            if a:
+            if a != _ZERO:
                 for j, x in solved[k]:
-                    acc[j] = acc[j] - a * x
+                    acc[j] = mpc_sub(acc[j], mpc_mul(a, x, prec, rnd), prec, rnd)
         piv = row[i]
-        X[i] = tuple(v / piv if v else v for v in acc)
-        solved[i] = [(j, v) for j, v in enumerate(X[i]) if v]
-    return tuple(X)
+        X[i] = [mpc_div(v, piv, prec, rnd) if v != _ZERO else v for v in acc]
+        solved[i] = [(j, v) for j, v in enumerate(X[i]) if v != _ZERO]
+    make = mp.make_mpc
+    return tuple(tuple(make(v) for v in row) for row in X)
 
 
 class _GaussianInt:
@@ -268,46 +283,44 @@ def solve_fraction_free(aug: list, scales: tuple) -> FractionFreeSolution:
     return FractionFreeSolution(tuple(Y), d, scales)
 
 
-def _eliminate_below(aug, n, col):
-    """Subtract multiples of pivot row col from the rows below it.
-
-    Only rows with a nonzero entry in column col and only the nonzero
-    columns of the pivot row right of col are touched; column col itself
-    is never read again, so it is left as it is.
-    """
-    top = aug[col]
-    piv = top[col]
-    cols = [(j, top[j]) for j in range(col + 1, len(top)) if top[j]]
-    for r in range(col + 1, n):
-        row = aug[r]
-        v = row[col]
-        if not v:
-            continue
-        factor = v / piv
-        for j, t in cols:
-            row[j] = row[j] - factor * t
-
-
-def _eliminate_float(aug, n, bits):
-    threshold = mp.mpf(2) ** (16 - bits)
+def _eliminate_float(aug, n, bits, prec, rnd):
+    threshold = from_man_exp(1, 16 - bits)
     for col in range(n):
-        pivot_row, best = col, 0
+        pivot_row, best = col, fzero
         for r in range(col, n):
             v = aug[r][col]
-            if v:
-                cand = abs_sq(v)
-                if cand > best:
-                    best = cand
-                    pivot_row = r
+            if v != _ZERO:
+                cand = abs_sq_parts(v, prec, rnd)
+                if mpf_cmp(cand, best) > 0:
+                    best, pivot_row = cand, r
         # best is the pivot's own squared modulus: the row scale starts there.
-        row_scale = max([best] + [abs_sq(v) for v in aug[pivot_row][col + 1:n] if v])
-        if row_scale == 0 or best < threshold * row_scale:
+        row_scale = best
+        for v in aug[pivot_row][col + 1:n]:
+            if v != _ZERO:
+                cand = abs_sq_parts(v, prec, rnd)
+                if mpf_cmp(cand, row_scale) > 0:
+                    row_scale = cand
+        if row_scale == fzero or mpf_cmp(best, mpf_mul(threshold, row_scale, prec, rnd)) < 0:
             raise SingularMatrix(
                 f"floating elimination: pivot in column {col} below singularity threshold"
             )
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        _eliminate_below(aug, n, col)
+        # Subtract multiples of the pivot row from the rows below it, only
+        # rows with a nonzero entry in column col and only the nonzero
+        # columns of the pivot row right of col; column col itself is never
+        # read again, so it is left as it is.
+        top = aug[col]
+        piv = top[col]
+        cols = [(j, top[j]) for j in range(col + 1, len(top)) if top[j] != _ZERO]
+        for r in range(col + 1, n):
+            row = aug[r]
+            v = row[col]
+            if v == _ZERO:
+                continue
+            factor = mpc_div(v, piv, prec, rnd)
+            for j, t in cols:
+                row[j] = mpc_sub(row[j], mpc_mul(factor, t, prec, rnd), prec, rnd)
 
 
 # Unit roundoff of IEEE doubles, rounding to nearest.

@@ -292,15 +292,18 @@ def _(z):
 abs_sq.register(type(mp.mpf(1)), lambda z: z * z)
 
 
+def abs_sq_parts(parts, prec: int, rnd: str):
+    """|z|^2 of an mpc's raw (real, imaginary) parts: z.real * z.real +
+    z.imag * z.imag, the two products and the sum each rounded at prec and
+    rnd, without building four intermediate mpf objects."""
+    a, b = parts
+    return mpf_add(mpf_mul(a, a, prec, rnd), mpf_mul(b, b, prec, rnd), prec, rnd)
+
+
 @abs_sq.register(type(mp.mpc(1, 1)))
 def _(z):
-    # z.real * z.real + z.imag * z.imag on the raw parts: the same two
-    # products and one sum, each rounded at the context's precision and
-    # rounding, without building four intermediate mpf objects.
-    a, b = z._mpc_
     ctx = z.context
-    prec, rnd = ctx._prec_rounding
-    return ctx.make_mpf(mpf_add(mpf_mul(a, a, prec, rnd), mpf_mul(b, b, prec, rnd), prec, rnd))
+    return ctx.make_mpf(abs_sq_parts(z._mpc_, *ctx._prec_rounding))
 
 
 # Integers up to this many bits (about 3900 digits) stay below Python's

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from expcert import cli, homotopy
-from expcert.cli import main
+from expcert.cli import build_parser, main
 from expcert.scalars import PrecisionConfig
 from expcert.sysio import parse_points
 
@@ -412,3 +412,36 @@ def test_negative_refine_count_exits_two(capsys):
         ])
     assert info.value.code == 2
     assert "--refine" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call_of_main(capsys, monkeypatch):
+    """main builds its parser once. certify, solve and certify again with
+    other flags each parse on their own, the subcommand's function is the
+    module's at call time, and a bad --precision still exits 2."""
+    built, seen = [], []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setattr(cli, "run_certify", lambda args: seen.append(vars(args)) or 0)
+    monkeypatch.setattr(cli, "run_solve", lambda args: seen.append(vars(args)) or 0)
+    cli._parser.cache_clear()
+    try:
+        assert main(["certify", "--system", "a.sys", "--points", "a.pts", "--distinct",
+                     "--precision", "128", "--refine", "2"]) == 0
+        assert main(["solve", "--system", "b.sys", "--output", "b.pts", "--seed", "7"]) == 0
+        assert main(["certify", "--system", "c.sys", "--points", "c.pts", "--real",
+                     "--format", "text"]) == 0
+        with pytest.raises(SystemExit) as info:
+            main(["certify", "--system", "c.sys", "--points", "c.pts", "--precision", "many"])
+        assert info.value.code == 2 and "--precision" in capsys.readouterr().err
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    certify = {"command": "certify", "mode": "float", "assume_real_map": False,
+               "audit": False, "seed": None, "output": None}
+    assert seen == [
+        dict(certify, system="a.sys", points="a.pts", precision=128, refine=2,
+             distinct=True, real=False, format="json"),
+        {"command": "solve", "system": "b.sys", "truncate_degrees": None, "seed": 7,
+         "precision": 256, "output": "b.pts"},
+        dict(certify, system="c.sys", points="c.pts", precision=96, refine=0,
+             distinct=False, real=True, format="text"),
+    ]

@@ -6,16 +6,20 @@ the ODE-data machinery: the bound may be loose but must never be below the
 truth.
 """
 
+import cmath
+import collections
 import copy
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp import from_man_exp, fzero, mpc_cos, mpc_cos_sin, mpc_sin
 
 from expcert.certify import certify_batch, certify_solution
 from expcert.errors import (
@@ -25,6 +29,7 @@ from expcert.errors import (
     ValidationError,
 )
 from expcert.expsystems import (
+    CompiledSystem,
     ExpKind,
     ExpLink,
     ExpSystem,
@@ -283,6 +288,128 @@ def test_program_matches_exact_values_in_float_mode(name, bits):
                 for j in range(F.N):
                     want = -c * g[1] if j == s else (1 if j == d else 0)
                     close(J[i][j], want, abs(c) * size if j == s else 0)
+
+
+# Each link kind as (g, g' up to sign, sign), named in mpmath.
+_LINK_REFERENCE = {
+    ExpKind.EXP: ("exp", "exp", 1.0),
+    ExpKind.SIN: ("sin", "cos", 1.0),
+    ExpKind.COS: ("cos", "sin", -1.0),
+    ExpKind.SINH: ("sinh", "cosh", 1.0),
+    ExpKind.COSH: ("cosh", "sinh", 1.0),
+}
+
+
+def _linked(n, *links):
+    """n rows z_1 + ... + z_N - r - 1 in N = n + len(links) variables, and the
+    links, each (kind, c, src, dst)."""
+    N = n + len(links)
+    rows = tuple(poly(N, *[(1, tuple(int(j == i) for j in range(N))) for i in range(N)],
+                      (-r - 1, (0,) * N)) for r in range(n))
+    return ExpSystem(PolynomialSystem(rows), tuple(ExpLink(k, c, s, d) for k, c, s, d in links))
+
+
+_LINK_CASES = [(name, F) for name, (F, _) in _PROGRAM_CASES.items() if F.m] + [
+    ("two-c-one-source", _linked(1, (ExpKind.SIN, ec(1), 1, 2), (ExpKind.SIN, ec(2), 1, 3),
+                                 (ExpKind.COS, ec(2), 1, 4), (ExpKind.COS, ec(0, 1), 1, 5))),
+    ("sinh-cosh", _linked(2, (ExpKind.SINH, ec(1), 1, 3), (ExpKind.COSH, ec(1), 1, 4),
+                          (ExpKind.COSH, ec(-1, 2), 2, 5))),
+    ("exp-pair", _linked(2, (ExpKind.EXP, ec(1), 1, 3), (ExpKind.EXP, ec(1), 1, 4),
+                         (ExpKind.EXP, ec(0, 1), 2, 5))),
+    ("third", _linked(1, (ExpKind.SIN, ec(Fraction(1, 3)), 1, 2),
+                      (ExpKind.COS, ec(Fraction(1, 3)), 1, 3),
+                      (ExpKind.EXP, ec(Fraction(1, 3), Fraction(-1, 3)), 1, 4))),
+]
+# Source values with a zero real part, imaginary part or both, and huge and tiny ones.
+_LINK_ARGUMENTS = [(0, 0), (0.75, 0), (0, -0.75), (1.25, -0.5), (2**100, 0), (0, 2**-100),
+                   (2**90, -(2**90)), (-(2**-90), 2**-95)]
+
+
+@pytest.mark.parametrize("bits", [96, 256, 1024])
+@pytest.mark.parametrize("name", [name for name, _ in _LINK_CASES])
+def test_mpc_link_rows_equal_a_per_link_reference(name, bits):
+    """Each link row's value and source entry, as raw parts, equal
+    z_dst - g(c z_src) and -c * sign * g'(c z_src) from one mpmath call per
+    link and function, under the working precision.
+
+    The program is generated outside the working precision, as the solve
+    does before it forks its pool: a -c * sign folded into the source while
+    it is generated would round c = 1/3 at 53 bits.
+    """
+    F = dict(_LINK_CASES)[name]
+    prec = PrecisionConfig("float", bits)
+    with mp.workprec(bits):
+        program = CompiledSystem(F, prec)
+    program._evaluate
+    with mp.workprec(bits):
+        for re, im in _LINK_ARGUMENTS:
+            z = [mp.mpc(0.5, 0.25 * i) for i in range(F.N)]
+            for link in F.links:
+                z[link.src - 1] = mp.mpc(re, im) * link.src
+            values, entries = program.evaluate(z)
+            got = dict(zip(program.pattern, entries))
+            for k, link in enumerate(F.links):
+                g, dg, sign = _LINK_REFERENCE[link.kind]
+                s, d = link.src - 1, link.dst - 1
+                c = exact_to_mpc(link.c, bits)
+                w = c * z[s]
+                assert values[F.n + k]._mpc_ == (z[d] - getattr(mp, g)(w))._mpc_, (k, re, im)
+                want = -c * sign * getattr(mp, dg)(w)
+                assert got[F.n + k, s]._mpc_ == want._mpc_, (k, re, im)
+
+
+_MPF_PARTS = st.one_of(
+    st.just(fzero),
+    st.builds(from_man_exp, st.integers(-(2**200), 2**200), st.integers(-600, 100)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MPF_PARTS, _MPF_PARTS, st.sampled_from([53, 96, 256, 1024]),
+       st.sampled_from(["n", "f", "c", "d", "u"]))
+def test_mpc_cos_sin_is_mpc_cos_and_mpc_sin(a, b, prec, rnd):
+    """The program takes sin and cos of one argument from one mpc_cos_sin,
+    which in mpmath 1.3.0 forms each part as mpc_cos and mpc_sin do; an
+    mpmath that changes this fails here."""
+    c, s = mpc_cos_sin((a, b), prec, rnd)
+    assert c == mpc_cos((a, b), prec, rnd)
+    assert s == mpc_sin((a, b), prec, rnd)
+
+
+def _transcendental_calls(fn):
+    """The mpmath mpc-level and cmath transcendental functions fn calls, counted by name."""
+    names = {"exp", "sin", "cos", "sinh", "cosh", "cos_sin"}
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith("libmpc.py"):
+            name = frame.f_code.co_name
+            if name.startswith("mpc_") and name[4:] in names:
+                calls[name] += 1
+        elif event == "c_call" and getattr(arg, "__self__", None) is cmath:
+            calls[f"cmath.{arg.__name__}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_one_compliant_evaluation_calls_cos_sin_once_per_argument():
+    """compliant links sin and cos of each of three angles: one mpc_cos_sin
+    per angle in mpc, one cmath.sin and one cmath.cos per angle in doubles."""
+    F, points = _PROGRAM_CASES["compliant"]
+    z = lift_point(points[0], F96)
+    compile_system(F, F96).evaluate(z)
+    with mp.workprec(96):
+        calls = _transcendental_calls(lambda: compile_system(F, F96).evaluate(z))
+    assert calls == {"mpc_cos_sin": 3}
+    zd = [complex(v) for v in z]
+    compile_system(F).evaluate(zd)
+    assert _transcendental_calls(lambda: compile_system(F).evaluate(zd)) == {
+        "cmath.sin": 3, "cmath.cos": 3}
 
 
 def test_builtin_ode_data_orders():

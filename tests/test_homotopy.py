@@ -1167,15 +1167,14 @@ def test_singular_refinement_notes_follow_the_kept_endpoints(monkeypatch):
             return replace(last, point=copy)
         return track(Fstart, Ftarget, z0, cfg)
 
-    refine = homotopy.newton_refine
+    polish = homotopy._polish
 
-    def singular(F, z, k, prec):
-        refined, table = refine(F, z, k, prec)
-        at = steps.get(tuple(complex(v) for v in z))
-        return refined, table if at is None else replace(table, singular_at=at)
+    def singular(F, point, bits):
+        *out, singular_at = polish(F, point, bits)
+        return (*out, steps.get(tuple(point), singular_at))
 
     monkeypatch.setattr(homotopy, "track_path", bending)
-    monkeypatch.setattr(homotopy, "newton_refine", singular)
+    monkeypatch.setattr(homotopy, "_polish", singular)
     prints = []
     for workers in (1, 2):
         monkeypatch.setattr(homotopy, "_worker_count", lambda: workers)

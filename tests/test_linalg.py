@@ -20,7 +20,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
+from mpmath.libmp import fzero
 
+from expcert import linalg
 from expcert.errors import DimensionMismatch, SingularMatrix
 from expcert.linalg import (
     _GaussianInt,
@@ -557,6 +559,55 @@ def test_fraction_free_solve_matches_dense_fractions(system):
         assert Fraction(sums[j], dd * solution.scales[j] ** 2) == norm_sq(col)
 
 
+def _raw(X):
+    return [[v._mpc_ for v in row] for row in X]
+
+
+def _thirds(i, j):
+    """A nonzero entry that does not round to a short dyadic."""
+    return mp.mpc(mp.mpf(i + 2) / 3, mp.mpf(j - 5) / 7)
+
+
+@pytest.mark.parametrize("bits", [53, 96, 256, 1024])
+def test_equal_pivot_candidates_take_the_first_row(bits):
+    """Rows 1 and 2 of column 0 have equal squared moduli (|3 + 4i|^2 =
+    |4 - 3i|^2 = 25, above row 0's): row 1 is the pivot, as in the dense
+    loop. Taking row 2 instead changes bits of X, so the choice shows."""
+    with mp.workprec(bits):
+        A = [[mp.mpc(1, 1)] + [_thirds(0, j) for j in (1, 2)],
+             [mp.mpc(3, 4)] + [_thirds(1, j) for j in (1, 2)],
+             [mp.mpc(4, -3)] + [_thirds(2, j) for j in (1, 2)]]
+        B = [(_thirds(i, 9), _thirds(9, i)) for i in range(3)]
+        got = solve_columns(A, B, bits)
+        assert _raw(got) == _raw(_dense_solve_columns(A, B, bits))
+        swapped = solve_columns([A[0], A[2], A[1]], [B[0], B[2], B[1]], bits)
+        assert _raw(swapped) != _raw(got)
+
+
+@pytest.mark.parametrize("bits", [96, 256, 1024])
+def test_a_pivot_at_the_singularity_threshold_is_taken(bits):
+    """A pivot p with |p|^2 exactly 2^(16 - bits) times its row's largest
+    squared entry passes the test, which is strict; p (1 - 2^-8) fails it."""
+    p = mp.ldexp(1, (16 - bits) // 2)
+    with mp.workprec(bits):
+        for scale, singular in ((1, False), (1 - mp.ldexp(1, -8), True)):
+            A = [[mp.mpc(p * scale), mp.mpc(1)], [mp.mpc(0), _thirds(1, 1)]]
+            B = [(_thirds(0, 9),), (_thirds(1, 9),)]
+            got = _solve_or_error(solve_columns, A, B, bits)
+            assert isinstance(got, str) == singular
+            want = _solve_or_error(_dense_solve_columns, A, B, bits)
+            assert (got if singular else _raw(got)) == (want if singular else _raw(want))
+
+
+def test_a_zero_right_hand_side_solves_to_exact_zeros():
+    with mp.workprec(96):
+        A = [[_thirds(i, j) if (i + j) % 3 else mp.mpc(0) for j in range(4)] for i in range(4)]
+        B = [(mp.mpc(0), mp.mpc(0))] * 4
+        got = solve_columns(A, B, 96)
+        assert _raw(got) == _raw(_dense_solve_columns(A, B, 96))
+        assert all(v == (fzero, fzero) for row in _raw(got) for v in row)
+
+
 def test_permuted_diagonal_solve_does_no_multiplications(monkeypatch):
     """[b | I] against a permuted diagonal 8 x 8 matrix: only divisions remain."""
     n = 8
@@ -567,15 +618,14 @@ def test_permuted_diagonal_solve_does_no_multiplications(monkeypatch):
                   for i in range(n))
         b = tuple(mp.mpc(1, i) for i in range(n))
         B = tuple((bi,) + row for bi, row in zip(b, identity(n, exact=False)))
-        mpc_class = type(zero)
-        original = mpc_class.__mul__
+        original = linalg.mpc_mul
         calls = []
 
-        def counting(self, other):
+        def counting(*args):
             calls.append(1)
-            return original(self, other)
+            return original(*args)
 
-        monkeypatch.setattr(mpc_class, "__mul__", counting)
+        monkeypatch.setattr(linalg, "mpc_mul", counting)
         X = solve_columns(A, B, 96)
         monkeypatch.undo()
         assert calls == []

@@ -203,11 +203,8 @@ def test_polish_keeps_what_the_loop_kept(cloud):
     refined = iter(z for z, _ in reps)
     certs = iter(cert for _, cert in reps)
 
-    class Table:
-        singular_at = None
-
-    def newton_refine(F, z, k, prec):
-        return next(refined), Table()
+    def newton_step(F, z, prec):
+        return next(refined), False
 
     def certify_solution(F, z, prec):
         cert = next(certs)
@@ -215,10 +212,10 @@ def test_polish_keeps_what_the_loop_kept(cloud):
             raise SingularMatrix("certification raised")
         return cert
 
-    saved = homotopy.newton_refine, homotopy.certify_solution
-    homotopy.newton_refine, homotopy.certify_solution = newton_refine, certify_solution
+    saved = homotopy.newton_step, homotopy.certify_solution
+    homotopy.newton_step, homotopy.certify_solution = newton_step, certify_solution
     try:
         polished = [_polish(None, (0j,), bits) for _ in reps]
     finally:
-        homotopy.newton_refine, homotopy.certify_solution = saved
+        homotopy.newton_step, homotopy.certify_solution = saved
     assert _merge_polished(polished) == _loop_polish_merge(None, reps, cfg)

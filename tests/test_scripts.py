@@ -36,6 +36,10 @@ ROOT = Path(__file__).resolve().parent.parent
             ["certify_sweep.py", "--stems", "rr_dyad_poly", "--bits", "96"],
             '"stem": "rr_dyad_poly", "mode": "rational", "precision": 96, "flags": "r4", "exit": 0',
         ),
+        (
+            ["layer_times.py", "--stems", "rr_dyad", "--bits", "96", "--repeat", "2"],
+            '{"stem": "rr_dyad", "bits": 96, "repeat": 2, "value_and_jacobian_ms": ',
+        ),
     ],
 )
 def test_script_runs(argv, expected):
