@@ -265,18 +265,28 @@ def certify_distinct(F, cert1: Certificate, z1: CVector, cert2: Certificate, z2:
     """Certify that two certified points have different associated solutions.
 
     Decides the separation condition ||z1 - z2|| > 2 (beta1 + beta2)
-    exactly, in integers, in both modes. Each point is read as its exact
-    (q, X) at its certificate's precision (_exact_point), which gives the
-    squared distance D = Dn / Q, Q = (q1 q2)^2, and the betas' squares,
-    upper bounds, are read exactly as B_k = a_k / b_k. D > 4 (B1 + B2 +
-    2 sqrt(B1 B2)) holds exactly when Ln = Dn b1 b2 - 4 (a1 b2 + a2 b1) Q
-    > 0 and Ln^2 > 64 a1 a2 b1 b2 Q^2.
+    exactly, in integers, in both modes (_separated), each point read as
+    its exact (q, X) at its certificate's precision (_exact_point).
     """
     if not (cert1.certified_approximate and cert2.certified_approximate):
         raise NotCertified("certify_distinct needs two certified approximate solutions")
-    dn, dq = exact_sq_distance(*(_exact_point(z, PrecisionConfig(c.mode, c.bits))
-                                 for z, c in ((z1, cert1), (z2, cert2))))
-    (a1, b1), (a2, b2) = (_exact(c.beta_sq).as_integer_ratio() for c in (cert1, cert2))
+    return _separated(*(
+        (_exact_point(z, PrecisionConfig(c.mode, c.bits)), _exact(c.beta_sq).as_integer_ratio())
+        for z, c in ((z1, cert1), (z2, cert2))
+    ))
+
+
+def _separated(first, second) -> bool:
+    """||z1 - z2|| > 2 (beta1 + beta2), in integers, for two points given
+    as (exact (q, X), the beta's square as an integer ratio a_k / b_k = B_k,
+    an upper bound).
+
+    The squared distance is D = Dn / Q, Q = (q1 q2)^2, and D > 4 (B1 + B2
+    + 2 sqrt(B1 B2)) holds exactly when Ln = Dn b1 b2 - 4 (a1 b2 + a2 b1) Q
+    > 0 and Ln^2 > 64 a1 a2 b1 b2 Q^2.
+    """
+    (point1, (a1, b1)), (point2, (a2, b2)) = first, second
+    dn, dq = exact_sq_distance(point1, point2)
     k = SEPARATION_FACTOR**2
     slack = dn * b1 * b2 - k * (a1 * b2 + a2 * b1) * dq
     return slack > 0 and slack * slack > 4 * k * k * a1 * a2 * b1 * b2 * dq * dq
@@ -355,7 +365,12 @@ def certify_real(F, cert: Certificate, z: CVector, prec: PrecisionConfig,
         )
     if not cert.certified_approximate:
         raise NotCertified("certify_real needs a certified approximate solution")
-    q, X = _exact_point(z, prec)
+    return _real_status(cert, _exact_point(z, prec))
+
+
+def _real_status(cert: Certificate, point) -> RealStatus:
+    """certify_real's decision for a certified point read as its exact (q, X)."""
+    q, X = point
     imag_sq = sum(im * im for _, im in X)  # ||z - pi_R(z)||^2 = imag_sq / q^2
     if imag_sq == 0:
         return RealStatus.REAL
@@ -419,7 +434,8 @@ def certify_batch(F, points, prec: PrecisionConfig, options: BatchOptions = Batc
     partitioned into distinct-solution sets: two points that cannot be
     certified distinct share a set id (the smallest member index). Points
     are certified one after another, in input order, each lifted to prec
-    once for all the tests.
+    once for all the tests; a certified point is read as its exact (q, X)
+    once for every distinct pair and the real test.
     """
     F = as_exp_system(F)
     report = BatchReport(mode=prec.mode, bits=prec.bits)
@@ -437,9 +453,16 @@ def certify_batch(F, points, prec: PrecisionConfig, options: BatchOptions = Batc
             rec.error = f"{type(exc).__name__}: {exc}"
 
     certified = [r for r in records if r.certificate and r.certificate.certified_approximate]
+    report.real_map = real_map_check(F) or options.assume_real_map
+    real = options.real and report.real_map
+    exact = []
+    if options.distinct or real:
+        exact = [_exact_point(lifted[r.index], prec) for r in certified]
 
     if options.distinct and certified:
         parent = {r.index: r.index for r in certified}
+        reads = [(point, _exact(r.certificate.beta_sq).as_integer_ratio())
+                 for r, point in zip(certified, exact)]
 
         def find(i):
             while parent[i] != i:
@@ -454,17 +477,12 @@ def certify_batch(F, points, prec: PrecisionConfig, options: BatchOptions = Batc
 
         for a in range(len(certified)):
             for b in range(a + 1, len(certified)):
-                ra, rb = certified[a], certified[b]
-                za, zb = lifted[ra.index], lifted[rb.index]
-                if not certify_distinct(F, ra.certificate, za, rb.certificate, zb):
-                    union(ra.index, rb.index)
+                if not _separated(reads[a], reads[b]):
+                    union(certified[a].index, certified[b].index)
         for r in certified:
             r.distinct_set = find(r.index)
 
-    report.real_map = real_map_check(F) or options.assume_real_map
-    if options.real and report.real_map:
-        for r in certified:
-            r.real = certify_real(
-                F, r.certificate, lifted[r.index], prec, assume_real_map=options.assume_real_map
-            )
+    if real:
+        for r, point in zip(certified, exact):
+            r.real = _real_status(r.certificate, point)
     return report

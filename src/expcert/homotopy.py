@@ -63,16 +63,17 @@ point's exact squared robustness radius (certify.robust_radius_sq)
 
 solve tracks on every CPU in its affinity mask. Paths are independent:
 a stage's gamma comes from the stage seed, so a path's result depends on
-its start point alone. One fork pool per solve (_tasks) runs one task per
-slice, which restricts, compiles and tracks that slice, and one task per
-path of the later stages; the task of a last-stage path also polishes
-its endpoint (_polish). The stages stream through the pool (_stream):
-the parent reads each stage's results in task order, logs them, and
-submits each endpoint the stage's first-fit filter keeps as a task of
-the next stage at once, so no stage waits for the slowest path of the
-one before. It then merges the polished endpoints in path order. Every
-result depends on its task alone, so ledgers, candidates and reports are
-bit for bit the same for any worker count and any completion order.
+its start point alone. Each solve forks its own workers (_tasks), each
+fed over one pipe: one task per slice restricts, compiles and tracks it,
+and one task per path of a later stage tracks it, and in the last stage
+also polishes its endpoint (_polish). The stages stream (_stream): the
+parent reads each stage's results in task order, logs them, submits each
+endpoint the stage's first-fit filter keeps as a task of the next stage
+at once, so no stage waits for the slowest path of the one before, and
+merges each last-stage polish as it reads it, while the workers track.
+Every result depends on its task alone, so ledgers, candidates and
+reports are bit for bit the same for any worker count and any completion
+order.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ import math
 import os
 import random
 import threading
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -849,77 +850,133 @@ def _stage(ledger: RunLedger, name: str, cfg: HomotopyConfig) -> StageRecord:
 # A task is (stage name, argument). Its function takes the solve's shared
 # data, keyed by stage name, and the task, and returns a picklable
 # (notes, (label, PathResult) pairs, (endpoint, polish or None) pairs).
-# Pool workers inherit the shared data through the fork, so a task sends
-# only a selection or a labelled start point.
+# Forked workers hold the shared data already, so a task sends only a
+# selection or a labelled start point.
 
 
 def _worker_count() -> int:
-    """The CPUs this process may run on, which bound the pool's size."""
+    """The CPUs this process may run on, which bound the worker count."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-_shared = None  # in a pool worker: the data of the solve that forked it
-
-
-def _adopt(shared) -> None:
-    global _shared
-    _shared = shared
-
-
-def _run_task(fn, task):
-    return fn(_shared, task)
-
-
-class _Done(tuple):
-    """The handle (result,) of a task that ran at once: get() returns it."""
-
-    def get(self):
-        return self[0]
+def _serve(conn, shared) -> None:
+    """A forked worker's loop: run each (fn, task) that arrives on conn and
+    send back (True, result) or (False, exception), until the parent
+    closes its end."""
+    while True:
+        try:
+            fn, task = conn.recv()
+        except EOFError:
+            return
+        try:
+            out = True, fn(shared, task)
+        except Exception as exc:  # noqa: BLE001 - the parent re-raises it
+            out = False, exc
+        conn.send(out)
 
 
 @contextlib.contextmanager
 def _tasks(shared: dict, count: int):
     """Yield submit(fn, task), which starts fn(shared, task) and returns a
-    handle whose get() gives its result.
+    handle: calling it gives the task's result.
 
-    The tasks run in a fork pool opened here, with one worker per CPU in
-    the affinity mask, but no more than `count`, the task count of the
-    first stage; submit queues the task (apply_async) and each worker
-    takes the next one when it is free. Every result depends on its task
-    alone, so results read in task order, and what the caller builds from
-    them, are bit for bit those of the serial route for any worker count
-    and any completion order. The serial route runs each task in this
-    process at once; it is taken with one worker, in a daemonic process
-    (which may not have children), where fork is missing, and while other
-    threads run (fork copies the calling thread alone, so a lock another
-    thread holds would stay held in the workers). Fork, not spawn, lets
-    the workers inherit the shared data and every program compiled before
-    the fork instead of receiving them pickled. A task's exception is
-    raised by get(). The pool is closed and joined on the way out, after
-    terminate() when the caller raised, so no worker outlives the block.
+    The tasks run in workers forked here, one per CPU in the affinity mask
+    but no more than `count`, the first stage's task count, each fed over
+    its own pipe. submit queues the task and sends the oldest queued one
+    to a free worker at once; a handle waits on the busy workers' pipes,
+    keeps what arrives and refills the freed workers until its own result
+    is in, so no thread of the parent takes part. Every result depends on
+    its task alone, so results read in task order, and what the caller
+    builds from them, are bit for bit those of the serial route for any
+    worker count and any completion order. The serial route runs each task
+    in this process at once; it is taken with one worker, in a daemonic
+    process (which may not have children), where fork is missing, and
+    while other threads run (fork copies the calling thread alone, so a
+    lock another thread holds would stay held in the workers). Fork, not
+    spawn, lets the workers inherit the shared data and every program
+    compiled before the fork instead of receiving them pickled. A handle
+    raises its task's exception, or ChildProcessError naming the exit
+    status of a worker that died. Workers leave through os._exit alone, so
+    they never run the parent's finally blocks or flush its buffers; on
+    the way out the parent closes every pipe and reaps every worker,
+    killing them first when the caller raised.
     """
-    import multiprocessing  # here, as importing it adds about 10% to `import expcert.cli`
+    # Imported here, as multiprocessing adds about 10% to `import expcert.cli`.
+    import multiprocessing
+    import signal
+    from multiprocessing.connection import wait
 
     workers = min(_worker_count(), count)
     if (
         workers <= 1
         or multiprocessing.current_process().daemon
-        or "fork" not in multiprocessing.get_all_start_methods()
+        or not hasattr(os, "fork")
         or threading.active_count() > 1
     ):
-        yield lambda fn, task: _Done((fn(shared, task),))
+        def run(fn, task):
+            done = fn(shared, task)
+            return lambda: done
+        yield run
         return
-    pool = multiprocessing.get_context("fork").Pool(workers, _adopt, (shared,))
+    pids, idle, busy, queue, results = {}, [], {}, deque(), {}
+    order = itertools.count()
+
+    def refill():
+        while queue and idle:
+            conn, (i, fn, task) = idle.pop(), queue.popleft()
+            conn.send((fn, task))
+            busy[conn] = i
+
+    def result(i):
+        while i not in results:
+            for conn in wait(list(busy)):
+                try:
+                    results[busy.pop(conn)] = conn.recv()
+                except EOFError:
+                    conn.close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(conn), 0)[1])
+                    raise ChildProcessError(f"a worker died with exit status {code}") from None
+                idle.append(conn)
+            refill()
+        ok, value = results.pop(i)
+        if not ok:
+            raise value
+        return value
+
+    def submit(fn, task):
+        i = next(order)
+        queue.append((i, fn, task))
+        refill()
+        return lambda: result(i)
+
     try:
-        yield lambda fn, task: pool.apply_async(_run_task, (fn, task))
+        for _ in range(workers):
+            conn, end = multiprocessing.Pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends the run
+                    for other in (conn, *pids):
+                        other.close()
+                    _serve(end, shared)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            end.close()
+            pids[conn] = pid
+            idle.append(conn)
+        yield submit
     except BaseException:
-        pool.terminate()
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        pool.close()
-        pool.join()
+        for conn in pids:
+            conn.close()
+        for pid in pids.values():
+            os.waitpid(pid, 0)
 
 
 def _polish(F: ExpSystem, point, bits: int):
@@ -952,12 +1009,11 @@ def _polish(F: ExpSystem, point, bits: int):
     return refined, exact, radius, singular_at
 
 
-def _merge_polished(polished) -> tuple:
-    """The refined points of `polished` ((point, (q, X), squared radius,
-    ...) in path order) that first-fit keeps on exact squared distances: a
-    point merges into an earlier kept one within that one's radius."""
-    keep = _first_fit(lambda p: p[2], lambda p, q: Fraction(*exact_sq_distance(p[1], q[1])))
-    return tuple(p[0] for p in polished if keep(p))
+def _merge_polished():
+    """A first-fit filter of polishes ((point, (q, X), squared radius,
+    ...)) on exact squared distances: a point merges into an earlier kept
+    one within that one's radius."""
+    return _first_fit(lambda p: p[2], lambda p, q: Fraction(*exact_sq_distance(p[1], q[1])))
 
 
 def _path_task(shared: dict, task):
@@ -1001,22 +1057,24 @@ def _slice_task(shared: dict, task):
 
 
 def _stream(submit, records, tasks):
-    """Run a solve's stages, streamed through submit (_tasks), and return
-    the polishes of the endpoints the last stage keeps, in path order.
+    """Run a solve's stages through submit (_tasks); return the last
+    stage's kept polishes and the candidates merged from them, in order.
 
     tasks are the first stage's (fn, task) pairs; records hold the stages
     in order. Each stage's results are read in task order: notes and
     outcomes are logged to its record, and each endpoint that passes the
     stage's first-fit filter (_dedup_native) is submitted at once as the
     next stage's path task, labelled by its index, so a later stage starts
-    while the one before is still running.
+    while the one before is still running. The last stage's kept polishes
+    merge (_merge_polished) as they are read, while the workers track.
     """
     handles = [submit(fn, task) for fn, task in tasks]
+    merge, candidates = _merge_polished(), []
     for k, record in enumerate(records):
         after = records[k + 1].name if k + 1 < len(records) else None
         keep, kept = _dedup_native(), []
         for handle in handles:
-            notes, outcomes, ends = handle.get()
+            notes, outcomes, ends = handle()
             record.notes += notes
             for label, res in outcomes:
                 record.log(label, res)
@@ -1025,9 +1083,11 @@ def _stream(submit, records, tasks):
                     continue
                 if after is not None:
                     polish = submit(_path_task, (after, (len(kept), point)))
+                elif merge(polish):
+                    candidates.append(polish[0])
                 kept.append(polish)
         record.kept, handles = len(kept), kept
-    return handles
+    return handles, tuple(candidates)
 
 
 def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
@@ -1039,8 +1099,8 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
     tracked on every CPU in the affinity mask (_tasks), and the task that
     tracks a path of the last stage polishes its endpoint at cfg.bits
     (_polish), with the same result for any worker count. The parent
-    deduplicates the endpoints and merges the polished ones
-    (_merge_polished); everything random is derived from cfg.seed and
+    deduplicates the endpoints and merges the polished ones as it reads
+    them (_stream); everything random is derived from cfg.seed and
     recorded in the returned ledger.
     """
     F = as_exp_system(F)
@@ -1079,22 +1139,21 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
             "product-to-truncated": (product_system, Fp, product, None),
             "truncated-to-target": (Fp, F, target, F),
         }
-        # Compiled before the pool forks, the two steps are inherited by every
+        # Compiled before the workers fork, the two steps are inherited by every
         # worker instead of compiled in each.
         for Fstart, Ftarget, _, _ in (shared["product-to-truncated"], shared["truncated-to-target"]):
             _step_program(compile_system(Fstart), compile_system(Ftarget))
         records = [_stage(ledger, name, c) for name, c in zip(shared, (slices, product, target))]
         tasks = [(_slice_task, ("slice-continuation", nu)) for nu in selections]
-    # Generated before the pool forks, F's polishing program is inherited by
+    # Generated before the workers fork, F's polishing program is inherited by
     # every worker instead of generated in each.
     compile_system(F, PrecisionConfig(MODE_FLOAT, cfg.bits))._evaluate
     with _tasks(shared, len(tasks)) as submit:
-        polished = _stream(submit, records, tasks)
+        polished, candidates = _stream(submit, records, tasks)
     for *_, singular_at in polished:
         if singular_at is not None:
             ledger.notes.append(
                 f"candidate refinement hit a singular Jacobian at step {singular_at}"
             )
-    candidates = _merge_polished(polished)
     ledger.candidate_count = len(candidates)
     return SolveResult(candidates, ledger)

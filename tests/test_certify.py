@@ -256,6 +256,35 @@ def test_float_batch_lifts_each_point_once(monkeypatch):
     assert len(lifted) == sum(len(z) for z in points)
 
 
+@pytest.mark.parametrize("stem", ["rr_dyad", "rr_dyad_poly"])
+def test_batch_reads_each_certified_point_once_for_the_pairwise_tests(monkeypatch, stem):
+    """certify_batch reads each certified point's exact (q, X) once, and its
+    distinct sets and real statuses are those that certify_distinct on
+    every pair and certify_real on every point give."""
+    F = parse_system((DATA / f"{stem}.sys").read_text(encoding="utf-8"))
+    found = parse_points((DATA / f"{stem}.pts").read_text(encoding="utf-8")).points
+    points = [*found, *found[:2]]
+    reads = []
+    original = certify_module._exact_point
+
+    def counting(z, p):
+        reads.append(z)
+        return original(z, p)
+
+    monkeypatch.setattr(certify_module, "_exact_point", counting)
+    report = certify_batch(F, points, F96, BatchOptions(distinct=True, real=True))
+    certified = [r for r in report.records if r.certificate.certified_approximate]
+    assert len(certified) == len(points) and len(reads) == len(points)
+    monkeypatch.undo()
+    zs = [lift_point(r.point, F96) for r in certified]
+    for a, ra in enumerate(certified):
+        assert ra.real is certify_real(F, ra.certificate, zs[a], F96)
+        for b in range(a + 1, len(certified)):
+            rb = certified[b]
+            apart = certify_distinct(F, ra.certificate, zs[a], rb.certificate, zs[b])
+            assert apart == (ra.distinct_set != rb.distinct_set)
+
+
 def test_float_certification_of_transcendental_system():
     G, (Z1, Z2) = two_link_arm_exp()
     c1 = certify_solution(G, Z1, F96)

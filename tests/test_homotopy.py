@@ -10,7 +10,9 @@ import hashlib
 import itertools
 import math
 import multiprocessing
+import os
 import random
+import signal
 import struct
 import threading
 import time
@@ -991,7 +993,7 @@ def test_tangent_is_evaluated_once_per_accepted_point(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Tracking on a process pool
+# Tracking in forked workers
 
 
 def _fingerprint(out):
@@ -1047,15 +1049,15 @@ def test_solve_in_a_daemonic_process_tracks_serially(monkeypatch):
 
 
 def test_solve_beside_another_thread_tracks_serially(monkeypatch):
-    """Fork copies only the calling thread, so no pool is opened while
+    """Fork copies only the calling thread, so no worker is forked while
     another thread runs."""
     expected = _fingerprint(_solve_case("link-free"))
 
-    def no_pool(method=None):
-        raise AssertionError("a pool was opened beside a running thread")
+    def no_fork():
+        raise AssertionError("a worker was forked beside a running thread")
 
     monkeypatch.setattr(homotopy, "_worker_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
@@ -1067,17 +1069,55 @@ def test_solve_beside_another_thread_tracks_serially(monkeypatch):
     assert not other.is_alive()
 
 
-def test_no_worker_outlives_a_solve(monkeypatch):
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the workers a test's solves fork, as the parent sees them."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def _assert_reaped(pids, count):
+    """count workers were forked, and each one is gone: waitpid no longer
+    knows it as a child of this process."""
+    assert len(pids) == count
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that blocks: SIGALRM raises TimeoutError after 120 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the solve did not return within 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_no_worker_outlives_a_solve(monkeypatch, forked):
     monkeypatch.setattr(homotopy, "_worker_count", lambda: 2)
     assert len(_solve_case("arm").candidates) == 6
-    assert multiprocessing.active_children() == []
+    _assert_reaped(forked, 2)
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_a_raising_task_reaches_the_caller_and_leaves_no_worker(monkeypatch, k):
+def test_a_raising_task_reaches_the_caller_and_leaves_no_worker(monkeypatch, forked, k):
     """One start of the arm's stage k raises in its worker: a slice task
     (k = 1) or a path task (k = 3). The exception reaches the caller with
-    its type, and the pool is torn down before it does."""
+    its type, and every worker is reaped before it does."""
     track = homotopy.track_path
     seed = homotopy._stage_config(HomotopyConfig(seed=12), k).seed
     starts = []
@@ -1101,7 +1141,51 @@ def test_a_raising_task_reaches_the_caller_and_leaves_no_worker(monkeypatch, k):
     monkeypatch.setattr(homotopy, "_worker_count", lambda: 2)
     with pytest.raises(ZeroDivisionError, match="injected"):
         _solve_case("arm")
-    assert multiprocessing.active_children() == []
+    _assert_reaped(forked, 2)
+
+
+def test_a_dying_worker_fails_the_solve_and_leaves_no_worker(monkeypatch, forked, deadline):
+    """A worker that exits in the middle of the arm's third slice task ends
+    the solve with an error that names its exit status; the other worker
+    is reaped."""
+    parent, track, slices = os.getpid(), homotopy.track_path, []
+    seed = homotopy._stage_config(HomotopyConfig(seed=12), 1).seed
+
+    def dying(Fstart, Ftarget, z0, cfg):
+        if cfg.seed == seed:
+            slices.append(Ftarget)
+            if len(set(slices)) == 3:
+                assert os.getpid() != parent, "the task ran in the solving process"
+                os._exit(3)
+        return track(Fstart, Ftarget, z0, cfg)
+
+    monkeypatch.setattr(homotopy, "track_path", dying)
+    monkeypatch.setattr(homotopy, "_worker_count", lambda: 2)
+    with pytest.raises(ChildProcessError, match="exit status 3"):
+        _solve_case("arm")
+    _assert_reaped(forked, 2)
+
+
+def test_an_interrupted_solve_leaves_no_worker(monkeypatch, forked, deadline):
+    """KeyboardInterrupt in the solving process, raised as it reads the
+    fifth slice endpoint, kills and reaps the workers before it propagates."""
+    dedup, reads = homotopy._dedup_native, itertools.count()
+
+    def interrupted():
+        keep = dedup()
+
+        def interrupting(point):
+            if next(reads) == 4:
+                raise KeyboardInterrupt
+            return keep(point)
+
+        return interrupting
+
+    monkeypatch.setattr(homotopy, "_dedup_native", interrupted)
+    monkeypatch.setattr(homotopy, "_worker_count", lambda: 2)
+    with pytest.raises(KeyboardInterrupt):
+        _solve_case("arm")
+    _assert_reaped(forked, 2)
 
 
 def _first_starts(name):

@@ -218,4 +218,5 @@ def test_polish_keeps_what_the_loop_kept(cloud):
         polished = [_polish(None, (0j,), bits) for _ in reps]
     finally:
         homotopy.newton_step, homotopy.certify_solution = saved
-    assert _merge_polished(polished) == _loop_polish_merge(None, reps, cfg)
+    keep = _merge_polished()
+    assert tuple(p[0] for p in polished if keep(p)) == _loop_polish_merge(None, reps, cfg)

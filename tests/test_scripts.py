@@ -40,6 +40,11 @@ ROOT = Path(__file__).resolve().parent.parent
             ["layer_times.py", "--stems", "rr_dyad", "--bits", "96", "--repeat", "2"],
             '{"stem": "rr_dyad", "bits": 96, "repeat": 2, "value_and_jacobian_ms": ',
         ),
+        (
+            ["solve_times.py", "--system", str(ROOT / "data" / "rr_dyad.sys"),
+             "--degrees", "3,3,2,2", "--seeds", "0"],
+            '"candidates": 4, "setup_s": ',
+        ),
     ],
 )
 def test_script_runs(argv, expected):
