@@ -22,7 +22,8 @@ bound on ||I - R J||_F that takes in the enclosures' radii
 exactly in integers, and gamma from the same column bounds on J^{-1}. Every
 quantity is an upper bound, rounded upward, so a certified verdict is a
 proof. The exact core takes no elimination in mpc and no fallback to one:
-when the double-precision bound declines J, the point is not certified.
+when the double-precision bound declines J, the point is not certified,
+and its certificate reads as a singular J's does (Certificate).
 
 Link-free systems solve J X = [F(z) | I] once, whose first column is the
 Newton step and whose other columns are J^{-1}, by a fraction-free solve
@@ -122,10 +123,15 @@ class RealStatus(Enum):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Per-point record of the certification quantities and verdict."""
+    """Per-point record of the certification quantities and verdict.
+
+    jacobian_invertible False means J is singular, or for a linked point,
+    not shown invertible by the double-precision bound (_linked_bounds);
+    either way gamma and alpha are infinite and the point is not certified.
+    """
 
     beta_sq: object
-    gamma_bound_sq: object  # math.inf when the Jacobian is singular
+    gamma_bound_sq: object  # math.inf when jacobian_invertible is False
     alpha_bound_sq: object  # 0 for exact zeros, math.inf when undefined
     jacobian_invertible: bool
     exact_zero: bool

@@ -10,8 +10,8 @@ F and its Jacobian are evaluated by one compiled program per system and
 scalar kind (CompiledSystem, cached by compile_system): the powers z_i^e,
 each row and each nonzero Jacobian entry a list of (coefficient, power
 indices) terms, constant entries folded. The same program serves every
-kind: hardware doubles for the path tracker, mpc at a given precision for
-refinement (value_and_jacobian), and the Gaussian integers for every
+kind: hardware doubles for the path tracker, mpc at a float precision for
+refinement (value_and_jacobian, mpc only), and the Gaussian integers for every
 certificate: at exact points, at float points read as their dyadic values
 (integer_rows), and for the exact core of a linked point (linked_rows),
 whose link rows that kind leaves out. The kind sets how
@@ -74,10 +74,7 @@ midpoints complete the exact F0 and J0, and their radii bound
 F - F0 and Df - J0. The column bounds then come from a double-precision
 inverse of J0 (linalg.inverse_column_bounds), and the envelope terms from
 the enclosures' upper ends; every step after the exact mu^2 rounds
-outward. The generic bound
-(gamma_bound_generic) only needs the order and coefficient sizes of a linear
-ODE satisfied by each link function, plus a caller-supplied value bound, so
-it also covers functions outside the built-in five.
+outward.
 
 Link functions have no exact values: exp/sin/... of a nonzero rational is
 irrational, so rational mode is rejected whenever m > 0.
@@ -119,12 +116,7 @@ from mpmath.libmp import (
 )
 from mpmath.libmp.libmpi import mpi_one, mpi_shift
 
-from .errors import (
-    DimensionMismatch,
-    ExactModeUnsupported,
-    PreconditionFailed,
-    ValidationError,
-)
+from .errors import DimensionMismatch, ExactModeUnsupported, ValidationError
 from .linalg import CVector, _GaussianInt
 from .polynomials import (
     Memo,
@@ -139,7 +131,6 @@ from .scalars import (
     PrecisionConfig,
     dyadic_point,
     exact_to_mpc,
-    fraction_to_mpf,
     integer_point,
     lift_point,
     working_precision,
@@ -208,77 +199,6 @@ class ExpSystem:
     @property
     def N(self) -> int:
         return self.n + self.m
-
-
-@dataclass(frozen=True)
-class OdeBoundData:
-    """Order and coefficient sizes of a linear constant-coefficient ODE.
-
-    coeffs holds one entry per coefficient c_0..c_{r-1}; an entry is either a
-    nonnegative number (the modulus) or an ExactComplex whose modulus is used.
-    """
-
-    r: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if self.r < 1:
-            raise ValidationError(f"ODE order must be >= 1, got {self.r}")
-        if len(self.coeffs) != self.r:
-            raise ValidationError(
-                f"expected {self.r} coefficients for an order-{self.r} ODE, got {len(self.coeffs)}"
-            )
-
-    def coefficient_moduli(self):
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, ExactComplex):
-                out.append(mp.sqrt(fraction_to_mpf(c.abs2(), mp.mp.prec)))
-            elif isinstance(c, Fraction):
-                if c < 0:
-                    raise ValidationError("coefficient modulus must be nonnegative")
-                out.append(fraction_to_mpf(c, mp.mp.prec))
-            else:
-                if c < 0:
-                    raise ValidationError("coefficient modulus must be nonnegative")
-                out.append(mp.mpf(c))
-        return out
-
-    @property
-    def C(self):
-        """max(1, coefficient moduli), evaluated at the ambient precision."""
-        mods = self.coefficient_moduli()
-        return max(mp.mpf(1), *mods) if mods else mp.mpf(1)
-
-
-def builtin_ode_data(kind: ExpKind, c: ExactComplex) -> OdeBoundData:
-    """ODE data for g(x) = kind(c*x): exp has order 1, the others order 2."""
-    if not isinstance(c, ExactComplex):
-        c = ExactComplex.of(c)
-    if kind is ExpKind.EXP:
-        # z' - c z = 0
-        return OdeBoundData(1, (c,))
-    # sin/cos: g'' = -c^2 g; sinh/cosh: g'' = +c^2 g. Either way the
-    # coefficient modulus is |c|^2, which is exactly rational.
-    return OdeBoundData(2, (c.abs2(), Fraction(0)))
-
-
-def builtin_bound_value(kind: ExpKind, c: ExactComplex, xval):
-    """B(x) = max over j < r of |g^(j)(x)| for the built-in kinds, at a point."""
-    w = exact_to_mpc(c, mp.mp.prec) * xval
-    cmod = mp.sqrt(fraction_to_mpf(c.abs2(), mp.mp.prec))
-    if kind is ExpKind.EXP:
-        return abs(mp.exp(w))
-    if kind is ExpKind.SIN:
-        return max(abs(mp.sin(w)), cmod * abs(mp.cos(w)))
-    if kind is ExpKind.COS:
-        return max(abs(mp.cos(w)), cmod * abs(mp.sin(w)))
-    if kind is ExpKind.SINH:
-        return max(abs(mp.sinh(w)), cmod * abs(mp.cosh(w)))
-    if kind is ExpKind.COSH:
-        return max(abs(mp.cosh(w)), cmod * abs(mp.sinh(w)))
-    raise ValidationError(f"unknown kind {kind!r}")
 
 
 def as_exp_system(F) -> ExpSystem:
@@ -557,20 +477,20 @@ class CompiledSystem:
     # Each function is generated on its first call: a tracked slice system,
     # for one, is only ever evaluated through the tracker's step.
     @cached_property
-    def _value(self):
+    def _value_fn(self):
         return self._generate(False)
 
     @cached_property
-    def _evaluate(self):
+    def _evaluate_fn(self):
         return self._generate(True)
 
     def value(self, z) -> list:
         """F(z): the polynomial rows, then the link rows."""
-        return self._value(z)
+        return self._value_fn(z)
 
     def evaluate(self, z):
         """(values, Jacobian entries in `pattern` order) at z, in one pass."""
-        return self._evaluate(z)
+        return self._evaluate_fn(z)
 
 
 def compile_system(system, prec: PrecisionConfig | None = None) -> CompiledSystem:
@@ -599,31 +519,19 @@ def _program_by_equality(system, prec: PrecisionConfig | None) -> CompiledSystem
         return CompiledSystem(system, prec)
 
 
-def _evaluate(F, z: CVector, prec: PrecisionConfig, exact: bool = False):
-    """(the exact point (d z, d) or None, the Delta_r = L_r d^(D_r - 1),
-    F(z), dense Df(z)) from one program call, with z = X / d: the integer
-    program at an exact z's integer_point, or, when exact is set, at a
-    float z's dyadic value (core_point); else the mpc program at prec."""
+def _check_size(F, z: CVector) -> int:
+    """The number of variables of F, which z must have."""
     nv = F.N if isinstance(F, ExpSystem) else F.nv
     if len(z) != nv:
         raise DimensionMismatch(f"point has {len(z)} coordinates, expected {nv}")
-    if prec.is_exact:
-        m = as_exp_system(F).m
-        if m:
-            raise ExactModeUnsupported(
-                f"evaluation requires floating arithmetic when links are present (m = {m})")
-        return _evaluate_integer(F, *integer_point(z))
-    if exact:
-        return _evaluate_integer(F, *core_point(z, prec.bits))
-    program = compile_system(F, prec)
-    with working_precision(prec.bits):
-        values, entries = program.evaluate(lift_point(z, prec))
-    return None, None, values, _dense(program, entries, nv)
+    return nv
 
 
 def _evaluate_integer(F, d: int, parts):
-    """_evaluate at the exact point X / d, X given as (re, im) pairs of ints.
-    The program has no link rows: those rows of Df(z) are left zero."""
+    """(the program's point (X, d), the Delta_r = L_r d^(D_r - 1), the
+    numerators N_r, dense M) from one integer program call at the exact
+    point z = X / d, X given as (re, im) pairs of ints. The program has no
+    link rows: those rows of M are left zero."""
     program = compile_system(F, _EXACT)
     deltas = [L * d ** (D - 1) for L, D in program.row_scales]
     point = tuple(_GaussianInt(re, im) if im else re for re, im in parts) + (d,)
@@ -639,20 +547,17 @@ def _dense(program: CompiledSystem, entries, nv: int) -> list:
 
 
 def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
-    """(F(z), dense Df(z)) from one call of F's compiled program.
+    """(F(z), dense Df(z)) in mpc from one call of F's program at prec, a
+    float PrecisionConfig, under prec.bits.
 
     Rows are the n polynomials, then one row z_dst - g(c * z_src) per link.
-    Exact coordinates are lifted to prec's scalar kind; floating work runs
-    at prec.bits; exact values are the integer program's, as Fractions.
+    Exact coordinates are lifted to mpc at prec.bits.
     """
-    point, deltas, values, J = _evaluate(F, z, prec)
-    if point is not None:
-        d = point[-1]
-        values = [ExactComplex(Fraction(v.real, q * d), Fraction(v.imag, q * d))
-                  for v, q in zip(values, deltas)]
-        J = [[ExactComplex(Fraction(v.real, q), Fraction(v.imag, q)) for v in row]
-             for row, q in zip(J, deltas)]
-    return tuple(values), tuple(tuple(row) for row in J)
+    nv = _check_size(F, z)
+    program = compile_system(F, prec)
+    with working_precision(prec.bits):
+        values, entries = program.evaluate(lift_point(z, prec))
+    return tuple(values), tuple(tuple(row) for row in _dense(program, entries, nv))
 
 
 def integer_rows(F, z: CVector, prec: PrecisionConfig, inverse: bool):
@@ -665,9 +570,19 @@ def integer_rows(F, z: CVector, prec: PrecisionConfig, inverse: bool):
     Row i, J_i = M_i / Delta_i and F_i = N_i / (Delta_i d), is scaled by
     Delta_i / g_i, g_i = gcd(Delta_i, parts of M_i), and F's column by the
     lcm of the g_i d / h_i, h_i = gcd(g_i d, parts of N_i): the lcms of the
-    reduced denominators, so the rows are those the Fraction values give."""
-    point, deltas, values, J = _evaluate(F, z, prec, exact=True)
-    d = point[-1]
+    reduced denominators, so the rows are those the Fraction values give.
+    Rational mode has no link values, so a linked F raises
+    ExactModeUnsupported there."""
+    _check_size(F, z)
+    if prec.is_exact:
+        m = as_exp_system(F).m
+        if m:
+            raise ExactModeUnsupported(
+                f"evaluation requires floating arithmetic when links are present (m = {m})")
+        d, parts = integer_point(z)
+    else:
+        d, parts = core_point(z, prec.bits)
+    point, deltas, values, J = _evaluate_integer(F, d, parts)
     n = len(values)
     gs = [math.gcd(q, *(p for a in row for p in (a.real, a.imag))) for q, row in zip(deltas, J)]
     hs = [math.gcd(g * d, v.real, v.imag) for g, v in zip(gs, values)]
@@ -892,46 +807,3 @@ def integer_gamma_bound_sq(F: ExpSystem, n1, sums, dd) -> Fraction:
     (A, q2), D = n1, F.P.max_degree
     num, den = _mu_sq(F, n1, sums, dd)
     return Fraction(num * D**3 * q2, den * 4 * A)
-
-
-def _as_float(v):
-    if isinstance(v, Fraction):
-        return fraction_to_mpf(v, mp.mp.prec)
-    return v
-
-
-def gamma_bound_generic(mu, D: int, n1, odes) -> object:
-    """Generic curvature bound from ODE data alone.
-
-    odes is a list of (OdeBoundData, B-value) pairs; returns
-    mu * (D^(3/2) / (2 n1) + 2 * sum C_i^2 * max(1, r_i * B_i)).
-    """
-    mu = _as_float(mu)
-    n1 = _as_float(n1)
-    if mu < 1:
-        raise PreconditionFailed(f"mu must be >= 1, got {mu}")
-    if n1 < 1:
-        raise PreconditionFailed(f"n1 must be >= 1, got {n1}")
-    total = mp.sqrt(mp.mpf(D)) ** 3 / (2 * n1)
-    extra = mp.mpf(0)
-    for data, bval in odes:
-        bval = _as_float(bval)
-        if bval < 0:
-            raise PreconditionFailed(f"B value must be nonnegative, got {bval}")
-        C = data.C
-        rb = data.r * bval
-        extra = extra + C * C * (rb if rb > 1 else mp.mpf(1))
-    return mu * (total + 2 * extra)
-
-
-def ode_derivative_bound(data: OdeBoundData, B, k: int):
-    """Certified bound on |g^(k)(x)| from the ODE data and B = B(x)."""
-    if k < 0:
-        raise PreconditionFailed(f"derivative order must be >= 0, got {k}")
-    B = _as_float(B)
-    if B < 0:
-        raise PreconditionFailed(f"B value must be nonnegative, got {B}")
-    if k < data.r:
-        return B
-    C = data.C
-    return (2 * C) ** (k - data.r) * data.r * B * C

@@ -1147,7 +1147,7 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
         tasks = [(_slice_task, ("slice-continuation", nu)) for nu in selections]
     # Generated before the workers fork, F's polishing program is inherited by
     # every worker instead of generated in each.
-    compile_system(F, PrecisionConfig(MODE_FLOAT, cfg.bits))._evaluate
+    compile_system(F, PrecisionConfig(MODE_FLOAT, cfg.bits))._evaluate_fn
     with _tasks(shared, len(tasks)) as submit:
         polished, candidates = _stream(submit, records, tasks)
     for *_, singular_at in polished:

@@ -10,10 +10,11 @@ arithmetic; the solver builds its product start rows and restricts systems
 to slices with them.
 
 Nothing here evaluates a system: its values and Jacobian come from the one
-compiled program in expsystems (value_and_jacobian), which compiles each
-polynomial and its symbolic derivatives. Polynomial.evaluate sums one
-polynomial term by term in the arithmetic of the point, exactly for exact
-points, and serves as the exact reference for that program.
+compiled program in expsystems, which compiles each polynomial and its
+symbolic derivatives: exact values from the integer program
+(integer_rows), mpc values from value_and_jacobian. Polynomial.evaluate
+sums one polynomial term by term in the arithmetic of the point, exactly
+for exact points, and is the tests' reference for that program.
 """
 
 from __future__ import annotations

@@ -41,7 +41,14 @@ from expcert.certify import (
     same_root,
 )
 from expcert.errors import NotCertified, NotRealMap, PreconditionFailed
-from expcert.expsystems import CompiledSystem, ExpKind, as_exp_system, value_and_jacobian
+from expcert.expsystems import (
+    CompiledSystem,
+    ExpKind,
+    ExpLink,
+    ExpSystem,
+    as_exp_system,
+    value_and_jacobian,
+)
 from expcert.homotopy import taylor_truncate
 from expcert.linalg import norm_sq
 from expcert.mechanisms import (
@@ -61,6 +68,7 @@ from expcert.scalars import (
 from expcert.sysio import parse_points, parse_system
 from test_expsystems import fraction_mu_gamma_sq, linearization_cases, mpc_bounds_sq
 from test_linalg import _dense_solve_columns, identity
+from test_polynomials import exact_value_and_jacobian
 
 RAT = PrecisionConfig("rational", 64)
 F96 = PrecisionConfig("float", 96)
@@ -401,6 +409,27 @@ def test_an_ill_conditioned_link_free_system_certifies_in_float_mode(bits):
     assert cert.certified_approximate and cert.jacobian_invertible
 
 
+def test_a_declined_linked_jacobian_is_reported_as_singular():
+    """The same two rows with y = exp(x) linked on, at (1, 1, e): J has
+    determinant e = 1/(2.5 10^9), so it is invertible, but the
+    double-precision inverse bound declines it, and a linked point has no
+    other route. The point is not certified, alpha is infinite and
+    jacobian_invertible is False, with nothing raised: certify_batch
+    records it as an uncertified point, not as an error."""
+    e = Fraction(1, 2_500_000_000)
+    F = ExpSystem(PolynomialSystem((
+        Polynomial.from_terms(3, [(1, (1, 0, 0)), (1, (0, 1, 0)), (-2, (0, 0, 0))]),
+        Polynomial.from_terms(3, [(1, (1, 0, 0)), (1 + e, (0, 1, 0)), (-2 - e, (0, 0, 0))]),
+    )), (ExpLink(ExpKind.EXP, ec(1), 1, 3),))
+    with mp.workprec(96):
+        z = (mp.mpc(1), mp.mpc(1), mp.mpc(mp.e))
+    cert = certify_solution(F, z, F96)
+    assert not cert.certified_approximate and not cert.jacobian_invertible
+    assert math.isinf(cert.alpha_bound_sq) and cert.beta_sq == 0
+    (record,) = certify_batch(F, [z], F96).records
+    assert record.error is None and record.certificate == cert
+
+
 TIGHT_STEMS = ("compliant", "compliant_alt", "rr_dyad", "rr_dyad_euler", "rr_dyad_poly")
 F320 = PrecisionConfig("float", 320)
 
@@ -606,7 +635,7 @@ def test_rational_certificate_matches_the_dense_fraction_solve(case):
     Fraction elimination of J X = [F(z) | I] exactly."""
     F, z = _rational_cases()[case]
     F = as_exp_system(F)
-    residual, J = value_and_jacobian(F, z, RAT)
+    residual, J = exact_value_and_jacobian(F.P, z)
     rhs = tuple((v,) + e for v, e in zip(residual, identity(F.N, exact=True)))
     X = tuple(zip(*_dense_solve_columns(J, rhs)))
     beta_sq = norm_sq(X[0])

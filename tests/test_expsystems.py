@@ -1,9 +1,8 @@
 """Polynomial-exponential systems: evaluation, Jacobians, derivative bounds.
 
-The soundness checks compare certified bounds against closed-form k-th
-derivatives of the built-in function kinds, which is the entire point of
-the ODE-data machinery: the bound may be loose but must never be below the
-truth.
+The soundness checks compare linked_rows' link envelope terms against
+closed-form k-th derivatives of the built-in function kinds: the bound may
+be loose but must never be below the truth.
 """
 
 import cmath
@@ -22,27 +21,18 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpc_cos, mpc_cos_sin, mpc_sin
 
 from expcert.certify import certify_batch, certify_solution
-from expcert.errors import (
-    ExactModeUnsupported,
-    PreconditionFailed,
-    SingularMatrix,
-    ValidationError,
-)
+from expcert.errors import ExactModeUnsupported, SingularMatrix, ValidationError
 from expcert.expsystems import (
     CompiledSystem,
     ExpKind,
     ExpLink,
     ExpSystem,
-    OdeBoundData,
     as_exp_system,
-    builtin_bound_value,
-    builtin_ode_data,
     compile_system,
-    gamma_bound_generic,
     integer_gamma_bound_sq,
     integer_rows,
     linked_rows,
-    ode_derivative_bound,
+    _evaluate_integer,
     _program_by_equality,
     value_and_jacobian,
 )
@@ -58,18 +48,20 @@ from expcert.polynomials import (
     ppow,
     variable,
 )
+from expcert.refine import newton_refine
 from expcert.scalars import (
     ExactComplex,
     PrecisionConfig,
     exact_to_mpc,
     fraction_to_mpf,
+    integer_point,
     lift_point,
     mpf_to_fraction,
 )
 from expcert.sysio import parse_points, parse_system, serialize_system
 
 from test_linalg import _dense_solve_columns, _integer_rows, identity, invert, norm1_sq
-from test_polynomials import delta_sq_entries
+from test_polynomials import delta_sq_entries, exact_value_and_jacobian
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -141,9 +133,9 @@ def test_evaluate_and_jacobian_hand_case():
 def test_exact_mode_rejected_with_links():
     F = simple_system()
     with pytest.raises(ExactModeUnsupported):
-        value_and_jacobian(F, (ec(0), ec(0)), RAT)
-    with pytest.raises(ExactModeUnsupported):
         certify_solution(F, (ec(0), ec(0)), RAT)
+    with pytest.raises(ExactModeUnsupported):
+        newton_refine(F, (ec(0), ec(0)), 1, RAT)
 
 
 def test_jacobian_matches_central_differences():
@@ -201,11 +193,17 @@ _LINK_FREE = [name for name, (F, _) in _PROGRAM_CASES.items() if F.m == 0]
 
 @pytest.mark.parametrize("name", _LINK_FREE)
 def test_program_is_exact_in_rational_mode(name):
+    """The integer program's N_r / (L_r d^D_r) and M_rj / (L_r d^(D_r - 1))
+    are the exact values and Jacobian entries at z = X / d."""
     F, points = _PROGRAM_CASES[name]
     for z in points:
-        values, J = value_and_jacobian(F, z, RAT)
-        assert values == tuple(p.evaluate(z) for p in F.P.polys)
-        assert J == tuple(tuple(p.derivative(j).evaluate(z) for j in range(F.N)) for p in F.P.polys)
+        d, parts = integer_point(z)
+        _, deltas, values, J = _evaluate_integer(F, d, parts)
+        want_values, want_J = exact_value_and_jacobian(F.P, z)
+        assert tuple(ExactComplex(Fraction(v.real, q * d), Fraction(v.imag, q * d))
+                     for v, q in zip(values, deltas)) == want_values
+        assert tuple(tuple(ExactComplex(Fraction(v.real, q), Fraction(v.imag, q)) for v in row)
+                     for row, q in zip(J, deltas)) == want_J
 
 
 @pytest.mark.parametrize("name", list(_PROGRAM_CASES))
@@ -340,7 +338,7 @@ def test_mpc_link_rows_equal_a_per_link_reference(name, bits):
     prec = PrecisionConfig("float", bits)
     with mp.workprec(bits):
         program = CompiledSystem(F, prec)
-    program._evaluate
+    program._evaluate_fn
     with mp.workprec(bits):
         for re, im in _LINK_ARGUMENTS:
             z = [mp.mpc(0.5, 0.25 * i) for i in range(F.N)]
@@ -412,27 +410,6 @@ def test_one_compliant_evaluation_calls_cos_sin_once_per_argument():
         "cmath.sin": 3, "cmath.cos": 3}
 
 
-def test_builtin_ode_data_orders():
-    assert builtin_ode_data(ExpKind.EXP, ec(3)).r == 1
-    for kind in (ExpKind.SIN, ExpKind.COS, ExpKind.SINH, ExpKind.COSH):
-        data = builtin_ode_data(kind, ec(2))
-        assert data.r == 2
-        assert data.coeffs[0] == Fraction(4)  # |c|^2 exactly
-
-
-def test_ode_data_validation():
-    with pytest.raises(ValidationError):
-        OdeBoundData(0, ())
-    with pytest.raises(ValidationError):
-        OdeBoundData(2, (Fraction(1),))
-
-
-def test_ode_c_floor_at_one():
-    with mp.workprec(64):
-        assert builtin_ode_data(ExpKind.EXP, ec(Fraction(1, 2))).C == 1
-        assert builtin_ode_data(ExpKind.EXP, ec(5)).C == 5
-
-
 _DERIV_CYCLE = {
     ExpKind.EXP: lambda w, k: mp.exp(w),
     ExpKind.SIN: lambda w, k: (mp.sin(w), mp.cos(w), -mp.sin(w), -mp.cos(w))[k % 4],
@@ -448,50 +425,21 @@ _SAMPLES = [mp.mpc(0), mp.mpc(1), mp.mpc(-2), mp.mpc("0.5", "1.5"),
 @pytest.mark.parametrize("kind", list(ExpKind))
 @pytest.mark.parametrize("cval", [ec(1), ec(2), ec(Fraction(1, 3)), ec(1, 1)])
 def test_derivative_bound_sound_for_builtins(kind, cval):
-    """|d^k/dx^k g(c x)| <= certified bound, k <= 12, sampled x."""
+    """The derivative bound of a link y = g(c x) is the envelope term that
+    linked_rows gives it: (|c|^k |g^(k)(c x)| / k!)^(1/(k-1)) <= the term
+    for k = 2..12, at each sampled source x of a one-link system. That is
+    the higher-derivative part of gamma the term stands for."""
+    P = PolynomialSystem((poly(2, (1, (1, 0)), (1, (0, 1))),))
+    F = ExpSystem(P, (ExpLink(kind, cval, 1, 2),))
     with mp.workprec(128):
-        data = builtin_ode_data(kind, cval)
         c = exact_to_mpc(cval, 128)
         for x in _SAMPLES:
-            B = builtin_bound_value(kind, cval, x)
-            for k in range(13):
-                truth = abs(c**k * _DERIV_CYCLE[kind](c * x, k))
-                bound = ode_derivative_bound(data, B, k)
-                assert truth <= bound * (1 + mp.mpf(10) ** -25), (kind, x, k)
-
-
-def test_derivative_bound_sound_for_external_ode():
-    """y = x sin x solves y'''' + 2 y'' + y = 0; its data must bound k <= 12."""
-    data = OdeBoundData(4, (Fraction(1), Fraction(0), Fraction(2), Fraction(0)))
-    with mp.workprec(128):
-        y = [
-            lambda x: x * mp.sin(x),
-            lambda x: mp.sin(x) + x * mp.cos(x),
-            lambda x: 2 * mp.cos(x) - x * mp.sin(x),
-            lambda x: -3 * mp.sin(x) - x * mp.cos(x),
-        ]
-
-        def deriv(x, k):
-            # closed cycle of period 4 on (a sin + b cos + x(c sin + d cos))
-            if k < 4:
-                return y[k](x)
-            # d^k y = d^(k-4)(y'''') = d^(k-4)(-2y'' - y)
-            return -2 * deriv(x, k - 2) - deriv(x, k - 4)
-
-        for x in (mp.mpf(0), mp.mpf(1), mp.mpf(-2), mp.mpf("2.5")):
-            B = max(abs(y[j](x)) for j in range(4))
-            for k in range(13):
-                truth = abs(deriv(x, k))
-                bound = ode_derivative_bound(data, B, k)
-                assert truth <= bound * (1 + mp.mpf(10) ** -25), (x, k)
-
-
-def test_ode_derivative_bound_validation():
-    data = builtin_ode_data(ExpKind.SIN, ec(1))
-    with pytest.raises(PreconditionFailed):
-        ode_derivative_bound(data, 1, -1)
-    with pytest.raises(PreconditionFailed):
-        ode_derivative_bound(data, -1, 2)
+            (term,) = linked_rows(F, (x, mp.mpc(0)), 96).envelope
+            term = mp.make_mpf(term)
+            for k in range(2, 13):
+                truth = (abs(c) ** k * abs(_DERIV_CYCLE[kind](c * x, k)) / math.factorial(k)) ** (
+                    mp.mpf(1) / (k - 1))
+                assert truth <= term * (1 + mp.mpf(10) ** -25), (kind, x, k)
 
 
 def mpc_link_bound_term(link: ExpLink, xval):
@@ -593,25 +541,6 @@ def test_link_bound_term_floor():
         assert linked_rows(F, (mp.mpc(0), mp.mpc(0)), 96).envelope == [mp.mpf(1)._mpf_]
 
 
-def test_generic_bound_preconditions():
-    data = builtin_ode_data(ExpKind.EXP, ec(1))
-    with mp.workprec(96):
-        with pytest.raises(PreconditionFailed):
-            gamma_bound_generic(Fraction(1, 2), 2, Fraction(2), [(data, 1)])
-        with pytest.raises(PreconditionFailed):
-            gamma_bound_generic(Fraction(2), 2, Fraction(1, 2), [(data, 1)])
-        with pytest.raises(PreconditionFailed):
-            gamma_bound_generic(Fraction(2), 2, Fraction(2), [(data, -1)])
-
-
-def test_generic_bound_monotone_in_b():
-    data = builtin_ode_data(ExpKind.SIN, ec(2))
-    with mp.workprec(96):
-        lo = gamma_bound_generic(Fraction(2), 3, Fraction(2), [(data, 1)])
-        hi = gamma_bound_generic(Fraction(2), 3, Fraction(2), [(data, 10)])
-        assert hi > lo
-
-
 rat = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 
 
@@ -692,8 +621,7 @@ def test_integer_rows_are_the_reduced_fraction_rows(case, inverse):
     """integer_rows gives, integer for integer, the rows and scales that the
     reference gives for the Fraction values of [J | F(z) (| I)]."""
     S, z = case
-    F = tuple(p.evaluate(z) for p in S.polys)
-    J = tuple(tuple(p.derivative(j).evaluate(z) for j in range(S.nv)) for p in S.polys)
+    F, J = exact_value_and_jacobian(S, z)
     B = tuple((v,) + (e if inverse else ()) for v, e in zip(F, identity(S.nv, exact=True)))
     want_rows, want_scales = _integer_rows(J, B)
     values, rows, scales, (A, q2) = integer_rows(S, z, RAT, inverse)
@@ -764,8 +692,7 @@ def test_integer_mu_and_gamma_equal_the_fraction_route(case):
         sums, dd = solve_fraction_free(rows, scales).norm_sq_parts()
     except SingularMatrix:
         return
-    values = tuple(p.evaluate(z) for p in S.polys)
-    J = tuple(tuple(p.derivative(j).evaluate(z) for j in range(S.nv)) for p in S.polys)
+    values, J = exact_value_and_jacobian(S, z)
     B = tuple((v,) + e for v, e in zip(values, identity(S.nv, exact=True)))
     X = tuple(zip(*_dense_solve_columns(J, B)))
     mu_sq, gamma_sq = fraction_mu_gamma_sq(S, z, [norm_sq(col) for col in X[1:]])
@@ -778,7 +705,7 @@ def test_integer_mu_and_gamma_equal_the_fraction_route(case):
 def test_mu_matches_polynomial_route_exactly():
     S = PolynomialSystem((poly(1, (1, (2,)), (-2, (0,))),))
     z = (ec(Fraction(3, 2)),)
-    Jinv = invert(value_and_jacobian(S, z, RAT)[1])
+    Jinv = invert(exact_value_and_jacobian(S, z)[1])
     columns = tuple(norm_sq(col) for col in zip(*Jinv))
     musq, _ = fraction_mu_gamma_sq(S, z, columns)
     # polynomial route: mu^2 = max(1, 5 * 13/18) = 65/18
@@ -864,5 +791,5 @@ def test_systems_of_one_structure_share_compiled_code():
         compile_system(PolynomialSystem((Polynomial.from_terms(1, [(ec(c), (2,)), (ec(d), (0,))]),)))
         for c, d in ((2, -1), (3, -5))
     )
-    assert a is not b and a._value.__code__ is b._value.__code__
+    assert a is not b and a._value_fn.__code__ is b._value_fn.__code__
     assert (a.value([1.0]), b.value([1.0])) == ([1 + 0j], [-2 + 0j])

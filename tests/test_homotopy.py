@@ -677,7 +677,7 @@ def test_generated_code_holds_no_input_values():
     Fp = taylor_truncate(arm, (3, 3, 2, 2))
     cs, ct = CompiledSystem(Fp), CompiledSystem(arm)
     step = _step_program(cs, ct)
-    codes = [cs._evaluate.__code__, ct._value.__code__, step.__code__]
+    codes = [cs._evaluate_fn.__code__, ct._value_fn.__code__, step.__code__]
     codes += [_elimination(n).__code__ for n in (1, 6, 12)]
     allowed = (1.0, 0j, 1e-250)
     for code in codes:

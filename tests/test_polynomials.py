@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from expcert.certify import certify_solution
 from expcert.errors import DimensionMismatch, ValidationError
-from expcert.expsystems import value_and_jacobian
+from expcert.expsystems import integer_rows, value_and_jacobian
 from expcert.linalg import norm_sq
 from expcert.polynomials import (
     Monomial,
@@ -29,12 +29,20 @@ from expcert.polynomials import (
     constant,
     variable,
 )
-from expcert.scalars import ExactComplex, PrecisionConfig
+from expcert.scalars import ExactComplex, PrecisionConfig, lift_point
 
 from test_linalg import solve_vector
 
 rat = st.fractions(min_value=-20, max_value=20, max_denominator=32)
 RAT = PrecisionConfig("rational", 64)
+
+
+def exact_value_and_jacobian(S: PolynomialSystem, z):
+    """F(z) and Df(z) of a polynomial system at an exact point, from
+    Polynomial.evaluate and derivative: the reference for the integer
+    program."""
+    return (tuple(p.evaluate(z) for p in S.polys),
+            tuple(tuple(p.derivative(j).evaluate(z) for j in range(S.nv)) for p in S.polys))
 
 
 def delta_sq_entries(degrees, n1sq) -> list:
@@ -126,7 +134,7 @@ def test_system_shape_and_jacobian():
     S = PolynomialSystem((_mul(x, x), _mul(x, y)))
     assert S.n == 2 and S.nv == 2 and S.degrees == (2, 2)
     pt = (ec(3), ec(5))
-    values, J = value_and_jacobian(S, pt, RAT)
+    values, J = exact_value_and_jacobian(S, pt)
     assert J == ((ec(6), ec(0)), (ec(5), ec(3)))
     assert values == (ec(9), ec(15))
 
@@ -134,7 +142,10 @@ def test_system_shape_and_jacobian():
 def test_jacobian_dimension_check():
     S = PolynomialSystem((variable(2, 0),))
     with pytest.raises(DimensionMismatch):
-        value_and_jacobian(S, (ec(1),), RAT)
+        integer_rows(S, (ec(1),), RAT, inverse=False)
+    F96 = PrecisionConfig("float", 96)
+    with pytest.raises(DimensionMismatch):
+        value_and_jacobian(S, lift_point((ec(1),), F96), F96)
 
 
 @pytest.mark.parametrize(
@@ -229,7 +240,7 @@ def test_gamma_bound_dominates_directional_samples():
         bound_sq = certify_solution(S, x, RAT).gamma_bound_sq
         if math.isinf(bound_sq):
             continue
-        _, J = value_and_jacobian(S, x, RAT)
+        _, J = exact_value_and_jacobian(S, x)
         for _ in range(3):
             u = tuple(ec(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(nv))
             if all(c.is_zero() for c in u):
