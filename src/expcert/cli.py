@@ -21,7 +21,7 @@ from functools import cache
 from .certify import BatchOptions, certify_batch, certify_solution
 from .errors import ExpcertError, ValidationError
 from .homotopy import HomotopyConfig, solve_by_deformation
-from .refine import newton_refine
+from .refine import ResidualTable, newton_iterate
 from .scalars import MODE_FLOAT, MODE_RATIONAL, PrecisionConfig
 from .sysio import (
     parse_points,
@@ -108,13 +108,16 @@ def run_certify(args) -> int:
         )
     prec = PrecisionConfig(args.mode, args.precision)
 
+    # --refine K takes K Newton steps per point (rows 0..K-1 of its table),
+    # and row K is the beta^2 of the point's certificate: one linearization
+    # at the final point, not a second. A point whose iteration stopped at
+    # a singular J (singular_at) or whose certificate raised gets no row K.
     points = list(data.points)
-    tables = {}
+    trails = {}
     if args.refine > 0:
         for i, p in enumerate(points):
-            refined, table = newton_refine(F, p, args.refine, prec)
-            points[i] = refined
-            tables[i] = table
+            points[i], rows, singular_at = newton_iterate(F, p, args.refine, prec)
+            trails[i] = (rows, singular_at)
 
     options = BatchOptions(
         distinct=args.distinct,
@@ -122,6 +125,13 @@ def run_certify(args) -> int:
         assume_real_map=args.assume_real_map,
     )
     report = certify_batch(F, points, prec, options)
+    tables = {}
+    for rec in report.records:
+        if rec.index in trails:
+            rows, singular_at = trails[rec.index]
+            if singular_at is None and rec.certificate is not None:
+                rows += ((args.refine, rec.certificate.beta_sq),)
+            tables[rec.index] = ResidualTable(rows=rows, singular_at=singular_at)
 
     audit = {}
     if args.audit:

@@ -551,8 +551,12 @@ def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
     float PrecisionConfig, under prec.bits.
 
     Rows are the n polynomials, then one row z_dst - g(c * z_src) per link.
-    Exact coordinates are lifted to mpc at prec.bits.
+    Exact coordinates are lifted to mpc at prec.bits. A rational prec
+    raises ValidationError: exact values come from integer_rows.
     """
+    if prec.is_exact:
+        raise ValidationError("value_and_jacobian takes a float precision; "
+                              "exact values come from integer_rows")
     nv = _check_size(F, z)
     program = compile_system(F, prec)
     with working_precision(prec.bits):

@@ -1,11 +1,14 @@
 """Newton refinement with a residual trail.
 
-newton_refine drives k Newton iterations and records the step length at
-every iterate, which is the natural convergence diagnostic: once inside the
-certification basin the recorded exponents roughly double row over row
-until they saturate the working precision. Each iterate costs one residual,
-one Jacobian and one elimination (newton_direction): the recorded step is
-the one taken.
+newton_iterate takes k Newton steps and records the step length at each
+iterate it steps from, which is the natural convergence diagnostic: once
+inside the certification basin the recorded exponents roughly double row
+over row until they saturate the working precision. Each step costs one
+residual, one Jacobian and one elimination (newton_direction), and its
+recorded length is that of the step taken. newton_refine adds row k, the
+step length at the final point, from one more newton_direction. The CLI
+does not: `certify --refine K` fills row K from the certificate's beta^2,
+which certifying the final point computes anyway.
 """
 
 from __future__ import annotations
@@ -25,9 +28,14 @@ from .scalars import PrecisionConfig, fraction_to_mpf, lift_point, working_preci
 class ResidualTable:
     """Step lengths beta at iterates 0..k (squared, as computed).
 
-    rows[j] = (j, beta_sq at the j-th iterate). singular_at records the
-    iteration index where the Jacobian became singular, or None; when set,
-    the table is truncated at that iterate and the point stops moving.
+    rows[j] = (j, beta_sq at the j-th iterate). Rows below k are the
+    lengths of the steps taken. Row k is newton_refine's Newton step at the
+    final point; in a `certify --refine k` report it is the certificate's
+    beta^2 at that point instead (the proven upper bound in float mode, 0
+    for a J that is singular or declined, and absent when certifying the
+    point raised). singular_at records the iteration index where the
+    Jacobian became singular, or None; when set, the table is truncated at
+    that iterate and the point stops moving.
     """
 
     rows: tuple
@@ -69,13 +77,12 @@ def newton_direction(F, z: CVector, prec: PrecisionConfig):
     return z, step, norm_sq(step)
 
 
-def newton_refine(F, z: CVector, k: int, prec: PrecisionConfig):
-    """Run k Newton iterations from z; returns (final point, ResidualTable).
+def newton_iterate(F, z: CVector, k: int, prec: PrecisionConfig):
+    """Take k Newton steps from z; returns (final point, rows, singular_at).
 
-    The table always contains the step length at the starting point, so it
-    has k + 1 rows on a clean run. A singular Jacobian stops the iteration
-    early and is recorded rather than raised; by convention the step length
-    at a singular iterate is zero and the point is returned unchanged.
+    rows holds (j, beta_sq) for each iterate j < k stepped from. A singular
+    Jacobian at iterate j stops the iteration: its row reads zero, and
+    singular_at is j; otherwise it is None.
     """
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
@@ -83,16 +90,34 @@ def newton_refine(F, z: CVector, k: int, prec: PrecisionConfig):
     with working_precision(prec.bits):
         rows = []
         current = tuple(z)
-        singular_at = None
-        for j in range(k + 1):
+        for j in range(k):
             z, step, bsq = newton_direction(F, current, prec)
             if step is None:
-                rows.append((j, Fraction(0) if prec.is_exact else mp.mpf(0)))
-                if j < k:
-                    singular_at = j
-                break
+                rows.append((j, _zero(prec)))
+                return current, tuple(rows), j
             rows.append((j, bsq))
-            if j == k:
-                break
             current = tuple(a - b for a, b in zip(z, step))
-        return current, ResidualTable(rows=tuple(rows), singular_at=singular_at)
+        return current, tuple(rows), None
+
+
+def newton_refine(F, z: CVector, k: int, prec: PrecisionConfig):
+    """Run k Newton iterations from z; returns (final point, ResidualTable).
+
+    The table always contains the step length at the starting point, so it
+    has k + 1 rows on a clean run: newton_iterate's k, and the step length
+    at the final point. A singular Jacobian stops the iteration early and
+    is recorded rather than raised; by convention the step length at a
+    singular iterate is zero and the point is returned unchanged.
+    """
+    F = as_exp_system(F)
+    point, rows, singular_at = newton_iterate(F, z, k, prec)
+    if singular_at is None:
+        with working_precision(prec.bits):
+            _, step, bsq = newton_direction(F, point, prec)
+        rows += ((k, _zero(prec) if step is None else bsq),)
+    return point, ResidualTable(rows=rows, singular_at=singular_at)
+
+
+def _zero(prec: PrecisionConfig):
+    """The step length recorded at a singular iterate."""
+    return Fraction(0) if prec.is_exact else mp.mpf(0)

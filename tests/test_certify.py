@@ -7,6 +7,7 @@ side of the exact algebraic number it approximates.
 
 import functools
 import importlib
+import json
 import math
 import pkgutil
 import random
@@ -21,7 +22,7 @@ from mpmath import iv
 from mpmath.libmp import from_rational, round_ceiling
 
 import expcert
-from expcert import certify as certify_module, linalg, scalars
+from expcert import certify as certify_module, cli, linalg, scalars
 from expcert.certify import (
     ALPHA_STAR,
     ALPHA_STAR_SQ,
@@ -40,7 +41,7 @@ from expcert.certify import (
     robust_radius_sq,
     same_root,
 )
-from expcert.errors import NotCertified, NotRealMap, PreconditionFailed
+from expcert.errors import NotCertified, NotRealMap, PreconditionFailed, ValidationError
 from expcert.expsystems import (
     CompiledSystem,
     ExpKind,
@@ -65,7 +66,7 @@ from expcert.scalars import (
     lift_point,
     mpf_to_fraction,
 )
-from expcert.sysio import parse_points, parse_system
+from expcert.sysio import parse_points, parse_system, serialize_points, serialize_system
 from test_expsystems import fraction_mu_gamma_sq, linearization_cases, mpc_bounds_sq
 from test_linalg import _dense_solve_columns, identity
 from test_polynomials import exact_value_and_jacobian
@@ -236,6 +237,21 @@ def test_newton_refine_eliminates_once_per_iterate(monkeypatch, k):
     _, table = newton_refine(S, (ec(Fraction(3, 2)),), k, RAT)
     assert len(table.rows) == k + 1
     assert counts == {"eliminations": k + 1, "evaluations": k + 1}
+
+
+@pytest.mark.parametrize("k", range(4), ids=lambda k: f"K={k}")
+def test_refined_certify_linearizes_k_times_plus_the_certificate(tmp_path, k):
+    """`certify --refine K` takes K Newton steps per point and then
+    certifies it: K + 1 linearizations per point, the last the
+    certificate's, on a linked float system and on rational rr_dyad_poly."""
+    for stem, mode in (("rr_dyad", "float"), ("rr_dyad_poly", "rational")):
+        with pytest.MonkeyPatch.context() as patch:
+            counts = _count_linearizations(patch)
+            report = _certify_report(tmp_path, DATA / f"{stem}.sys", DATA / f"{stem}.pts",
+                                     "--mode", mode, "--refine", str(k), "--distinct", "--real")
+        total = report["counts"]["total"]
+        assert total == 2
+        assert counts == {"eliminations": (k + 1) * total, "evaluations": (k + 1) * total}
 
 
 def test_newton_step_eliminates_once(monkeypatch):
@@ -428,6 +444,100 @@ def test_a_declined_linked_jacobian_is_reported_as_singular():
     assert math.isinf(cert.alpha_bound_sq) and cert.beta_sq == 0
     (record,) = certify_batch(F, [z], F96).records
     assert record.error is None and record.certificate == cert
+
+
+def _certify_report(tmp_path, system, points, *flags) -> dict:
+    """The JSON report of `expcert certify` on the system and points files."""
+    out = tmp_path / "report.json"
+    code = cli.main(["certify", "--system", str(system), "--points", str(points),
+                     *flags, "--output", str(out)])
+    assert code in (0, 1)
+    return json.loads(out.read_text())
+
+
+def _write_case(tmp_path, F, points):
+    """F and points written as files; returns their paths."""
+    system, pts = tmp_path / "case.sys", tmp_path / "case.pts"
+    system.write_text(serialize_system(F))
+    pts.write_text(serialize_points(points, "rational"))
+    return system, pts
+
+
+def test_refined_row_k_is_the_certificate_beta(tmp_path):
+    """Rows 0..K-1 of a refined point's residual trail are the Newton steps
+    taken, and row K is the beta of its certificate, in linked float,
+    link-free float and rational mode alike: every data/* pair in float
+    mode at 96 and 256 bits, and rr_dyad_poly in rational mode, at K = 1
+    and 3."""
+    seen = set()
+    for k in (1, 3):
+        for path in sorted(DATA.glob("*.sys")):
+            runs = [("float", "96"), ("float", "256")]
+            if path.stem == "rr_dyad_poly":
+                runs.append(("rational", "96"))
+            for mode, bits in runs:
+                name = f"{path.stem}-{mode}-{bits}-r{k}"
+                report = _certify_report(tmp_path, path, path.with_suffix(".pts"), "--mode", mode,
+                                         "--precision", bits, "--refine", str(k), "--distinct")
+                for p in report["points"]:
+                    trail = p["residuals"]
+                    assert "singular_at" not in trail and "error" not in p, name
+                    assert [row[0] for row in trail["rows"]] == list(range(k + 1)), name
+                    assert trail["rows"][k][1] == p["beta"], name
+                seen.add((mode, report["system"]["m"] > 0))
+    assert seen == {("float", True), ("float", False), ("rational", False)}
+
+
+def test_refined_row_k_reads_zero_at_a_singular_or_declined_jacobian(tmp_path):
+    """A point that a step takes onto a singular J (x^2 + 1 from 1 to 0),
+    or whose linked J the double-precision bound declines, has a
+    certificate with jacobian_invertible False and a row K of zero. A point
+    that starts on a singular J stops there, with singular_at 0 and no row
+    K, as newton_refine records it."""
+    S = poly1((ec(1), (2,)), (ec(1), (0,)))
+    for mode in ("rational", "float"):
+        report = _certify_report(tmp_path, *_write_case(tmp_path, S, [(ec(1),), (ec(0),)]),
+                                 "--mode", mode, "--refine", "1")
+        onto, start = report["points"]
+        assert not onto["jacobian_invertible"] and not start["jacobian_invertible"]
+        assert onto["residuals"] == {"rows": [[0, "1.00000e+00"], [1, "0.00000e+00"]]}
+        assert start["residuals"] == {"rows": [[0, "0.00000e+00"]], "singular_at": 0}
+
+    e = Fraction(1, 2_500_000_000)  # as in the declined-J test above
+    F = ExpSystem(PolynomialSystem((
+        Polynomial.from_terms(3, [(1, (1, 0, 0)), (1, (0, 1, 0)), (-2, (0, 0, 0))]),
+        Polynomial.from_terms(3, [(1, (1, 0, 0)), (1 + e, (0, 1, 0)), (-2 - e, (0, 0, 0))]),
+    )), (ExpLink(ExpKind.EXP, ec(1), 1, 3),))
+    with mp.workprec(96):
+        z = (ec(1), ec(1), ExactComplex(mpf_to_fraction(+mp.e), Fraction(0)))
+    for k in (1, 2):
+        report = _certify_report(tmp_path, *_write_case(tmp_path, F, [z]), "--refine", str(k))
+        (p,) = report["points"]
+        assert not p["jacobian_invertible"] and p["beta"] == "0.00000e+00"
+        rows = p["residuals"]["rows"]
+        assert len(rows) == k + 1 and rows[k] == [k, "0.00000e+00"]
+        assert "singular_at" not in p["residuals"]
+
+
+def test_refined_row_k_is_omitted_when_the_certificate_raised(tmp_path, monkeypatch):
+    """A point whose certificate raised keeps its K Newton steps, gets no
+    row K, and carries the error; the other points are unaffected."""
+    original = certify_module.certify_solution
+    calls = []
+
+    def failing_second(F, z, prec):
+        calls.append(z)
+        if len(calls) == 2:
+            raise ValidationError("refused for the test")
+        return original(F, z, prec)
+
+    monkeypatch.setattr(certify_module, "certify_solution", failing_second)
+    report = _certify_report(tmp_path, DATA / "rr_dyad.sys", DATA / "rr_dyad.pts", "--refine", "2")
+    first, second = report["points"]
+    assert second["error"] == "ValidationError: refused for the test"
+    assert "beta" not in second
+    assert [row[0] for row in second["residuals"]["rows"]] == [0, 1]
+    assert first["residuals"]["rows"][2][1] == first["beta"]
 
 
 TIGHT_STEMS = ("compliant", "compliant_alt", "rr_dyad", "rr_dyad_euler", "rr_dyad_poly")

@@ -356,7 +356,7 @@ def test_certify_bad_output_exits_two_before_certifying(capsys, monkeypatch, tmp
     def ran(*_args, **_kwargs):
         raise AssertionError("refine or certify ran despite an unwritable output")
 
-    monkeypatch.setattr(cli, "newton_refine", ran)
+    monkeypatch.setattr(cli, "newton_iterate", ran)
     monkeypatch.setattr(cli, "certify_batch", ran)
     code, _, err = run(
         capsys,

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpc_cos, mpc_cos_sin, mpc_sin
 
+from expcert import expsystems
 from expcert.certify import certify_batch, certify_solution
 from expcert.errors import ExactModeUnsupported, SingularMatrix, ValidationError
 from expcert.expsystems import (
@@ -136,6 +137,23 @@ def test_exact_mode_rejected_with_links():
         certify_solution(F, (ec(0), ec(0)), RAT)
     with pytest.raises(ExactModeUnsupported):
         newton_refine(F, (ec(0), ec(0)), 1, RAT)
+
+
+def test_value_and_jacobian_refuses_a_rational_precision(monkeypatch):
+    """A rational prec is refused with a ValidationError before any program
+    is compiled; the same point at a float prec evaluates."""
+    F = parse_system((DATA / "rr_dyad_poly.sys").read_text(encoding="utf-8"))
+    ones = tuple(ec(1) for _ in range(F.N))
+
+    def compiled(*_args, **_kwargs):
+        raise AssertionError("a program was compiled for a rational precision")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(expsystems, "compile_system", compiled)
+        with pytest.raises(ValidationError, match="takes a float precision"):
+            value_and_jacobian(F, ones, RAT)
+    values, J = value_and_jacobian(F, ones, F96)
+    assert len(values) == len(J) == F.N
 
 
 def test_jacobian_matches_central_differences():
