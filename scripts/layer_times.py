@@ -1,14 +1,17 @@
 """Time the float Newton step's layers in-process, one JSON line per stem and precision.
 
-For each linked data/* stem and precision, the stem's first point is refined
+For each data/* stem and precision, the stem's first point is refined
 twice, and then each layer is called on it repeatedly: value_and_jacobian
 (the mpc program), solve_columns (the elimination of one Newton step),
 newton_direction (both, plus the step's norm) and certify_solution.
 refine_and_certify is the per-point work of `certify --refine 2` on the
 unrefined point: two Newton steps (newton_iterate) and the certificate at
-the point they reach. Each line gives the best single-call time of each
-layer over --repeat calls, in milliseconds. Running it against two
-versions of the package, alternately, compares them layer by layer:
+the point they reach. The linked stems certify on the double-precision
+bound of their exact core, the link-free rr_dyad_poly by the fraction-free
+solve, so the stems cover both certificate routes. Each line gives the
+best single-call time of each layer over --repeat calls, in milliseconds.
+Running it against two versions of the package, alternately, compares
+them layer by layer:
 
     PYTHONPATH=src python3 scripts/layer_times.py
     PYTHONPATH=src python3 scripts/layer_times.py --stems compliant --bits 96 --repeat 50
@@ -63,9 +66,8 @@ def layer_line(stem: str, bits: int, repeat: int) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    linked = sorted(p.stem for p in DATA.glob("*.sys")
-                    if parse_system(p.read_text(encoding="utf-8")).m)
-    parser.add_argument("--stems", default=",".join(linked), help="comma-separated data stems")
+    stems = sorted(p.stem for p in DATA.glob("*.sys"))
+    parser.add_argument("--stems", default=",".join(stems), help="comma-separated data stems")
     parser.add_argument("--bits", default=",".join(map(str, PRECISIONS)),
                         help="comma-separated float precisions")
     parser.add_argument("--repeat", type=int, default=20, help="calls per layer, best one kept")

@@ -11,13 +11,15 @@ Every certificate comes from exact values at the point, which is rational
 in both modes: an exact point is X / q (scalars.integer_point), and a float
 point the dyadic X / 2^k its mpc coordinates hold (expsystems.core_point).
 
-Linked systems (m > 0, float mode) are bounded on an exact core
-(_linked_bounds). The point is a dyadic rational, so the integer program
-gives every polynomial row and its Jacobian entries exactly
-(expsystems.linked_rows); only the 2m link values g(c z_src) and
-c g'(c z_src) are irrational, and mpmath's interval functions enclose
-them. With R a double-precision inverse of the exact Jacobian J0 and e a
-bound on ||I - R J||_F that takes in the enclosures' radii
+That linearization is one exact core (expsystems.exact_core): the integer
+program gives every polynomial row and its Jacobian entries exactly at the
+rational point, and with links (m > 0, float mode) mpmath's interval
+functions enclose the 2m irrational link values g(c z_src) and
+c g'(c z_src). From there the only branch is on the links.
+
+Linked systems are bounded on the core by double precision
+(_linked_bounds). With R a double-precision inverse of the exact Jacobian
+J0 and e a bound on ||I - R J||_F that takes in the enclosures' radii
 (linalg.inverse_column_bounds), beta is bounded from ||R F0||, formed
 exactly in integers, and gamma from the same column bounds on J^{-1}. Every
 quantity is an upper bound, rounded upward, so a certified verdict is a
@@ -27,12 +29,12 @@ and its certificate reads as a singular J's does (Certificate).
 
 Link-free systems solve J X = [F(z) | I] once, whose first column is the
 Newton step and whose other columns are J^{-1}, by a fraction-free solve
-(linalg.solve_fraction_free) of the program's Gaussian-integer rows
-(expsystems.integer_rows), whose integer column sums give beta^2 and
+(linalg.solve_fraction_free) of the core's Gaussian-integer rows
+(expsystems.fraction_free_rows), whose integer column sums give beta^2 and
 gamma^2 as one Fraction each. In float mode both are rounded up to
 mpfs of the working precision, and the verdict is taken from those, so a
 certified verdict is a proof in either mode. The Newton step alone is
-refine's (newton_direction), which newton_step takes.
+refine's (newton_direction).
 
 ALPHA_STAR is a rational number chosen strictly below the true threshold
 (13 - 3*sqrt(17))/4, so a conservative comparison can only under-certify.
@@ -79,11 +81,12 @@ from .errors import (
 from .expsystems import (
     ENCLOSURE_EXTRA_BITS,
     ExpSystem,
+    ExactCore,
     as_exp_system,
+    exact_core,
+    fraction_free_rows,
     integer_gamma_bound_sq,
-    integer_rows,
     linked_gamma_bound_sq,
-    linked_rows,
 )
 from .linalg import (
     CVector,
@@ -91,7 +94,6 @@ from .linalg import (
     product_norm_sq,
     solve_fraction_free,
 )
-from .refine import newton_direction
 from .scalars import (
     MODE_RATIONAL,
     PrecisionConfig,
@@ -100,7 +102,6 @@ from .scalars import (
     integer_point,
     lift_point,
     mpf_to_fraction,
-    working_precision,
 )
 
 # Safe rational stand-in strictly below (13 - 3*sqrt(17))/4 = 0.15767078...
@@ -174,13 +175,13 @@ def _exact_point(z: CVector, prec: PrecisionConfig) -> tuple:
     return integer_point(z) if prec.is_exact else dyadic_point(lift_point(z, prec))
 
 
-def _linked_bounds(F: ExpSystem, z: CVector, prec: PrecisionConfig):
-    """Upper bounds (beta^2, gamma^2), mpfs of prec.bits bits, for a linked
-    system at the dyadic point z lifted to prec, or (None, None) when the
+def _linked_bounds(F: ExpSystem, core: ExactCore, bits: int):
+    """Upper bounds (beta^2, gamma^2), mpfs of bits bits, for a linked
+    system from its exact core at a dyadic point, or (None, None) when the
     double-precision inverse bound declines J.
 
-    J = J0 + Delta and F(z) = F0 + delta on the exact core (linked_rows).
-    R, a double-precision inverse of J0, gives e >= ||I - R J||_F with
+    J = J0 + Delta and F(z) = F0 + delta on the core. R, a
+    double-precision inverse of J0, gives e >= ||I - R J||_F with
     ||Delta||_F folded in (inverse_column_bounds), and then
     J^{-1} = (I - E)^{-1} R, so
 
@@ -189,8 +190,6 @@ def _linked_bounds(F: ExpSystem, z: CVector, prec: PrecisionConfig):
     with ||R F0||^2 exact (product_norm_sq), and gamma^2 from the same
     column bounds (linked_gamma_bound_sq). Everything rounds upward.
     """
-    bits = prec.bits
-    core = linked_rows(F, lift_point(z, prec), bits)
     # ||Delta||_F as a double no smaller than it: a 53-bit sqrt rounded up is
     # a double unless it underflows, which the added 2^-1022 covers.
     radius = to_float(mpf_sqrt(core.jacobian_sq, 53, round_ceiling)) + 2.0**-1022
@@ -207,43 +206,31 @@ def _linked_bounds(F: ExpSystem, z: CVector, prec: PrecisionConfig):
     return beta_sq, linked_gamma_bound_sq(F, core.n1, columns, core.envelope, bits)
 
 
-def newton_step(F, z: CVector, prec: PrecisionConfig):
-    """One Newton iteration; returns (new point, jacobian_invertible).
-
-    On a singular Jacobian the point is returned unchanged with flag False.
-    """
-    F = as_exp_system(F)
-    with working_precision(prec.bits):
-        z, step, _ = newton_direction(F, z, prec)
-        if step is None:
-            return z, False
-        return tuple(a - b for a, b in zip(z, step)), True
-
-
 def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
     """Full certification of one point against a square system.
 
-    A linked system in float mode is bounded on its exact core
-    (_linked_bounds); a link-free one is certified exactly, by integer_rows
-    and one fraction-free solve of J X = [F(z) | I], and in float mode its
-    beta^2 and gamma^2 are rounded up to prec.bits. Float alphas
-    are the product of beta^2 and gamma^2 rounded up, and the verdict takes
-    that product exactly.
+    The point's exact core (exact_core, which raises in rational mode when
+    m > 0) is built once. A linked system is bounded on it by double
+    precision (_linked_bounds); a link-free one is certified exactly, by one
+    fraction-free solve of J X = [F(z) | I] on its rows, and in float mode
+    its beta^2 and gamma^2 are rounded up to prec.bits. Float alphas are the
+    product of beta^2 and gamma^2 rounded up, and the verdict takes that
+    product exactly.
     """
     F = as_exp_system(F)
-    exact_zero = False
-    if F.m and not prec.is_exact:
-        bsq, gamma_sq = _linked_bounds(F, z, prec)
-    else:  # integer_rows raises in rational mode when m > 0
-        residual, rows, scales, n1 = integer_rows(F, lift_point(z, prec), prec, inverse=True)
-        exact_zero = prec.is_exact and not any(residual)  # the numerators of F(z)
+    core = exact_core(F, z, prec)
+    exact_zero = prec.is_exact and not any(core.values)  # the numerators of F(z)
+    if F.m:
+        bsq, gamma_sq = _linked_bounds(F, core, prec.bits)
+    else:
+        rows, scales = fraction_free_rows(core, inverse=True)
         try:
             sums, dd = solve_fraction_free(rows, scales).norm_sq_parts()
         except SingularMatrix:
             bsq = gamma_sq = None
         else:
             bsq = Fraction(sums[0], dd * scales[0] ** 2)
-            gamma_sq = integer_gamma_bound_sq(F, n1, sums[1:], dd)
+            gamma_sq = integer_gamma_bound_sq(F, core.n1, sums[1:], dd)
             if not prec.is_exact:
                 bsq, gamma_sq = _upper_mpf(bsq, prec.bits), _upper_mpf(gamma_sq, prec.bits)
     invertible = gamma_sq is not None

@@ -12,9 +12,8 @@ each row and each nonzero Jacobian entry a list of (coefficient, power
 indices) terms, constant entries folded. The same program serves every
 kind: hardware doubles for the path tracker, mpc at a float precision for
 refinement (value_and_jacobian, mpc only), and the Gaussian integers for every
-certificate: at exact points, at float points read as their dyadic values
-(integer_rows), and for the exact core of a linked point (linked_rows),
-whose link rows that kind leaves out. The kind sets how
+certificate (exact_core), at exact points and at float points read as their
+dyadic values; that kind leaves out the link rows. The kind sets how
 coefficients are lifted, the zero each sum starts from, whether links call
 cmath or mpmath, and one rounding order: doubles take c * x^a * y^b, the other kinds
 c * (x^a * y^b), which keeps both the tracker and the certificates bit for
@@ -23,10 +22,10 @@ bit as they were.
 The exact kind forms no Fraction: row r, times the lcm L_r of its
 denominators and homogenized to degree D_r in one more variable, is
 evaluated at (d z, d), d the lcm of z's denominators. The integer results
-are F_r = N_r / (L_r d^D_r) and J_rj = M_rj / (L_r d^(D_r - 1)), which
-integer_rows reduces to the rows of linalg.solve_fraction_free, and
-linked_rows hands to linalg.inverse_column_bounds and
-linalg.product_norm_sq as they are.
+are F_r = N_r / (L_r d^D_r) and J_rj = M_rj / (L_r d^(D_r - 1)): the
+exact core, which fraction_free_rows reduces to the rows of
+linalg.solve_fraction_free without links, and which with them goes to
+linalg.inverse_column_bounds and linalg.product_norm_sq as it is.
 
 The program runs as generated Python: straight-line source, one local per
 power and per monomial product, one statement per term, compiled with
@@ -52,29 +51,25 @@ is the polynomial one,
 
     gamma(f, z)^2  <=  mu^2 * D^3 / (4 * ||z||_1^2),
 
-formed as one Fraction from integers (integer_gamma_bound_sq) at an exact
-point or at a float one read as its dyadic value (core_point): either way
-the point is rational, and the bound is exact. With links it is
-mu * (D^(3/2) / (2 ||z||_1) + sum of per-kind link envelope terms), the
-term of y = g(c x) being max(|c|, |c|^2 |f(c x)| / 2 over g's family f:
-exp; sin and cos; sinh and cosh). Both take one bound per column on
-sum_i |(Df(z)^{-1})_ij|^2, which is all that mu needs: exact integer sums
-over |d|^2 without links, double-precision column bounds with them, which
-are integers over a power of two. Either way one function forms mu^2
-exactly, as a pair of integers (_mu_sq).
+formed as one Fraction from integers (integer_gamma_bound_sq) on the
+exact core, whose point is rational in both modes, so the bound is exact.
+With links it is mu * (D^(3/2) / (2 ||z||_1) + sum of per-kind link
+envelope terms), the term of y = g(c x) being max(|c|, |c|^2 |f(c x)| / 2
+over g's family f: exp; sin and cos; sinh and cosh). Both take one bound
+per column on sum_i |(Df(z)^{-1})_ij|^2, which is all that mu needs:
+exact integer sums over |d|^2 without links, double-precision column
+bounds with them, which are integers over a power of two. Either way one
+function forms mu^2 exactly, as a pair of integers (_mu_sq).
 
-A linked system is bounded on an exact core (linked_rows,
-linked_gamma_bound_sq). A float point is a dyadic X / d, so the integer
-program evaluates its polynomial rows and their Jacobian entries exactly
-(the exact kind compiles the polynomial rows alone), and a link row holds
-the exact z_dst and unit entries. The 2m irrational numbers g(c z_src) and
-c g'(c z_src) are enclosed by mpmath's interval exp and cos/sin (sinh and
-cosh built from exp) a few bits above the working precision; their
-midpoints complete the exact F0 and J0, and their radii bound
-F - F0 and Df - J0. The column bounds then come from a double-precision
-inverse of J0 (linalg.inverse_column_bounds), and the envelope terms from
-the enclosures' upper ends; every step after the exact mu^2 rounds
-outward.
+A linked system is bounded on the same exact core (exact_core,
+linked_gamma_bound_sq), whose link rows hold the exact z_dst and unit
+entries. The 2m irrational numbers g(c z_src) and c g'(c z_src) are
+enclosed by mpmath's interval exp and cos/sin (sinh and cosh built from
+exp) a few bits above the working precision; their midpoints complete
+the exact F0 and J0, and their radii bound F - F0 and Df - J0. The column
+bounds then come from a double-precision inverse of J0
+(linalg.inverse_column_bounds), and the envelope terms from the
+enclosures' upper ends; every step after the exact mu^2 rounds outward.
 
 Link functions have no exact values: exp/sin/... of a nonzero rational is
 irrational, so rational mode is rejected whenever m > 0.
@@ -352,7 +347,7 @@ class CompiledSystem:
             self.products = tuple(products)
         self.lib, self.links = lib, []
         link_pos = []
-        for k, l in enumerate(F.links if lib else ()):  # exact: the link rows are linked_rows's
+        for k, l in enumerate(F.links if lib else ()):  # exact: the link rows are exact_core's
             g, dg, sign = _LINK_FUNCTIONS[l.kind]
             s, d = l.src - 1, l.dst - 1
             self.links.append((g, dg, sign, lift(l.c), s, d))
@@ -527,18 +522,6 @@ def _check_size(F, z: CVector) -> int:
     return nv
 
 
-def _evaluate_integer(F, d: int, parts):
-    """(the program's point (X, d), the Delta_r = L_r d^(D_r - 1), the
-    numerators N_r, dense M) from one integer program call at the exact
-    point z = X / d, X given as (re, im) pairs of ints. The program has no
-    link rows: those rows of M are left zero."""
-    program = compile_system(F, _EXACT)
-    deltas = [L * d ** (D - 1) for L, D in program.row_scales]
-    point = tuple(_GaussianInt(re, im) if im else re for re, im in parts) + (d,)
-    values, entries = program.evaluate(point)
-    return point, deltas, values, _dense(program, entries, len(parts))
-
-
 def _dense(program: CompiledSystem, entries, nv: int) -> list:
     J = [[program.zero] * nv for _ in range(nv)]
     for (r, j), v in zip(program.pattern, entries):
@@ -552,11 +535,11 @@ def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
 
     Rows are the n polynomials, then one row z_dst - g(c * z_src) per link.
     Exact coordinates are lifted to mpc at prec.bits. A rational prec
-    raises ValidationError: exact values come from integer_rows.
+    raises ValidationError: exact values come from exact_core.
     """
     if prec.is_exact:
         raise ValidationError("value_and_jacobian takes a float precision; "
-                              "exact values come from integer_rows")
+                              "exact values come from exact_core")
     nv = _check_size(F, z)
     program = compile_system(F, prec)
     with working_precision(prec.bits):
@@ -564,45 +547,7 @@ def value_and_jacobian(F, z: CVector, prec: PrecisionConfig):
     return tuple(values), tuple(tuple(row) for row in _dense(program, entries, nv))
 
 
-def integer_rows(F, z: CVector, prec: PrecisionConfig, inverse: bool):
-    """F(z)'s numerators, the rows and scales of J X = [F(z) | I] (of
-    J x = F(z) unless inverse) for linalg.solve_fraction_free, and
-    ||z||_1^2 as (A, d^2), A the squared norm of (d z, d). z is an exact
-    point under a rational prec, and under a float one a point of finite
-    mpc coordinates, taken as its dyadic value exactly (core_point).
-
-    Row i, J_i = M_i / Delta_i and F_i = N_i / (Delta_i d), is scaled by
-    Delta_i / g_i, g_i = gcd(Delta_i, parts of M_i), and F's column by the
-    lcm of the g_i d / h_i, h_i = gcd(g_i d, parts of N_i): the lcms of the
-    reduced denominators, so the rows are those the Fraction values give.
-    Rational mode has no link values, so a linked F raises
-    ExactModeUnsupported there."""
-    _check_size(F, z)
-    if prec.is_exact:
-        m = as_exp_system(F).m
-        if m:
-            raise ExactModeUnsupported(
-                f"evaluation requires floating arithmetic when links are present (m = {m})")
-        d, parts = integer_point(z)
-    else:
-        d, parts = core_point(z, prec.bits)
-    point, deltas, values, J = _evaluate_integer(F, d, parts)
-    n = len(values)
-    gs = [math.gcd(q, *(p for a in row for p in (a.real, a.imag))) for q, row in zip(deltas, J)]
-    hs = [math.gcd(g * d, v.real, v.imag) for g, v in zip(gs, values)]
-    c0 = math.lcm(*(g * d // h for g, h in zip(gs, hs)))
-    aug = []
-    for i, (row, v, q, g, h) in enumerate(zip(J, values, deltas, gs, hs)):
-        aug.append([a // g for a in row] + [v // h * (c0 * h // (g * d))])
-        if inverse:
-            aug[-1] += [q // g if j == i else 0 for j in range(n)]
-    gaussian = any(p.imag for row in aug for p in row)
-    aug = [[_GaussianInt(p.real, p.imag) if gaussian else p.real for p in row] for row in aug]
-    n1 = (sum(p.real * p.real + p.imag * p.imag for p in point), d * d)
-    return values, aug, (c0,) + (1,) * n if inverse else (c0,), n1
-
-
-# Bits above the working precision at which linked_rows encloses the link
+# Bits above the working precision at which exact_core encloses the link
 # functions: their radii then sit about 2^-32 below the rounding of the point.
 ENCLOSURE_EXTRA_BITS = 32
 # core_point refuses a point with a nonzero coordinate part below
@@ -688,8 +633,8 @@ def _flush_tiny(row: list, q: int) -> int:
     return flushed
 
 
-class LinkedRows:
-    """A linked system at a dyadic point z, as an exact core and enclosures.
+class ExactCore:
+    """F and Df at a rational point z, as an exact core and enclosures.
 
     F(z) = F0 + delta and Df(z) = J0 + Delta with F0 and J0 exact, given as
     integer rows over positive scales: J0 row i is rows[i] / row_scales[i],
@@ -698,36 +643,66 @@ class LinkedRows:
     envelope holds one raw mpf per link, an upper bound on its envelope
     term max(|c|, |c|^2 |f(c z_src)| / 2 over the functions f of its
     family), and n1 = (A, d^2) is ||z||_1^2 = 1 + ||z||^2 as A / d^2.
+    Without links F0 and J0 are F(z) and Df(z): both radii are 0 and
+    envelope is empty.
     """
 
     __slots__ = ("rows", "row_scales", "values", "value_scales", "delta_sq",
                  "jacobian_sq", "envelope", "n1")
 
 
-def linked_rows(F: ExpSystem, z: CVector, bits: int) -> LinkedRows:
-    """The exact core of F and Df at a point of finite mpc coordinates.
+def exact_core(F, z: CVector, prec: PrecisionConfig) -> ExactCore:
+    """The exact core of F and Df at z, from one integer program call.
 
-    The point is the dyadic X / d exactly (core_point). Its polynomial
-    rows and their Jacobian entries come exactly from the integer program,
-    at (X, d) as in the module docstring. Link k, y = g(c x), has the
-    exact entries 1 and z_dst; only g(w) and c g'(w), w = c x, are
-    irrational. They are enclosed at bits + ENCLOSURE_EXTRA_BITS from
-    mpmath's interval exp and cos_sin, once for every link of one family
-    and one w (sin and cos of one source share them); the midpoints fill
-    F0 and J0 and the radii bound delta and Delta. No Fraction is formed:
-    with c = (a + b i) / p, w is an integer pair over p d. A nonzero part
-    of J0 below 2^-1022, which no normal double holds (such as the
-    imaginary noise of a real root), is moved from J0 into Delta
-    (_flush_tiny), so that J0 rounds to doubles with relative error u.
+    z is read as X / d exactly: an exact point under a rational prec
+    (integer_point), and under a float one z lifted to prec, as its dyadic
+    value (core_point). The polynomial rows and their Jacobian entries come
+    exactly from the integer program at (X, d), as in the module docstring.
+    Link k, y = g(c x), has the exact entries 1 and z_dst; only g(w) and
+    c g'(w), w = c x, are irrational. They are enclosed at
+    bits + ENCLOSURE_EXTRA_BITS from mpmath's interval exp and cos_sin, once
+    for every link of one family and one w (sin and cos of one source share
+    them); the midpoints fill F0 and J0 and the radii bound delta and Delta.
+    No Fraction is formed: with c = (a + b i) / p, w is an integer pair over
+    p d. A family whose values reach 2^(16 bits + MIN_PART_EXTRA_BITS) in
+    modulus, or stay below its inverse, raises ValidationError, as
+    core_point does for a tiny part. A nonzero part of a linked J0 below
+    2^-1022, which no normal double holds (such as the imaginary noise of a
+    real root), is moved from J0 into Delta (_flush_tiny), so that J0
+    rounds to doubles with relative error u. Rational mode has no link
+    values, so a linked F raises ExactModeUnsupported there.
     """
-    d, parts = core_point(z, bits)
-    _, deltas, values, J = _evaluate_integer(F, d, parts)
-    n, wp = F.n, bits + ENCLOSURE_EXTRA_BITS
-    out = LinkedRows()
-    out.rows, out.row_scales = J[:n], deltas
-    out.values, out.value_scales = list(values), [q * d for q in deltas]
+    _check_size(F, z)  # before as_exp_system's squareness check
+    F = as_exp_system(F)
+    if not prec.is_exact:
+        d, parts = core_point(lift_point(z, prec), prec.bits)
+    elif F.m:
+        raise ExactModeUnsupported(
+            f"evaluation requires floating arithmetic when links are present (m = {F.m})")
+    else:
+        d, parts = integer_point(z)
+    program = compile_system(F, _EXACT)
+    values, entries = program.evaluate(
+        tuple(_GaussianInt(re, im) if im else re for re, im in parts) + (d,))
+    core = ExactCore()
+    core.rows = _dense(program, entries, F.N)[:F.n]
+    core.row_scales = [L * d ** (D - 1) for L, D in program.row_scales]
+    core.values, core.value_scales = values, [q * d for q in core.row_scales]
+    core.delta_sq = core.jacobian_sq = fzero
+    core.envelope = []
+    core.n1 = (sum(re * re + im * im for re, im in parts) + d * d, d * d)
+    if F.m:
+        _enclose_links(F, core, d, parts, prec.bits)
+    return core
+
+
+def _enclose_links(F: ExpSystem, core: ExactCore, d: int, parts, bits: int) -> None:
+    """Append the link rows of F at X / d to a core, with their radii and
+    envelope terms, as exact_core describes."""
+    wp, cap = bits + ENCLOSURE_EXTRA_BITS, 16 * bits + MIN_PART_EXTRA_BITS
+    low, high = from_man_exp(1, -cap), from_man_exp(1, cap)
     delta_sq = jacobian_sq = fzero
-    out.envelope, families = [], {}
+    families = {}
     for link in F.links:
         g, dg, sign = _LINK_FUNCTIONS[link.kind]
         p, ((a, b),) = integer_point((link.c,))
@@ -736,14 +711,19 @@ def linked_rows(F: ExpSystem, z: CVector, bits: int) -> LinkedRows:
         key = (frozenset((g, dg)), w, p)
         if key not in families:
             family = _enclose_family(link.kind, *(_interval(v, p * d, wp) for v in w), wp)
-            top = max((_modulus_sq_upper(f) for f in family.values()), key=mp.make_mpf)
-            families[key] = family, mpf_sqrt(top, wp, round_ceiling)
+            top = mpf_sqrt(max((_modulus_sq_upper(f) for f in family.values()), key=mp.make_mpf),
+                           wp, round_ceiling)
+            if mpf_lt(top, low) or mpf_lt(high, top):  # its midpoints' integers would not stay cheap
+                raise ValidationError(
+                    f"link {link.kind.value} {link.src} {link.dst} has a value outside the "
+                    f"2^-{cap} to 2^{cap} in modulus that the exact core takes at {bits} bits")
+            families[key] = family, top
         family, top = families[key]
         (t, (gr, gi)), rad_sq = _mid_rad_sq(family[g])
         delta_sq = mpf_add(delta_sq, rad_sq)
         q = max(t, d)  # the lcm of two powers of two
-        out.values.append(_GaussianInt(yr * (q // d) - gr * (q // t), yi * (q // d) - gi * (q // t)))
-        out.value_scales.append(q)
+        core.values.append(_GaussianInt(yr * (q // d) - gr * (q // t), yi * (q // d) - gi * (q // t)))
+        core.value_scales.append(q)
         (t, (hr, hi)), rad_sq = _mid_rad_sq(family[dg])  # c g' = sign c dg
         csq = from_rational(a * a + b * b, p * p, wp, round_ceiling)
         jacobian_sq = mpf_add(jacobian_sq, mpf_mul(csq, rad_sq, wp, round_ceiling), wp, round_ceiling)
@@ -751,17 +731,38 @@ def linked_rows(F: ExpSystem, z: CVector, bits: int) -> LinkedRows:
         row = [0] * F.N
         row[link.src - 1] = _GaussianInt(s * (a * hr - b * hi), s * (a * hi + b * hr))
         row[link.dst - 1] = p * t
-        out.rows.append(row)
-        out.row_scales.append(p * t)
+        core.rows.append(row)
+        core.row_scales.append(p * t)
         cmod = mpf_sqrt(csq, wp, round_ceiling)
         half = mpf_shift(mpf_mul(csq, top, wp, round_ceiling), -1)  # |c|^2 max |f| / 2
-        out.envelope.append(half if mpf_lt(cmod, half) else cmod)
-    flushed = sum(_flush_tiny(row, q) for row, q in zip(out.rows, out.row_scales))
+        core.envelope.append(half if mpf_lt(cmod, half) else cmod)
+    flushed = sum(_flush_tiny(row, q) for row, q in zip(core.rows, core.row_scales))
     if flushed:
         jacobian_sq = mpf_add(jacobian_sq, from_man_exp(flushed, -2044), wp, round_ceiling)
-    out.delta_sq, out.jacobian_sq = delta_sq, jacobian_sq
-    out.n1 = (sum(re * re + im * im for re, im in parts) + d * d, d * d)
-    return out
+    core.delta_sq, core.jacobian_sq = delta_sq, jacobian_sq
+
+
+def fraction_free_rows(core: ExactCore, inverse: bool) -> tuple:
+    """The rows and scales of J X = [F(z) | I] (of J x = F(z) unless
+    inverse) for linalg.solve_fraction_free, from a link-free core.
+
+    Row i, J_i = M_i / Delta_i and F_i = N_i / (Delta_i d), is scaled by
+    Delta_i / g_i, g_i = gcd(Delta_i, parts of M_i), and F's column by the
+    lcm of the g_i d / h_i, h_i = gcd(g_i d, parts of N_i): the lcms of the
+    reduced denominators, so the rows are those the Fraction values give."""
+    J, deltas, values, n = core.rows, core.row_scales, core.values, len(core.rows)
+    gs = [math.gcd(q, *(p for a in row for p in (a.real, a.imag))) for q, row in zip(deltas, J)]
+    gds = [g * s // q for g, s, q in zip(gs, core.value_scales, deltas)]  # g_i d
+    hs = [math.gcd(gd, v.real, v.imag) for gd, v in zip(gds, values)]
+    c0 = math.lcm(*(gd // h for gd, h in zip(gds, hs)))
+    aug = []
+    for i, (row, v, q, g, gd, h) in enumerate(zip(J, values, deltas, gs, gds, hs)):
+        aug.append([a // g for a in row] + [v // h * (c0 * h // gd)])
+        if inverse:
+            aug[-1] += [q // g if j == i else 0 for j in range(n)]
+    gaussian = any(p.imag for row in aug for p in row)
+    aug = [[_GaussianInt(p.real, p.imag) if gaussian else p.real for p in row] for row in aug]
+    return aug, (c0,) + (1,) * n if inverse else (c0,)
 
 
 def _mu_sq(F: ExpSystem, n1, sums, dd) -> tuple:
@@ -781,7 +782,7 @@ def _mu_sq(F: ExpSystem, n1, sums, dd) -> tuple:
 
 def linked_gamma_bound_sq(F: ExpSystem, n1, columns, envelope, bits: int):
     """An upper bound on a linked system's gamma^2 at a dyadic point, from
-    linked_rows's n1 and envelope and column bounds c_j >= sum_i
+    exact_core's n1 and envelope and column bounds c_j >= sum_i
     |(Df(z)^{-1})_ij|^2 (floats); an mpf of bits bits, rounded up.
 
     gamma <= mu * (D^(3/2) / (2 ||z||_1) + the sum of the link envelope
@@ -805,7 +806,7 @@ def linked_gamma_bound_sq(F: ExpSystem, n1, columns, envelope, bits: int):
 
 def integer_gamma_bound_sq(F: ExpSystem, n1, sums, dd) -> Fraction:
     """The link-free bound gamma^2 = mu^2 D^3 / (4 ||z||_1^2) as one
-    Fraction, from integer_rows' n1 = (A, q^2) = ||z||_1^2 and the
+    Fraction, from exact_core's n1 = (A, q^2) = ||z||_1^2 and the
     S_j / dd = sum_i |(Df(z)^{-1})_ij|^2 of linalg's norm_sq_parts, with
     mu^2 exact (_mu_sq)."""
     (A, q2), D = n1, F.P.max_degree

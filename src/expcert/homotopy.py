@@ -94,7 +94,7 @@ from math import factorial
 
 import mpmath as mp
 
-from .certify import certify_solution, newton_step, robust_radius_sq
+from .certify import certify_solution, robust_radius_sq
 from .errors import DimensionMismatch, ValidationError
 from .expsystems import (
     CompiledSystem,
@@ -114,6 +114,7 @@ from .polynomials import (
     pscale,
     variable,
 )
+from .refine import newton_iterate
 from .scalars import (
     EC_ONE,
     MODE_FLOAT,
@@ -981,7 +982,7 @@ def _tasks(shared: dict, count: int):
 
 def _polish(F: ExpSystem, point, bits: int):
     """Refine one endpoint by three multiprecision Newton steps at `bits`
-    and certify it: (refined point, its dyadic (q, X), squared merge
+    (newton_iterate) and certify it: (refined point, its dyadic (q, X), squared merge
     radius, the index of the first singular step or None).
 
     The radius is exact: the larger of the relative cut 1e-16 * max(1,
@@ -992,12 +993,7 @@ def _polish(F: ExpSystem, point, bits: int):
     prec = PrecisionConfig(MODE_FLOAT, bits)
     with working_precision(bits):
         refined = tuple(mp.mpc(v) for v in point)
-    singular_at = None
-    for k in range(3):
-        refined, invertible = newton_step(F, refined, prec)
-        if not invertible:
-            singular_at = k
-            break
+    refined, _, singular_at = newton_iterate(F, refined, 3, prec)
     try:
         cert = certify_solution(F, refined, prec)
     except Exception:  # noqa: BLE001 - any failure just disables the robust radius

@@ -15,7 +15,7 @@ the Frobenius norm serves as their upper bound, which keeps the downstream
 bounds valid and, in rational mode, keeps every quantity exactly rational.
 
 Exact solves are fraction-free (solve_fraction_free). Its Gaussian-integer
-rows, built by expsystems.integer_rows, have each row of A scaled by the
+rows, built by expsystems.fraction_free_rows, have each row of A scaled by the
 lcm of its own denominators and each right-hand-side column by the lcm of
 the denominators that scaling leaves in it. They are reduced by Bareiss's
 integer-preserving elimination ("Sylvester's identity and multistep

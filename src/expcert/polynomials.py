@@ -12,7 +12,7 @@ to slices with them.
 Nothing here evaluates a system: its values and Jacobian come from the one
 compiled program in expsystems, which compiles each polynomial and its
 symbolic derivatives: exact values from the integer program
-(integer_rows), mpc values from value_and_jacobian. Polynomial.evaluate
+(exact_core), mpc values from value_and_jacobian. Polynomial.evaluate
 sums one polynomial term by term in the arithmetic of the point, exactly
 for exact points, and is the tests' reference for that program.
 """

@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import SingularMatrix
-from .expsystems import as_exp_system, integer_rows, value_and_jacobian
+from .expsystems import as_exp_system, exact_core, fraction_free_rows, value_and_jacobian
 from .linalg import CVector, norm_sq, solve_columns, solve_fraction_free
 from .scalars import PrecisionConfig, fraction_to_mpf, lift_point, working_precision
 
@@ -56,13 +56,14 @@ def newton_direction(F, z: CVector, prec: PrecisionConfig):
     """(z lifted to prec, the Newton step J^{-1} F(z), its squared norm
     beta^2), with step and beta^2 None when J is singular.
 
-    Exact points take the step exactly, from integer_rows and a
-    fraction-free solve; floating ones by one elimination in mpc at
-    prec.bits, with beta^2 at the caller's working precision.
+    Exact points take the step exactly, by a fraction-free solve of the
+    rows of their exact core (exact_core, fraction_free_rows); floating ones
+    by one elimination in mpc at prec.bits, with beta^2 at the caller's
+    working precision.
     """
     z = lift_point(z, prec)
     if prec.is_exact:
-        _, rows, scales, _ = integer_rows(F, z, prec, inverse=False)
+        rows, scales = fraction_free_rows(exact_core(F, z, prec), inverse=False)
         try:
             solution = solve_fraction_free(rows, scales)
         except SingularMatrix:

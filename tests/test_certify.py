@@ -12,6 +12,7 @@ import math
 import pkgutil
 import random
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +37,6 @@ from expcert.certify import (
     certify_real,
     certify_solution,
     decide_certified,
-    newton_step,
     real_map_check,
     robust_radius_sq,
     same_root,
@@ -58,7 +58,7 @@ from expcert.mechanisms import (
     two_link_arm_poly,
 )
 from expcert.polynomials import Polynomial, PolynomialSystem
-from expcert.refine import newton_refine
+from expcert.refine import newton_iterate, newton_refine
 from expcert.scalars import (
     ExactComplex,
     PrecisionConfig,
@@ -161,8 +161,9 @@ def test_certify_singular_jacobian_off_zero():
 
 def test_newton_step_hand_case():
     S = poly1((ec(1), (2,)), (ec(-2), (0,)))
-    z, ok = newton_step(S, (ec(Fraction(3, 2)),), RAT)
-    assert ok and z == (ec(Fraction(17, 12)),)
+    z, rows, singular_at = newton_iterate(S, (ec(Fraction(3, 2)),), 1, RAT)
+    assert singular_at is None and z == (ec(Fraction(17, 12)),)
+    assert rows == ((0, Fraction(1, 144)),)
 
 
 def test_beta_sq_matches_step():
@@ -181,7 +182,7 @@ def _count_linearizations(monkeypatch) -> dict:
     elimination is a call of any of them, wherever the package has bound
     it. Evaluations are calls of CompiledSystem.evaluate, the one evaluator
     of F and Df; for every certificate, and for an exact Newton step, that
-    is the integer program behind integer_rows and linked_rows.
+    is the integer program behind exact_core.
     """
     original_evaluate = CompiledSystem.evaluate
     counts = {"eliminations": 0, "evaluations": 0}
@@ -257,7 +258,7 @@ def test_refined_certify_linearizes_k_times_plus_the_certificate(tmp_path, k):
 def test_newton_step_eliminates_once(monkeypatch):
     S = poly1((ec(1), (2,)), (ec(-2), (0,)))
     counts = _count_linearizations(monkeypatch)
-    newton_step(S, (ec(Fraction(3, 2)),), RAT)
+    newton_iterate(S, (ec(Fraction(3, 2)),), 1, RAT)
     assert counts == {"eliminations": 1, "evaluations": 1}
 
 
@@ -391,6 +392,7 @@ def _assert_the_rational_certificate_rounded_up(F, z, bits: int):
 
 @settings(max_examples=100, deadline=None)
 @given(linearization_cases(), st.sampled_from([96, 256, 1024]))
+@example((poly1((ec(1), (2,)), (ec(1), (0,))), (ec(0, Fraction(1, 2**1100)),)), 96)  # J = 2^-1099 i
 def test_a_link_free_float_certificate_is_the_rational_one_rounded_up(case, bits):
     S, z = case
     _assert_the_rational_certificate_rounded_up(as_exp_system(S), z, bits)
@@ -605,6 +607,33 @@ def test_a_point_with_a_vanishing_coordinate_part_fails_fast():
         assert report.counts["certified"] == 2 and report.counts["distinct"] == 2
 
 
+@pytest.mark.parametrize("x", [10**30, -10**30])
+def test_an_exp_link_value_out_of_range_is_refused(x):
+    """exp(1e30) and exp(-1e30), about 2^(+-1.4e30), have midpoints whose
+    integers no machine holds: x + y = 1 with y = exp(x) at (x, 0) is
+    refused with an error that names the link, not an OverflowError."""
+    F = ExpSystem(PolynomialSystem((Polynomial.from_terms(2, [(1, (1, 0)), (1, (0, 1)), (-1, (0, 0))]),)),
+                  (ExpLink(ExpKind.EXP, ec(1), 1, 2),))
+    report = certify_batch(F, [(ec(x), ec(0))], F96)
+    assert report.records[0].error.startswith("ValidationError: link exp 1 2 ")
+
+
+@pytest.mark.parametrize("imag", [10**9, 10**30])
+def test_a_point_with_a_huge_link_value_fails_fast(imag):
+    """An imaginary part of 1e9 or 1e30 on the arm's first angle makes its
+    sin and cos about e^imag: enclosing them exactly would take integers of
+    about 1.4 imag bits. certify_batch records the refusal, which names the
+    link, as the point's error at once, and certifies the other points."""
+    G, (Z1, Z2) = two_link_arm_exp()
+    huge = (ExactComplex(Z1[0].re, Fraction(imag)),) + tuple(Z1[1:])
+    start = time.perf_counter()
+    report = certify_batch(G, [Z1, huge, Z2], F96, BatchOptions(distinct=True, real=False))
+    assert time.perf_counter() - start < 1
+    assert report.records[1].certificate is None
+    assert report.records[1].error.startswith("ValidationError: link sin 1 3 ")
+    assert report.counts["certified"] == 2 and report.counts["distinct"] == 2
+
+
 def _iv_scalar(c: ExactComplex):
     return iv.mpc(iv.mpf(c.re.numerator) / c.re.denominator,
                   iv.mpf(c.im.numerator) / c.im.denominator)
@@ -753,7 +782,8 @@ def test_rational_certificate_matches_the_dense_fraction_solve(case):
     cert = certify_solution(F, z, RAT)
     assert (cert.beta_sq, cert.gamma_bound_sq, cert.alpha_bound_sq) == (
         beta_sq, gamma_sq, beta_sq * gamma_sq)
-    assert newton_step(F, z, RAT) == (tuple(a - b for a, b in zip(z, X[0])), True)
+    assert newton_iterate(F, z, 1, RAT) == (
+        tuple(a - b for a, b in zip(z, X[0])), ((0, beta_sq),), None)
 
 
 def test_certify_distinct_reference_points():

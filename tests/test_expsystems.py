@@ -1,6 +1,6 @@
 """Polynomial-exponential systems: evaluation, Jacobians, derivative bounds.
 
-The soundness checks compare linked_rows' link envelope terms against
+The soundness checks compare exact_core's link envelope terms against
 closed-form k-th derivatives of the built-in function kinds: the bound may
 be loose but must never be below the truth.
 """
@@ -30,10 +30,9 @@ from expcert.expsystems import (
     ExpSystem,
     as_exp_system,
     compile_system,
+    exact_core,
+    fraction_free_rows,
     integer_gamma_bound_sq,
-    integer_rows,
-    linked_rows,
-    _evaluate_integer,
     _program_by_equality,
     value_and_jacobian,
 )
@@ -55,7 +54,6 @@ from expcert.scalars import (
     PrecisionConfig,
     exact_to_mpc,
     fraction_to_mpf,
-    integer_point,
     lift_point,
     mpf_to_fraction,
 )
@@ -215,13 +213,12 @@ def test_program_is_exact_in_rational_mode(name):
     are the exact values and Jacobian entries at z = X / d."""
     F, points = _PROGRAM_CASES[name]
     for z in points:
-        d, parts = integer_point(z)
-        _, deltas, values, J = _evaluate_integer(F, d, parts)
+        core = exact_core(F, z, RAT)
         want_values, want_J = exact_value_and_jacobian(F.P, z)
-        assert tuple(ExactComplex(Fraction(v.real, q * d), Fraction(v.imag, q * d))
-                     for v, q in zip(values, deltas)) == want_values
+        assert tuple(ExactComplex(Fraction(v.real, q), Fraction(v.imag, q))
+                     for v, q in zip(core.values, core.value_scales)) == want_values
         assert tuple(tuple(ExactComplex(Fraction(v.real, q), Fraction(v.imag, q)) for v in row)
-                     for row, q in zip(J, deltas)) == want_J
+                     for row, q in zip(core.rows, core.row_scales)) == want_J
 
 
 @pytest.mark.parametrize("name", list(_PROGRAM_CASES))
@@ -444,7 +441,7 @@ _SAMPLES = [mp.mpc(0), mp.mpc(1), mp.mpc(-2), mp.mpc("0.5", "1.5"),
 @pytest.mark.parametrize("cval", [ec(1), ec(2), ec(Fraction(1, 3)), ec(1, 1)])
 def test_derivative_bound_sound_for_builtins(kind, cval):
     """The derivative bound of a link y = g(c x) is the envelope term that
-    linked_rows gives it: (|c|^k |g^(k)(c x)| / k!)^(1/(k-1)) <= the term
+    exact_core gives it: (|c|^k |g^(k)(c x)| / k!)^(1/(k-1)) <= the term
     for k = 2..12, at each sampled source x of a one-link system. That is
     the higher-derivative part of gamma the term stands for."""
     P = PolynomialSystem((poly(2, (1, (1, 0)), (1, (0, 1))),))
@@ -452,7 +449,7 @@ def test_derivative_bound_sound_for_builtins(kind, cval):
     with mp.workprec(128):
         c = exact_to_mpc(cval, 128)
         for x in _SAMPLES:
-            (term,) = linked_rows(F, (x, mp.mpc(0)), 96).envelope
+            (term,) = exact_core(F, (x, mp.mpc(0)), F96).envelope
             term = mp.make_mpf(term)
             for k in range(2, 13):
                 truth = (abs(c) ** k * abs(_DERIV_CYCLE[kind](c * x, k)) / math.factorial(k)) ** (
@@ -463,7 +460,7 @@ def test_derivative_bound_sound_for_builtins(kind, cval):
 def mpc_link_bound_term(link: ExpLink, xval):
     """Envelope term for one link at the current source value, in mpc at
     the working precision: the reference for the upper ends that
-    expsystems.linked_rows takes from its enclosures.
+    expsystems.exact_core takes from its enclosures.
 
     EXP:      max(|c|, |c^2 exp(c x)| / 2)
     SIN/COS:  max(|c|, |c^2 sin(c x)| / 2, |c^2 cos(c x)| / 2)
@@ -529,10 +526,10 @@ def linked_cases(draw):
 @given(linked_cases(), st.sampled_from([96, 256]))
 def test_linked_rows_enclose_the_link_rows(case, bits):
     """F0 and J0 differ from F(z) and Df(z), evaluated in mpc at 4 * bits,
-    by no more than the radii linked_rows reports, for every link kind, and
+    by no more than the radii exact_core reports, for every link kind, and
     each envelope term is no smaller than mpc_link_bound_term's."""
     F, z = case
-    core = linked_rows(F, z, bits)
+    core = exact_core(F, z, PrecisionConfig("float", bits))
     wp = 4 * bits
     with mp.workprec(wp):
         values, J = value_and_jacobian(F, z, PrecisionConfig("float", wp))
@@ -556,7 +553,7 @@ def test_link_bound_term_floor():
     F = simple_system()
     with mp.workprec(96):
         assert mpc_link_bound_term(F.links[0], mp.mpc(0)) == 1
-        assert linked_rows(F, (mp.mpc(0), mp.mpc(0)), 96).envelope == [mp.mpf(1)._mpf_]
+        assert exact_core(F, (mp.mpc(0), mp.mpc(0)), F96).envelope == [mp.mpf(1)._mpf_]
 
 
 rat = st.fractions(min_value=-8, max_value=8, max_denominator=16)
@@ -635,18 +632,20 @@ def _entries(rows):
 
 @settings(max_examples=150, deadline=None)
 @given(linearization_cases(), st.booleans())
+@example((PolynomialSystem((poly(1, (1, (2,)), (1, (0,))),)), (ec(0, Fraction(1, 2**1100)),)), True)
 def test_integer_rows_are_the_reduced_fraction_rows(case, inverse):
-    """integer_rows gives, integer for integer, the rows and scales that the
-    reference gives for the Fraction values of [J | F(z) (| I)]."""
+    """fraction_free_rows gives, integer for integer, the rows and scales
+    that the reference gives for the Fraction values of [J | F(z) (| I)]."""
     S, z = case
     F, J = exact_value_and_jacobian(S, z)
     B = tuple((v,) + (e if inverse else ()) for v, e in zip(F, identity(S.nv, exact=True)))
     want_rows, want_scales = _integer_rows(J, B)
-    values, rows, scales, (A, q2) = integer_rows(S, z, RAT, inverse)
-    assert Fraction(A, q2) == norm1_sq(z)
+    core = exact_core(S, z, RAT)
+    rows, scales = fraction_free_rows(core, inverse)
+    assert Fraction(*core.n1) == norm1_sq(z)
     assert scales == want_scales
     assert _entries(rows) == _entries(want_rows)
-    assert (not any(values)) == all(v.is_zero() for v in F)
+    assert (not any(core.values)) == all(v.is_zero() for v in F)
 
 
 def fraction_mu_gamma_sq(S: PolynomialSystem, z, columns):
@@ -701,11 +700,13 @@ def floored_mu_cases(draw):
                             poly(2, (ec(1, 2), (1, 1)), (-3, (0, 0))))),
           (ec(Fraction(1, 3), Fraction(2, 7)), ec(Fraction(-5, 11), 1))))  # a complex last pivot
 def test_integer_mu_and_gamma_equal_the_fraction_route(case):
-    """mu^2 and gamma^2 from integer_rows and the integer column sums equal,
+    """mu^2 and gamma^2 from the exact core and the integer column sums equal,
     as Fractions, those of the dense Fraction solve of J X = [F(z) | I]."""
     S, z = case
     F = as_exp_system(S)
-    _, rows, scales, n1 = integer_rows(F, z, RAT, True)
+    core = exact_core(F, z, RAT)
+    rows, scales = fraction_free_rows(core, True)
+    n1 = core.n1
     try:
         sums, dd = solve_fraction_free(rows, scales).norm_sq_parts()
     except SingularMatrix:

@@ -60,8 +60,8 @@ def _integer_rows(A, B):
     denominators than A's row (F(z) beside J(z) has about their square)
     then scales its own column, not the whole row.
 
-    The reference for the rows that expsystems.integer_rows builds from a
-    system's integer program, and the way these tests hand ExactComplex
+    The reference for the rows that expsystems.fraction_free_rows builds
+    from a system's exact core, and the way these tests hand ExactComplex
     matrices to solve_fraction_free.
     """
     if not A:

@@ -203,8 +203,8 @@ def test_polish_keeps_what_the_loop_kept(cloud):
     refined = iter(z for z, _ in reps)
     certs = iter(cert for _, cert in reps)
 
-    def newton_step(F, z, prec):
-        return next(refined), False
+    def newton_iterate(F, z, k, prec):
+        return next(refined), (), 0
 
     def certify_solution(F, z, prec):
         cert = next(certs)
@@ -212,11 +212,11 @@ def test_polish_keeps_what_the_loop_kept(cloud):
             raise SingularMatrix("certification raised")
         return cert
 
-    saved = homotopy.newton_step, homotopy.certify_solution
-    homotopy.newton_step, homotopy.certify_solution = newton_step, certify_solution
+    saved = homotopy.newton_iterate, homotopy.certify_solution
+    homotopy.newton_iterate, homotopy.certify_solution = newton_iterate, certify_solution
     try:
         polished = [_polish(None, (0j,), bits) for _ in reps]
     finally:
-        homotopy.newton_step, homotopy.certify_solution = saved
+        homotopy.newton_iterate, homotopy.certify_solution = saved
     keep = _merge_polished()
     assert tuple(p[0] for p in polished if keep(p)) == _loop_polish_merge(None, reps, cfg)

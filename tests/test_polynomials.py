@@ -19,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from expcert.certify import certify_solution
 from expcert.errors import DimensionMismatch, ValidationError
-from expcert.expsystems import integer_rows, value_and_jacobian
+from expcert.expsystems import exact_core, value_and_jacobian
 from expcert.linalg import norm_sq
+from expcert.mechanisms import two_link_arm_exp
 from expcert.polynomials import (
     Monomial,
     Polynomial,
@@ -142,10 +143,13 @@ def test_system_shape_and_jacobian():
 def test_jacobian_dimension_check():
     S = PolynomialSystem((variable(2, 0),))
     with pytest.raises(DimensionMismatch):
-        integer_rows(S, (ec(1),), RAT, inverse=False)
+        exact_core(S, (ec(1),), RAT)
     F96 = PrecisionConfig("float", 96)
     with pytest.raises(DimensionMismatch):
         value_and_jacobian(S, lift_point((ec(1),), F96), F96)
+    G, (Z1, _) = two_link_arm_exp()  # the linked core checks the size too
+    with pytest.raises(DimensionMismatch):
+        exact_core(G, Z1[:5], F96)
 
 
 @pytest.mark.parametrize(
