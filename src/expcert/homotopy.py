@@ -21,18 +21,19 @@ pair of tracked systems (_step_program), straight-line Python compiled once
 with compile/exec. It unpacks z into locals and runs the start system's
 expsystems program body, then the target's, computing a power z_i ** e
 that both use once; each body gives its system's value and Jacobian
-together, with constant entries folded. It then builds the augmented
-matrix [H_z | rhs], solves it by partial pivoting with the column loops
-and the pivot search unrolled and the row loops kept, so the source is
-O(n^2) (_elimination_lines), and returns the tangent, or the corrected
-point with the norms of the Newton step and of the point. Every
-operation is that of the loops the function replaces, in their order, so
-its results are bit for bit what the loops gave, and the first exception
-raised is the same. The source holds names and integer indices only;
-coefficients, gamma and link functions enter as bound objects or
-arguments. The same function is the tracker's only double-precision
-Newton kernel: at t = 0 its corrector is the target's Newton step, which
-the final sharpening and the stall rescue take.
+together, with constant entries folded. It then puts the entries of the
+augmented matrix [H_z | rhs] that can be nonzero into locals, solves by
+partial pivoting on them alone (_structured_elimination_lines), bit for
+bit the dense loop of _elimination_lines, which is its fallback for a
+non-finite or tiny pivot and a non-finite solution, and returns the
+tangent, or the corrected point with the norms of the Newton step and of
+the point. Every operation is that of the loops the function replaces,
+in their order, so its results are bit for bit what the loops gave, and
+the first exception raised is the same. The source holds names and
+integer indices only; coefficients, gamma and link functions enter as
+bound objects or arguments. The same function is the tracker's only
+double-precision Newton kernel: at t = 0 its corrector is the target's
+Newton step, which the final sharpening and the stall rescue take.
 
 The predictor is Heun's explicit trapezoid (_predict). Its local error is
 O(h^3), one order above the Euler step z + h * v, so the step control
@@ -104,16 +105,7 @@ from .expsystems import (
     compile_system,
     define_function,
 )
-from .polynomials import (
-    Polynomial,
-    PolynomialSystem,
-    compose,
-    constant,
-    padd,
-    pmul,
-    pscale,
-    variable,
-)
+from .polynomials import Polynomial, PolynomialSystem, mul_terms, pmul, pscale
 from .refine import newton_iterate
 from .scalars import (
     EC_ONE,
@@ -124,6 +116,7 @@ from .scalars import (
     exact_sq_distance,
     working_precision,
 )
+from .sysio import MAX_EXPONENT
 
 # ---------------------------------------------------------------------------
 # Maclaurin truncation of link rows
@@ -152,7 +145,8 @@ def _maclaurin_coeffs(kind: ExpKind, c: ExactComplex, degree: int):
 def taylor_truncate(F: ExpSystem, degrees) -> PolynomialSystem:
     """Replace every link by its Maclaurin truncation to the given degree.
 
-    degrees has one positive entry per link. The result is the square
+    degrees has one entry per link, from 1 to MAX_EXPONENT, the cap a
+    system file puts on a term exponent. The result is the square
     polynomial system with the original polynomial rows first, then one row
     y_dst - T(g)(c * x_src) per link, all in the same n + m variables.
     """
@@ -162,6 +156,8 @@ def taylor_truncate(F: ExpSystem, degrees) -> PolynomialSystem:
         raise DimensionMismatch(f"got {len(degrees)} degrees for {F.m} links")
     if any(d < 1 for d in degrees):
         raise ValidationError("truncation degrees must be positive")
+    if any(d > MAX_EXPONENT for d in degrees):
+        raise ValidationError(f"truncation degrees must be at most {MAX_EXPONENT}")
     nv = F.N
     rows = list(F.P.polys)
     for link, d in zip(F.links, degrees):
@@ -314,9 +310,9 @@ def _elimination_lines(n: int) -> list:
     loop's, in the loop's order, so results and raises are the loop's bit
     for bit. The last column's reciprocal, which the loop computed and
     never used, is left out; it cannot raise, as its pivot passed the
-    singularity test. M's rows are updated in place. Its one user is
-    _step_program, whose step at t = 0 also sharpens every endpoint and
-    rescues stalled paths.
+    singularity test. M's rows are updated in place. It is the step's
+    fallback (_dense_elimination, see _structured_elimination_lines) and
+    the tests' reference for that elimination.
     """
     lines = []
     for c in range(n):
@@ -342,6 +338,108 @@ def _elimination_lines(n: int) -> list:
         lines += [f"acc -= u{i}_{k} * x{k}" for k in range(i + 1, n)]
         lines.append(f"x{i} = acc / u{i}_{i}")
     return lines
+
+
+@lru_cache(maxsize=None)
+def _dense_elimination(n: int):
+    """eliminate(M): the solve of _elimination_lines on the n x (n + 1) rows
+    M, returning [x0, ..., x{n-1}]. Generated on the first fallback of a
+    structured elimination of size n."""
+    lines = _elimination_lines(n) + ["return [" + ", ".join(f"x{i}" for i in range(n)) + "]"]
+    return define_function("eliminate", "M", lines, {"_NativeSingular": _NativeSingular})
+
+
+# The names the lines of _structured_elimination_lines read besides the
+# entries: a generated function binds them in its namespace.
+_ELIMINATION_NAMES = {
+    "_NativeSingular": _NativeSingular,
+    "_dense": _dense_elimination,
+    "inf": math.inf,
+    "isfinite": cmath.isfinite,
+}
+
+
+def _structured_elimination_lines(n: int, cells, dense: str) -> list:
+    """The solve of _elimination_lines on the entries that can be nonzero
+    alone, as straight-line source that leaves x in x0..x{n-1}: the static
+    symbolic factorization for partial pivoting (George and Ng, SIAM J.
+    Sci. Stat. Comput. 8, 1987).
+
+    Entry (r, k) of [A | b] is in the local e{r}_{k} for each (r, k) in
+    cells and for every right-hand side k = n; every other entry of A is
+    an exact 0j. At column c the pivot search reads position c, or starts
+    from 0.0 when (c, c) cannot be nonzero, then the rows below that can
+    be nonzero in column c, with the loop's strict >, so ties and nan pick
+    the loop's row. Position c and those rows form a group, each row
+    widened to the union of the group's columns from c on with 0j, so the
+    structure after the swap, which branches on piv, is the same for every
+    pivot; every other row of the group then gets f = row[c] * inv; if f:
+    and the subtraction over the union. (When (c, c) cannot be nonzero and
+    one row below can, that row is the pivot: the rows swap by name, and
+    the row moved down, 0j at c, is left alone.) Back substitution keeps
+    every term, with the literal 0j for a zero entry, so signed zeros are
+    the loop's.
+
+    While every f is finite, each entry the loop updates and this skips is
+    0j - f * 0j = 0j, so values, pivots and raises are the loop's bit for
+    bit. A non-finite f comes only from a nan below the pivot, and makes
+    its row non-finite, hence a pivot or the solution. So the result
+    stands only when every pivot modulus is finite and at least 1e-250,
+    the solution is finite and no abs() overflowed; otherwise the lines
+    give, or raise, what the dense loop (_dense_elimination) gives on
+    `dense`, the source of the original [A | b]. They read the names in
+    _ELIMINATION_NAMES.
+    """
+    rows = [{k: f"e{r}_{k}" for k in range(n + 1) if k == n or (r, k) in cells} for r in range(n)]
+    fresh = (f"w{i}" for i in itertools.count())
+    body, pivots = [], []
+    for c in range(n):
+        own = c in rows[c]
+        below = [p for p in range(c + 1, n) if c in rows[p]]
+        body += [f"piv, best = {c}, abs({rows[c][c]})"] if own else [f"piv = {c}", "best = 0.0"]
+        for p in below:
+            body += [f"a = abs({rows[p][c]})", "if a > best:", f"    piv, best = {p}, a"]
+        body += ["if not 1e-250 <= best < inf:", "    raise _NativeSingular"]
+        if not below:
+            if not own:
+                break  # the test above always raises
+            pivots.append(rows[c])
+            continue
+        if not own and len(below) == 1:
+            pivots.append(rows[below[0]])
+            rows[below[0]] = rows[c]
+            continue
+        group = [c] + below
+        cols = sorted({k for p in group for k in rows[p] if k >= c})
+        for p in group:
+            for k in cols:
+                if k not in rows[p]:
+                    rows[p][k] = next(fresh)
+                    body.append(f"{rows[p][k]} = 0j")
+        u = rows[c]
+        for i, q in enumerate(below):
+            last = i == len(below) - 1 and not own  # piv is in below
+            body.append("else:" if last else f"{'elif' if i else 'if'} piv == {q}:")
+            body += [f"    {u[k]}, {rows[q][k]} = {rows[q][k]}, {u[k]}" for k in cols]
+        pivots.append(u)
+        body.append(f"inv = 1.0 / {u[c]}")
+        for p in below:
+            body += [f"f = {rows[p][c]} * inv", "if f:"]
+            body += [f"    {rows[p][k]} -= f * {u[k]}" for k in cols if k > c]
+    else:
+        for i in range(n - 1, -1, -1):
+            row = pivots[i]
+            body.append(f"acc = {row[n]}")
+            body += [f"acc -= {row.get(k, '0j')} * x{k}" for k in range(i + 1, n)]
+            body.append(f"x{i} = acc / {row[i]}")
+        body.append("if not (" + " and ".join(f"isfinite(x{i})" for i in range(n)) + "):")
+        body.append("    raise _NativeSingular")
+    x = ", ".join(f"x{i}" for i in range(n))
+    return (
+        ["try:"]
+        + [f"    {line}" for line in body]
+        + ["except (_NativeSingular, OverflowError):", f"    {x}, = _dense({n})({dense})"]
+    )
 
 
 class PathStatus(enum.Enum):
@@ -415,8 +513,11 @@ def _step_program(cs: CompiledSystem, ct: CompiledSystem):
 
     One function runs everything a predictor or corrector step needs. It
     unpacks z, runs the start program's body, then the target's, with the
-    powers z_i ** e both use computed once (CompiledSystem.body), builds
-    [H_z | rhs] and solves it by the elimination of _elimination_lines.
+    powers z_i ** e both use computed once (CompiledSystem.body), puts
+    [H_z | rhs] into locals and solves it by the elimination of
+    _structured_elimination_lines on the union of the two patterns, with
+    the dense loop of _elimination_lines on the whole matrix, rebuilt from
+    the same expressions, as its fallback.
     rhs is H_t(z) = G * Fstart(z) - Ftarget(z) for the predictor (tangent
     true), which returns the solution x as a list, and H(z, t) for the
     corrector, which returns (z - x, ||x||, ||z - x||). Each Jacobian entry
@@ -434,26 +535,28 @@ def _step_program(cs: CompiledSystem, ct: CompiledSystem):
     rescue call it there. The start body still runs, so a power of the
     start system that overflows raises there too.
     """
-    namespace = {"_NativeSingular": _NativeSingular, "sqrt": math.sqrt}
+    namespace = {"sqrt": math.sqrt, **_ELIMINATION_NAMES}
     shared = {}
     lines, fa, ja = cs.body("a", namespace, shared=shared)
     lines_b, fb, jb = ct.body("b", namespace, shared=shared)
     lines = cs.unpack() + lines + lines_b
     ka, kb = dict(zip(cs.pattern, ja)), dict(zip(ct.pattern, jb))
-    lines += ["s = 1.0 - t", "g = G * t", "if tangent:"]
-    lines += [f"    r{i} = G * {a} - {b}" for i, (a, b) in enumerate(zip(fa, fb))]
-    lines.append("else:")
-    lines += [f"    r{i} = s * {b} + g * {a}" for i, (a, b) in enumerate(zip(fa, fb))]
     n = cs.size
-    rows = []
-    for r in range(n):
-        cells = []
-        for j in range(n):
-            a, b = ka.get((r, j)), kb.get((r, j))
-            cells.append("0j" if a is None and b is None else f"s * {b or '0j'} + g * {a or '0j'}")
-        rows.append("[" + ", ".join(cells + [f"r{r}"]) + "]")
-    lines.append("M = [" + ", ".join(rows) + "]")
-    lines += _elimination_lines(n)
+    lines += ["s = 1.0 - t", "g = G * t", "if tangent:"]
+    lines += [f"    e{i}_{n} = G * {a} - {b}" for i, (a, b) in enumerate(zip(fa, fb))]
+    lines.append("else:")
+    lines += [f"    e{i}_{n} = s * {b} + g * {a}" for i, (a, b) in enumerate(zip(fa, fb))]
+    cells = {
+        (r, j): f"s * {kb.get((r, j), '0j')} + g * {ka.get((r, j), '0j')}"
+        for r, j in sorted(ka.keys() | kb.keys())
+    }
+    lines += [f"e{r}_{j} = {cell}" for (r, j), cell in cells.items()]
+    rhs = [f"G * {a} - {b} if tangent else s * {b} + g * {a}" for a, b in zip(fa, fb)]
+    dense = ", ".join(
+        "[" + ", ".join([cells.get((r, j), "0j") for j in range(n)] + [rhs[r]]) + "]"
+        for r in range(n)
+    )
+    lines += _structured_elimination_lines(n, cells, f"[{dense}]")
     x = [f"x{i}" for i in range(n)]
     y = [f"y{i}" for i in range(n)]
     lines += ["if tangent:", f"    return [{', '.join(x)}]"]
@@ -650,22 +753,42 @@ def _restrict(head, nu, factors, links, N):
 
     Returns (system, free, pinned, affine) or None when a row restricts to a
     constant, which for generic draws means the slice carries no solutions.
+
+    Each variable's substitution is a term dict {exponents: coefficient}:
+    a free variable, a pinned constant, or c0 + c1 * base for an affine one.
+    Each power subs[v] ** e is multiplied out once per slice by mul_terms,
+    and each row is accumulated term by term into one dict before a
+    single Polynomial.from_terms. The arithmetic is exact, so the rows are
+    those of substituting polynomial by polynomial.
     """
     pinned, affine = _slice_maps(nu, factors, links)
     free = [v for v in range(N) if v not in pinned and v not in affine]
-    pos = {v: i for i, v in enumerate(free)}
     nfree = len(free)
-    subs = {}
-    for v in free:
-        subs[v] = variable(nfree, pos[v])
+    one = (0,) * nfree
+    unit = {v: tuple(int(v == w) for w in free) for v in free}
+    subs = {v: {unit[v]: EC_ONE} for v in free}
     for v, c in pinned.items():
-        subs[v] = constant(nfree, c)
+        subs[v] = {one: c}
     for v, (c0, c1, s) in affine.items():
-        base = constant(nfree, pinned[s]) if s in pinned else variable(nfree, pos[s])
-        subs[v] = padd(constant(nfree, c0), pscale(base, c1))
+        subs[v] = {one: c0 + c1 * pinned[s]} if s in pinned else {one: c0, unit[s]: c1}
+    powers = {}
+
+    def power(v, e):
+        if (v, e) not in powers:
+            powers[v, e] = subs[v] if e == 1 else mul_terms(power(v, e - 1), subs[v])
+        return powers[v, e]
+
     rows = []
     for p in head:
-        q = compose(p, subs, nfree)
+        acc = {}
+        for coeff, mono in p.terms:
+            term = {one: coeff}
+            for v, e in enumerate(mono.exponents):
+                if e:
+                    term = mul_terms(term, power(v, e))
+            for e, c in term.items():
+                acc[e] = acc[e] + c if e in acc else c
+        q = Polynomial.from_terms(nfree, [(c, e) for e, c in acc.items()])
         if q.degree == 0:
             return None
         rows.append(q)

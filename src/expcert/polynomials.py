@@ -5,8 +5,8 @@ monomials, no zero coefficients) over a fixed ambient variable count. The
 degree is always taken from the actual terms, never declared, because the
 weighted coefficient norm (bw_norm_sq) and the row degrees that feed the
 curvature bound in expsystems are degree-sensitive. The norm is an exact
-rational. padd, pscale, pmul, ppow and compose are exact polynomial
-arithmetic; the solver builds its product start rows and restricts systems
+rational. pscale, pmul and mul_terms are exact polynomial arithmetic; the
+solver scales rows, builds its product start rows and restricts systems
 to slices with them.
 
 Nothing here evaluates a system: its values and Jacobian come from the one
@@ -25,7 +25,7 @@ from math import factorial
 
 from .errors import DimensionMismatch, ValidationError
 from .linalg import CVector
-from .scalars import EC_ONE, ExactComplex
+from .scalars import ExactComplex
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,8 @@ class Polynomial:
         return Polynomial.from_terms(self.nv, items)
 
 
-def variable(nv: int, j: int) -> Polynomial:
-    exps = [0] * nv
-    exps[j] = 1
-    return Polynomial.from_terms(nv, [(EC_ONE, tuple(exps))])
-
-
-def constant(nv: int, c) -> Polynomial:
-    return Polynomial.from_terms(nv, [(ExactComplex.of(c), (0,) * nv)])
-
-
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic (exact throughout)
-
-
-def padd(p: Polynomial, q: Polynomial) -> Polynomial:
-    return Polynomial.from_terms(p.nv, [(c, m) for c, m in p.terms] + [(c, m) for c, m in q.terms])
 
 
 def pscale(p: Polynomial, c) -> Polynomial:
@@ -139,34 +125,19 @@ def pscale(p: Polynomial, c) -> Polynomial:
     return Polynomial.from_terms(p.nv, [(c * coeff, m) for coeff, m in p.terms])
 
 
-def pmul(p: Polynomial, q: Polynomial) -> Polynomial:
-    acc = {}
-    for c1, m1 in p.terms:
-        for c2, m2 in q.terms:
-            exps = tuple(a + b for a, b in zip(m1.exponents, m2.exponents))
-            prev = acc.get(exps)
-            prod = c1 * c2
-            acc[exps] = prod if prev is None else prev + prod
-    return Polynomial.from_terms(p.nv, [(c, e) for e, c in acc.items()])
-
-
-def ppow(p: Polynomial, k: int) -> Polynomial:
-    out = constant(p.nv, 1)
-    for _ in range(k):
-        out = pmul(out, p)
+def mul_terms(p: dict, q: dict) -> dict:
+    """The product of two polynomials held as {exponents: coefficient}."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
     return out
 
 
-def compose(poly: Polynomial, subs, nfree: int) -> Polynomial:
-    """poly with variable v replaced by subs[v], over nfree variables."""
-    acc = Polynomial.from_terms(nfree, [])
-    for coeff, mono in poly.terms:
-        term = constant(nfree, coeff)
-        for v, e in enumerate(mono.exponents):
-            if e:
-                term = pmul(term, ppow(subs[v], e))
-        acc = padd(acc, term)
-    return acc
+def pmul(p: Polynomial, q: Polynomial) -> Polynomial:
+    acc = mul_terms({m.exponents: c for c, m in p.terms}, {m.exponents: c for c, m in q.terms})
+    return Polynomial.from_terms(p.nv, [(c, e) for e, c in acc.items()])
 
 
 class Memo(dict):

@@ -15,7 +15,7 @@ import pytest
 from expcert import cli, homotopy
 from expcert.cli import build_parser, main
 from expcert.scalars import PrecisionConfig
-from expcert.sysio import parse_points
+from expcert.sysio import MAX_EXPONENT, parse_points
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -207,6 +207,24 @@ def test_hostile_file_exits_two_fast(tmp_path, system, points):
     assert proc.returncode == 2 and proc.stderr.startswith("error:")
     assert "exponent" in proc.stderr
     assert float(proc.stdout.split()[-1]) < 1.0
+
+
+def test_hostile_truncation_degree_exits_two_fast(tmp_path):
+    """A degree of 1000 was still truncating and solving after 30 s; degrees
+    share the system file's exponent cap. A child process, so that a
+    regression fails on the timeout instead of hanging the suite."""
+    out = tmp_path / "cand.pts"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, "solve", "--system", str(DATA / "rr_dyad.sys"),
+         "--truncate-degrees", "1000,3,2,2", "--output", str(out)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2 and proc.stderr.startswith("error:")
+    assert f"truncation degrees must be at most {MAX_EXPONENT}" in proc.stderr
+    assert float(proc.stdout.split()[-1]) < 1.0
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["certify", "solve"])

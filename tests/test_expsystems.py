@@ -39,15 +39,7 @@ from expcert.expsystems import (
 from expcert.homotopy import taylor_truncate
 from expcert.linalg import norm_sq, solve_columns, solve_fraction_free
 from expcert.mechanisms import compliant_linkage
-from expcert.polynomials import (
-    Polynomial,
-    PolynomialSystem,
-    bw_norm_sq,
-    constant,
-    padd,
-    ppow,
-    variable,
-)
+from expcert.polynomials import Polynomial, PolynomialSystem, bw_norm_sq
 from expcert.refine import newton_refine
 from expcert.scalars import (
     ExactComplex,
@@ -60,7 +52,14 @@ from expcert.scalars import (
 from expcert.sysio import parse_points, parse_system, serialize_system
 
 from test_linalg import _dense_solve_columns, _integer_rows, identity, invert, norm1_sq
-from test_polynomials import delta_sq_entries, exact_value_and_jacobian
+from test_polynomials import (
+    constant,
+    delta_sq_entries,
+    exact_value_and_jacobian,
+    padd,
+    ppow,
+    variable,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

@@ -50,9 +50,11 @@ from expcert.homotopy import (
     track_path,
 )
 from expcert.mechanisms import compliant_linkage, two_link_arm_exp
-from expcert.polynomials import Polynomial, PolynomialSystem
+from expcert.polynomials import Polynomial, PolynomialSystem, pscale
 from expcert.scalars import ExactComplex
 from expcert.sysio import parse_system
+
+from test_polynomials import compose, constant, padd, variable
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -317,6 +319,46 @@ def _compliant_slices(count):
         if len(out) == count:
             return out
     raise AssertionError("too few nonempty slices")
+
+
+def _composed_restriction(head, nu, factors, links, N):
+    """The slice restriction substituting polynomial by polynomial (compose):
+    the reference for homotopy._restrict."""
+    pinned, affine = homotopy._slice_maps(nu, factors, links)
+    free = [v for v in range(N) if v not in pinned and v not in affine]
+    pos = {v: i for i, v in enumerate(free)}
+    nfree = len(free)
+    subs = {v: variable(nfree, pos[v]) for v in free}
+    for v, c in pinned.items():
+        subs[v] = constant(nfree, c)
+    for v, (c0, c1, s) in affine.items():
+        base = constant(nfree, pinned[s]) if s in pinned else variable(nfree, pos[s])
+        subs[v] = padd(constant(nfree, c0), pscale(base, c1))
+    rows = []
+    for p in head:
+        q = compose(p, subs, nfree)
+        if q.degree == 0:
+            return None
+        rows.append(q)
+    return PolynomialSystem(tuple(rows)), free, pinned, affine
+
+
+@pytest.mark.parametrize("name", ["arm", "compliant"])
+def test_restriction_equals_the_polynomial_composition(name):
+    """Every selection at seeds 0-3: the same rows, free variables and maps,
+    or None for the same slices."""
+    G, _ = two_link_arm_exp() if name == "arm" else compliant_linkage()
+    degrees = (3, 3, 2, 2) if name == "arm" else (2,) * 6
+    Fp = taylor_truncate(G, degrees)
+    head, counts, skipped = Fp.polys[: G.n], homotopy._link_x_degrees(Fp, G.links), 0
+    for seed in range(4):
+        factors = _draw_factors(G.links, counts, seed)
+        selections, _ = linear_product_start(Fp, G.links, degrees, seed)
+        for nu in selections:
+            want = _composed_restriction(head, nu, factors, G.links, G.N)
+            assert homotopy._restrict(head, nu, factors, G.links, G.N) == want, (seed, nu)
+            skipped += want is None
+    assert 0 < skipped < 4 * len(selections)
 
 
 @pytest.mark.parametrize("index", range(4))
@@ -792,6 +834,125 @@ def test_generated_elimination_matches_loop_bit_for_bit(M):
     want = _outcome(_loop_solve_native, [list(row) for row in M])
     got = _outcome(lambda M: _elimination(len(M))(M), [list(row) for row in M])
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The structured elimination against the loop it replaces
+
+
+def _structured(n: int, cells, names=None):
+    """The step's elimination alone on the pattern `cells`: reads [A | b] from
+    M, whose entries outside `cells` must be 0j, and falls back on M itself."""
+    unpack = [f"e{r}_{k} = M[{r}][{k}]" for r, k in sorted(cells)]
+    unpack += [f"e{r}_{n} = M[{r}][{n}]" for r in range(n)]
+    lines = unpack + homotopy._structured_elimination_lines(n, cells, "M")
+    lines.append("return [" + ", ".join(f"x{i}" for i in range(n)) + "]")
+    return define_function("eliminate", "M", lines, dict(names or homotopy._ELIMINATION_NAMES))
+
+
+@st.composite
+def _patterned_systems(draw):
+    """A random pattern and [A | b] with exact 0j outside it, the shape the
+    step eliminates: values as _augmented_systems draws them."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    density = draw(st.sampled_from([0.15, 0.3, 0.6, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cells = {(r, k) for r in range(n) for k in range(n) if rng.random() < density}
+    if draw(st.booleans()):  # a permuted diagonal inside the pattern keeps it often regular
+        cells |= set(enumerate(rng.sample(range(n), n)))
+    part = _PARTS[draw(st.sampled_from(sorted(_PARTS)))]
+    M = [[0j] * n + [complex(draw(part), draw(part))] for _ in range(n)]
+    for r, k in sorted(cells):
+        M[r][k] = complex(draw(part), draw(part))
+    zero = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+    j = draw(st.integers(min_value=0, max_value=n - 1))
+    singular = draw(st.sampled_from(["no", "zero column", "zero row", "tiny column", "repeat"]))
+    first = min(cells, default=(0, 0))
+    for r, k in sorted(cells):
+        if singular == "zero column" and k == j or singular == "zero row" and r == j:
+            M[r][k] = draw(zero)
+        elif singular == "tiny column" and k == j:
+            M[r][k] *= 1e-255
+        elif singular == "repeat":
+            M[r][k] = M[first[0]][first[1]]  # ties in every pivot search
+    return n, frozenset(cells), M
+
+
+# Signed zeros the loop makes and a skipped operation would not: 0j * x1
+# subtracted in back substitution turns x0's real part from -0.0 to +0.0,
+# and a zero multiplier, skipped by `if f:`, would have turned row 1's
+# right-hand side from -0.0 to +0.0.
+_ZERO_TERM = (2, frozenset({(0, 0), (1, 1)}), [[1 + 0j, 0j, complex(-0.0, -1.0)],
+                                               [0j, 1 + 0j, -1 + 0j]])
+_ZERO_MULTIPLIER = (2, frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}),
+                    [[1 + 0j, 0j, -1 + 0j], [0j, 1 + 0j, complex(-0.0, -1.0)]])
+
+
+@settings(max_examples=400, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(_ZERO_TERM)
+@example(_ZERO_MULTIPLIER)
+@given(_patterned_systems())
+def test_structured_elimination_matches_loop_bit_for_bit(case):
+    """Bits of x, or the raised type, are the dense loop's for any pattern and
+    any values, non-finite ones and ties included. Shrinking is off, as for
+    the dense elimination."""
+    n, cells, M = case
+    want = _outcome(_loop_solve_native, [list(row) for row in M])
+    got = _outcome(_structured(n, cells), [list(row) for row in M])
+    assert got == want, sorted(cells)
+
+
+def test_structured_elimination_falls_back_to_the_dense_result():
+    """A non-finite pivot, a pivot below 1e-250, a non-finite solution and a
+    modulus that overflows abs() each return (or raise) what the dense loop
+    gives on the original M."""
+    fallbacks = []
+
+    def recording(n):
+        fallbacks.append(n)
+        return homotopy._dense_elimination(n)
+
+    inf, nan = math.inf, math.nan
+    cases = {
+        "plain": ({(0, 0), (0, 1), (1, 0), (1, 1)}, [[2, 1, 1], [1, 3, 2]], False),
+        "infinite pivot": ({(0, 0), (0, 1), (1, 0), (1, 1)}, [[inf, 1, 1], [1, 1, 1]], True),
+        "nan pivot": ({(0, 0), (1, 0), (1, 1)}, [[nan, 0, 1], [1, 1, 1]], True),
+        "tiny pivot": ({(0, 0), (1, 1)}, [[1e-260, 0, 1], [0, 1, 1]], True),
+        "overflowing solution": ({(0, 0), (1, 1)}, [[1e-200, 0, 1e200], [0, 1, 1]], True),
+        "nan multiplier": ({(0, 0), (1, 0), (1, 1), (0, 2), (2, 2)},
+                           [[1, 0, 1, 1], [nan, 1, 0, 1], [0, 0, 1, 1]], True),
+        "overflowing modulus": ({(0, 0), (1, 0), (1, 1)}, [[1, 0, 1], [1.5e308 + 1.5e308j, 1, 1]], True),
+    }
+    names = dict(homotopy._ELIMINATION_NAMES, _dense=recording)
+    for name, (cells, rows, falls_back) in cases.items():
+        M = [[complex(v) for v in row] for row in rows]
+        fallbacks.clear()
+        got = _outcome(_structured(len(M), cells, names), [list(row) for row in M])
+        assert got == _outcome(_loop_solve_native, [list(row) for row in M]), name
+        assert fallbacks == ([len(M)] if falls_back else []), name
+
+
+def _update_statements(lines) -> int:
+    return sum(" -= f * " in line for line in lines)
+
+
+def test_structured_elimination_updates_only_what_can_be_nonzero():
+    """The arm's product-stage pair eliminates with fewer row updates than the
+    dense loop runs when no multiplier is zero, and a permuted diagonal
+    needs none."""
+    arm, _ = two_link_arm_exp()
+    Fp = taylor_truncate(arm, (3, 3, 2, 2))
+    _, product = linear_product_start(Fp, arm.links, (3, 3, 2, 2), seed=0)
+    cs, ct = CompiledSystem(product), CompiledSystem(Fp)
+    n, cells = cs.size, set(cs.pattern) | set(ct.pattern)
+    dense = sum((n - 1 - c) * (n - c) for c in range(n))
+    structured = _update_statements(homotopy._structured_elimination_lines(n, cells, "M"))
+    assert (n, len(cells)) == (6, 12) and structured < dense, (structured, dense)
+    for n in (1, 5, 12):
+        perm = random.Random(n).sample(range(n), n)
+        lines = homotopy._structured_elimination_lines(n, set(enumerate(perm)), "M")
+        assert _update_statements(lines) == 0, perm
 
 
 def test_pencil_adds_zero_for_a_one_sided_entry():

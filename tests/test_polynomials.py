@@ -27,8 +27,7 @@ from expcert.polynomials import (
     Polynomial,
     PolynomialSystem,
     bw_norm_sq,
-    constant,
-    variable,
+    pmul,
 )
 from expcert.scalars import ExactComplex, PrecisionConfig, lift_point
 
@@ -50,6 +49,41 @@ def delta_sq_entries(degrees, n1sq) -> list:
     """Squared diagonal entries d_i * n1sq^(d_i - 1) of the scaling matrix of
     the curvature bound: the reference for its row terms."""
     return [d * n1sq ** (d - 1) if d else 0 * n1sq for d in degrees]
+
+
+def variable(nv: int, j: int) -> Polynomial:
+    exps = [0] * nv
+    exps[j] = 1
+    return Polynomial.from_terms(nv, [(ExactComplex.of(1), tuple(exps))])
+
+
+def constant(nv: int, c) -> Polynomial:
+    return Polynomial.from_terms(nv, [(ExactComplex.of(c), (0,) * nv)])
+
+
+def padd(p: Polynomial, q: Polynomial) -> Polynomial:
+    return Polynomial.from_terms(p.nv, [(c, m) for c, m in p.terms] + [(c, m) for c, m in q.terms])
+
+
+def ppow(p: Polynomial, k: int) -> Polynomial:
+    out = constant(p.nv, 1)
+    for _ in range(k):
+        out = pmul(out, p)
+    return out
+
+
+def compose(poly: Polynomial, subs, nfree: int) -> Polynomial:
+    """poly with variable v replaced by the polynomial subs[v], over nfree
+    variables, polynomial by polynomial: the reference for the slice
+    restriction (homotopy._restrict)."""
+    acc = Polynomial.from_terms(nfree, [])
+    for coeff, mono in poly.terms:
+        term = constant(nfree, coeff)
+        for v, e in enumerate(mono.exponents):
+            if e:
+                term = pmul(term, ppow(subs[v], e))
+        acc = padd(acc, term)
+    return acc
 
 
 def ec(re, im=0):

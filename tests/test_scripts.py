@@ -53,6 +53,10 @@ def _run_script(name, *args):
              "--degrees", "3,3,2,2", "--seeds", "0"],
             '"candidates": 4, "setup_s": ',
         ),
+        (
+            ["step_times.py", "--systems", "arm", "--repeat", "1"],
+            '{"system": "arm", "degrees": "3,3,2,2", "seed": 0, "candidates": 4, "calls": {"slice-continuation": ',
+        ),
     ],
 )
 def test_script_runs(argv, expected):
