@@ -10,6 +10,9 @@ restriction. It then calls the recorded steps again, stage by stage, and
 gives the best of --repeat replays as microseconds per call, so the step
 itself is timed apart from the tracker around it. A raised step (a
 singular or overflowing one) counts as a call; the solve made it too.
+The `raised` key counts those calls per stage, by the type raised:
+_NativeSingular for a pivot below 1e-250, OverflowError for an overflow
+or a non-finite pivot or solution.
 
     PYTHONPATH=src python3 scripts/step_times.py --seed 0 --repeat 5
 
@@ -35,12 +38,15 @@ SYSTEMS = {
     "arm": ("rr_dyad.sys", (3, 3, 2, 2)),
     "compliant": ("compliant.sys", (2, 2, 2, 2, 2, 2)),
 }
+# The types a step raises, in the order `raised` lists them.
+RAISED = ("_NativeSingular", "OverflowError")
 
 
 def record_solve(F, degrees, seed: int):
-    """Solve F serially; return ({stage: [(step, args), ...]}, restriction
-    seconds, slice count, candidate count)."""
+    """Solve F serially; return ({stage: [(step, args), ...]}, {stage: {type
+    name: raised calls}}, restriction seconds, slice count, candidate count)."""
     calls, state = defaultdict(list), {"stage": None, "restrict_s": 0.0, "slices": 0}
+    raised = defaultdict(lambda: dict.fromkeys(RAISED, 0))
     program, restrict = homotopy._step_program, homotopy._restrict
     slice_task, path_task = homotopy._slice_task, homotopy._path_task
 
@@ -49,7 +55,11 @@ def record_solve(F, degrees, seed: int):
 
         def wrapped(z, t, tangent, G):
             calls[state["stage"]].append((step, (list(z), t, tangent, G)))
-            return step(z, t, tangent, G)
+            try:
+                return step(z, t, tangent, G)
+            except (homotopy._NativeSingular, OverflowError) as exc:
+                raised[state["stage"]][type(exc).__name__] += 1
+                raise
 
         return wrapped
 
@@ -82,7 +92,7 @@ def record_solve(F, degrees, seed: int):
     finally:
         for name, value in saved.items():
             setattr(homotopy, name, value)
-    return calls, state["restrict_s"], state["slices"], len(out.candidates)
+    return calls, raised, state["restrict_s"], state["slices"], len(out.candidates)
 
 
 def replay_us(calls, repeat: int) -> float:
@@ -102,7 +112,7 @@ def replay_us(calls, repeat: int) -> float:
 def times_line(name: str, seed: int, repeat: int) -> dict:
     path, degrees = SYSTEMS[name]
     F = parse_system((ROOT / "data" / path).read_text(encoding="utf-8"))
-    calls, restrict_s, slices, candidates = record_solve(F, degrees, seed)
+    calls, raised, restrict_s, slices, candidates = record_solve(F, degrees, seed)
     us = {stage: replay_us(c, repeat) for stage, c in calls.items()}
     return {
         "system": name,
@@ -110,6 +120,7 @@ def times_line(name: str, seed: int, repeat: int) -> dict:
         "seed": seed,
         "candidates": candidates,
         "calls": {stage: len(c) for stage, c in calls.items()},
+        "raised": {stage: raised[stage] for stage in calls},
         "us_per_call": {stage: round(v, 2) for stage, v in us.items()},
         "all_us_per_call": round(
             sum(v * len(calls[stage]) for stage, v in us.items()) / sum(map(len, calls.values())), 2

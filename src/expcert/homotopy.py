@@ -23,17 +23,17 @@ expsystems program body, then the target's, computing a power z_i ** e
 that both use once; each body gives its system's value and Jacobian
 together, with constant entries folded. It then puts the entries of the
 augmented matrix [H_z | rhs] that can be nonzero into locals, solves by
-partial pivoting on them alone (_structured_elimination_lines), bit for
-bit the dense loop of _elimination_lines, which is its fallback for a
-non-finite or tiny pivot and a non-finite solution, and returns the
-tangent, or the corrected point with the norms of the Newton step and of
-the point. Every operation is that of the loops the function replaces,
-in their order, so its results are bit for bit what the loops gave, and
-the first exception raised is the same. The source holds names and
-integer indices only; coefficients, gamma and link functions enter as
-bound objects or arguments. The same function is the tracker's only
-double-precision Newton kernel: at t = 0 its corrector is the target's
-Newton step, which the final sharpening and the stall rescue take.
+partial pivoting on them alone (_structured_elimination_lines), and
+returns the tangent, or the corrected point with the norms of the Newton
+step and of the point. Every operation is that of the loops the function
+replaces, in their order, so what it returns is bit for bit what the
+loops gave, and it raises what they raise, except where the dense
+elimination loop meets a non-finite value: there it raises, never
+returning. The source holds names and integer indices only;
+coefficients, gamma and link functions enter as bound objects or
+arguments. The same function is the tracker's only double-precision
+Newton kernel: at t = 0 its corrector is the target's Newton step, which
+the final sharpening and the stall rescue take.
 
 The predictor is Heun's explicit trapezoid (_predict). Its local error is
 O(h^3), one order above the Euler step z + h * v, so the step control
@@ -49,9 +49,9 @@ the scaling is exact in doubles and keeps every root. In the endgame zone
 t <= _ENDGAME_T, a path whose norm keeps growing like a power of 1/t ends
 DIVERGED (track_path), in every stage, as Bertini's endgame does for paths
 to infinity. Such paths head for singular points at infinity, so a
-projective patch alone would not end them sooner. A non-finite corrector
-step, which complex ** gives on huge parts without raising, also ends a
-path DIVERGED.
+projective patch alone would not end them sooner. A non-finite value in
+a step, which complex ** gives on huge parts without raising, also ends
+a path DIVERGED.
 
 Both deduplications are one first-fit filter (_first_fit): a point is
 dropped when it lies within the radius of a point kept before it, that
@@ -297,73 +297,20 @@ class _NativeSingular(Exception):
     pass
 
 
-def _elimination_lines(n: int) -> list:
-    """Partial-pivoting solve of the n-row augmented system [A | b] held in
-    the rows of M, as straight-line source that leaves x in x0..x{n-1}.
-
-    The same elimination as a loop over columns, rows and entries, with the
-    column loops and the pivot search unrolled and the row updates kept as
-    loops, so the source grows as O(n^2): the pivot search, the singularity
-    test and the row swap run as they would in the loop; the pivot row's
-    tail goes into locals before the rows below are updated entry by entry,
-    and back substitution runs on those locals. Each operation is the
-    loop's, in the loop's order, so results and raises are the loop's bit
-    for bit. The last column's reciprocal, which the loop computed and
-    never used, is left out; it cannot raise, as its pivot passed the
-    singularity test. M's rows are updated in place. It is the step's
-    fallback (_dense_elimination, see _structured_elimination_lines) and
-    the tests' reference for that elimination.
-    """
-    lines = []
-    for c in range(n):
-        lines.append(f"piv, best = {c}, abs(M[{c}][{c}])")
-        for r in range(c + 1, n):
-            lines += [f"a = abs(M[{r}][{c}])", "if a > best:", f"    piv, best = {r}, a"]
-        lines += ["if best < 1e-250:", "    raise _NativeSingular"]
-        if c + 1 < n:
-            lines += [f"if piv != {c}:", f"    M[{c}], M[piv] = M[piv], M[{c}]"]
-        lines.append(f"Mc = M[{c}]")
-        lines += [f"u{c}_{k} = Mc[{k}]" for k in range(c, n + 1)]
-        if c + 1 < n:
-            lines += [
-                f"inv = 1.0 / u{c}_{c}",
-                f"for r in range({c + 1}, {n}):",
-                "    Mr = M[r]",
-                f"    f = Mr[{c}] * inv",
-                "    if f:",
-            ]
-            lines += [f"        Mr[{k}] -= f * u{c}_{k}" for k in range(c + 1, n + 1)]
-    for i in range(n - 1, -1, -1):
-        lines.append(f"acc = u{i}_{n}")
-        lines += [f"acc -= u{i}_{k} * x{k}" for k in range(i + 1, n)]
-        lines.append(f"x{i} = acc / u{i}_{i}")
-    return lines
-
-
-@lru_cache(maxsize=None)
-def _dense_elimination(n: int):
-    """eliminate(M): the solve of _elimination_lines on the n x (n + 1) rows
-    M, returning [x0, ..., x{n-1}]. Generated on the first fallback of a
-    structured elimination of size n."""
-    lines = _elimination_lines(n) + ["return [" + ", ".join(f"x{i}" for i in range(n)) + "]"]
-    return define_function("eliminate", "M", lines, {"_NativeSingular": _NativeSingular})
-
-
 # The names the lines of _structured_elimination_lines read besides the
 # entries: a generated function binds them in its namespace.
 _ELIMINATION_NAMES = {
     "_NativeSingular": _NativeSingular,
-    "_dense": _dense_elimination,
     "inf": math.inf,
     "isfinite": cmath.isfinite,
 }
 
 
-def _structured_elimination_lines(n: int, cells, dense: str) -> list:
-    """The solve of _elimination_lines on the entries that can be nonzero
-    alone, as straight-line source that leaves x in x0..x{n-1}: the static
-    symbolic factorization for partial pivoting (George and Ng, SIAM J.
-    Sci. Stat. Comput. 8, 1987).
+def _structured_elimination_lines(n: int, cells) -> list:
+    """The dense loop's partial-pivoting solve of [A | b] on the entries
+    that can be nonzero alone, as straight-line source that leaves x in
+    x0..x{n-1}: the static symbolic factorization for partial pivoting
+    (George and Ng, SIAM J. Sci. Stat. Comput. 8, 1987).
 
     Entry (r, k) of [A | b] is in the local e{r}_{k} for each (r, k) in
     cells and for every right-hand side k = n; every other entry of A is
@@ -382,13 +329,13 @@ def _structured_elimination_lines(n: int, cells, dense: str) -> list:
 
     While every f is finite, each entry the loop updates and this skips is
     0j - f * 0j = 0j, so values, pivots and raises are the loop's bit for
-    bit. A non-finite f comes only from a nan below the pivot, and makes
-    its row non-finite, hence a pivot or the solution. So the result
-    stands only when every pivot modulus is finite and at least 1e-250,
-    the solution is finite and no abs() overflowed; otherwise the lines
-    give, or raise, what the dense loop (_dense_elimination) gives on
-    `dense`, the source of the original [A | b]. They read the names in
-    _ELIMINATION_NAMES.
+    bit. A non-finite f comes only from a nan below the pivot and makes its
+    row non-finite, so a non-finite value the loop meets ends in a
+    non-finite pivot or solution here. A finite pivot modulus below 1e-250
+    raises _NativeSingular, as in the loop; a non-finite pivot modulus or
+    solution raises OverflowError, as an abs() that overflows does. So x,
+    once the lines finish, is the loop's bit for bit. They read the names
+    in _ELIMINATION_NAMES.
     """
     rows = [{k: f"e{r}_{k}" for k in range(n + 1) if k == n or (r, k) in cells} for r in range(n)]
     fresh = (f"w{i}" for i in itertools.count())
@@ -399,7 +346,8 @@ def _structured_elimination_lines(n: int, cells, dense: str) -> list:
         body += [f"piv, best = {c}, abs({rows[c][c]})"] if own else [f"piv = {c}", "best = 0.0"]
         for p in below:
             body += [f"a = abs({rows[p][c]})", "if a > best:", f"    piv, best = {p}, a"]
-        body += ["if not 1e-250 <= best < inf:", "    raise _NativeSingular"]
+        body += ["if not 1e-250 <= best < inf:",
+                 "    raise _NativeSingular if best < 1e-250 else OverflowError"]
         if not below:
             if not own:
                 break  # the test above always raises
@@ -433,13 +381,8 @@ def _structured_elimination_lines(n: int, cells, dense: str) -> list:
             body += [f"acc -= {row.get(k, '0j')} * x{k}" for k in range(i + 1, n)]
             body.append(f"x{i} = acc / {row[i]}")
         body.append("if not (" + " and ".join(f"isfinite(x{i})" for i in range(n)) + "):")
-        body.append("    raise _NativeSingular")
-    x = ", ".join(f"x{i}" for i in range(n))
-    return (
-        ["try:"]
-        + [f"    {line}" for line in body]
-        + ["except (_NativeSingular, OverflowError):", f"    {x}, = _dense({n})({dense})"]
-    )
+        body.append("    raise OverflowError")
+    return body
 
 
 class PathStatus(enum.Enum):
@@ -515,9 +458,7 @@ def _step_program(cs: CompiledSystem, ct: CompiledSystem):
     unpacks z, runs the start program's body, then the target's, with the
     powers z_i ** e both use computed once (CompiledSystem.body), puts
     [H_z | rhs] into locals and solves it by the elimination of
-    _structured_elimination_lines on the union of the two patterns, with
-    the dense loop of _elimination_lines on the whole matrix, rebuilt from
-    the same expressions, as its fallback.
+    _structured_elimination_lines on the union of the two patterns.
     rhs is H_t(z) = G * Fstart(z) - Ftarget(z) for the predictor (tangent
     true), which returns the solution x as a list, and H(z, t) for the
     corrector, which returns (z - x, ||x||, ||z - x||). Each Jacobian entry
@@ -527,9 +468,11 @@ def _step_program(cs: CompiledSystem, ct: CompiledSystem):
     s = 1 - t >= 0. Each norm is the sum of abs(v) ** 2 left to right, the
     additions sum() makes on Python 3.11, and its ** raises OverflowError
     as _norm's does. Every operation is that of evaluating, eliminating
-    and updating in turn, in that order, so results and the first raise are
-    theirs bit for bit. G is an argument, so one function serves every
-    stage seed of a system pair. At t = 0, s = 1 and g = 0, so the
+    by the dense loop and updating in turn, in that order, so every result
+    is theirs bit for bit, and so is the first raise while the elimination
+    meets no non-finite value; where it meets one, the step raises instead
+    of returning a non-finite x. G is an argument, so one function serves
+    every stage seed of a system pair. At t = 0, s = 1 and g = 0, so the
     corrector is the target's own Newton update (z - x, ||x||, ||z - x||),
     up to the sign of a zero part: the final sharpening and the stall
     rescue call it there. The start body still runs, so a power of the
@@ -551,12 +494,7 @@ def _step_program(cs: CompiledSystem, ct: CompiledSystem):
         for r, j in sorted(ka.keys() | kb.keys())
     }
     lines += [f"e{r}_{j} = {cell}" for (r, j), cell in cells.items()]
-    rhs = [f"G * {a} - {b} if tangent else s * {b} + g * {a}" for a, b in zip(fa, fb)]
-    dense = ", ".join(
-        "[" + ", ".join([cells.get((r, j), "0j") for j in range(n)] + [rhs[r]]) + "]"
-        for r in range(n)
-    )
-    lines += _structured_elimination_lines(n, cells, f"[{dense}]")
+    lines += _structured_elimination_lines(n, cells)
     x = [f"x{i}" for i in range(n)]
     y = [f"y{i}" for i in range(n)]
     lines += ["if tangent:", f"    return [{', '.join(x)}]"]
@@ -573,7 +511,7 @@ def _correct(step, gamma: complex, z, t):
     for _ in range(_MAX_CORRECTIONS):
         z, ns, nz = step(z, t, False, gamma)
         if not (math.isfinite(ns) and math.isfinite(nz)):
-            # complex ** on huge parts gives nan without raising
+            # z - x overflows to inf without raising
             raise OverflowError("non-finite Newton step")
         if ns <= _CORRECT_TOL * max(1.0, nz):
             return z, nz
