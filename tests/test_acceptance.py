@@ -385,6 +385,9 @@ def test_criterion_6b_compliant_pipeline(verdict):
     # structural facts of the start configuration do not depend on draws
     assert "slices: 512 factor selections after pruning" in out.ledger.render()
     assert stages["slice-continuation"].tracked == 2092
+    # every endpoint a stage keeps passes the next stage's start check
+    for st_ in out.ledger.stages:
+        assert st_.reasons[PathStatus.FAILED, "start residual too large"] == 0
     # certify_batch ran with distinct=True: no two candidates share a root
     assert rep.counts["distinct"] == len(out.candidates)
     assert ok

@@ -175,6 +175,33 @@ def test_shared_source_selections_are_pruned():
     assert len(_allowed_nus(far, (3, 2))) == 6
 
 
+@st.composite
+def _link_layouts(draw):
+    """Up to five links over at most three sources, with counts 1 to 4."""
+    m = draw(st.integers(0, 5))
+    srcs = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    counts = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    links = tuple(ExpLink(ExpKind.SIN, EC(1), s, 4 + i) for i, s in enumerate(srcs))
+    return links, tuple(counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_link_layouts())
+def test_allowed_selections_match_the_pruned_full_product(layout):
+    """Generating the selections directly gives the full product's tuples,
+    pruned of every shared-source pair above 1, in the product's order."""
+    links, counts = layout
+    full = tuple(
+        nu
+        for nu in itertools.product(*[range(1, r + 1) for r in counts])
+        if not any(
+            links[i].src == links[j].src and nu[i] > 1 and nu[j] > 1
+            for i, j in itertools.combinations(range(len(links)), 2)
+        )
+    )
+    assert _allowed_nus(links, counts) == full
+
+
 def test_pruned_selections_are_actually_empty():
     """Both factors >= 2 pin the shared source to two different values."""
     links = (
@@ -301,6 +328,44 @@ def test_nan_newton_step_ends_the_path_diverged(monkeypatch):
     res = track_path(start, target, (1.0,), HomotopyConfig(seed=3))
     assert (res.status, res.reason) == (PathStatus.DIVERGED, "evaluation overflow")
     assert res.steps < 20
+
+
+def _scripted_step(norms):
+    """A corrector step that returns the given step norms in turn, at a
+    point of norm 1, and records each call's t."""
+    calls = []
+
+    def step(z, t, tangent, G):
+        assert not tangent
+        calls.append(t)
+        return [1.0 + 0j], norms[len(calls) - 1], 1.0
+
+    return step, calls
+
+
+def test_corrector_accepts_on_its_contraction_estimate():
+    """Steps 1e-3 then 1e-8 predict a next step of 1e-13: accepted after two
+    calls, with no third call to confirm it."""
+    step, calls = _scripted_step([1e-3, 1e-8, 1e-13])
+    assert homotopy._correct(step, 1j, [1j], 0.5) == ([1.0 + 0j], 1.0)
+    assert calls == [0.5, 0.5]
+
+
+def test_corrector_at_t0_accepts_only_a_measured_step():
+    """At t = 0 the estimate does not accept: the third step is taken."""
+    step, calls = _scripted_step([1e-3, 1e-8, 1e-13])
+    assert homotopy._correct(step, 1j, [1j], 0.0) == ([1.0 + 0j], 1.0)
+    assert calls == [0.0, 0.0, 0.0]
+    step, calls = _scripted_step([1e-3, 1e-8, 1e-9])
+    assert homotopy._correct(step, 1j, [1j], 0.0) is None
+
+
+def test_corrector_rejects_a_step_that_does_not_contract():
+    """A second step above half the first fails the contraction check and
+    ends the correction at once."""
+    step, calls = _scripted_step([1e-6, 8e-7])
+    assert homotopy._correct(step, 1j, [1j], 0.5) is None
+    assert calls == [0.5, 0.5]
 
 
 def _compliant_slices(count):
@@ -444,22 +509,22 @@ def test_solve_run_is_replayable():
 # the arm's 4-variable step or compliant's 11-variable one with its fills,
 # shows up here.
 SOLVE_SHA256 = {
-    ("rr_dyad", 0): ("355b1eebb922b1c3ce73afdc9005891213aa74c13ad13f29342b8c251b1682e3",
-                     "fcf2ea6e18595c2348eeca1b8cc3d103365664f93ea998c4c2d39bd4575cc225"),
-    ("rr_dyad", 1): ("3b33ee9c10475e40a37ad76283734f5f2b70746d7af39a997ad0480e51580de4",
-                     "09798620fc36cf23556f78b27ad8f652fb68b723c102a055bcea0d88f682df5d"),
-    ("rr_dyad", 2): ("6d15d0127d2aa538b55c8825a1572bfb82e5fed076ef7167ce9c9399393f4168",
-                     "bac54de1c5be0dfe2eaf29b0bac10d4b6172c43b44107c5e09e84dc9cac82666"),
-    ("rr_dyad", 3): ("b883ba537c07179ac13f53b2be86aeded4a832657846342603777b645ca5f9da",
-                     "6265adfb09d64fd0e6e31680ea952296235cece6f759e1d6388e8b7958330ece"),
-    ("compliant", 0): ("483b7a74c69041fb274d9c72f820ef6f9facb1cef35af99d4833cb1e00acb987",
-                       "b0f5ddbe9e86bb981d77e7575283b791eac52cc309c8d2e76adb3f357f414e32"),
-    ("compliant", 1): ("ba253529b2dcaf8bed4391e6df8fa43edfed20e59d4afe7d7c62ad8a25da80fc",
-                       "0e8650bee11e6e3f94cc08f51660038ad47d42279e607bbcc6763cebbebf23f9"),
-    ("compliant", 2): ("69b9f9acb524fd8dc43925badf1615733cb07d108db6cadab7f07df38f479cd6",
-                       "f549a86d28f60330eb2112a1f910d70031a2030708f6d616cec9f93bebadb008"),
-    ("compliant", 3): ("f180d8855e9457d8dbe601c7ce22b62c7727e8dfbc697ccf25d3f7138dae3a03",
-                       "14980593b21ce594196074faea1b2960eebc88f9b4afc71071757cd8d632eedb"),
+    ("rr_dyad", 0): ("ad1c100b43cceaed48db0a2975ed2f90986cf85f6d7eb7d22e4e6c03c4c9ed2c",
+                     "e2a25cce6da9210922006a32f4c7e851bcbd966d96deefc31853313fb13a58c7"),
+    ("rr_dyad", 1): ("570f9d51a4e8fb2a5d506158d8e495777b0988604fde41d60b6222e8426310c6",
+                     "08409f859249be7f29bc1b837cc91c46e335c6b37e9614f4b1b51db2128b54be"),
+    ("rr_dyad", 2): ("87fb4b33fd1aabd77c1f888dd4b6af91a8d47e20e42e3425bfdd6fd4b2865df0",
+                     "36fa58eb28b86b066ad86da0754d1a71d1d9a57afeabacd66ec9dc1a5435a52b"),
+    ("rr_dyad", 3): ("647a837b7dc50d19229688b255ad3dff3341393cce33928448fce0a4443a1e0c",
+                     "4560fb713cc7b2cd9070094884225485cf5e106dee75768db3db8b2428e58b82"),
+    ("compliant", 0): ("7b5a64436829935b99e942c2731636b1707f063fd7a83d57ccfc898261bf136a",
+                       "6dacadf2664d0480b38c4b83158df30139d3d955610461c83e40ce35a9762248"),
+    ("compliant", 1): ("27eb94c537025d85d12c0f382aa8c8fd665b59858a136f5a90eceb350936576d",
+                       "8781ea09e6ef04ae9ba1d0d6ed243e996e8f99ed82518535472b7d1ba2c82e7f"),
+    ("compliant", 2): ("f400d658230ba171ba38a392ba210df99fb2e0e38bc5e5df05e852a6689bc210",
+                       "8a9f9ccb123b2cf232b3dbfc177eafea6a48ac2562e8c4d8de4d7b884901146c"),
+    ("compliant", 3): ("1ed3975a92de22e03627b5956cce53801d8a30283dd556734801c82761aa32c4",
+                       "7e324ca27ac32e735556d6b431797f8bdbc106a625b4acb66c7364b0fd7c3d70"),
 }
 _SWEEP_DEGREES = {"rr_dyad": (3, 3, 2, 2), "compliant": (2, 2, 2, 2, 2, 2)}
 
@@ -473,6 +538,9 @@ def test_solve_ledger_and_candidates_keep_their_bytes(stem, seed):
         hashlib.sha256(serialize_points(out.candidates, "float").encode()).hexdigest(),
     )
     assert got == SOLVE_SHA256[stem, seed]
+    # every endpoint a stage keeps passes the next stage's start check
+    for st_ in out.ledger.stages:
+        assert st_.reasons[PathStatus.FAILED, "start residual too large"] == 0
 
 
 def test_solve_two_link_arm_finds_all_six():
@@ -488,7 +556,7 @@ def test_solve_two_link_arm_finds_all_six():
     assert text.rstrip().endswith("candidates: 6")
     # Any change to the tracker's arithmetic shows up here first.
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "d814bb788204cdfa96a376565c8f03d21cef01e74d1ab72805070ee3695b0e45"
+        "1dcb73e9131ec35ebf3744132ffe8916f54c6a46ae6bf0ac5b160d37fd6b5123"
     )
     names = [s.name for s in out.ledger.stages]
     assert names == ["slice-continuation", "product-to-truncated", "truncated-to-target"]

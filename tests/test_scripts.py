@@ -56,7 +56,7 @@ def _run_script(name, *args):
         (
             ["step_times.py", "--systems", "arm", "--repeat", "1"],
             '{"system": "arm", "degrees": "3,3,2,2", "seed": 0, "candidates": 4, "calls": {"slice-continuation": '
-            '374, "product-to-truncated": 4789, "truncated-to-target": 801}, "raised": {"slice-continuation": '
+            '374, "product-to-truncated": 3162, "truncated-to-target": 545}, "raised": {"slice-continuation": '
             '{"_NativeSingular": 0, "OverflowError": 0}, ',
         ),
     ],
