@@ -337,8 +337,7 @@ def real_map_check(F) -> bool:
     return True
 
 
-def certify_real(F, cert: Certificate, z: CVector, prec: PrecisionConfig,
-                 assume_real_map: bool = False) -> RealStatus:
+def certify_real(F, cert: Certificate, z: CVector, prec: PrecisionConfig) -> RealStatus:
     """Decide whether the associated solution is real.
 
     NOT_REAL when the imaginary displacement exceeds twice the Newton step
@@ -351,11 +350,8 @@ def certify_real(F, cert: Certificate, z: CVector, prec: PrecisionConfig,
     in integers.
     """
     F = as_exp_system(F)
-    if not assume_real_map and not real_map_check(F):
-        raise NotRealMap(
-            "system has non-real coefficients or link constants; "
-            "pass assume_real_map=True only if conjugation symmetry holds by construction"
-        )
+    if not real_map_check(F):
+        raise NotRealMap("system has non-real coefficients or link constants")
     if not cert.certified_approximate:
         raise NotCertified("certify_real needs a certified approximate solution")
     return _real_status(cert, _exact_point(z, prec))

@@ -14,17 +14,13 @@ class ExpcertError(Exception):
 class ParseError(ExpcertError):
     """Malformed input text.
 
-    Carries the 1-based line number (and column when known) of the offending
-    token so CLI diagnostics can point at the file location.
+    Carries the 1-based line number of the offending token, when known, so
+    CLI diagnostics can point at the file location.
     """
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", col {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(message + ("" if line is None else f" (line {line})"))
 
 
 class ValidationError(ExpcertError):

@@ -184,15 +184,7 @@ class LinearFactor:
     """One factor a*y + b*x + 1 of a product row; a is nonzero only for j = 1."""
 
     a: ExactComplex
-    b: ExactComplex
-
-    def __post_init__(self):
-        for name in ("a", "b"):
-            v = getattr(self, name)
-            if not isinstance(v, ExactComplex):
-                object.__setattr__(self, name, ExactComplex.of(v))
-        if self.b.is_zero():
-            raise ValidationError("factor coefficient b must be nonzero")
+    b: ExactComplex  # nonzero, as _draw_nonzero draws it
 
 
 def _draw_rational(rng: random.Random) -> Fraction:
@@ -246,6 +238,9 @@ def _allowed_nus(links, counts):
     earlier link with the same source holds a selection above 1, a link takes
     selection 1 only. Extending each kept prefix in ascending order keeps the
     lexicographic order of the full product, and no pruned tuple is built.
+    Hence every slice is square: each link eliminates its target (first
+    factor) or pins its source (_slice_maps), no source twice, and targets
+    are distinct and above n, so the n >= 1 rows keep n free variables.
     """
     out = [()]
     for i, r in enumerate(counts):
@@ -266,21 +261,16 @@ def _factor_row(nv: int, link, fac: LinearFactor) -> Polynomial:
     return Polynomial.from_terms(nv, items)
 
 
-def linear_product_start(Fp: PolynomialSystem, links, degrees, seed: int):
-    """Start data for the truncated system: selections and the product system.
+def linear_product_start(Fp: PolynomialSystem, links, factors) -> PolynomialSystem:
+    """The product start system of Fp, built from the factors the slices use.
 
-    For link i with truncated row of source degree r_i, the product row is
-    L_{i,1} * ... * L_{i,r_i} with L_{i,1} = a_i*y + b_{i,1}*x + 1 and
-    L_{i,j} = b_{i,j}*x + 1 for j >= 2; its support covers the truncated
-    row's. Returns (selections, product_system): a selection nu picks factor
-    nu[i] of each link, and its slice keeps the polynomial rows and replaces
-    link row i by that factor; selections are pruned as in _allowed_nus.
-    All coefficients are drawn from the seed alone.
+    Link i's factors (_draw_factors) are L_{i,1} = a_i*y + b_{i,1}*x + 1 and
+    L_{i,j} = b_{i,j}*x + 1 for 2 <= j <= r_i, the source degree of its
+    truncated row; the product row L_{i,1} * ... * L_{i,r_i} covers that
+    row's support. The polynomial rows are Fp's. A selection nu picks factor
+    nu[i] of each link; its slice replaces link row i by that factor, so its
+    roots are the product system's only when both take the same factors.
     """
-    counts = _link_x_degrees(Fp, links)
-    if len(degrees) != len(links):
-        raise DimensionMismatch(f"got {len(degrees)} degrees for {len(links)} links")
-    factors = _draw_factors(links, counts, seed)
     nv = Fp.nv
     prod_rows = list(Fp.polys[: Fp.n - len(links)])
     for i, link in enumerate(links):
@@ -288,7 +278,7 @@ def linear_product_start(Fp: PolynomialSystem, links, degrees, seed: int):
         for fac in factors[i][1:]:
             acc = pmul(acc, _factor_row(nv, link, fac))
         prod_rows.append(acc)
-    return _allowed_nus(links, counts), PolynomialSystem(tuple(prod_rows))
+    return PolynomialSystem(tuple(prod_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +848,6 @@ class StageRecord:
 class RunLedger:
     """Replayable record of one deformation run: every draw and every path."""
 
-    seed: int
     config: HomotopyConfig
     degrees: tuple = ()
     factor_lines: list = field(default_factory=list)
@@ -879,7 +868,7 @@ class RunLedger:
         return out
 
     def render(self) -> str:
-        lines = ["solve run ledger", "format: 1", f"seed: {self.seed}"]
+        lines = ["solve run ledger", "format: 1", f"seed: {self.config.seed}"]
         lines.append(
             f"config: dt_init={_DT_INIT!r} dt_min={_DT_MIN!r}"
             f" max_corrections={_MAX_CORRECTIONS}"
@@ -1109,7 +1098,8 @@ def _path_task(shared: dict, task):
 
 def _slice_task(shared: dict, task):
     """Restrict to one factor selection, track the slice's total-degree
-    paths to its balanced rows (_balance) and lift their endpoints."""
+    paths to its balanced rows (_balance) and lift their endpoints. A slice
+    with a constant row is skipped; any other is square (_allowed_nus)."""
     stage, nu = task
     head, factors, links, N, cfg = shared[stage]
     nulabel = "nu=(" + ",".join(str(k) for k in nu) + ")"
@@ -1117,12 +1107,6 @@ def _slice_task(shared: dict, task):
     if restricted is None:
         return [f"{nulabel}: constant row after restriction, skipped"], [], []
     S, free, pinned, affine = restricted
-    if S.n != len(free):
-        return [f"{nulabel}: not square after restriction, skipped"], [], []
-    if len(free) == 0:
-        point = _lift_slice_point((), free, pinned, affine, N)
-        res = PathResult(PathStatus.ENDPOINT, (), 0, "no free variable")
-        return [], [(nulabel, res)], [(point, None)]
     degs = S.degrees
     start, S = _total_degree_system(degs, len(free)), _balance(S)
     outcomes, ends = [], []
@@ -1171,24 +1155,25 @@ def _stream(submit, records, tasks):
 def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
     """Generate candidate solutions of F by the full deformation pipeline.
 
-    With links present: truncate, solve the linear-product slices, carry the
+    With links present: truncate, draw the link factors once, solve the
+    slices of the linear-product start system built from them, carry the
     solutions to the truncated system and on to F. Without links this is a
-    plain total-degree continuation of the polynomial part. Paths are
-    tracked on every CPU in the affinity mask (_tasks), and the task that
-    tracks a path of the last stage polishes its endpoint at cfg.bits
-    (_polish), with the same result for any worker count. The parent
-    deduplicates the endpoints and merges the polished ones as it reads
-    them (_stream); everything random is derived from cfg.seed and
-    recorded in the returned ledger.
+    total-degree continuation of the polynomial part (ValidationError when
+    there is no variable). Paths are tracked on every CPU in the affinity
+    mask (_tasks), and the task that tracks a path of the last stage
+    polishes its endpoint at cfg.bits (_polish), with the same result for
+    any worker count. The parent deduplicates the endpoints and merges the
+    polished ones as it reads them (_stream); everything random is derived
+    from cfg.seed and recorded in the returned ledger.
     """
     F = as_exp_system(F)
     degrees = tuple(int(d) for d in degrees)
-    ledger = RunLedger(cfg.seed, cfg, degrees)
+    ledger = RunLedger(cfg, degrees)
     if F.m == 0:
         if degrees:
             raise DimensionMismatch(f"got {len(degrees)} degrees for a link-free system")
-        if F.P.n != F.P.nv:
-            raise ValidationError("total-degree continuation needs a square system")
+        if F.N == 0:
+            raise ValidationError("a solve needs at least one variable")
         if any(d < 1 for d in F.P.degrees):
             raise ValidationError("every polynomial must have positive degree")
         degs = F.P.degrees
@@ -1206,7 +1191,8 @@ def solve_by_deformation(F, degrees, cfg: HomotopyConfig) -> SolveResult:
             ledger.factor_lines.append(
                 f"link {i + 1} ({link.kind.value}, src {link.src}): " + ", ".join(parts)
             )
-        selections, product_system = linear_product_start(Fp, F.links, degrees, cfg.seed)
+        selections = _allowed_nus(F.links, counts)
+        product_system = linear_product_start(Fp, F.links, factors)
         ledger.notes.append(
             f"slices: {len(selections)} factor selections after pruning "
             f"(source degrees {', '.join(str(c) for c in counts)})"

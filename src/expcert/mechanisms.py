@@ -106,7 +106,8 @@ def two_link_arm_euler():
         x1 y1 = 1,  x2 y2 = 1
 
     Coefficients are not all real, but conjugation swaps the two reach rows
-    and the x/y pairs, so realness predicates may use assume_real_map.
+    and the x/y pairs, so realness is asked through the batch's
+    BatchOptions.assume_real_map (`--assume-real-map`).
     """
     nv = 6
     minus_ie2 = ExactComplex(-_TX, _TY)   # -(e1 - i e2)

@@ -916,8 +916,7 @@ def test_both_modes_decide_alike_at_equal_points(case):
     assert (_outcome(same_root, None, rc1, r1, r2, RAT)
             == _outcome(same_root, None, fc1, f1, f2, F256))
     for (rz, rc), (fz, fc) in (((r1, rc1), (f1, fc1)), ((r2, rc2), (f2, fc2))):
-        assert (certify_real(S, rc, rz, RAT, assume_real_map=True)
-                == certify_real(S, fc, fz, F256, assume_real_map=True))
+        assert certify_real(S, rc, rz, RAT) == certify_real(S, fc, fz, F256)
 
 
 def test_certify_distinct_requires_certificates():
@@ -998,10 +997,6 @@ def test_certify_real_requires_real_map():
     cert = certify_solution(Gp, W1, F96)
     with pytest.raises(NotRealMap):
         certify_real(Gp, cert, W1, F96)
-    # with the symmetry asserted by the caller the check runs; the reference
-    # point has genuinely complex coordinates, so it lands on the far side
-    status = certify_real(Gp, cert, W1, F96, assume_real_map=True)
-    assert status is RealStatus.NOT_REAL
 
 
 def test_certify_real_requires_certificate():

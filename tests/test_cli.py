@@ -404,6 +404,17 @@ def test_solve_wrong_degree_count_exits_two(capsys):
     assert code == 2 and "4 links" in err
 
 
+def test_solve_on_a_system_without_variables_exits_two(capsys, tmp_path):
+    """`system 0 0` parses, but a solve has nothing to track: one line on
+    stderr and exit 2, where compiling the empty step used to raise."""
+    sys_path = tmp_path / "empty.sys"
+    sys_path.write_text("format: 1\nsystem 0 0\n")
+    code, out, err = run(capsys, "solve", "--system", str(sys_path),
+                         "--output", str(tmp_path / "cand.pts"))
+    assert (code, out, err) == (2, "", "error: a solve needs at least one variable\n")
+    assert list(tmp_path.iterdir()) == [sys_path]
+
+
 def test_no_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -136,10 +136,18 @@ def test_truncated_row_vanishes_at_origin_value(kind, degree, c):
     assert Fp.polys[1].evaluate((EC(0), g0)).is_zero()
 
 
+def _seeded_product(Fp, links, seed):
+    """The product start system of Fp under the factors drawn from seed."""
+    return linear_product_start(
+        Fp, links, _draw_factors(links, homotopy._link_x_degrees(Fp, links), seed)
+    )
+
+
 def test_product_start_single_link_slice_count():
     Fp = taylor_truncate(one_link(ExpKind.SIN), (3,))
     link = one_link(ExpKind.SIN).links
-    selections, product = linear_product_start(Fp, link, (3,), seed=7)
+    assert homotopy._link_x_degrees(Fp, link) == (3,)
+    selections, product = _allowed_nus(link, (3,)), _seeded_product(Fp, link, 7)
     assert len(selections) == 3
     assert list(selections) == [(1,), (2,), (3,)]
     # first slice keeps the y-bearing factor, later ones pin x only
@@ -155,10 +163,23 @@ def test_product_start_single_link_slice_count():
 def test_product_covers_truncated_support():
     Fp = taylor_truncate(one_link(ExpKind.SIN), (3,))
     link = one_link(ExpKind.SIN).links
-    _, product = linear_product_start(Fp, link, (3,), seed=7)
+    product = _seeded_product(Fp, link, 7)
     support = set(coeff_map(product.polys[1]))
     for e in coeff_map(Fp.polys[1]):
         assert e in support
+
+
+def test_product_rows_are_built_from_the_given_factors():
+    """The product row is the product of the factors handed in, here
+    (2y + 3x + 1)(5x + 1); the polynomial row is Fp's own."""
+    F = one_link(ExpKind.SIN)
+    Fp = taylor_truncate(F, (3,))
+    factors = ((homotopy.LinearFactor(EC(2), EC(3)), homotopy.LinearFactor(EC(0), EC(5))),)
+    product = linear_product_start(Fp, F.links, factors)
+    assert product.polys[0] == Fp.polys[0]
+    assert coeff_map(product.polys[1]) == {
+        (1, 1): EC(10), (0, 1): EC(2), (2, 0): EC(15), (1, 0): EC(8), (0, 0): EC(1),
+    }
 
 
 def test_shared_source_selections_are_pruned():
@@ -202,6 +223,19 @@ def test_allowed_selections_match_the_pruned_full_product(layout):
     assert _allowed_nus(links, counts) == full
 
 
+@settings(max_examples=200, deadline=None)
+@given(_link_layouts(), st.integers(0, 2**16))
+def test_every_allowed_selection_eliminates_one_variable_per_link(layout, seed):
+    """Each allowed selection's maps eliminate m distinct variables, so its
+    slice keeps as many free variables as polynomial rows: the reason a
+    slice task never meets a non-square slice."""
+    links, counts = layout
+    factors = _draw_factors(links, counts, seed)
+    for nu in _allowed_nus(links, counts):
+        pinned, affine = homotopy._slice_maps(nu, factors, links)
+        assert len(pinned.keys() | affine.keys()) == len(links), nu
+
+
 def test_pruned_selections_are_actually_empty():
     """Both factors >= 2 pin the shared source to two different values."""
     links = (
@@ -217,11 +251,11 @@ def test_pruned_selections_are_actually_empty():
 def test_factor_draws_are_seed_determined():
     links = one_link(ExpKind.SIN).links
     Fp = taylor_truncate(one_link(ExpKind.SIN), (3,))
-    a = linear_product_start(Fp, links, (3,), seed=9)
-    b = linear_product_start(Fp, links, (3,), seed=9)
-    c = linear_product_start(Fp, links, (3,), seed=10)
+    a = _seeded_product(Fp, links, 9)
+    b = _seeded_product(Fp, links, 9)
+    c = _seeded_product(Fp, links, 10)
     assert a == b
-    assert a[1] != c[1]
+    assert a != c
 
 
 def _univariate(*coef_exps):
@@ -373,8 +407,8 @@ def _compliant_slices(count):
     degrees 2,2,2,2,2,2, seed 0."""
     G, _ = compliant_linkage()
     Fp = taylor_truncate(G, (2,) * 6)
-    factors = _draw_factors(G.links, homotopy._link_x_degrees(Fp, G.links), 0)
-    selections, _ = linear_product_start(Fp, G.links, (2,) * 6, 0)
+    counts = homotopy._link_x_degrees(Fp, G.links)
+    factors, selections = _draw_factors(G.links, counts, 0), _allowed_nus(G.links, counts)
     out = []
     for nu in selections:
         restricted = homotopy._restrict(Fp.polys[: G.n], nu, factors, G.links, G.N)
@@ -416,8 +450,7 @@ def test_restriction_equals_the_polynomial_composition(name):
     Fp = taylor_truncate(G, degrees)
     head, counts, skipped = Fp.polys[: G.n], homotopy._link_x_degrees(Fp, G.links), 0
     for seed in range(4):
-        factors = _draw_factors(G.links, counts, seed)
-        selections, _ = linear_product_start(Fp, G.links, degrees, seed)
+        factors, selections = _draw_factors(G.links, counts, seed), _allowed_nus(G.links, counts)
         for nu in selections:
             want = _composed_restriction(head, nu, factors, G.links, G.N)
             assert homotopy._restrict(head, nu, factors, G.links, G.N) == want, (seed, nu)
@@ -576,6 +609,23 @@ def test_solve_two_link_arm_finds_all_six():
         assert max(abs(complex(v)) for v in vals) < 1e-20
 
 
+def test_the_product_stage_starts_from_the_slices_factors(monkeypatch):
+    """A solve draws its link factors once. Were the product system drawn
+    again, and differently, the slice endpoints would not be its roots and
+    its paths would fail on their start residual."""
+    draw, calls = homotopy._draw_factors, []
+
+    def redraw(links, counts, seed):
+        calls.append(seed)
+        return draw(links, counts, seed + len(calls) - 1)
+
+    monkeypatch.setattr(homotopy, "_draw_factors", redraw)
+    G, _ = two_link_arm_exp()
+    product = solve_by_deformation(G, (3, 3, 2, 2), HomotopyConfig(seed=0)).ledger.stages[1]
+    assert product.name == "product-to-truncated" and product.tracked > 0
+    assert product.reasons[PathStatus.FAILED, "start residual too large"] == 0
+
+
 # ---------------------------------------------------------------------------
 # The fused double-precision program against a per-entry reference
 
@@ -675,7 +725,7 @@ def _parity_systems():
     out = []
     for name, F, degrees in (("arm", arm, (3, 3, 2, 2)), ("compliant", comp, (2, 3, 2, 3, 2, 3))):
         Fp = taylor_truncate(F, degrees)
-        _, product = linear_product_start(Fp, F.links, degrees, seed=5)
+        product = _seeded_product(Fp, F.links, 5)
         total = _total_degree_system(Fp.degrees, Fp.nv)
         out += [
             (f"{name}/truncated-to-target", Fp, F),
@@ -1030,7 +1080,7 @@ def test_structured_elimination_updates_only_what_can_be_nonzero():
     needs none."""
     arm, _ = two_link_arm_exp()
     Fp = taylor_truncate(arm, (3, 3, 2, 2))
-    _, product = linear_product_start(Fp, arm.links, (3, 3, 2, 2), seed=0)
+    product = _seeded_product(Fp, arm.links, 0)
     cs, ct = CompiledSystem(product), CompiledSystem(Fp)
     n, cells = cs.size, set(cs.pattern) | set(ct.pattern)
     dense = sum((n - 1 - c) * (n - c) for c in range(n))
