@@ -6,6 +6,7 @@ side of the exact algebraic number it approximates.
 """
 
 import functools
+import hashlib
 import importlib
 import json
 import math
@@ -784,6 +785,53 @@ def test_rational_certificate_matches_the_dense_fraction_solve(case):
         beta_sq, gamma_sq, beta_sq * gamma_sq)
     assert newton_iterate(F, z, 1, RAT) == (
         tuple(a - b for a, b in zip(z, X[0])), ((0, beta_sq),), None)
+
+
+# The sha256 of the rational report on each Taylor truncation of compliant,
+# keyed by its per-link degrees: a Latin design over the strata 3-4, 5-7
+# and 8-9, as the benchmark's exact workload draws them.
+TRUNCATED_REPORT_SHA256 = {
+    (3, 8, 9, 6, 4, 7): "f7e18e45f1c31e2c97f567c5295fe66fb27c9e4d5a950e3f7df85a1dd397d7ba",
+    (6, 4, 3, 9, 5, 8): "09d19227f8556d2419c64ce1b90e1bacb041f88b4706f50a468805f4366b3f27",
+    (9, 7, 5, 3, 8, 4): "5a95b2c78b99803632d5d450bc7048137ec102eb6481471d5b74db863b82053e",
+}
+TRUNCATION_BANDS = (-4.0, -0.75, 1.0)  # tight, edge, far: decades of alpha* / gamma
+
+
+@pytest.mark.parametrize("degrees", list(TRUNCATED_REPORT_SHA256), ids=lambda d: "T" + "".join(map(str, d)))
+def test_truncated_compliant_rational_reports_keep_their_bytes(tmp_path, degrees):
+    """`certify --mode rational --distinct --real` on an 11 x 11 truncation
+    of compliant writes the pinned report, byte for byte. Its points are a
+    root refined once at 64 bits and real tight, edge and far perturbations
+    of it, written at 64 bits: the route of the fraction-free solve through
+    the Taylor-truncated link rows, which rr_dyad_poly's 4 x 4 does not take."""
+    G = as_exp_system(parse_system((DATA / "compliant.sys").read_text()))
+    T = taylor_truncate(G, degrees)
+    for ref in parse_points((DATA / "compliant.pts").read_text()).points:
+        root, table = newton_refine(T, ref, 10, PrecisionConfig("float", 128))
+        if table.rows[-1][1] < mp.mpf(2) ** -200:
+            break
+    root = newton_refine(T, root, 2, PrecisionConfig("float", 192))[0]
+    cert = certify_solution(T, root, PrecisionConfig("float", 192))
+    assert cert.certified_approximate
+    rng = random.Random("".join(map(str, degrees)))
+    points = [newton_refine(T, root, 1, PrecisionConfig("float", 64))[0]]
+    with mp.workprec(64):
+        gamma = mp.sqrt(cert.gamma_bound_sq)
+        for decades in TRUNCATION_BANDS:
+            d = [rng.gauss(0, 1) for _ in root]
+            norm = math.sqrt(sum(x * x for x in d))
+            s = mp.mpf(float(ALPHA_STAR)) / gamma * mp.mpf(10) ** decades / norm
+            points.append(tuple(v + s * x for v, x in zip(root, d)))
+    system, pts = tmp_path / "case.sys", tmp_path / "case.pts"
+    system.write_text(serialize_system(T))
+    pts.write_text(serialize_points(points, "rational"))
+    out = tmp_path / "report.json"
+    code = cli.main(["certify", "--system", str(system), "--points", str(pts), "--mode", "rational",
+                     "--distinct", "--real", "--output", str(out)])
+    text = out.read_text()
+    assert code == 1 and json.loads(text)["counts"]["certified"] == 3
+    assert hashlib.sha256(text.encode()).hexdigest() == TRUNCATED_REPORT_SHA256[degrees]
 
 
 def test_certify_distinct_reference_points():

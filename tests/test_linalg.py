@@ -559,6 +559,54 @@ def test_fraction_free_solve_matches_dense_fractions(system):
         assert Fraction(sums[j], dd * solution.scales[j] ** 2) == norm_sq(col)
 
 
+def _fraction_free_outcome(aug, scales):
+    """Every column of X and every S_j / (|d|^2 c_j^2), or the message of
+    the SingularMatrix raised."""
+    try:
+        solution = solve_fraction_free(aug, scales)
+    except SingularMatrix as exc:
+        return str(exc)
+    sums, dd = solution.norm_sq_parts()
+    return [(solution.column(j), Fraction(s, dd * c * c))
+            for j, (s, c) in enumerate(zip(sums, scales))]
+
+
+@settings(max_examples=100, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(dyadic_systems(), st.randoms(use_true_random=False))
+def test_fraction_free_solve_does_not_depend_on_row_order(system, rng):
+    """Permuting the rows of [A | B] changes neither X, nor the squared
+    column norms from the integer parts, nor the column a singular A fails
+    on: Bareiss's intermediates are minors of the permuted matrix, its last
+    pivot is +-det A, and the column rank profile is the same. The
+    permutation changes the rows taken as pivots where two entries of a
+    column are equally wide, in about one invertible draw in ten."""
+    aug, scales = _integer_rows(*system)
+    perm = list(range(len(aug)))
+    rng.shuffle(perm)
+    want = _fraction_free_outcome([list(row) for row in aug], scales)
+    assert _fraction_free_outcome([list(aug[i]) for i in perm], scales) == want
+
+
+@pytest.mark.parametrize("column, pivot", [
+    ((3 * 2**466, 6, -5), 1),
+    ((3 * 2**466, (1, 2**10), 100), 2),
+], ids=["real", "gaussian"])
+def test_fraction_free_solve_pivots_on_the_fewest_bits(column, pivot):
+    """A link row y - T(c x) cleared of its denominators has a y entry of
+    2^466 times a small integer, first in column 0 here. The pivot is the
+    entry with the fewest bits, max(bit_length |re|, bit_length |im|):
+    6 over -5 (3 bits each, the lower row wins the tie), and 100 (7 bits)
+    over 1 + 2^10 i (11 bits, although its real part has 1)."""
+    A = exact_matrix([[v, *rest] for v, rest in zip(column, [[2**470 + 1, 1], [8, 3], [3, 7]])])
+    B = exact_matrix([[1], [2], [3]])
+    aug, scales = _integer_rows(A, B)
+    rows = list(aug)
+    solution = solve_fraction_free(aug, scales)
+    assert aug[0] is rows[pivot]
+    assert solution.column(0) == tuple(row[0] for row in _dense_solve_columns(A, B, None))
+
+
 def _raw(X):
     return [[v._mpc_ for v in row] for row in X]
 

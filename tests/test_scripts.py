@@ -59,6 +59,11 @@ def _run_script(name, *args):
             '374, "product-to-truncated": 3162, "truncated-to-target": 545}, "raised": {"slice-continuation": '
             '{"_NativeSingular": 0, "OverflowError": 0}, ',
         ),
+        (
+            ["layer_times.py", "--stems", "rr_dyad_poly,compliant", "--bits", "", "--repeat", "2"],
+            '{"stem": "compliant", "mode": "rational", "degrees": [9, 7, 5, 3, 8, 4], "bits": 64, '
+            '"repeat": 2, "fraction_free_solve_ms": ',
+        ),
     ],
 )
 def test_script_runs(argv, expected):
