@@ -16,8 +16,11 @@ at 128 bits on rr_dyad_poly (4 x 4) and at 64 bits on compliant's Taylor
 truncation at the degrees of EXACT_CASES (11 x 11, with the truncated
 link rows), as the benchmark's exact workload writes its points. It
 times fraction_free_solve (solve_fraction_free of J X = [F(z) | I] on a
-copy of the core's rows, plus norm_sq_parts), the exact newton_direction
-and the rational certify_solution.
+copy of the core's rows, plus norm_sq_parts), the rational
+certify_solution, and refine_and_certify, the per-point work of
+`certify --mode rational --refine 1` at the line's bits: one Newton step
+(newton_iterate, floating in both modes, its iterate read exactly) and the
+certificate at that iterate.
 
 Each line gives the best single-call time of each layer over --repeat
 calls, in milliseconds. Running it against two versions of the package,
@@ -43,9 +46,8 @@ from expcert.refine import newton_direction, newton_iterate, newton_refine
 from expcert.scalars import (
     MODE_FLOAT,
     MODE_RATIONAL,
-    ExactComplex,
     PrecisionConfig,
-    mpf_to_fraction,
+    coord_to_exact,
     working_precision,
 )
 from expcert.sysio import parse_points, parse_system
@@ -93,14 +95,15 @@ def exact_line(stem: str, repeat: int) -> dict:
     if degrees is not None:
         F = taylor_truncate(F, degrees)
     dyadic = newton_refine(F, point, 1, PrecisionConfig(MODE_FLOAT, bits))[0]
-    point = tuple(ExactComplex(mpf_to_fraction(v.real), mpf_to_fraction(v.imag)) for v in dyadic)
-    prec = PrecisionConfig(MODE_RATIONAL, 64)
-    rows, scales = fraction_free_rows(exact_core(F, point, prec), inverse=True)
+    point = tuple(coord_to_exact(v) for v in dyadic)
+    prec = PrecisionConfig(MODE_RATIONAL, bits)
+    rows, scales = fraction_free_rows(exact_core(F, point, prec))
     line = {"stem": stem, "mode": "rational", "degrees": degrees, "bits": bits, "repeat": repeat}
     line["fraction_free_solve_ms"] = best_ms(
         lambda: solve_fraction_free([list(row) for row in rows], scales).norm_sq_parts(), repeat)
-    line["newton_direction_ms"] = best_ms(lambda: newton_direction(F, point, prec), repeat)
     line["certify_solution_ms"] = best_ms(lambda: certify_solution(F, point, prec), repeat)
+    line["refine_and_certify_ms"] = best_ms(
+        lambda: certify_solution(F, newton_iterate(F, point, 1, prec)[0], prec), repeat)
     return line
 
 

@@ -22,19 +22,22 @@ Linked systems are bounded on the core by double precision
 J0 and e a bound on ||I - R J||_F that takes in the enclosures' radii
 (linalg.inverse_column_bounds), beta is bounded from ||R F0||, formed
 exactly in integers, and gamma from the same column bounds on J^{-1}. Every
-quantity is an upper bound, rounded upward, so a certified verdict is a
-proof. The exact core takes no elimination in mpc and no fallback to one:
-when the double-precision bound declines J, the point is not certified,
-and its certificate reads as a singular J's does (Certificate).
+quantity is an upper bound, rounded upward to an mpf and read exactly as a
+Fraction, so a certified verdict is a proof. The exact core takes no
+elimination in mpc and no fallback to one: when the double-precision bound
+declines J, the point is not certified, and its certificate reads as a
+singular J's does (Certificate).
 
 Link-free systems solve J X = [F(z) | I] once, whose first column is the
 Newton step and whose other columns are J^{-1}, by a fraction-free solve
 (linalg.solve_fraction_free) of the core's Gaussian-integer rows
 (expsystems.fraction_free_rows), whose integer column sums give beta^2 and
-gamma^2 as one Fraction each. In float mode both are rounded up to
-mpfs of the working precision, and the verdict is taken from those, so a
-certified verdict is a proof in either mode. The Newton step alone is
-refine's (newton_direction).
+gamma^2 as one Fraction each, in both modes. The Newton step of refinement
+is refine's (newton_direction), a floating one in both modes.
+
+Every certificate quantity is therefore an exact Fraction, beta^2, gamma^2
+and alpha^2 = beta^2 gamma^2 alike, or the sentinel math.inf for a J that
+is singular or declined; the mode only decides how a point is read.
 
 ALPHA_STAR is a rational number chosen strictly below the true threshold
 (13 - 3*sqrt(17))/4, so a conservative comparison can only under-certify.
@@ -46,8 +49,8 @@ All decisions compare squared quantities exactly, in one way in both
 modes: alpha^2 against ALPHA_STAR^2 as the exact product of beta^2 and
 gamma^2, and the distinct, same-root and real tests on the points read as
 their exact (q, X) (_exact_point), cross-multiplied in integers against
-the betas' squares, which are upper bounds, and the exact squared
-robustness radius. The decision itself never rounds.
+the betas' squares and the exact squared robustness radius. The decision
+itself never rounds.
 """
 
 from __future__ import annotations
@@ -126,12 +129,14 @@ class RealStatus(Enum):
 class Certificate:
     """Per-point record of the certification quantities and verdict.
 
-    jacobian_invertible False means J is singular, or for a linked point,
-    not shown invertible by the double-precision bound (_linked_bounds);
-    either way gamma and alpha are infinite and the point is not certified.
+    The squared quantities are Fractions in both modes. jacobian_invertible
+    False means J is singular, or for a linked point, not shown invertible
+    by the double-precision bound (_linked_bounds); either way beta^2 reads
+    0 and gamma^2 is math.inf, and unless the point is an exact zero,
+    alpha^2 is math.inf and the point is not certified.
     """
 
-    beta_sq: object
+    beta_sq: Fraction
     gamma_bound_sq: object  # math.inf when jacobian_invertible is False
     alpha_bound_sq: object  # 0 for exact zeros, math.inf when undefined
     jacobian_invertible: bool
@@ -142,31 +147,14 @@ class Certificate:
 
 
 def _is_infinite(v) -> bool:
-    """Whether v is the sentinel math.inf; a Fraction or an mpf is finite."""
+    """Whether v is the sentinel math.inf; a Fraction is finite."""
     return isinstance(v, float) and math.isinf(v)
 
 
-def _exact(value) -> Fraction:
-    """A Fraction, int or finite mpf as an exact Fraction."""
-    return value if isinstance(value, (Fraction, int)) else mpf_to_fraction(value)
-
-
-def _lt_exact(value, threshold: Fraction) -> bool:
-    """Exact comparison value < threshold for Fraction or finite mpf values."""
-    return not _is_infinite(value) and _exact(value) < threshold
-
-
-def decide_certified(beta_sq, gamma_bound_sq) -> bool:
-    """Pure decision: beta^2 * gamma^2 < ALPHA_STAR^2, with the product taken
-    exactly (monotone in gamma)."""
-    if _is_infinite(gamma_bound_sq):
-        return False
-    return _exact(beta_sq) * _exact(gamma_bound_sq) < ALPHA_STAR_SQ
-
-
-def _upper_mpf(v: Fraction, bits: int):
-    """The Fraction v rounded up to an mpf of bits bits."""
-    return mp.make_mpf(from_rational(v.numerator, v.denominator, bits, round_ceiling))
+def decide_certified(beta_sq: Fraction, gamma_bound_sq) -> bool:
+    """Pure decision: beta^2 * gamma^2 < ALPHA_STAR^2, exactly (monotone in
+    gamma), for Fractions or an infinite gamma^2."""
+    return not _is_infinite(gamma_bound_sq) and beta_sq * gamma_bound_sq < ALPHA_STAR_SQ
 
 
 def _exact_point(z: CVector, prec: PrecisionConfig) -> tuple:
@@ -176,8 +164,8 @@ def _exact_point(z: CVector, prec: PrecisionConfig) -> tuple:
 
 
 def _linked_bounds(F: ExpSystem, core: ExactCore, bits: int):
-    """Upper bounds (beta^2, gamma^2), mpfs of bits bits, for a linked
-    system from its exact core at a dyadic point, or (None, None) when the
+    """Upper bounds (beta^2, gamma^2), Fractions, for a linked system from
+    its exact core at a dyadic point, or (None, None) when the
     double-precision inverse bound declines J.
 
     J = J0 + Delta and F(z) = F0 + delta on the core. R, a
@@ -188,7 +176,8 @@ def _linked_bounds(F: ExpSystem, core: ExactCore, bits: int):
         beta = ||J^{-1} F(z)||  <=  (||R F0|| + ||R|| ||delta||) / (1 - e),
 
     with ||R F0||^2 exact (product_norm_sq), and gamma^2 from the same
-    column bounds (linked_gamma_bound_sq). Everything rounds upward.
+    column bounds (linked_gamma_bound_sq). Everything rounds upward, to
+    mpfs of bits bits, which are read exactly.
     """
     # ||Delta||_F as a double no smaller than it: a 53-bit sqrt rounded up is
     # a double unless it underflows, which the added 2^-1022 covers.
@@ -202,8 +191,8 @@ def _linked_bounds(F: ExpSystem, core: ExactCore, bits: int):
     head = mpf_sqrt(from_rational(rf.numerator, rf.denominator, wp, up), wp, up)
     tail = mpf_mul(from_float(r_norm), mpf_sqrt(core.delta_sq, wp, up), wp, up)
     beta = mpf_div(mpf_add(head, tail, wp, up), mpf_sub(fone, from_float(e)), wp, up)
-    beta_sq = mp.make_mpf(mpf_mul(beta, beta, bits, up))
-    return beta_sq, linked_gamma_bound_sq(F, core.n1, columns, core.envelope, bits)
+    beta_sq = mpf_to_fraction(mp.make_mpf(mpf_mul(beta, beta, bits, up)))
+    return beta_sq, mpf_to_fraction(linked_gamma_bound_sq(F, core.n1, columns, core.envelope, bits))
 
 
 def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
@@ -212,10 +201,8 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
     The point's exact core (exact_core, which raises in rational mode when
     m > 0) is built once. A linked system is bounded on it by double
     precision (_linked_bounds); a link-free one is certified exactly, by one
-    fraction-free solve of J X = [F(z) | I] on its rows, and in float mode
-    its beta^2 and gamma^2 are rounded up to prec.bits. Float alphas are the
-    product of beta^2 and gamma^2 rounded up, and the verdict takes that
-    product exactly.
+    fraction-free solve of J X = [F(z) | I] on its rows. alpha^2 is the
+    exact product of beta^2 and gamma^2, in both modes.
     """
     F = as_exp_system(F)
     core = exact_core(F, z, prec)
@@ -223,7 +210,7 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
     if F.m:
         bsq, gamma_sq = _linked_bounds(F, core, prec.bits)
     else:
-        rows, scales = fraction_free_rows(core, inverse=True)
+        rows, scales = fraction_free_rows(core)
         try:
             sums, dd = solve_fraction_free(rows, scales).norm_sq_parts()
         except SingularMatrix:
@@ -231,17 +218,13 @@ def certify_solution(F, z: CVector, prec: PrecisionConfig) -> Certificate:
         else:
             bsq = Fraction(sums[0], dd * scales[0] ** 2)
             gamma_sq = integer_gamma_bound_sq(F, core.n1, sums[1:], dd)
-            if not prec.is_exact:
-                bsq, gamma_sq = _upper_mpf(bsq, prec.bits), _upper_mpf(gamma_sq, prec.bits)
     invertible = gamma_sq is not None
     if exact_zero:
         bsq, alpha_sq = Fraction(0), Fraction(0)
     elif not invertible:
-        bsq, alpha_sq = Fraction(0) if prec.is_exact else mp.mpf(0), math.inf
-    elif prec.is_exact:
-        alpha_sq = bsq * gamma_sq
+        bsq, alpha_sq = Fraction(0), math.inf
     else:
-        alpha_sq = mp.fmul(bsq, gamma_sq, prec=prec.bits, rounding="u")
+        alpha_sq = bsq * gamma_sq
     return Certificate(
         beta_sq=bsq,
         gamma_bound_sq=gamma_sq if invertible else math.inf,
@@ -264,7 +247,7 @@ def certify_distinct(F, cert1: Certificate, z1: CVector, cert2: Certificate, z2:
     if not (cert1.certified_approximate and cert2.certified_approximate):
         raise NotCertified("certify_distinct needs two certified approximate solutions")
     return _separated(*(
-        (_exact_point(z, PrecisionConfig(c.mode, c.bits)), _exact(c.beta_sq).as_integer_ratio())
+        (_exact_point(z, PrecisionConfig(c.mode, c.bits)), c.beta_sq.as_integer_ratio())
         for z, c in ((z1, cert1), (z2, cert2))
     ))
 
@@ -290,13 +273,12 @@ def robust_radius_sq(cert: Certificate):
 
     When alpha < 3/100 at z, every point within 1/(20 gamma) of z converges
     to the same solution. The radius is 0 when alpha misses 3/100 or gamma
-    is infinite; otherwise it is a Fraction in both modes, a float gamma^2
-    being read exactly.
+    is infinite; otherwise it is a Fraction.
     """
     gamma_sq = cert.gamma_bound_sq
-    if _is_infinite(gamma_sq) or not _lt_exact(cert.alpha_bound_sq, ROBUST_ALPHA_SQ):
+    if _is_infinite(gamma_sq) or not cert.alpha_bound_sq < ROBUST_ALPHA_SQ:
         return 0
-    return ROBUST_RADIUS_SQ / _exact(gamma_sq)
+    return ROBUST_RADIUS_SQ / gamma_sq
 
 
 def _within(num: int, den: int, bound) -> bool:
@@ -311,7 +293,7 @@ def same_root(F, cert_x: Certificate, z_x: CVector, z_y: CVector, prec: Precisio
     inside z_x's robustness radius (robust_radius_sq), tested squared on
     the exact distance of the points read at prec (_exact_point).
     """
-    if not _lt_exact(cert_x.alpha_bound_sq, ROBUST_ALPHA_SQ):
+    if not cert_x.alpha_bound_sq < ROBUST_ALPHA_SQ:
         raise PreconditionFailed("same_root needs alpha < 3/100 at the anchor point")
     if tuple(z_x) == tuple(z_y):
         return True
@@ -363,7 +345,7 @@ def _real_status(cert: Certificate, point) -> RealStatus:
     imag_sq = sum(im * im for _, im in X)  # ||z - pi_R(z)||^2 = imag_sq / q^2
     if imag_sq == 0:
         return RealStatus.REAL
-    a, b = _exact(cert.beta_sq).as_integer_ratio()
+    a, b = cert.beta_sq.as_integer_ratio()
     if imag_sq * b > 4 * a * q * q:
         return RealStatus.NOT_REAL
     if _within(imag_sq, q * q, robust_radius_sq(cert)):
@@ -450,7 +432,7 @@ def certify_batch(F, points, prec: PrecisionConfig, options: BatchOptions = Batc
 
     if options.distinct and certified:
         parent = {r.index: r.index for r in certified}
-        reads = [(point, _exact(r.certificate.beta_sq).as_integer_ratio())
+        reads = [(point, r.certificate.beta_sq.as_integer_ratio())
                  for r, point in zip(certified, exact)]
 
         def find(i):

@@ -742,9 +742,10 @@ def _enclose_links(F: ExpSystem, core: ExactCore, d: int, parts, bits: int) -> N
     core.delta_sq, core.jacobian_sq = delta_sq, jacobian_sq
 
 
-def fraction_free_rows(core: ExactCore, inverse: bool) -> tuple:
-    """The rows and scales of J X = [F(z) | I] (of J x = F(z) unless
-    inverse) for linalg.solve_fraction_free, from a link-free core.
+def fraction_free_rows(core: ExactCore) -> tuple:
+    """The rows and scales of J X = [F(z) | I] for linalg.solve_fraction_free,
+    from a link-free core: the certificate's one solve, whose first column
+    is the Newton step and whose other columns are J^{-1}.
 
     Row i, J_i = M_i / Delta_i and F_i = N_i / (Delta_i d), is scaled by
     Delta_i / g_i, g_i = gcd(Delta_i, parts of M_i), and F's column by the
@@ -755,14 +756,12 @@ def fraction_free_rows(core: ExactCore, inverse: bool) -> tuple:
     gds = [g * s // q for g, s, q in zip(gs, core.value_scales, deltas)]  # g_i d
     hs = [math.gcd(gd, v.real, v.imag) for gd, v in zip(gds, values)]
     c0 = math.lcm(*(gd // h for gd, h in zip(gds, hs)))
-    aug = []
-    for i, (row, v, q, g, gd, h) in enumerate(zip(J, values, deltas, gs, gds, hs)):
-        aug.append([a // g for a in row] + [v // h * (c0 * h // gd)])
-        if inverse:
-            aug[-1] += [q // g if j == i else 0 for j in range(n)]
+    aug = [[a // g for a in row] + [v // h * (c0 * h // gd)]
+           + [q // g if j == i else 0 for j in range(n)]
+           for i, (row, v, q, g, gd, h) in enumerate(zip(J, values, deltas, gs, gds, hs))]
     gaussian = any(p.imag for row in aug for p in row)
     aug = [[_GaussianInt(p.real, p.imag) if gaussian else p.real for p in row] for row in aug]
-    return aug, (c0,) + (1,) * n if inverse else (c0,)
+    return aug, (c0,) + (1,) * n
 
 
 def _mu_sq(F: ExpSystem, n1, sums, dd) -> tuple:

@@ -1,9 +1,9 @@
 """Dense vectors and matrices over either scalar kind, one solve per kind, and
 a double-precision bound on the column norms of an inverse.
 
-No certificate takes the floating solve, which gives the Newton step of
-refinement: a link-free point is certified by the exact solve, and a
-linked one by the double-precision bound.
+The floating solve gives the Newton step of refinement, in both modes, and
+no certificate takes it: a link-free point is certified by the exact
+solve, and a linked one by the double-precision bound.
 
 Vectors are tuples of scalars; matrices are tuples of row tuples. Both are
 immutable, so values can be shared freely. The vector operations are
@@ -12,7 +12,7 @@ through operator overloading and abs_sq.
 
 Norm conventions: everything is squared. Operator norms are never computed;
 the Frobenius norm serves as their upper bound, which keeps the downstream
-bounds valid and, in rational mode, keeps every quantity exactly rational.
+bounds valid and keeps every certificate quantity exactly rational.
 
 Exact solves are fraction-free (solve_fraction_free). Its Gaussian-integer
 rows, built by expsystems.fraction_free_rows, have each row of A scaled by the

@@ -4,8 +4,11 @@ newton_iterate takes k Newton steps and records the step length at each
 iterate it steps from, which is the natural convergence diagnostic: once
 inside the certification basin the recorded exponents roughly double row
 over row until they saturate the working precision. Each step costs one
-residual, one Jacobian and one elimination (newton_direction), and its
-recorded length is that of the step taken. newton_refine adds row k, the
+residual, one Jacobian and one elimination in mpc at the precision's bits
+(newton_direction), in either mode: only the certificate has to be exact,
+and a floating step keeps the iterate's size at that precision, where an
+exact one would multiply it. A rational iterate is the dyadic value of
+the mpc coordinates reached, read exactly. newton_refine adds row k, the
 step length at the final point, from one more newton_direction. The CLI
 does not: `certify --refine K` fills row K from the certificate's beta^2,
 which certifying the final point computes anyway.
@@ -19,9 +22,16 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import SingularMatrix
-from .expsystems import as_exp_system, exact_core, fraction_free_rows, value_and_jacobian
-from .linalg import CVector, norm_sq, solve_columns, solve_fraction_free
-from .scalars import PrecisionConfig, fraction_to_mpf, lift_point, working_precision
+from .expsystems import as_exp_system, value_and_jacobian
+from .linalg import CVector, norm_sq, solve_columns
+from .scalars import (
+    MODE_FLOAT,
+    PrecisionConfig,
+    coord_to_exact,
+    fraction_to_mpf,
+    lift_point,
+    working_precision,
+)
 
 
 @dataclass(frozen=True)
@@ -29,13 +39,13 @@ class ResidualTable:
     """Step lengths beta at iterates 0..k (squared, as computed).
 
     rows[j] = (j, beta_sq at the j-th iterate). Rows below k are the
-    lengths of the steps taken. Row k is newton_refine's Newton step at the
-    final point; in a `certify --refine k` report it is the certificate's
-    beta^2 at that point instead (the proven upper bound in float mode, 0
-    for a J that is singular or declined, and absent when certifying the
-    point raised). singular_at records the iteration index where the
-    Jacobian became singular, or None; when set, the table is truncated at
-    that iterate and the point stops moving.
+    lengths of the steps taken, mpfs in both modes. Row k is newton_refine's
+    Newton step at the final point; in a `certify --refine k` report it is
+    the certificate's beta^2 at that point instead (a Fraction, 0 for a J
+    that is singular or declined, and absent when certifying the point
+    raised). singular_at records the iteration index where the Jacobian
+    became singular, or None; when set, the table is truncated at that
+    iterate and the point stops moving.
     """
 
     rows: tuple
@@ -53,23 +63,15 @@ class ResidualTable:
 
 
 def newton_direction(F, z: CVector, prec: PrecisionConfig):
-    """(z lifted to prec, the Newton step J^{-1} F(z), its squared norm
-    beta^2), with step and beta^2 None when J is singular.
+    """(z lifted to mpc at prec.bits, the Newton step J^{-1} F(z), its
+    squared norm beta^2), with step and beta^2 None when J is singular.
 
-    Exact points take the step exactly, by a fraction-free solve of the
-    rows of their exact core (exact_core, fraction_free_rows); floating ones
-    by one elimination in mpc at prec.bits, with beta^2 at the caller's
-    working precision.
+    One elimination in mpc at prec.bits in either mode, with beta^2 at the
+    caller's working precision.
     """
-    z = lift_point(z, prec)
     if prec.is_exact:
-        rows, scales = fraction_free_rows(exact_core(F, z, prec), inverse=False)
-        try:
-            solution = solve_fraction_free(rows, scales)
-        except SingularMatrix:
-            return z, None, None
-        sums, dd = solution.norm_sq_parts()
-        return z, solution.column(0), Fraction(sums[0], dd * scales[0] ** 2)
+        prec = PrecisionConfig(MODE_FLOAT, prec.bits)
+    z = lift_point(z, prec)
     residual, J = value_and_jacobian(F, z, prec)
     try:
         (step,) = zip(*solve_columns(J, tuple((v,) for v in residual), prec.bits))
@@ -83,22 +85,24 @@ def newton_iterate(F, z: CVector, k: int, prec: PrecisionConfig):
 
     rows holds (j, beta_sq) for each iterate j < k stepped from. A singular
     Jacobian at iterate j stops the iteration: its row reads zero, and
-    singular_at is j; otherwise it is None.
+    singular_at is j; otherwise it is None. In rational mode the final
+    point is read exactly (coord_to_exact).
     """
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
     F = as_exp_system(F)
+    rows, current, singular_at = [], tuple(z), None
     with working_precision(prec.bits):
-        rows = []
-        current = tuple(z)
         for j in range(k):
             z, step, bsq = newton_direction(F, current, prec)
+            rows.append((j, mp.mpf(0) if step is None else bsq))
             if step is None:
-                rows.append((j, _zero(prec)))
-                return current, tuple(rows), j
-            rows.append((j, bsq))
+                singular_at = j
+                break
             current = tuple(a - b for a, b in zip(z, step))
-        return current, tuple(rows), None
+    if prec.is_exact:
+        current = tuple(map(coord_to_exact, current))
+    return current, tuple(rows), singular_at
 
 
 def newton_refine(F, z: CVector, k: int, prec: PrecisionConfig):
@@ -115,10 +119,5 @@ def newton_refine(F, z: CVector, k: int, prec: PrecisionConfig):
     if singular_at is None:
         with working_precision(prec.bits):
             _, step, bsq = newton_direction(F, point, prec)
-        rows += ((k, _zero(prec) if step is None else bsq),)
+        rows += ((k, mp.mpf(0) if step is None else bsq),)
     return point, ResidualTable(rows=rows, singular_at=singular_at)
-
-
-def _zero(prec: PrecisionConfig):
-    """The step length recorded at a singular iterate."""
-    return Fraction(0) if prec.is_exact else mp.mpf(0)

@@ -210,6 +210,22 @@ def mpf_to_fraction(x) -> Fraction:
     return -fr if sign else fr
 
 
+def coord_to_exact(v) -> ExactComplex:
+    """The exact value of a coordinate: an ExactComplex, int or Fraction, or
+    the dyadic value of a Python complex or of an mpc or mpf."""
+    if isinstance(v, ExactComplex):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return ExactComplex.of(v)
+    if isinstance(v, complex):
+        return ExactComplex(Fraction(v.real), Fraction(v.imag))
+    if hasattr(v, "_mpc_"):
+        return ExactComplex(mpf_to_fraction(v.real), mpf_to_fraction(v.imag))
+    if hasattr(v, "_mpf_"):
+        return ExactComplex(mpf_to_fraction(v), Fraction(0))
+    raise ValidationError(f"cannot read a coordinate of type {type(v).__name__} exactly")
+
+
 def lift(z: ExactComplex, prec: PrecisionConfig):
     """Materialize an exact scalar in the arithmetic of the given mode."""
     if prec.is_exact:

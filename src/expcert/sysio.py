@@ -37,10 +37,10 @@ from .polynomials import Polynomial, PolynomialSystem
 from .refine import ResidualTable
 from .scalars import (
     ExactComplex,
+    coord_to_exact,
     format_decimal,
     format_rational,
     fraction_to_mpf,
-    mpf_to_fraction,
     working_precision,
 )
 
@@ -239,20 +239,6 @@ def parse_points(text: str) -> PointsData:
     return PointsData(mode, pts)
 
 
-def _coord_to_exact(v) -> ExactComplex:
-    if isinstance(v, ExactComplex):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return ExactComplex.of(v)
-    if isinstance(v, complex):
-        return ExactComplex(Fraction(v.real), Fraction(v.imag))
-    if hasattr(v, "_mpc_"):
-        return ExactComplex(mpf_to_fraction(v.real), mpf_to_fraction(v.imag))
-    if hasattr(v, "_mpf_"):
-        return ExactComplex(mpf_to_fraction(v), Fraction(0))
-    raise ValidationError(f"cannot serialize coordinate of type {type(v).__name__}")
-
-
 def serialize_points(points, mode: str) -> str:
     """Write points exactly: floating coordinates become dyadic rationals."""
     if mode not in ("rational", "float"):
@@ -260,7 +246,7 @@ def serialize_points(points, mode: str) -> str:
     out = [f"format: {FORMAT_VERSION}", f"mode: {mode}", str(len(points))]
     for p in points:
         for v in p:
-            z = _coord_to_exact(v)
+            z = coord_to_exact(v)
             out.append(f"{format_rational(z.re)} {format_rational(z.im)}")
     return "\n".join(out) + "\n"
 

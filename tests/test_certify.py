@@ -21,7 +21,6 @@ import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from mpmath import iv
-from mpmath.libmp import from_rational, round_ceiling
 
 import expcert
 from expcert import certify as certify_module, cli, linalg, scalars
@@ -63,6 +62,7 @@ from expcert.refine import newton_iterate, newton_refine
 from expcert.scalars import (
     ExactComplex,
     PrecisionConfig,
+    coord_to_exact,
     fraction_to_mpf,
     lift_point,
     mpf_to_fraction,
@@ -161,29 +161,39 @@ def test_certify_singular_jacobian_off_zero():
 
 
 def test_newton_step_hand_case():
+    """One step from 3/2 on x^2 - 2 lands on 17/12 rounded to 64 bits, read
+    exactly, and records the step's squared length 1/144 rounded."""
     S = poly1((ec(1), (2,)), (ec(-2), (0,)))
     z, rows, singular_at = newton_iterate(S, (ec(Fraction(3, 2)),), 1, RAT)
-    assert singular_at is None and z == (ec(Fraction(17, 12)),)
-    assert rows == ((0, Fraction(1, 144)),)
+    (v,) = z
+    assert singular_at is None and v.im == 0 and v.re.denominator == 2**63
+    assert abs(v.re - Fraction(17, 12)) <= Fraction(1, 2**64)
+    ((k, bsq),) = rows
+    assert k == 0 and abs(mpf_to_fraction(bsq) - Fraction(1, 144)) <= Fraction(1, 144 * 2**62)
 
 
 def test_beta_sq_matches_step():
+    """The step length of newton_refine is the certificate's exact beta^2
+    to the working precision."""
     S = poly1((ec(1), (2,)), (ec(-2), (0,)))
-    _, table = newton_refine(S, (ec(Fraction(3, 2)),), 0, RAT)
-    assert table.rows[0][1] == Fraction(1, 144)
+    z = (ec(Fraction(3, 2)),)
+    _, table = newton_refine(S, z, 0, RAT)
+    beta_sq = certify_solution(S, z, RAT).beta_sq
+    assert beta_sq == Fraction(1, 144)
+    assert abs(mpf_to_fraction(table.rows[0][1]) - beta_sq) <= beta_sq / 2**62
 
 
 def _count_linearizations(monkeypatch) -> dict:
     """Count eliminations and program evaluations during one call.
 
-    The package takes a floating Newton step with linalg.solve_columns;
-    it certifies a link-free point, and takes an exact Newton step, with
+    The package takes every Newton step, in both modes, with
+    linalg.solve_columns; it certifies a link-free point with
     linalg.solve_fraction_free; and it certifies a linked system from the
     double-precision inverse of linalg.inverse_column_bounds. An
     elimination is a call of any of them, wherever the package has bound
     it. Evaluations are calls of CompiledSystem.evaluate, the one evaluator
-    of F and Df; for every certificate, and for an exact Newton step, that
-    is the integer program behind exact_core.
+    of F and Df; for every certificate that is the integer program behind
+    exact_core.
     """
     original_evaluate = CompiledSystem.evaluate
     counts = {"eliminations": 0, "evaluations": 0}
@@ -357,11 +367,12 @@ def test_double_precision_mu_matches_the_elimination_route(monkeypatch, stem, bi
     assert accepted == ([True] * len(points) if F.m else [])
     for cert, z in zip(certs, points):
         beta_sq, gamma_sq = mpc_bounds_sq(F, z, prec)
-        assert cert.certified_approximate == decide_certified(beta_sq, gamma_sq)
+        assert cert.certified_approximate == decide_certified(
+            mpf_to_fraction(beta_sq), mpf_to_fraction(gamma_sq))
         with mp.workprec(bits):
             ref = beta_sq * gamma_sq
-            assert ref * (1 - mp.mpf(10) ** -9) ** 2 <= cert.alpha_bound_sq
-            assert cert.alpha_bound_sq <= ref * (1 + mp.mpf(10) ** -6) ** 2
+            low, high = ref * (1 - mp.mpf(10) ** -9) ** 2, ref * (1 + mp.mpf(10) ** -6) ** 2
+            assert mpf_to_fraction(low) <= cert.alpha_bound_sq <= mpf_to_fraction(high)
 
 
 def test_rational_certificates_never_take_the_double_precision_bound(monkeypatch):
@@ -371,42 +382,42 @@ def test_rational_certificates_never_take_the_double_precision_bound(monkeypatch
     assert accepted == [] and all(c.certified_approximate for c in certs)
 
 
-def _assert_the_rational_certificate_rounded_up(F, z, bits: int):
-    """certify_solution of z in float mode at bits is, bit for bit, the
-    rational certificate of the dyadic point z lifted to bits, with beta^2
-    and gamma^2 rounded up to bits and alpha^2 their product rounded up."""
+def _assert_the_rational_certificate(F, z, bits: int):
+    """certify_solution of z in float mode at bits is, field by field, the
+    rational certificate of the dyadic point z lifted to bits: the same
+    Fractions for beta^2, gamma^2 and alpha^2, and the same verdict. The
+    one difference is that float mode has no exact zeros: at a dyadic root
+    beta^2 is 0 as well, but a singular J leaves alpha infinite and the
+    point uncertified there."""
     prec = PrecisionConfig("float", bits)
-    dyadic = tuple(ExactComplex(mpf_to_fraction(v.real), mpf_to_fraction(v.imag))
-                   for v in lift_point(z, prec))
+    dyadic = tuple(coord_to_exact(v) for v in lift_point(z, prec))
     got, want = certify_solution(F, z, prec), certify_solution(F, dyadic, RAT)
-    assert got.jacobian_invertible == want.jacobian_invertible and not got.exact_zero
-    if not want.jacobian_invertible:
-        assert not got.certified_approximate and math.isinf(got.alpha_bound_sq)
-        return
-    beta_sq, gamma_sq = (mp.make_mpf(from_rational(v.numerator, v.denominator, bits, round_ceiling))
-                         for v in (want.beta_sq, want.gamma_bound_sq))
-    alpha_sq = mp.fmul(beta_sq, gamma_sq, prec=bits, rounding="u")
-    assert (got.beta_sq._mpf_, got.gamma_bound_sq._mpf_, got.alpha_bound_sq._mpf_) == (
-        beta_sq._mpf_, gamma_sq._mpf_, alpha_sq._mpf_)
-    assert got.certified_approximate == decide_certified(beta_sq, gamma_sq)
+    assert (got.mode, got.bits, got.exact_zero) == ("float", bits, False)
+    assert (got.beta_sq, got.gamma_bound_sq, got.jacobian_invertible) == (
+        want.beta_sq, want.gamma_bound_sq, want.jacobian_invertible)
+    if want.exact_zero and not want.jacobian_invertible:
+        assert math.isinf(got.alpha_bound_sq) and not got.certified_approximate
+    else:
+        assert (got.alpha_bound_sq, got.certified_approximate) == (
+            want.alpha_bound_sq, want.certified_approximate)
 
 
 @settings(max_examples=100, deadline=None)
 @given(linearization_cases(), st.sampled_from([96, 256, 1024]))
 @example((poly1((ec(1), (2,)), (ec(1), (0,))), (ec(0, Fraction(1, 2**1100)),)), 96)  # J = 2^-1099 i
-def test_a_link_free_float_certificate_is_the_rational_one_rounded_up(case, bits):
+def test_a_link_free_float_certificate_is_the_rational_one(case, bits):
     S, z = case
-    _assert_the_rational_certificate_rounded_up(as_exp_system(S), z, bits)
+    _assert_the_rational_certificate(as_exp_system(S), z, bits)
 
 
 @pytest.mark.parametrize("bits", [96, 256, 1024])
-def test_rr_dyad_poly_float_certificates_are_the_rational_ones_rounded_up(bits):
+def test_rr_dyad_poly_float_certificates_are_the_rational_ones(bits):
     """Every data point, refined 0-3 times at bits, down to the rounding floor."""
     F = as_exp_system(parse_system((DATA / "rr_dyad_poly.sys").read_text()))
     prec = PrecisionConfig("float", bits)
     for z in parse_points((DATA / "rr_dyad_poly.pts").read_text()).points:
         for k in range(4):
-            _assert_the_rational_certificate_rounded_up(F, newton_refine(F, z, k, prec)[0], bits)
+            _assert_the_rational_certificate(F, newton_refine(F, z, k, prec)[0], bits)
 
 
 @pytest.mark.parametrize("bits", [96, 256])
@@ -590,7 +601,7 @@ def test_certified_beta_bounds_the_distance_to_the_root(stem):
             cert = certify_solution(F, z, F96)
             assert cert.certified_approximate
             with mp.workprec(320):
-                assert norm_sq(_sub(z, root)) <= 4 * cert.beta_sq
+                assert mpf_to_fraction(norm_sq(_sub(z, root))) <= 4 * cert.beta_sq
 
 
 def test_a_point_with_a_vanishing_coordinate_part_fails_fast():
@@ -744,6 +755,16 @@ def test_krawczyk_encloses_one_root_per_certified_point(stem, seed, refine):
                 assert _disjoint(boxes[a], boxes[b])
 
 
+def _exact_newton_iterate(S: PolynomialSystem, z, k: int):
+    """z after k exact Newton steps, each by the dense Fraction solve of
+    J x = F(z): iterates whose denominators grow with every step."""
+    for _ in range(k):
+        residual, J = exact_value_and_jacobian(S, z)
+        (step,) = zip(*_dense_solve_columns(J, tuple((v,) for v in residual)))
+        z = tuple(a - b for a, b in zip(z, step))
+    return z
+
+
 def _rational_cases():
     """(system, point) pairs in rational mode whose J(z) and F(z) carry long
     denominators: rr_dyad_poly at exact Newton iterates 0-3, whose F(z) has
@@ -753,10 +774,10 @@ def _rational_cases():
     once at 64 bits, so with dyadic coordinates."""
     F = as_exp_system(parse_system((DATA / "rr_dyad_poly.sys").read_text()))
     z = parse_points((DATA / "rr_dyad_poly.pts").read_text()).points[0]
-    cases = {f"rr_dyad_poly-iterate{k}": (F, newton_refine(F, z, k, RAT)[0]) for k in range(4)}
+    cases = {f"rr_dyad_poly-iterate{k}": (F, _exact_newton_iterate(F.P, z, k)) for k in range(4)}
     z = tuple(v + ExactComplex(Fraction(0), Fraction(i + 1, 2**70)) for i, v in enumerate(z))
     for k in (0, 2):
-        cases[f"rr_dyad_poly-complex-iterate{k}"] = (F, newton_refine(F, z, k, RAT)[0])
+        cases[f"rr_dyad_poly-complex-iterate{k}"] = (F, _exact_newton_iterate(F.P, z, k))
     G = as_exp_system(parse_system((DATA / "compliant.sys").read_text()))
     z = parse_points((DATA / "compliant.pts").read_text()).points[0]
     for degrees in ((3, 4, 5, 6, 8, 9), (9, 8, 7, 6, 5, 4)):
@@ -764,15 +785,14 @@ def _rational_cases():
         dyadic = newton_refine(T, z, 1, PrecisionConfig("float", 64))[0]
         tag = "compliant-T" + "".join(map(str, degrees))
         cases[tag] = (T, z)
-        cases[tag + "-64bit"] = (T, tuple(
-            ExactComplex(mpf_to_fraction(v.real), mpf_to_fraction(v.imag)) for v in dyadic))
+        cases[tag + "-64bit"] = (T, tuple(coord_to_exact(v) for v in dyadic))
     return cases
 
 
 @pytest.mark.parametrize("case", list(_rational_cases()))
 def test_rational_certificate_matches_the_dense_fraction_solve(case):
-    """beta^2, gamma^2, alpha^2 and the Newton step equal those of the dense
-    Fraction elimination of J X = [F(z) | I] exactly."""
+    """beta^2, gamma^2 and alpha^2 equal those of the dense Fraction
+    elimination of J X = [F(z) | I] exactly."""
     F, z = _rational_cases()[case]
     F = as_exp_system(F)
     residual, J = exact_value_and_jacobian(F.P, z)
@@ -783,8 +803,6 @@ def test_rational_certificate_matches_the_dense_fraction_solve(case):
     cert = certify_solution(F, z, RAT)
     assert (cert.beta_sq, cert.gamma_bound_sq, cert.alpha_bound_sq) == (
         beta_sq, gamma_sq, beta_sq * gamma_sq)
-    assert newton_iterate(F, z, 1, RAT) == (
-        tuple(a - b for a, b in zip(z, X[0])), ((0, beta_sq),), None)
 
 
 # The sha256 of the rational report on each Taylor truncation of compliant,
@@ -928,15 +946,16 @@ def mode_cases(draw):
 
 
 def _mode_pair(z, bg):
-    """The point and certificate in rational mode and in float mode."""
+    """The point and certificate in rational mode and in float mode: the
+    point exact and as mpcs of the same value, the certificate's Fractions
+    the same in both."""
     b, g = bg
     rational = Certificate(b, g, b * g, True, False, True, "rational", 64)
+    floating = Certificate(b, g, b * g, True, False, True, "float", _DYADIC_BITS)
     with mp.workprec(_DYADIC_BITS):
         point = tuple(mp.mpc(fraction_to_mpf(re, _DYADIC_BITS), fraction_to_mpf(im, _DYADIC_BITS))
                       for re, im in z)
-        values = [fraction_to_mpf(v, _DYADIC_BITS) for v in (b, g, b * g)]
-        assert [mpf_to_fraction(v) for v in values] == [b, g, b * g]
-        floating = Certificate(*values, True, False, True, "float", _DYADIC_BITS)
+        assert [coord_to_exact(v) for v in point] == [ExactComplex(re, im) for re, im in z]
     return (tuple(ExactComplex(re, im) for re, im in z), rational), (point, floating)
 
 
@@ -950,9 +969,10 @@ def _outcome(fn, *args):
 @settings(max_examples=200, deadline=None)
 @given(mode_cases())
 def test_both_modes_decide_alike_at_equal_points(case):
-    """Certificates of equal values, a Fraction in rational mode and the
-    same mpf in float mode, at equal dyadic points get equal answers from
-    certify_distinct, same_root, certify_real and robust_radius_sq."""
+    """Certificates of equal Fractions, one in each mode, at equal dyadic
+    points, exact in rational mode and mpcs in float mode, get equal
+    answers from certify_distinct, same_root, certify_real and
+    robust_radius_sq."""
     z1, z2, c1, c2 = case
     (r1, rc1), (f1, fc1) = _mode_pair(z1, c1)
     (r2, rc2), (f2, fc2) = _mode_pair(z2, c2)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpc_cos, mpc_cos_sin, mpc_sin
 
-from expcert import expsystems
+from expcert import cli, expsystems
 from expcert.certify import certify_batch, certify_solution
 from expcert.errors import ExactModeUnsupported, SingularMatrix, ValidationError
 from expcert.expsystems import (
@@ -40,16 +40,15 @@ from expcert.homotopy import taylor_truncate
 from expcert.linalg import norm_sq, solve_columns, solve_fraction_free
 from expcert.mechanisms import compliant_linkage
 from expcert.polynomials import Polynomial, PolynomialSystem, bw_norm_sq
-from expcert.refine import newton_refine
 from expcert.scalars import (
     ExactComplex,
     PrecisionConfig,
+    coord_to_exact,
     exact_to_mpc,
     fraction_to_mpf,
     lift_point,
-    mpf_to_fraction,
 )
-from expcert.sysio import parse_points, parse_system, serialize_system
+from expcert.sysio import parse_points, parse_system, serialize_points, serialize_system
 
 from test_linalg import _dense_solve_columns, _integer_rows, identity, invert, norm1_sq
 from test_polynomials import (
@@ -128,12 +127,20 @@ def test_evaluate_and_jacobian_hand_case():
         assert abs(J[1][1] - 1) < 1e-25
 
 
-def test_exact_mode_rejected_with_links():
+def test_exact_mode_rejected_with_links(tmp_path, capsys):
+    """A linked system has no exact core, so no rational certificate, and
+    `certify --mode rational` refuses it with exit code 2."""
     F = simple_system()
     with pytest.raises(ExactModeUnsupported):
-        certify_solution(F, (ec(0), ec(0)), RAT)
+        exact_core(F, (ec(0), ec(0)), RAT)
     with pytest.raises(ExactModeUnsupported):
-        newton_refine(F, (ec(0), ec(0)), 1, RAT)
+        certify_solution(F, (ec(0), ec(0)), RAT)
+    system, points = tmp_path / "case.sys", tmp_path / "case.pts"
+    system.write_text(serialize_system(F))
+    points.write_text(serialize_points([(ec(0), ec(0))], "rational"))
+    code = cli.main(["certify", "--system", str(system), "--points", str(points), "--mode", "rational"])
+    assert code == 2
+    assert "rational mode requires a link-free polynomial system" in capsys.readouterr().err
 
 
 def test_value_and_jacobian_refuses_a_rational_precision(monkeypatch):
@@ -278,7 +285,7 @@ def test_program_matches_exact_values_in_float_mode(name, bits):
     for z in points:
         zl = lift_point(z, prec)
         values, J = value_and_jacobian(F, zl, prec)
-        zx = tuple(ExactComplex(mpf_to_fraction(v.real), mpf_to_fraction(v.imag)) for v in zl)
+        zx = tuple(coord_to_exact(v) for v in zl)
         with mp.workprec(4 * bits):
             zh = [exact_to_mpc(v, mp.mp.prec) for v in zx]
 
@@ -630,17 +637,17 @@ def _entries(rows):
 
 
 @settings(max_examples=150, deadline=None)
-@given(linearization_cases(), st.booleans())
-@example((PolynomialSystem((poly(1, (1, (2,)), (1, (0,))),)), (ec(0, Fraction(1, 2**1100)),)), True)
-def test_integer_rows_are_the_reduced_fraction_rows(case, inverse):
+@given(linearization_cases())
+@example((PolynomialSystem((poly(1, (1, (2,)), (1, (0,))),)), (ec(0, Fraction(1, 2**1100)),)))
+def test_integer_rows_are_the_reduced_fraction_rows(case):
     """fraction_free_rows gives, integer for integer, the rows and scales
-    that the reference gives for the Fraction values of [J | F(z) (| I)]."""
+    that the reference gives for the Fraction values of [J | F(z) | I]."""
     S, z = case
     F, J = exact_value_and_jacobian(S, z)
-    B = tuple((v,) + (e if inverse else ()) for v, e in zip(F, identity(S.nv, exact=True)))
+    B = tuple((v,) + e for v, e in zip(F, identity(S.nv, exact=True)))
     want_rows, want_scales = _integer_rows(J, B)
     core = exact_core(S, z, RAT)
-    rows, scales = fraction_free_rows(core, inverse)
+    rows, scales = fraction_free_rows(core)
     assert Fraction(*core.n1) == norm1_sq(z)
     assert scales == want_scales
     assert _entries(rows) == _entries(want_rows)
@@ -704,7 +711,7 @@ def test_integer_mu_and_gamma_equal_the_fraction_route(case):
     S, z = case
     F = as_exp_system(S)
     core = exact_core(F, z, RAT)
-    rows, scales = fraction_free_rows(core, True)
+    rows, scales = fraction_free_rows(core)
     n1 = core.n1
     try:
         sums, dd = solve_fraction_free(rows, scales).norm_sq_parts()

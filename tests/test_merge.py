@@ -15,6 +15,7 @@ is what tells the two apart.
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 from hypothesis import Phase, given, settings, strategies as st
@@ -26,12 +27,11 @@ from expcert.certify import (
     ROBUST_RADIUS_SQ,
     Certificate,
     _is_infinite,
-    _lt_exact,
 )
 from expcert.errors import PreconditionFailed, SingularMatrix
 from expcert.homotopy import HomotopyConfig, _dedup_native, _merge_polished, _norm, _polish
 from expcert.linalg import norm_sq
-from expcert.scalars import PrecisionConfig, lift_point, working_precision
+from expcert.scalars import PrecisionConfig, lift_point, mpf_to_fraction, working_precision
 
 
 def _loop_dedup_native(points, rel=1e-8):
@@ -48,7 +48,7 @@ def _loop_dedup_native(points, rel=1e-8):
 
 
 def _loop_same_root(F, cert_x, z_x, z_y, prec):
-    if not _lt_exact(cert_x.alpha_bound_sq, ROBUST_ALPHA_SQ):
+    if not cert_x.alpha_bound_sq < ROBUST_ALPHA_SQ:
         raise PreconditionFailed("same_root needs alpha < 3/100 at the anchor point")
     if tuple(z_x) == tuple(z_y):
         return True
@@ -58,7 +58,7 @@ def _loop_same_root(F, cert_x, z_x, z_y, prec):
         a = lift_point(z_x, prec)
         b = lift_point(z_y, prec)
         dsq = norm_sq(tuple(u - v for u, v in zip(a, b)))
-        return _lt_exact(dsq * cert_x.gamma_bound_sq, ROBUST_RADIUS_SQ)
+        return mpf_to_fraction(dsq) * cert_x.gamma_bound_sq < ROBUST_RADIUS_SQ
 
 
 def _loop_polish_merge(F, refined_certs, cfg):
@@ -133,15 +133,15 @@ def test_dedup_native_keeps_what_the_loop_kept(points):
 
 def _certificate(rng, kind, bits):
     """A float-mode certificate of the given kind, as certify_solution builds
-    them, with gamma between 1 and 1e9; None stands for a point whose
-    certification raised."""
+    them, with gamma between 1 and 1e9 and its squares Fractions; None
+    stands for a point whose certification raised."""
     if kind == "raised":
         return None
     gamma = mp.mpf(10) ** rng.uniform(0, 9)
     if kind == "singular":
-        return Certificate(mp.mpf(0), math.inf, math.inf, False, False, False, "float", bits)
+        return Certificate(Fraction(0), math.inf, math.inf, False, False, False, "float", bits)
     if kind == "infinite-gamma":
-        return Certificate(mp.mpf(0), math.inf, mp.mpf(0), True, False, True, "float", bits)
+        return Certificate(Fraction(0), math.inf, Fraction(0), True, False, True, "float", bits)
     alpha = {
         "robust": rng.uniform(0, 0.0299),
         "not-robust": rng.uniform(0.0301, float(ALPHA_STAR) * 0.999),
@@ -149,8 +149,8 @@ def _certificate(rng, kind, bits):
     }[kind]
     beta = mp.mpf(alpha) / gamma
     return Certificate(
-        beta * beta, gamma * gamma, (beta * gamma) ** 2, True, False, kind != "not-certified",
-        "float", bits,
+        *(mpf_to_fraction(v) for v in (beta * beta, gamma * gamma, (beta * gamma) ** 2)),
+        True, False, kind != "not-certified", "float", bits,
     )
 
 

@@ -64,6 +64,10 @@ def _run_script(name, *args):
             '{"stem": "compliant", "mode": "rational", "degrees": [9, 7, 5, 3, 8, 4], "bits": 64, '
             '"repeat": 2, "fraction_free_solve_ms": ',
         ),
+        (
+            ["layer_times.py", "--stems", "rr_dyad_poly", "--bits", "", "--repeat", "2"],
+            ', "refine_and_certify_ms": ',
+        ),
     ],
 )
 def test_script_runs(argv, expected):
@@ -121,8 +125,8 @@ REPORT_SHA256 = {
     "rr_dyad_poly float 1024 r2-audit": "f51191eaf2b729d8f5458510d8f0b433eeab0e1d28a9946b0b2b3b19e961140e",
     "rr_dyad_poly float 1024 r4": "9557b1a6af26687cdd9d59ca5c4058fb95ffb8ec978a86ba72d031a6a44835e6",
     "rr_dyad_poly rational 96 plain": "54fb01e3f9aa177b44c42d838c1ceabc794fe641fbdcd533d0df3dddf141dca7",
-    "rr_dyad_poly rational 96 r2-audit": "89e5b29abcb6e59f1f7d2c3ebec136ed981e927d7a099d06e763376e5e7f1daf",
-    "rr_dyad_poly rational 96 r4": "4dae2b09604d71680251a65d7fff1e1f3de4c30360158aea6a725d9039124155",
+    "rr_dyad_poly rational 96 r2-audit": "01cf626a4c8f59769fa797c5fb2f2c877f57276acce2dbcd1086e452a4809b0a",
+    "rr_dyad_poly rational 96 r4": "85af24a6605714394c1d256c3be0f6c523734ffacca2fef6eac35580e877f4b2",
 }
 
 
